@@ -14,6 +14,7 @@ suffixed _THz are angular frequencies in units of 10^12 rad/s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -48,8 +49,19 @@ KNOWN_FORMATS = ("csv", "json")
 
 def _require_positive(path: str, value: float) -> float:
     value = float(value)
-    if not value > 0.0:
-        raise ValidationError(f"config key '{path}' must be > 0, got {value}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(
+            f"config key '{path}' must be finite and > 0, got {value}"
+        )
+    return value
+
+
+def _require_nonnegative(path: str, value: float) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValidationError(
+            f"config key '{path}' must be finite and >= 0, got {value}"
+        )
     return value
 
 
@@ -235,12 +247,9 @@ class PhasematchConfig:
 
     @staticmethod
     def parse(sec: _Section) -> "PhasematchConfig":
-        power = float(sec.take("pump_peak_power_W", 0.0))
-        if power < 0.0:
-            raise ValidationError(
-                f"config key '{sec.path}.pump_peak_power_W' must be >= 0, "
-                f"got {power}"
-            )
+        power = _require_nonnegative(
+            f"{sec.path}.pump_peak_power_W", sec.take("pump_peak_power_W", 0.0)
+        )
         lo = sec.take("detuning_min_THz", None)
         hi = sec.take("detuning_max_THz", None)
         if lo is not None:
@@ -287,16 +296,12 @@ class NoiseConfig:
 
     @staticmethod
     def parse(sec: _Section) -> "NoiseConfig":
-        rel = float(sec.take("rel_sigma", 0.0))
-        dark = float(sec.take("dark_floor", 0.0))
-        if rel < 0.0:
-            raise ValidationError(
-                f"config key '{sec.path}.rel_sigma' must be >= 0, got {rel}"
-            )
-        if dark < 0.0:
-            raise ValidationError(
-                f"config key '{sec.path}.dark_floor' must be >= 0, got {dark}"
-            )
+        rel = _require_nonnegative(
+            f"{sec.path}.rel_sigma", sec.take("rel_sigma", 0.0)
+        )
+        dark = _require_nonnegative(
+            f"{sec.path}.dark_floor", sec.take("dark_floor", 0.0)
+        )
         seed = sec.take("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValidationError(

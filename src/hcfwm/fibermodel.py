@@ -35,23 +35,24 @@ beta2 s^2/m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.constants import c as _C
-from scipy.optimize import brentq
-from scipy.special import jn_zeros
 
 from . import gasmedia
 from .errors import (
     ConvergenceError,
     DivergenceZoneError,
+    NumericalError,
     RangeError,
     StencilError,
     ValidationError,
 )
 from .gasmedia import GasState
+
+_C = 299792458.0  # speed of light in vacuum, m/s (exact in SI)
 
 EXCLUSION_FRACTION = 0.005
 
@@ -79,6 +80,21 @@ def roman(n: int) -> str:
     return "".join(out)
 
 
+def _bessel_zero(nu: int, n: int) -> float:
+    """n-th positive zero j_{nu,n} of the Bessel function J_nu.
+
+    The numbers 4 / j_{nu,k}^2 are the eigenvalues of a symmetric
+    tridiagonal matrix (Ikebe, Kikuchi & Fujishiro, J. Comput. Appl. Math.
+    38, 169 (1991)); cut at 2n + 64 rows, its n largest are exact to double
+    precision.
+    """
+    k = np.arange(1.0, 2 * n + 65) * 2.0 + nu
+    diag = 2.0 / ((k - 1.0) * (k + 1.0))
+    off = 1.0 / ((k[:-1] + 1.0) * np.sqrt(k[:-1] * (k[:-1] + 2.0)))
+    lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return float(2.0 / np.sqrt(lam[-n]))
+
+
 def omega_from_lambda_nm(lambda_nm):
     return 2.0 * np.pi * _C / (np.asarray(lambda_nm, dtype=float) * 1e-9)
 
@@ -97,19 +113,21 @@ class FiberModel:
     mode_n: int = 1
 
     def __post_init__(self):
-        if self.R_eff_um <= 0.0:
-            raise ValidationError(f"R_eff_um must be > 0, got {self.R_eff_um}")
-        if self.t_nm <= 0.0:
-            raise ValidationError(f"t_nm must be > 0, got {self.t_nm}")
+        if not (math.isfinite(self.R_eff_um) and self.R_eff_um > 0.0):
+            raise ValidationError(
+                f"R_eff_um must be finite and > 0, got {self.R_eff_um}"
+            )
+        if not (math.isfinite(self.t_nm) and self.t_nm > 0.0):
+            raise ValidationError(f"t_nm must be finite and > 0, got {self.t_nm}")
         if self.mode_m < 1 or self.mode_n < 1:
             raise ValidationError(
                 f"mode indices must be >= 1, got HE{self.mode_m}{self.mode_n}"
             )
 
-    @property
+    @cached_property
     def u(self) -> float:
         """Transverse mode parameter: n-th zero of J_{m-1}."""
-        return float(jn_zeros(self.mode_m - 1, self.mode_n)[self.mode_n - 1])
+        return _bessel_zero(self.mode_m - 1, self.mode_n)
 
     @property
     def mode_label(self) -> str:
@@ -442,6 +460,61 @@ def _beta2_on_grid(
     return (kp - 2.0 * k0 + km) / h2**2
 
 
+def _brentq(f, xa, xb, xtol=2e-12, rtol=1e-13, maxiter=100) -> float:
+    """Root of f between xa and xb by Brent's method.
+
+    A step-for-step port of SciPy's C ``brentq`` (R. P. Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4), so it evaluates f
+    at the same points and returns the same float.  f(xa) and f(xb) must
+    differ in sign.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericalError(f"no sign change to bracket on [{xa!r}, {xb!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ConvergenceError(
+        f"Brent root solve did not converge within {maxiter} iterations "
+        f"on [{xa!r}, {xb!r}]"
+    )
+
+
 def find_zdw(
     fiber: FiberModel,
     gas: GasState,
@@ -452,8 +525,15 @@ def find_zdw(
 
     Scans beta2 on a uniform omega grid over the band interior (staying
     clear of exclusion zones and leaving stencil margin), brackets sign
-    changes, and polishes each with a root solve.  Returns wavelengths in
-    ascending order; empty list if beta2 does not cross zero.
+    changes, and polishes each with a Brent root solve.  Returns wavelengths
+    in ascending order; empty list if beta2 does not cross zero.
+
+    beta2 comes from a finite-difference stencil on kappa, and within about
+    1e-8 (relative) of the root its sign is rounding noise, so the model
+    fixes the ZDW only to about 1e-8 relative.  The value returned is
+    reproducible far below that, because the Brent solve visits the same
+    points on every run; a different root finder would land elsewhere in
+    the noise band.
     """
     structure = band_structure(fiber, gas)
     if isinstance(band, str):
@@ -491,7 +571,7 @@ def find_zdw(
         if sign[i] == 0.0:
             roots.append(float(om[i]))
         elif sign[i] * sign[i + 1] < 0.0:
-            roots.append(float(brentq(f, om[i], om[i + 1], rtol=1e-13)))
+            roots.append(_brentq(f, om[i], om[i + 1]))
     if sign[-1] == 0.0:
         roots.append(float(om[-1]))
 

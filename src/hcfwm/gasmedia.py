@@ -27,6 +27,7 @@ n2           m^2/W (per-species tabulated as m^2/(W bar))
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -119,13 +120,13 @@ class GasState:
             raise ValidationError(
                 f"{self.model.species} is a wall material, not a filling gas"
             )
-        if self.pressure_bar < 0.0:
+        if not (math.isfinite(self.pressure_bar) and self.pressure_bar >= 0.0):
             raise ValidationError(
-                f"pressure must be >= 0 bar, got {self.pressure_bar}"
+                f"pressure must be finite and >= 0 bar, got {self.pressure_bar}"
             )
-        if self.temperature_K <= 0.0:
+        if not (math.isfinite(self.temperature_K) and self.temperature_K > 0.0):
             raise ValidationError(
-                f"temperature must be > 0 K, got {self.temperature_K}"
+                f"temperature must be finite and > 0 K, got {self.temperature_K}"
             )
 
     @property

@@ -42,6 +42,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -68,10 +69,14 @@ class GaussianPump:
     sigma: float  # rad/s, field-amplitude standard deviation
 
     def __post_init__(self):
-        if self.omega_p0 <= 0.0:
-            raise ValidationError(f"omega_p0 must be > 0, got {self.omega_p0}")
-        if self.sigma <= 0.0:
-            raise ValidationError(f"pump sigma must be > 0, got {self.sigma}")
+        if not (math.isfinite(self.omega_p0) and self.omega_p0 > 0.0):
+            raise ValidationError(
+                f"omega_p0 must be finite and > 0, got {self.omega_p0}"
+            )
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValidationError(
+                f"pump sigma must be finite and > 0, got {self.sigma}"
+            )
 
     @classmethod
     def from_fwhm(cls, lambda_nm: float, fwhm_fs: float) -> "GaussianPump":
@@ -80,8 +85,12 @@ class GaussianPump:
         Transform-limited Gaussian assumption: FWHM_t * FWHM_omega = 4 ln 2,
         so the field sigma is 2 sqrt(ln 2) / FWHM_t.
         """
-        if fwhm_fs <= 0.0:
-            raise ValidationError(f"fwhm_fs must be > 0, got {fwhm_fs}")
+        if not (math.isfinite(lambda_nm) and lambda_nm > 0.0):
+            raise ValidationError(
+                f"pump lambda_nm must be finite and > 0, got {lambda_nm}"
+            )
+        if not (math.isfinite(fwhm_fs) and fwhm_fs > 0.0):
+            raise ValidationError(f"fwhm_fs must be finite and > 0, got {fwhm_fs}")
         sigma = 2.0 * np.sqrt(np.log(2.0)) / (fwhm_fs * 1e-15)
         return cls(
             omega_p0=float(fibermodel.omega_from_lambda_nm(lambda_nm)),

@@ -38,11 +38,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as _C
 
 from . import fibermodel
 from .errors import NumericalError, RangeError, ValidationError
-from .fibermodel import FiberModel, lambda_nm_from_omega, omega_from_lambda_nm
+from .fibermodel import (
+    _C,
+    FiberModel,
+    lambda_nm_from_omega,
+    omega_from_lambda_nm,
+)
 from .gasmedia import GasState
 
 BISECT_TOL_RAD_M = 1e-4

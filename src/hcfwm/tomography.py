@@ -23,11 +23,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import hbar
 
 from .errors import RangeError, ValidationError
 from .fibermodel import lambda_nm_from_omega
 from .jsa import JsaGrid, grid_to_csv, jsi
+
+# reduced Planck constant h / (2 pi) in J s, from the exact SI h = 6.62607015e-34
+hbar = 1.0545718176461565e-34
 
 __all__ = [
     "NoiseModel",

@@ -5,11 +5,14 @@ from __future__ import annotations
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 from importlib.resources import files as resource_files
 
+import hcfwm
 from hcfwm import cli, config
 
 BASE = {
@@ -208,6 +211,34 @@ def test_missing_required_section_exits_1(tmp_path, capsys):
     assert "'density_map' is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("gas", "pressure_bar", float("inf")),
+        ("gas", "pressure_bar", float("nan")),
+        ("gas", "temperature_K", float("inf")),
+        ("fiber", "R_eff_um", float("nan")),
+        ("fiber", "t_nm", float("inf")),
+        ("pump", "lambda_nm", float("inf")),
+        ("pump", "pulse_fwhm_fs", float("nan")),
+        (None, "fiber_length_m", float("inf")),
+        ("phasematch", "pump_peak_power_W", float("nan")),
+        ("phasematch", "pump_peak_power_W", float("inf")),
+    ],
+)
+def test_non_finite_config_value_exits_1(section, key, value, tmp_path, capsys):
+    raw = copy.deepcopy(BASE)
+    (raw[section] if section else raw)[key] = value
+    rc = cli.main(
+        ["phasematch", "--config", write_cfg(tmp_path, raw),
+         "--out", str(tmp_path / "o"), "--label", "t"]
+    )
+    assert rc == 1
+    path = f"{section}.{key}" if section else key
+    assert f"config key '{path}' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unfittable_sweep_exits_2(tmp_path, capsys):
     raw = copy.deepcopy(BASE)
     raw["phasematch"].update(
@@ -260,3 +291,39 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "hcfwm" in capsys.readouterr().out
+
+
+# ------------------------------------------------ runtime dependencies
+
+# the directory that holds the hcfwm package, for fresh interpreters
+_PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(hcfwm.__file__)))
+
+
+def _fresh_python(code, cwd):
+    env = dict(os.environ, PYTHONPATH=_PKG_ROOT)
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    proc = _fresh_python(
+        "import sys, hcfwm.cli; print('scipy' in sys.modules)", tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    """A None entry in sys.modules makes every scipy import raise."""
+    out = tmp_path / "out"
+    proc = _fresh_python(
+        "import sys; sys.modules['scipy'] = None\n"
+        "from hcfwm import cli\n"
+        f"sys.exit(cli.main(['dispersion', '--config', 'map_t300', "
+        f"'--out', {str(out)!r}, '--label', 't']))",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "dispersion" / "t" / "zdw.csv").exists()

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+import scipy.constants
+from scipy.optimize import brentq
+from scipy.special import jn_zeros
 
-from hcfwm import fibermodel, gasmedia
+from hcfwm import fibermodel, gasmedia, tomography
 from hcfwm.errors import (
+    ConvergenceError,
     DivergenceZoneError,
+    NumericalError,
     RangeError,
     StencilError,
     ValidationError,
@@ -221,6 +228,8 @@ def test_mode_parameter_bessel_zeros():
     assert he11.mode_label == "HE11"
     he12 = fibermodel.FiberModel(R_eff_um=22.0, t_nm=630.0, mode_m=1, mode_n=2)
     assert he12.u == pytest.approx(5.520078110286311, rel=1e-12)
+    # computed once per fiber, not on every delta_eff call
+    assert "u" in vars(he12)
 
 
 def test_higher_order_mode_deeper_deficit(vacuum):
@@ -241,6 +250,95 @@ def test_fiber_validation():
         fibermodel.FiberModel(R_eff_um=22.0, t_nm=-1.0)
     with pytest.raises(ValidationError):
         fibermodel.FiberModel(R_eff_um=22.0, t_nm=630.0, mode_m=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"R_eff_um": math.nan, "t_nm": 630.0},
+        {"R_eff_um": math.inf, "t_nm": 630.0},
+        {"R_eff_um": 22.0, "t_nm": math.inf},
+        {"R_eff_um": 22.0, "t_nm": math.nan},
+    ],
+)
+def test_fiber_rejects_non_finite(kwargs):
+    key = next(k for k, v in kwargs.items() if not math.isfinite(v))
+    with pytest.raises(ValidationError, match=f"{key} must be finite"):
+        fibermodel.FiberModel(**kwargs)
+
+
+# ------------------------------------------ numpy replacements of scipy
+
+
+def test_physical_constants_equal_scipy():
+    assert fibermodel._C == scipy.constants.c
+    assert tomography.hbar == scipy.constants.hbar
+
+
+def test_bessel_zero_matches_scipy():
+    # HE11 feeds every artifact, so it must agree to the last bit
+    assert fibermodel._bessel_zero(0, 1) == jn_zeros(0, 1)[0]
+    # the eigenvalue method's rounding grows as (j_n / j_1)^2; the worst
+    # case here is 10 ulp (1.18e-15 relative) at nu = 6, n = 7
+    for nu in range(8):
+        ref = jn_zeros(nu, 7)
+        for n in range(1, 8):
+            got = fibermodel._bessel_zero(nu, n)
+            assert got == pytest.approx(ref[n - 1], rel=1.2e-15, abs=0.0)
+
+
+def _oracle_brackets(rng):
+    funcs = [
+        lambda x: math.cos(x) - x,
+        lambda x: x**3 - 2.0 * x - 5.0,
+        lambda x: math.exp(x) - 3.0,
+        lambda x: math.tanh(5.0 * (x - 0.3)),
+        lambda x: (x - 0.7) ** 5,
+        lambda x: 1e-30 * math.atan(x - 1.234),
+        lambda x: x - 1e-3 if x > 1e-3 else -1e-8,  # flat, then a jump
+    ]
+    for f in funcs:
+        for _ in range(60):
+            a, b = rng.uniform(-3.0, 1.0), rng.uniform(1.0, 4.0)
+            if (f(a) < 0.0) != (f(b) < 0.0):
+                yield f, a, b
+
+
+def test_brentq_port_is_step_exact():
+    """Same float as scipy on every bracket, for several tolerance sets;
+    where scipy gives up within maxiter, the port raises."""
+    rng = np.random.default_rng(20260418)
+    cases = 0
+    for f, a, b in _oracle_brackets(rng):
+        for xtol, rtol, maxiter in ((2e-12, 1e-13, 100), (1e-6, 8.9e-16, 100),
+                                    (1e-3, 1e-10, 5)):
+            try:
+                want = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+            except RuntimeError:
+                with pytest.raises(ConvergenceError):
+                    fibermodel._brentq(f, a, b, xtol, rtol, maxiter)
+            else:
+                assert fibermodel._brentq(f, a, b, xtol, rtol, maxiter) == want
+            cases += 1
+    assert cases > 1000
+
+
+def test_brentq_port_needs_a_sign_change():
+    with pytest.raises(NumericalError, match="no sign change"):
+        fibermodel._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_brentq_port_on_beta2(fiber, xenon):
+    """The find_zdw objective, bracketed at seeded widths around the root."""
+    def b2(omega):
+        return float(fibermodel._beta2_on_grid(fiber, xenon, np.array([omega]))[0])
+
+    om0 = float(fibermodel.omega_from_lambda_nm(ZDW_XENON_34_BAND_I_NM))
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        a = om0 * (1.0 - rng.uniform(1e-9, 3e-3))
+        b = om0 * (1.0 + rng.uniform(1e-9, 3e-3))
+        assert fibermodel._brentq(b2, a, b) == brentq(b2, a, b, rtol=1e-13)
 
 
 def test_roman_numerals():

@@ -142,6 +142,20 @@ def test_state_validation():
     assert float(gasmedia.delta_gas(gasmedia.make_gas("xenon", 0.0), 1030.0)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "pressure_bar, temperature_K, key",
+    [
+        (float("nan"), 293.15, "pressure"),
+        (float("inf"), 293.15, "pressure"),
+        (3.4, float("inf"), "temperature"),
+        (3.4, float("nan"), "temperature"),
+    ],
+)
+def test_state_rejects_non_finite(pressure_bar, temperature_K, key):
+    with pytest.raises(ValidationError, match=f"{key} must be finite"):
+        gasmedia.make_gas("xenon", pressure_bar, temperature_K=temperature_K)
+
+
 def test_kerr_index_scales_with_pressure():
     gas = gasmedia.make_gas("xenon", 3.4)
     assert gas.n2_m2W == pytest.approx(3.4 * gas.model.n2_per_bar_m2W, rel=1e-15)

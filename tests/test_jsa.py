@@ -42,6 +42,24 @@ def test_gaussian_pump_validation():
         GaussianPump(omega_p0=1e15, sigma=-1.0)
     with pytest.raises(ValidationError):
         GaussianPump.from_fwhm(1030.0, 0.0)
+    with pytest.raises(ValidationError, match="omega_p0 must be finite"):
+        GaussianPump(omega_p0=np.inf, sigma=1e12)
+    with pytest.raises(ValidationError, match="sigma must be finite"):
+        GaussianPump(omega_p0=1e15, sigma=np.nan)
+
+
+@pytest.mark.parametrize(
+    "lambda_nm, fwhm_fs, key",
+    [
+        (1030.0, float("nan"), "fwhm_fs"),
+        (1030.0, float("inf"), "fwhm_fs"),
+        (float("inf"), 280.0, "lambda_nm"),
+        (float("nan"), 280.0, "lambda_nm"),
+    ],
+)
+def test_gaussian_pump_rejects_non_finite(lambda_nm, fwhm_fs, key):
+    with pytest.raises(ValidationError, match=f"{key} must be finite"):
+        GaussianPump.from_fwhm(lambda_nm, fwhm_fs)
 
 
 def test_alpha_peaks_at_one_and_depends_on_sum_only(pump, grid128):
