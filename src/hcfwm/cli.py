@@ -8,9 +8,10 @@ validation problem (bad config, out-of-range physics), 2 a numerical
 failure (non-convergence, no fittable sweep).
 
 Output files never embed wall-clock times or absolute paths, so a rerun
-with the same config, the same --label, and any --threads count is
-byte-identical.  The bundled gas data can be replaced by pointing the
-HCFWM_GAS_DATA environment variable at an alternative table.
+with the same config and the same --label is byte-identical.  Runs are
+single-threaded; --threads is still accepted for compatibility.  The
+bundled gas data can be replaced by pointing the HCFWM_GAS_DATA
+environment variable at an alternative table.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _build_grid(cfg: RunConfig, fiber, gas, pump, branch):
     )
 
 
-def cmd_dispersion(run: _Run, threads: int) -> None:
+def cmd_dispersion(run: _Run) -> None:
     cfg = run.cfg
     fiber = sweeps_mod.fiber_from_config(cfg)
     gas = sweeps_mod.gas_from_config(cfg)
@@ -234,7 +235,7 @@ def cmd_dispersion(run: _Run, threads: int) -> None:
     )
 
 
-def cmd_phasematch(run: _Run, threads: int) -> None:
+def cmd_phasematch(run: _Run) -> None:
     cfg = run.cfg
     fiber = sweeps_mod.fiber_from_config(cfg)
     gas = sweeps_mod.gas_from_config(cfg)
@@ -289,7 +290,7 @@ def cmd_phasematch(run: _Run, threads: int) -> None:
         print("no phase-matched branches in the scan window")
 
 
-def cmd_jsa(run: _Run, threads: int) -> None:
+def cmd_jsa(run: _Run) -> None:
     cfg = run.cfg
     fiber = sweeps_mod.fiber_from_config(cfg)
     gas = sweeps_mod.gas_from_config(cfg)
@@ -327,7 +328,7 @@ def cmd_jsa(run: _Run, threads: int) -> None:
     )
 
 
-def cmd_schmidt(run: _Run, threads: int) -> None:
+def cmd_schmidt(run: _Run) -> None:
     cfg = run.cfg
     fiber = sweeps_mod.fiber_from_config(cfg)
     gas = sweeps_mod.gas_from_config(cfg)
@@ -353,7 +354,7 @@ def cmd_schmidt(run: _Run, threads: int) -> None:
     )
 
 
-def cmd_set_sim(run: _Run, threads: int) -> None:
+def cmd_set_sim(run: _Run) -> None:
     cfg = run.cfg
     if cfg.set_sim is None:
         raise ValidationError(
@@ -382,7 +383,6 @@ def cmd_set_sim(run: _Run, threads: int) -> None:
         ss.seed_power_W,
         noise=noise,
         duty_cycle=ss.duty_cycle,
-        threads=threads,
     )
     rec = tomography.reconstruct_jsi(scan)
     if run.wants("csv"):
@@ -454,17 +454,13 @@ def _emit_sweep(run: _Run, result) -> None:
         print(f"{result.param}={g.value:g}{result.unit}: gap ({g.reason})")
 
 
-def cmd_sweep_length(run: _Run, threads: int) -> None:
-    result = sweeps_mod.sweep_length(
-        run.cfg, out_dir=run.run_dir, threads=threads
-    )
+def cmd_sweep_length(run: _Run) -> None:
+    result = sweeps_mod.sweep_length(run.cfg, out_dir=run.run_dir)
     _emit_sweep(run, result)
 
 
-def cmd_sweep_pressure(run: _Run, threads: int) -> None:
-    result = sweeps_mod.sweep_pressure(
-        run.cfg, out_dir=run.run_dir, threads=threads
-    )
+def cmd_sweep_pressure(run: _Run) -> None:
+    result = sweeps_mod.sweep_pressure(run.cfg, out_dir=run.run_dir)
     _emit_sweep(run, result)
     fit = result.fit
     print(
@@ -474,7 +470,7 @@ def cmd_sweep_pressure(run: _Run, threads: int) -> None:
     )
 
 
-def cmd_density_map(run: _Run, threads: int) -> None:
+def cmd_density_map(run: _Run) -> None:
     cfg = run.cfg
     if cfg.density_map is None:
         raise ValidationError(
@@ -490,7 +486,6 @@ def cmd_density_map(run: _Run, threads: int) -> None:
         cfg.density_map.pump_steps,
         detuning_window=cfg.phasematch.detuning_window(),
         grid_points=cfg.phasematch.grid_points,
-        threads=threads,
     )
     phasematch.density_map_to_csv(records, run.path("density.csv"))
     run.add("density.csv", "phase-matched branches over the pump scan")
@@ -575,7 +570,8 @@ def build_parser() -> _Parser:
             "--threads",
             type=int,
             default=1,
-            help="worker-thread cap; results are identical at any value",
+            help="accepted for compatibility (must be >= 1); runs are "
+            "single-threaded",
         )
     return parser
 
@@ -600,7 +596,7 @@ def main(argv=None) -> int:
         run_dir = os.path.join(out_root, args.subcommand, label)
         os.makedirs(run_dir, exist_ok=True)
         run = _Run(cfg, args.subcommand, run_dir)
-        _HANDLERS[args.subcommand](run, args.threads)
+        _HANDLERS[args.subcommand](run)
         run.finish()
         return 0
     except ValidationError as exc:

@@ -47,8 +47,22 @@ REQUIRED_SECTIONS = ("fiber", "gas", "pump")
 KNOWN_FORMATS = ("csv", "json")
 
 
+def _number(path: str, value: Any) -> float:
+    """A number or numeric string as float; booleans are rejected.
+
+    PyYAML reads 50e-9 (no dot in the mantissa) as a string, so numeric
+    strings stay accepted.
+    """
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"config key '{path}' must be a number, got {value!r}")
+
+
 def _require_positive(path: str, value: float) -> float:
-    value = float(value)
+    value = _number(path, value)
     if not (math.isfinite(value) and value > 0.0):
         raise ValidationError(
             f"config key '{path}' must be finite and > 0, got {value}"
@@ -57,7 +71,7 @@ def _require_positive(path: str, value: float) -> float:
 
 
 def _require_nonnegative(path: str, value: float) -> float:
-    value = float(value)
+    value = _number(path, value)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValidationError(
             f"config key '{path}' must be finite and >= 0, got {value}"
@@ -163,7 +177,7 @@ class ModulationConfig:
 
     @staticmethod
     def parse(sec: _Section) -> "ModulationConfig":
-        depth = float(sec.take("depth", 0.0))
+        depth = _number(f"{sec.path}.depth", sec.take("depth", 0.0))
         if not 0.0 <= depth < 1.0:
             raise ValidationError(
                 f"config key '{sec.path}.depth' must be in [0, 1), got {depth}"
@@ -336,7 +350,7 @@ class SetSimConfig:
                 f"config key '{sec.path}.seed_max_nm' must exceed "
                 "'seed_min_nm'"
             )
-        duty = float(sec.take("duty_cycle", 1.0))
+        duty = _number(f"{sec.path}.duty_cycle", sec.take("duty_cycle", 1.0))
         if not 0.0 < duty <= 1.0:
             raise ValidationError(
                 f"config key '{sec.path}.duty_cycle' must be in (0, 1], "

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +143,13 @@ def kerr_gamma(fiber: FiberModel, gas: GasState, omega_p: float) -> float:
     return gas.n2_m2W * omega_p / (_C * a_eff)
 
 
+def _check_peak_power(pump_peak_power_W: float) -> None:
+    if not (math.isfinite(pump_peak_power_W) and pump_peak_power_W >= 0.0):
+        raise ValidationError(
+            f"pump_peak_power_W must be finite and >= 0, got {pump_peak_power_W}"
+        )
+
+
 def delta_k(
     fiber: FiberModel,
     gas: GasState,
@@ -157,8 +164,7 @@ def delta_k(
     Symmetric under signal-idler exchange.  With nonzero peak power the
     Kerr term -2 gamma P is included.
     """
-    if pump_peak_power_W < 0.0:
-        raise ValidationError("pump_peak_power_W must be >= 0")
+    _check_peak_power(pump_peak_power_W)
     ks = fibermodel.reduced_kappa(fiber, gas, omega_s, check=check)
     ki = fibermodel.reduced_kappa(fiber, gas, omega_i, check=check)
     kp = fibermodel.reduced_kappa(fiber, gas, omega_p, check=check)
@@ -184,6 +190,7 @@ def solve_phase_matching(
     FWM merges into the pump line) and ends where signal or idler leaves
     the model window.
     """
+    _check_peak_power(pump_peak_power_W)
     structure = fibermodel.band_structure(fiber, gas)
     lam_p = float(lambda_nm_from_omega(omega_p))
     band_p = structure.require_band(lam_p)
@@ -326,9 +333,9 @@ def density_map(
     """Branches for every pump on a wavelength grid.
 
     Pumps that land outside a band, or whose solve fails numerically, are
-    recorded as gaps (no rows) rather than aborting the map.  The result is
-    independent of the thread count: work is distributed per pump and
-    reassembled in pump order.
+    recorded as gaps (no rows) rather than aborting the map.  Pumps are
+    solved one after another and the rows come out in pump order;
+    ``threads`` is accepted for compatibility and must be >= 1.
     """
     lo, hi = float(pump_range_nm[0]), float(pump_range_nm[1])
     if not 0.0 < lo < hi:
@@ -361,12 +368,7 @@ def density_map(
             for b in branches
         ]
 
-    if threads == 1:
-        per_pump = [work(float(lam)) for lam in pumps]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_pump = list(pool.map(work, [float(lam) for lam in pumps]))
-    return [rec for rows in per_pump for rec in rows]
+    return [rec for lam in pumps for rec in work(float(lam))]
 
 
 def density_map_to_csv(records: list[DensityRecord], path=None) -> str:

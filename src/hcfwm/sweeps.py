@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -226,20 +226,12 @@ def _evaluate_point(
     )
 
 
-def _run_jobs(jobs, threads: int):
-    """Order-preserving job execution; jobs are () -> result callables."""
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: job(), jobs))
-    return [job() for job in jobs]
-
-
 def _check_axis(name: str, values) -> tuple[float, ...]:
     values = tuple(float(v) for v in values)
     if not values:
         raise ValidationError(f"{name} axis must not be empty")
-    if any(v <= 0.0 for v in values):
-        raise ValidationError(f"{name} axis values must be > 0")
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise ValidationError(f"{name} axis values must be finite and > 0")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValidationError(f"{name} axis must be strictly increasing")
     return values
@@ -254,7 +246,8 @@ def sweep_length(
     """JSA and Schmidt numbers for a series of fiber lengths.
 
     The branch is pressure- and pump-determined, so it is solved once
-    and shared by all lengths.
+    and shared by all lengths.  Points run one after another in axis
+    order; ``threads`` is accepted for compatibility and ignored.
     """
     if lengths is None:
         if cfg.sweep_length is None:
@@ -280,19 +273,16 @@ def sweep_length(
 
     points: list[SweepPoint] = []
     gaps: list[SweepGap] = []
-    jobs = []
     for L in lengths:
-        def job(L=L):
-            try:
-                return _evaluate_point(
+        try:
+            points.append(
+                _evaluate_point(
                     cfg, fiber, gas, pump, branch, L, L, out_dir,
                     f"jsi_L_{L:g}m",
                 )
-            except HcfwmError as exc:
-                return SweepGap(value=L, reason=str(exc))
-        jobs.append(job)
-    for res in _run_jobs(jobs, threads):
-        (gaps if isinstance(res, SweepGap) else points).append(res)
+            )
+        except HcfwmError as exc:
+            gaps.append(SweepGap(value=L, reason=str(exc)))
     return SweepResult(
         param="length_m",
         unit="m",
@@ -314,7 +304,8 @@ def sweep_pressure(
     the previous point's (omega_s, omega_i); the first point honors
     phasematch.seed_idler_nm when several families coexist.  The fit is
     idler centroid frequency (THz = 10^12 rad/s) vs pressure (bar); it
-    needs at least two successful points.
+    needs at least two successful points.  ``threads`` is accepted for
+    compatibility and ignored.
     """
     if pressures is None:
         if cfg.sweep_pressure is None:
@@ -327,7 +318,7 @@ def sweep_pressure(
     fiber = fiber_from_config(cfg)
     pump = pump_from_config(cfg)
 
-    solved: list[tuple[float, GasState, PhaseMatchBranch]] = []
+    points: list[SweepPoint] = []
     gaps: list[SweepGap] = []
     prev: tuple[float, float] | None = None
     for P in pressures:
@@ -346,27 +337,16 @@ def sweep_pressure(
                 prev=prev,
                 seed_idler_nm=cfg.phasematch.seed_idler_nm,
             )
-        except HcfwmError as exc:
-            gaps.append(SweepGap(value=P, reason=str(exc)))
-            continue
-        prev = (branch.omega_s, branch.omega_i)
-        solved.append((P, gas, branch))
-
-    jobs = []
-    for P, gas, branch in solved:
-        def job(P=P, gas=gas, branch=branch):
-            try:
-                return _evaluate_point(
+            # chaining follows the selected branch even if its JSA fails
+            prev = (branch.omega_s, branch.omega_i)
+            points.append(
+                _evaluate_point(
                     cfg, fiber, gas, pump, branch, cfg.fiber_length_m, P,
                     out_dir, f"jsi_P_{P:g}bar",
                 )
-            except HcfwmError as exc:
-                return SweepGap(value=P, reason=str(exc))
-        jobs.append(job)
-    points: list[SweepPoint] = []
-    for res in _run_jobs(jobs, threads):
-        (gaps if isinstance(res, SweepGap) else points).append(res)
-    gaps.sort(key=lambda g: g.value)
+            )
+        except HcfwmError as exc:
+            gaps.append(SweepGap(value=P, reason=str(exc)))
 
     if len(points) < 2:
         raise NumericalError(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +52,8 @@ class NoiseModel:
     rel_sigma is the relative standard deviation of the multiplicative
     factor; dark_floor is a constant background added to every sample.
     seed feeds a splittable stream: slice i always draws from
-    default_rng([*seed, i]), so results are identical for any worker
-    count and any execution order.
+    default_rng([*seed, i]), so each slice's noise depends only on the
+    seed and the slice index.
     """
 
     rel_sigma: float = 0.0
@@ -211,8 +210,9 @@ def simulate_set_scan(
 
     Each slice is gain * P_pump^2 * N_seed * JSI(omega_s, omega_i), with
     N_seed the seed photon number for that step.  Noise draws use one
-    splittable stream per slice, so any worker count gives identical
-    results.
+    splittable stream per slice (``NoiseModel.rng_for_slice``), so each
+    slice's noise is fixed by the noise seed and the slice index alone.
+    ``threads`` is accepted for compatibility and ignored.
     """
     seed_omega_i = np.atleast_1d(np.asarray(seed_omega_i, dtype=float))
     if seed_omega_i.size < 1:
@@ -250,12 +250,7 @@ def simulate_set_scan(
             out = out + noise.dark_floor
         return out
 
-    indices = range(seed_omega_i.size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_slice, indices))
-    else:
-        rows = [one_slice(k) for k in indices]
+    rows = [one_slice(k) for k in range(seed_omega_i.size)]
 
     return SetScan(
         omega_i=seed_omega_i,

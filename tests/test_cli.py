@@ -239,6 +239,35 @@ def test_non_finite_config_value_exits_1(section, key, value, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("gas.pressure_bar", "abc"),
+        ("gas.pressure_bar", None),
+        ("gas.pressure_bar", [1]),
+        ("gas.pressure_bar", True),
+        ("pump.modulation.depth", "abc"),
+        ("set_sim.duty_cycle", "abc"),
+        ("sweep_length.lengths_m", ["a"]),
+    ],
+)
+def test_non_numeric_config_value_exits_1(path, value, tmp_path, capsys):
+    raw = copy.deepcopy(BASE)
+    *sections, key = path.split(".")
+    node = raw
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    rc = cli.main(
+        ["phasematch", "--config", write_cfg(tmp_path, raw),
+         "--out", str(tmp_path / "o"), "--label", "t"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"config key '{path}" in err and "must be a number" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unfittable_sweep_exits_2(tmp_path, capsys):
     raw = copy.deepcopy(BASE)
     raw["phasematch"].update(
@@ -307,9 +336,10 @@ def _fresh_python(code, cwd):
     )
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures"])
+def test_cli_import_leaves_scipy_unloaded(module, tmp_path):
     proc = _fresh_python(
-        "import sys, hcfwm.cli; print('scipy' in sys.modules)", tmp_path
+        f"import sys, hcfwm.cli; print({module!r} in sys.modules)", tmp_path
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

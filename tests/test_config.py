@@ -245,6 +245,13 @@ def test_set_sim_bounds():
     d["set_sim"] = {"noise": {"rel_sigma": -0.1}}
     with pytest.raises(ValidationError, match="rel_sigma"):
         config.config_from_dict(d)
+    # PyYAML reads 50e-9 (no dot in the mantissa) as a string
+    cfg = config.loads_config(
+        "{fiber: {}, gas: {}, pump: {}, "
+        "set_sim: {seed_power_W: 50e-9, duty_cycle: '0.5'}}"
+    )
+    assert cfg.set_sim.seed_power_W == 50e-9
+    assert cfg.set_sim.duty_cycle == 0.5
 
 
 def test_invalid_yaml_and_missing_file(tmp_path):

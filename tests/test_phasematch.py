@@ -90,9 +90,14 @@ def test_solver_input_validation(fiber, xenon):
         )
     with pytest.raises(ValidationError, match="grid_points"):
         phasematch.solve_phase_matching(fiber, xenon, om_p, grid_points=8)
-    with pytest.raises(ValidationError, match=">= 0"):
-        phasematch.delta_k(fiber, xenon, om_p, om_p, om_p,
-                           pump_peak_power_W=-1.0)
+    for power in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            phasematch.delta_k(fiber, xenon, om_p, om_p, om_p,
+                               pump_peak_power_W=power)
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            phasematch.solve_phase_matching(
+                fiber, xenon, om_p, pump_peak_power_W=power
+            )
 
 
 def test_no_roots_returns_empty_list(fiber, xenon):

@@ -132,6 +132,12 @@ def test_axis_and_section_validation():
         sweeps.sweep_length(cfg, lengths=(0.4, 0.2))
     with pytest.raises(ValidationError, match="> 0"):
         sweeps.sweep_length(cfg, lengths=(-1.0,))
+    nan, inf = float("nan"), float("inf")
+    for lengths in ([nan], [0.5, inf]):
+        with pytest.raises(ValidationError, match="> 0"):
+            sweeps.sweep_length(cfg, lengths=lengths)
+    with pytest.raises(ValidationError, match="> 0"):
+        sweeps.sweep_pressure(cfg, pressures=[3.0, nan, 3.2])
     with pytest.raises(ValidationError, match="'sweep_length'"):
         sweeps.sweep_length(cfg)
     with pytest.raises(ValidationError, match="'sweep_pressure'"):
