@@ -5,7 +5,8 @@ recipe), writes its artifacts under `<out>/<subcommand>/<label>/` where
 the label defaults to a UTC timestamp, and emits a machine-parseable
 manifest.json listing the files.  Exit code 0 means success, 1 a
 validation problem (bad config, out-of-range physics), 2 a numerical
-failure (non-convergence, no fittable sweep).
+failure (non-convergence, no fittable sweep, float overflow, or a NaN or
+inf that an artifact would have held).
 
 Output files never embed wall-clock times or absolute paths, so a rerun
 with the same config and the same --label is byte-identical.  Runs are
@@ -17,17 +18,14 @@ environment variable at an alternative table.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
-import io
-import json
 import os
 import sys
 from importlib.resources import files as resource_files
 
 import numpy as np
 
-from . import __version__, fibermodel, gasmedia, jsa, phasematch, schmidt
+from . import __version__, export, fibermodel, jsa, phasematch, schmidt
 from . import sweeps as sweeps_mod
 from . import tomography
 from .config import (
@@ -84,17 +82,9 @@ def resolve_config(value: str) -> RunConfig:
 
 
 def _write_rows(path: str, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-
-
-def _g(x: float) -> str:
-    return f"{x:.9g}"
+    """The CLI's own tables; a function of its own so that a profile or
+    trace times them apart from the library exporters."""
+    export.to_csv(header, rows, path)
 
 
 class _Run:
@@ -127,9 +117,7 @@ class _Run:
             "artifacts": self.artifacts,
             "results": self.results,
         }
-        with open(self.path("manifest.json"), "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        export.to_json(manifest, self.path("manifest.json"), indent=1)
         print(f"wrote {self.path('manifest.json')}  (run manifest)")
 
 
@@ -181,12 +169,12 @@ def cmd_dispersion(run: _Run) -> None:
             (
                 b.label,
                 b.index,
-                _g(b.lo_nm),
-                _g(b.hi_nm),
-                _g(b.usable_lo_nm),
-                _g(b.usable_hi_nm),
-                "" if b.res_lo_nm is None else _g(b.res_lo_nm),
-                "" if b.res_hi_nm is None else _g(b.res_hi_nm),
+                b.lo_nm,
+                b.hi_nm,
+                b.usable_lo_nm,
+                b.usable_hi_nm,
+                "" if b.res_lo_nm is None else b.res_lo_nm,
+                "" if b.res_hi_nm is None else b.res_hi_nm,
             )
             for b in structure.bands
         ],
@@ -201,15 +189,7 @@ def cmd_dispersion(run: _Run) -> None:
         grid = np.linspace(lo + margin, hi - margin, _DISPERSION_SAMPLES_PER_BAND)
         for lam in grid:
             pt = fibermodel.dispersion_derivatives(fiber, gas, float(lam))
-            rows.append(
-                (
-                    _g(pt.lambda_nm),
-                    band.label,
-                    _g(pt.k),
-                    _g(pt.beta1),
-                    _g(pt.beta2),
-                )
-            )
+            rows.append((pt.lambda_nm, band.label, pt.k, pt.beta1, pt.beta2))
         try:
             zdws[band.label] = fibermodel.find_zdw(fiber, gas, band)
         except NumericalError:
@@ -223,7 +203,7 @@ def cmd_dispersion(run: _Run) -> None:
     _write_rows(
         run.path("zdw.csv"),
         ("band", "zdw_nm"),
-        [(label, _g(z)) for label, zs in sorted(zdws.items()) for z in zs],
+        [(label, z) for label, zs in sorted(zdws.items()) for z in zs],
     )
     run.add("zdw.csv", "zero-dispersion wavelengths per band")
     run.results["bands"] = [b.label for b in structure.bands]
@@ -265,16 +245,16 @@ def cmd_phasematch(run: _Run) -> None:
         ),
         [
             (
-                _g(b.lambda_p_nm),
-                _g(b.lambda_s_nm),
-                _g(b.lambda_i_nm),
-                _g(b.delta_omega / 1e12),
+                b.lambda_p_nm,
+                b.lambda_s_nm,
+                b.lambda_i_nm,
+                b.delta_omega / 1e12,
                 b.band_p,
                 b.band_s,
                 b.band_i,
-                _g(b.theta_deg),
-                _g(b.dphi_width(L) / 1e24),
-                _g(b.residual_rad_m),
+                b.theta_deg,
+                b.dphi_width(L) / 1e24,
+                b.residual_rad_m,
             )
             for b in branches
         ],
@@ -307,15 +287,12 @@ def cmd_jsa(run: _Run) -> None:
         _write_rows(
             run.path("marginals.csv"),
             ("lambda_s_nm", "signal", "lambda_i_nm", "idler"),
-            [
-                (
-                    _g(grid.lambda_s_nm[j]),
-                    _g(marg.signal[j]),
-                    _g(grid.lambda_i_nm[j]),
-                    _g(marg.idler[j]),
-                )
-                for j in range(grid.omega_s.size)
-            ],
+            zip(
+                grid.lambda_s_nm.tolist(),
+                marg.signal.tolist(),
+                grid.lambda_i_nm.tolist(),
+                marg.idler.tolist(),
+            ),
         )
         run.add("marginals.csv", "signal and idler marginal spectra")
     run.results["centroid_signal_nm"] = marg.centroid_lambda_s_nm
@@ -411,19 +388,16 @@ def cmd_set_sim(run: _Run) -> None:
             duty_cycle=ss.duty_cycle,
         )
         if run.wants("json"):
-            with open(run.path("power_scaling.json"), "w") as fh:
-                json.dump(
-                    {
-                        "seed_exponent": scaling.seed_exponent,
-                        "pump_exponent": scaling.pump_exponent,
-                        "r_squared_seed": scaling.r_squared_seed,
-                        "r_squared_pump": scaling.r_squared_pump,
-                    },
-                    fh,
-                    sort_keys=True,
-                    indent=1,
-                )
-                fh.write("\n")
+            export.to_json(
+                {
+                    "seed_exponent": scaling.seed_exponent,
+                    "pump_exponent": scaling.pump_exponent,
+                    "r_squared_seed": scaling.r_squared_seed,
+                    "r_squared_pump": scaling.r_squared_pump,
+                },
+                run.path("power_scaling.json"),
+                indent=1,
+            )
             run.add("power_scaling.json", "log-log power-law exponents")
         run.results["seed_exponent"] = scaling.seed_exponent
         run.results["pump_exponent"] = scaling.pump_exponent
@@ -439,9 +413,9 @@ def _emit_sweep(run: _Run, result) -> None:
     for p in result.points:
         for fname in p.artifacts.values():
             run.add(fname, f"JSI grid at {result.param}={p.value:g}")
-    with open(run.path("sweep.json"), "w") as fh:
-        json.dump(sweeps_mod.fit_to_dict(result), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    export.to_json(
+        sweeps_mod.fit_to_dict(result), run.path("sweep.json"), indent=1
+    )
     run.add("sweep.json", "sweep fit, gaps, and point count")
     run.results["sweep"] = sweeps_mod.fit_to_dict(result)
     for p in result.points:
@@ -500,9 +474,7 @@ def cmd_density_map(run: _Run) -> None:
         }
         for (s, i), thetas in sorted(families.items())
     }
-    with open(run.path("families.json"), "w") as fh:
-        json.dump(fam_obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    export.to_json(fam_obj, run.path("families.json"), indent=1)
     run.add("families.json", "branch families and their angle ranges")
     run.results["n_records"] = len(records)
     run.results["families"] = sorted(f"{s}+{i}" for s, i in families)
@@ -604,6 +576,10 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # float overflow on extreme inputs, e.g. fiber.R_eff_um: 1e300
+        print(f"numerical failure: {exc!r}", file=sys.stderr)
         return 2
 
 

@@ -39,16 +39,13 @@ constant is absorbed into this normalization).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fibermodel
+from . import export, fibermodel
 from .errors import ClippedGridError, ValidationError
 from .fibermodel import FiberModel, lambda_nm_from_omega
 from .gasmedia import GasState
@@ -469,11 +466,7 @@ def jsa_to_json(grid: JsaGrid, path: str | None = None) -> str:
             "normalization": "sum(|F|^2) * domega_s * domega_i = 1",
         },
     }
-    text = json.dumps(obj, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return export.to_json(obj, path)
 
 
 def grid_to_csv(
@@ -486,16 +479,11 @@ def grid_to_csv(
     values = np.asarray(values, dtype=float)
     if values.shape != (lam_s.size, lam_i.size):
         raise ValidationError("grid shape does not match the wavelength axes")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["0"] + [f"{x:.9g}" for x in lam_i])
-    for j in range(lam_s.size):
-        writer.writerow([f"{lam_s[j]:.9g}"] + [f"{v:.9g}" for v in values[j]])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return export.to_csv(
+        ["0"] + lam_i.tolist(),
+        ([x] + row.tolist() for x, row in zip(lam_s.tolist(), values)),
+        path,
+    )
 
 
 def jsi_to_csv(grid: JsaGrid, path: str | None = None) -> str:

@@ -31,15 +31,14 @@ and idler sit in different band pairs belong to different families; the
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fibermodel
+from . import export, fibermodel
 from .errors import NumericalError, RangeError, ValidationError
 from .fibermodel import (
     _C,
@@ -144,6 +143,12 @@ def kerr_gamma(fiber: FiberModel, gas: GasState, omega_p: float) -> float:
 
 
 def _check_peak_power(pump_peak_power_W: float) -> None:
+    if isinstance(pump_peak_power_W, bool) or not isinstance(
+        pump_peak_power_W, numbers.Real
+    ):
+        raise ValidationError(
+            f"pump_peak_power_W must be a number, got {pump_peak_power_W!r}"
+        )
     if not (math.isfinite(pump_peak_power_W) and pump_peak_power_W >= 0.0):
         raise ValidationError(
             f"pump_peak_power_W must be finite and >= 0, got {pump_peak_power_W}"
@@ -373,21 +378,12 @@ def density_map(
 
 def density_map_to_csv(records: list[DensityRecord], path=None) -> str:
     """Serialize map records; delta_omega_THz is angular frequency / 1e12."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(DENSITY_CSV_HEADER)
-    for r in records:
-        writer.writerow(
-            [
-                f"{r.lambda_p_nm:.9g}",
-                f"{r.delta_omega / 1e12:.9g}",
-                f"{r.theta_deg:.9g}",
-                r.band_s,
-                r.band_i,
-            ]
-        )
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return export.to_csv(
+        DENSITY_CSV_HEADER,
+        (
+            (r.lambda_p_nm, r.delta_omega / 1e12, r.theta_deg,
+             r.band_s, r.band_i)
+            for r in records
+        ),
+        path,
+    )

@@ -15,13 +15,11 @@ phase-insensitive intensity measurement constrains.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import export
 from .errors import ValidationError
 from .jsa import JsaGrid
 
@@ -134,11 +132,7 @@ def schmidt_to_json(result: SchmidtResult, path: str | None = None) -> str:
         "purity": result.purity,
         "flat_phase": result.flat_phase,
     }
-    text = json.dumps(obj, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return export.to_json(obj, path)
 
 
 def schmidt_modes_to_csv(
@@ -159,13 +153,6 @@ def schmidt_modes_to_csv(
         else:
             header += [f"S{m}", f"I{m}"]
             cols += [sig[:, m].real, idl[:, m].real]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in np.column_stack(cols):
-        writer.writerow([f"{v:.9g}" for v in row])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return export.to_csv(
+        header, (row.tolist() for row in np.column_stack(cols)), path
+    )

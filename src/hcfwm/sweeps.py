@@ -14,14 +14,14 @@ Fits are reported in frequency (THz = 10^12 rad/s), not wavelength.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import export
 from .config import RunConfig
 from .errors import HcfwmError, NumericalError, ValidationError
 from .fibermodel import FiberModel, omega_from_lambda_nm
@@ -227,6 +227,12 @@ def _evaluate_point(
 
 
 def _check_axis(name: str, values) -> tuple[float, ...]:
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValidationError(
+                f"{name} axis values must be numbers, got {v!r}"
+            )
     values = tuple(float(v) for v in values)
     if not values:
         raise ValidationError(f"{name} axis must not be empty")
@@ -407,26 +413,15 @@ def sweep_thickness(
 
 def summary_csv(result: SweepResult, path: str | None = None) -> str:
     """One row per successful sweep point, in axis order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_CSV_HEADER)
-    for p in result.points:
-        writer.writerow(
-            [
-                result.param,
-                f"{p.value:.9g}",
-                f"{p.K_flat:.9g}",
-                f"{p.K_complex:.9g}",
-                f"{p.theta_deg:.9g}",
-                f"{p.idler_nm:.9g}",
-                f"{p.signal_nm:.9g}",
-            ]
-        )
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return export.to_csv(
+        SUMMARY_CSV_HEADER,
+        (
+            (result.param, p.value, p.K_flat, p.K_complex, p.theta_deg,
+             p.idler_nm, p.signal_nm)
+            for p in result.points
+        ),
+        path,
+    )
 
 
 def fit_to_dict(result: SweepResult) -> dict:

@@ -17,12 +17,11 @@ across a 30 nm sweep near 1550 nm the neglected variation is below 1%.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import export
 from .errors import RangeError, ValidationError
 from .fibermodel import lambda_nm_from_omega
 from .jsa import JsaGrid, grid_to_csv, jsi
@@ -365,23 +364,15 @@ def power_scaling_check(
 
 def set_scan_to_csv(scan: SetScan, path: str | None = None) -> str:
     """Long-format CSV, one row per (seed step, signal sample)."""
-    lam_i = scan.lambda_i_nm
-    lam_s = scan.lambda_s_nm
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SET_CSV_HEADER.split(","))
-    for k in range(scan.n_slices):
-        li = f"{lam_i[k]:.9g}"
-        pw = f"{scan.seed_power_W[k]:.9g}"
-        for j in range(scan.omega_s.size):
-            writer.writerow(
-                [li, f"{lam_s[j]:.9g}", f"{scan.slices[k, j]:.9g}", pw]
-            )
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    lam_s = scan.lambda_s_nm.tolist()
+    rows = (
+        (li, ls, v, pw)
+        for li, pw, counts in zip(
+            scan.lambda_i_nm.tolist(), scan.seed_power_W.tolist(), scan.slices
+        )
+        for ls, v in zip(lam_s, counts.tolist())
+    )
+    return export.to_csv(SET_CSV_HEADER.split(","), rows, path)
 
 
 def reconstruction_to_csv(rec: Reconstruction, path: str | None = None) -> str:

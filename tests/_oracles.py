@@ -1,13 +1,18 @@
-"""Closed-form references computed independently of the package internals.
+"""References computed independently of the package internals.
 
-Everything here is derived from textbook identities (Mehler's Hermite
-expansion of a correlated Gaussian, the Gaussian approximation of a sinc,
-and the Fourier transform of the exact sinc JSA to the time domain) so
-that the numerical decompositions in the package can be checked against
-formulas that share no code with them.
+The physics references are derived from textbook identities (Mehler's
+Hermite expansion of a correlated Gaussian, the Gaussian approximation of a
+sinc, and the Fourier transform of the exact sinc JSA to the time domain)
+so that the numerical decompositions in the package can be checked against
+formulas that share no code with them.  ``csv_writer_text`` is the
+per-cell CSV writer the exporters used before ``hcfwm.export``, kept as
+the byte-for-byte reference of the artifact format.
 """
 
 from __future__ import annotations
+
+import csv
+import io
 
 import numpy as np
 from scipy.special import erf
@@ -158,3 +163,16 @@ def sinc_gaussian_K(
     )
     tr_rho2 = 2.0 * half * np.sum(wts[:, None] * rho**2) * (T[1] - T[0])
     return float((np.pi / 2.0) / tr_rho2)
+
+
+def csv_writer_text(header, rows) -> str:
+    """CSV through ``csv.writer`` with "\\n" line ends, every float cell
+    formatted f"{v:.9g}"; text and int cells go to ``csv.writer`` as they
+    are."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in [header, *rows]:
+        writer.writerow(
+            [v if isinstance(v, (str, int)) else f"{v:.9g}" for v in row]
+        )
+    return buf.getvalue()

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from importlib.resources import files as resource_files
 
 import hcfwm
@@ -284,6 +288,125 @@ def test_unfittable_sweep_exits_2(tmp_path, capsys):
     assert "fewer than 2 successful" in err
 
 
+@pytest.mark.parametrize(
+    "subcommand, edits",
+    [
+        ("dispersion", {"fiber.R_eff_um": 1e-300}),  # NaN dispersion.csv
+        ("dispersion", {"fiber.t_nm": 1e-300, "pump.lambda_nm": 0.5}),  # -inf
+        ("dispersion", {"fiber.R_eff_um": 1e300}),  # OverflowError
+        ("phasematch", {"fiber.R_eff_um": 1e300}),  # OverflowError
+    ],
+    ids=["tiny-core", "tiny-strut", "huge-core", "huge-core-pm"],
+)
+def test_extreme_config_exits_2_with_finite_artifacts(
+    subcommand, edits, tmp_path, capsys
+):
+    raw = copy.deepcopy(BASE)
+    for path, value in edits.items():
+        section, key = path.split(".")
+        raw[section][key] = value
+    out = tmp_path / "o"
+    rc = cli.main(
+        [subcommand, "--config", write_cfg(tmp_path, raw),
+         "--out", str(out), "--label", "t"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert len(err.strip().splitlines()) == 1
+    assert not [p for p in out.rglob("*") if p.is_file()
+                and _non_finite_in(str(p))]
+
+
+# ------------------------------------------- random configs: no escapes
+
+_MAP_T300_NUMBERS = [
+    ("fiber", "R_eff_um"),
+    ("fiber", "t_nm"),
+    ("gas", "pressure_bar"),
+    ("gas", "temperature_K"),
+    ("pump", "lambda_nm"),
+    ("pump", "pulse_fwhm_fs"),
+    ("density_map", "pump_min_nm"),
+    ("density_map", "pump_max_nm"),
+    ("density_map", "pump_steps"),
+]
+
+_ODD_VALUES = [
+    0, -1, 1e300, -1e300, 1e-300, -1e-300,
+    float("nan"), float("inf"), -float("inf"), "abc", True, None,
+]
+
+# ("times", f) scales the recipe's own value by f
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(_ODD_VALUES),
+    st.tuples(st.just("times"), st.floats(0.01, 100.0)),
+)
+
+
+def _floats_in(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _floats_in(item)
+    elif isinstance(node, float):
+        yield node
+
+
+def _non_finite_in(path):
+    """True when the artifact at ``path`` holds a NaN or an infinity."""
+    with open(path) as fh:
+        text = fh.read()
+    if path.endswith(".json"):
+        values = list(_floats_in(json.loads(text)))
+    elif path.endswith(".yaml"):
+        values = list(_floats_in(yaml.safe_load(text)))
+    else:
+        values = []
+        for cell in text.replace("\n", ",").split(","):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                pass  # a header or text cell
+    return not all(math.isfinite(v) for v in values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    subcommand=st.sampled_from(["phasematch", "dispersion"]),
+    edits=st.lists(
+        st.tuples(st.sampled_from(_MAP_T300_NUMBERS), _CONFIG_VALUES),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_random_config_exits_cleanly_with_finite_artifacts(subcommand, edits):
+    recipe = yaml.safe_load(
+        resource_files("hcfwm").joinpath("recipes/map_t300.yaml").read_text()
+    )
+    raw = copy.deepcopy(recipe)
+    for (section, key), value in edits:
+        if isinstance(value, tuple):
+            value = recipe[section][key] * value[1]
+        raw[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.yaml")
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(raw, fh)
+        out = os.path.join(tmp, "out")
+        rc = cli.main(
+            [subcommand, "--config", cfg_path, "--out", out, "--label", "t"]
+        )
+        assert rc in (0, 1, 2)
+        written = [
+            os.path.join(root, name)
+            for root, _, names in os.walk(out)
+            for name in names
+        ]
+        assert not [p for p in written if _non_finite_in(p)]
+
+
 # ------------------------------------------------- recipes and gas data
 
 
@@ -336,7 +459,7 @@ def _fresh_python(code, cwd):
     )
 
 
-@pytest.mark.parametrize("module", ["scipy", "concurrent.futures"])
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "csv"])
 def test_cli_import_leaves_scipy_unloaded(module, tmp_path):
     proc = _fresh_python(
         f"import sys, hcfwm.cli; print({module!r} in sys.modules)", tmp_path

@@ -98,6 +98,15 @@ def test_solver_input_validation(fiber, xenon):
             phasematch.solve_phase_matching(
                 fiber, xenon, om_p, pump_peak_power_W=power
             )
+    not_a_number = "pump_peak_power_W must be a number"
+    for power in ("1", None, True):
+        with pytest.raises(ValidationError, match=not_a_number):
+            phasematch.delta_k(fiber, xenon, om_p, om_p, om_p,
+                               pump_peak_power_W=power)
+        with pytest.raises(ValidationError, match=not_a_number):
+            phasematch.solve_phase_matching(
+                fiber, xenon, om_p, pump_peak_power_W=power
+            )
 
 
 def test_no_roots_returns_empty_list(fiber, xenon):

@@ -138,6 +138,12 @@ def test_axis_and_section_validation():
             sweeps.sweep_length(cfg, lengths=lengths)
     with pytest.raises(ValidationError, match="> 0"):
         sweeps.sweep_pressure(cfg, pressures=[3.0, nan, 3.2])
+    not_numbers = "axis values must be numbers"
+    for lengths in (["a"], [None], [True], [0.5, "0.6"]):
+        with pytest.raises(ValidationError, match="length_m " + not_numbers):
+            sweeps.sweep_length(cfg, lengths=lengths)
+    with pytest.raises(ValidationError, match="pressure_bar " + not_numbers):
+        sweeps.sweep_pressure(cfg, pressures=[3.0, False])
     with pytest.raises(ValidationError, match="'sweep_length'"):
         sweeps.sweep_length(cfg)
     with pytest.raises(ValidationError, match="'sweep_pressure'"):
