@@ -8,6 +8,10 @@ domain.  Section contents default to the reference operating point
 but the fiber, gas, and pump sections themselves must be present so an
 empty file fails loudly instead of running on silent defaults.
 
+Each key is declared once, as a dataclass field that carries its default
+and its check, and one function, `_parse`, reads every section from those
+fields.
+
 Frequency-like config values follow the package convention: fields
 suffixed _THz are angular frequencies in units of 10^12 rad/s.
 """
@@ -15,8 +19,8 @@ suffixed _THz are angular frequencies in units of 10^12 rad/s.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Any
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Callable
 
 import yaml
 
@@ -45,6 +49,17 @@ __all__ = [
 
 REQUIRED_SECTIONS = ("fiber", "gas", "pump")
 KNOWN_FORMATS = ("csv", "json")
+SANITY_MAX_BAR = 20.0  # upper end of the gas-model sanity range (0, 20] bar
+# A start/stop/step_bar range longer than this is refused before it is
+# built: tuning_ar has 21 points, and without a cap a stop_bar of 1e300 or
+# a step_bar of 1e-9 would allocate without limit instead of failing.
+MAX_PRESSURE_POINTS = 10_000
+_RANGE_KEYS = ("start_bar", "stop_bar", "step_bar")
+
+
+# A check takes (dotted path, raw value) and returns the parsed value or
+# raises ValidationError naming the path.
+_Check = Callable[[str, Any], Any]
 
 
 def _number(path: str, value: Any) -> float:
@@ -61,7 +76,7 @@ def _number(path: str, value: Any) -> float:
     raise ValidationError(f"config key '{path}' must be a number, got {value!r}")
 
 
-def _require_positive(path: str, value: float) -> float:
+def _positive(path: str, value: Any) -> float:
     value = _number(path, value)
     if not (math.isfinite(value) and value > 0.0):
         raise ValidationError(
@@ -70,7 +85,7 @@ def _require_positive(path: str, value: float) -> float:
     return value
 
 
-def _require_nonnegative(path: str, value: float) -> float:
+def _nonnegative(path: str, value: Any) -> float:
     value = _number(path, value)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValidationError(
@@ -79,216 +94,235 @@ def _require_nonnegative(path: str, value: float) -> float:
     return value
 
 
-def _require_int(path: str, value: Any, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(
-            f"config key '{path}' must be an integer, got {value!r}"
-        )
-    if value < minimum:
-        raise ValidationError(
-            f"config key '{path}' must be >= {minimum}, got {value}"
-        )
-    return int(value)
+def _integer(minimum: int | None) -> _Check:
+    """An int (booleans rejected), at least `minimum` if one is given."""
 
-
-class _Section:
-    """Dict view that tracks consumed keys and rejects leftovers."""
-
-    def __init__(self, raw: Any, path: str):
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
+    def check(path: str, value: Any) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(
-                f"config section '{path}' must be a mapping, got {raw!r}"
+                f"config key '{path}' must be an integer, got {value!r}"
             )
-        self.raw = dict(raw)
-        self.path = path
-
-    def take(self, key: str, default: Any) -> Any:
-        return self.raw.pop(key, default)
-
-    def sub(self, key: str) -> "_Section | None":
-        if key not in self.raw:
-            return None
-        child = f"{self.path}.{key}" if self.path else key
-        return _Section(self.raw.pop(key), child)
-
-    def finish(self) -> None:
-        if self.raw:
-            extras = ", ".join(
-                f"'{self.path}.{k}'" if self.path else f"'{k}'"
-                for k in sorted(self.raw)
+        if minimum is not None and value < minimum:
+            raise ValidationError(
+                f"config key '{path}' must be >= {minimum}, got {value}"
             )
-            raise ValidationError(f"unknown config key(s): {extras}")
+        return int(value)
+
+    return check
+
+
+def _interval(lo: int, hi: int, ends: str) -> _Check:
+    """A number in the interval lo..hi, `ends` being e.g. '[)' or '(]'."""
+
+    def check(path: str, value: Any) -> float:
+        x = _number(path, value)
+        above = lo <= x if ends[0] == "[" else lo < x
+        below = x <= hi if ends[1] == "]" else x < hi
+        if not (above and below):
+            raise ValidationError(
+                f"config key '{path}' must be in "
+                f"{ends[0]}{lo}, {hi}{ends[1]}, got {x}"
+            )
+        return x
+
+    return check
+
+
+def _text(noun: str, show_value: bool = True) -> _Check:
+    """A non-empty string."""
+
+    def check(path: str, value: Any) -> str:
+        if isinstance(value, str) and value:
+            return value
+        got = f", got {value!r}" if show_value else ""
+        raise ValidationError(f"config key '{path}' must be {noun}{got}")
+
+    return check
+
+
+def _choice(*options: str) -> _Check:
+    def check(path: str, value: Any) -> str:
+        if value not in options:
+            raise ValidationError(
+                f"config key '{path}' must be "
+                + " or ".join(repr(o) for o in options)
+                + f", got {value!r}"
+            )
+        return value
+
+    return check
+
+
+def _positives(
+    min_len: int = 1, noun: str = "", increasing: bool = False
+) -> _Check:
+    """A list of at least `min_len` positive numbers, as a tuple."""
+
+    def check(path: str, value: Any) -> tuple[float, ...]:
+        if not isinstance(value, (list, tuple)) or len(value) < min_len:
+            need = (
+                f"needs a list of >= {min_len} {noun}"
+                if noun
+                else "must be a non-empty list"
+            )
+            raise ValidationError(f"config key '{path}' {need}")
+        vals = tuple(_positive(f"{path}[{i}]", v) for i, v in enumerate(value))
+        if increasing and any(b <= a for a, b in zip(vals, vals[1:])):
+            raise ValidationError(
+                f"config key '{path}' must be strictly increasing"
+            )
+        return vals
+
+    return check
+
+
+def _formats(path: str, value: Any) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValidationError(f"config key '{path}' must be a non-empty list")
+    for fmt in value:
+        if fmt not in KNOWN_FORMATS:
+            raise ValidationError(
+                f"config key '{path}' allows only {KNOWN_FORMATS}, got {fmt!r}"
+            )
+    return tuple(value)
+
+
+def _optional(check: _Check) -> _Check:
+    """`check`, but an explicit null stays None."""
+    return lambda path, value: None if value is None else check(path, value)
+
+
+def _exceeds(path: str, lo_key: str, lo: Any, hi_key: str, hi: Any) -> None:
+    """Rule spanning two keys: the max must exceed the min if both are set."""
+    if lo is not None and hi is not None and hi <= lo:
+        raise ValidationError(
+            f"config key '{path}.{hi_key}' must exceed '{lo_key}'"
+        )
+
+
+def _below_sanity_max(key: str, bar: float) -> None:
+    if bar > SANITY_MAX_BAR:
+        raise ValidationError(
+            f"config key '{key}' is outside the gas-model sanity range "
+            f"(0, {SANITY_MAX_BAR:g}] bar: {bar}"
+        )
+
+
+# Schema: every key is declared once, with its default and its check.
+
+def _key(default: Any, check: _Check) -> Any:
+    return field(default=default, metadata={"check": check})
+
+
+def _section(cls: type, optional: bool = False) -> Any:
+    """A nested section; when absent it is None if optional, else cls()."""
+    if optional:
+        return field(default=None, metadata={"section": cls})
+    return field(default_factory=cls, metadata={"section": cls})
+
+
+def _parse(cls: type, raw: Any, path: str) -> Any:
+    """Strict parse of one section mapping into `cls`, field by field.
+
+    An absent key takes its field default.  A present section is parsed
+    even when null, as an empty mapping.  The class may define
+    `_before(raw, path)`, which rewrites the raw mapping before the fields
+    are read, and `_after(cfg, path)` for rules that span keys.  Keys left
+    over are rejected with their full dotted paths.
+    """
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ValidationError(
+            f"config section '{path}' must be a mapping, got {raw!r}"
+        )
+    raw = dict(raw)
+    prefix = f"{path}." if path else ""
+    if hasattr(cls, "_before"):
+        cls._before(raw, path)
+    values = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            continue
+        value = raw.pop(f.name)
+        key = prefix + f.name
+        if "section" in f.metadata:
+            values[f.name] = _parse(f.metadata["section"], value, key)
+        else:
+            values[f.name] = f.metadata["check"](key, value)
+    cfg = cls(**values)
+    if hasattr(cls, "_after"):
+        cls._after(cfg, path)
+    if raw:
+        # YAML keys may mix types (1 and 'x'), which do not compare
+        ordered = sorted(raw, key=lambda k: (type(k).__name__, k))
+        extras = ", ".join(f"'{prefix}{k}'" for k in ordered)
+        raise ValidationError(f"unknown config key(s): {extras}")
+    return cfg
 
 
 @dataclass(frozen=True)
 class FiberConfig:
-    R_eff_um: float = 22.0
-    t_nm: float = 630.0
-    mode_m: int = 1
-    mode_n: int = 1
-
-    @staticmethod
-    def parse(sec: _Section) -> "FiberConfig":
-        cfg = FiberConfig(
-            R_eff_um=_require_positive(
-                f"{sec.path}.R_eff_um", sec.take("R_eff_um", 22.0)
-            ),
-            t_nm=_require_positive(f"{sec.path}.t_nm", sec.take("t_nm", 630.0)),
-            mode_m=_require_int(f"{sec.path}.mode_m", sec.take("mode_m", 1), 1),
-            mode_n=_require_int(f"{sec.path}.mode_n", sec.take("mode_n", 1), 1),
-        )
-        sec.finish()
-        return cfg
+    R_eff_um: float = _key(22.0, _positive)
+    t_nm: float = _key(630.0, _positive)
+    mode_m: int = _key(1, _integer(1))
+    mode_n: int = _key(1, _integer(1))
 
 
 @dataclass(frozen=True)
 class GasConfig:
-    species: str = "xenon"
-    pressure_bar: float = 3.4
-    temperature_K: float = 293.15
-
-    @staticmethod
-    def parse(sec: _Section) -> "GasConfig":
-        species = sec.take("species", "xenon")
-        if not isinstance(species, str) or not species:
-            raise ValidationError(
-                f"config key '{sec.path}.species' must be a gas name, "
-                f"got {species!r}"
-            )
-        cfg = GasConfig(
-            species=species,
-            pressure_bar=_require_positive(
-                f"{sec.path}.pressure_bar", sec.take("pressure_bar", 3.4)
-            ),
-            temperature_K=_require_positive(
-                f"{sec.path}.temperature_K", sec.take("temperature_K", 293.15)
-            ),
-        )
-        sec.finish()
-        return cfg
+    species: str = _key("xenon", _text("a gas name"))
+    pressure_bar: float = _key(3.4, _positive)
+    temperature_K: float = _key(293.15, _positive)
 
 
 @dataclass(frozen=True)
 class ModulationConfig:
-    depth: float = 0.0
-    period_THz: float = 1.0
-
-    @staticmethod
-    def parse(sec: _Section) -> "ModulationConfig":
-        depth = _number(f"{sec.path}.depth", sec.take("depth", 0.0))
-        if not 0.0 <= depth < 1.0:
-            raise ValidationError(
-                f"config key '{sec.path}.depth' must be in [0, 1), got {depth}"
-            )
-        cfg = ModulationConfig(
-            depth=depth,
-            period_THz=_require_positive(
-                f"{sec.path}.period_THz", sec.take("period_THz", 1.0)
-            ),
-        )
-        sec.finish()
-        return cfg
+    depth: float = _key(0.0, _interval(0, 1, "[)"))
+    period_THz: float = _key(1.0, _positive)
 
 
 @dataclass(frozen=True)
 class PumpConfig:
-    lambda_nm: float = 1030.0
-    pulse_fwhm_fs: float | None = 280.0
-    sigma_THz: float | None = None
-    modulation: ModulationConfig | None = None
+    lambda_nm: float = _key(1030.0, _positive)
+    pulse_fwhm_fs: float | None = _key(280.0, _optional(_positive))
+    sigma_THz: float | None = _key(None, _optional(_positive))
+    modulation: ModulationConfig | None = _section(ModulationConfig, True)
 
     @staticmethod
-    def parse(sec: _Section) -> "PumpConfig":
-        lam = _require_positive(
-            f"{sec.path}.lambda_nm", sec.take("lambda_nm", 1030.0)
-        )
-        fwhm = sec.take("pulse_fwhm_fs", None)
-        sigma = sec.take("sigma_THz", None)
+    def _before(raw: dict, path: str) -> None:
+        """Exactly one pump width; with neither, the FWHM default holds."""
+        fwhm, sigma = raw.get("pulse_fwhm_fs"), raw.get("sigma_THz")
         if fwhm is not None and sigma is not None:
             raise ValidationError(
-                f"config section '{sec.path}' must set exactly one pump "
+                f"config section '{path}' must set exactly one pump "
                 "width ('pulse_fwhm_fs' or 'sigma_THz'); both are present"
             )
-        if fwhm is None and sigma is None:
-            fwhm = 280.0
-        if fwhm is not None:
-            fwhm = _require_positive(f"{sec.path}.pulse_fwhm_fs", fwhm)
         if sigma is not None:
-            sigma = _require_positive(f"{sec.path}.sigma_THz", sigma)
-        mod_sec = sec.sub("modulation")
-        modulation = ModulationConfig.parse(mod_sec) if mod_sec else None
-        sec.finish()
-        return PumpConfig(
-            lambda_nm=lam,
-            pulse_fwhm_fs=fwhm,
-            sigma_THz=sigma,
-            modulation=modulation,
-        )
+            raw["pulse_fwhm_fs"] = None
+        elif fwhm is None:
+            raw.pop("pulse_fwhm_fs", None)
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    N: int = 512
-    span: float = 4.0
-    mode: str = "linearized"
-
-    @staticmethod
-    def parse(sec: _Section) -> "GridConfig":
-        mode = sec.take("mode", "linearized")
-        if mode not in ("linearized", "full"):
-            raise ValidationError(
-                f"config key '{sec.path}.mode' must be 'linearized' or "
-                f"'full', got {mode!r}"
-            )
-        cfg = GridConfig(
-            N=_require_int(f"{sec.path}.N", sec.take("N", 512), 16),
-            span=_require_positive(f"{sec.path}.span", sec.take("span", 4.0)),
-            mode=mode,
-        )
-        sec.finish()
-        return cfg
+    N: int = _key(512, _integer(16))
+    span: float = _key(4.0, _positive)
+    mode: str = _key("linearized", _choice("linearized", "full"))
 
 
 @dataclass(frozen=True)
 class PhasematchConfig:
-    grid_points: int = 4000
-    pump_peak_power_W: float = 0.0
-    detuning_min_THz: float | None = None
-    detuning_max_THz: float | None = None
-    seed_idler_nm: float | None = None
+    grid_points: int = _key(4000, _integer(16))
+    pump_peak_power_W: float = _key(0.0, _nonnegative)
+    detuning_min_THz: float | None = _key(None, _optional(_positive))
+    detuning_max_THz: float | None = _key(None, _optional(_positive))
+    seed_idler_nm: float | None = _key(None, _optional(_positive))
 
     @staticmethod
-    def parse(sec: _Section) -> "PhasematchConfig":
-        power = _require_nonnegative(
-            f"{sec.path}.pump_peak_power_W", sec.take("pump_peak_power_W", 0.0)
-        )
-        lo = sec.take("detuning_min_THz", None)
-        hi = sec.take("detuning_max_THz", None)
-        if lo is not None:
-            lo = _require_positive(f"{sec.path}.detuning_min_THz", lo)
-        if hi is not None:
-            hi = _require_positive(f"{sec.path}.detuning_max_THz", hi)
-        if lo is not None and hi is not None and hi <= lo:
-            raise ValidationError(
-                f"config key '{sec.path}.detuning_max_THz' must exceed "
-                "'detuning_min_THz'"
-            )
-        seed = sec.take("seed_idler_nm", None)
-        if seed is not None:
-            seed = _require_positive(f"{sec.path}.seed_idler_nm", seed)
-        cfg = PhasematchConfig(
-            grid_points=_require_int(
-                f"{sec.path}.grid_points", sec.take("grid_points", 4000), 16
-            ),
-            pump_peak_power_W=power,
-            detuning_min_THz=lo,
-            detuning_max_THz=hi,
-            seed_idler_nm=seed,
-        )
-        sec.finish()
-        return cfg
+    def _after(cfg: "PhasematchConfig", path: str) -> None:
+        _exceeds(path, "detuning_min_THz", cfg.detuning_min_THz,
+                 "detuning_max_THz", cfg.detuning_max_THz)
 
     def detuning_window(self) -> tuple[float, float] | None:
         """Window in rad/s for the root scan, or None for the band default."""
@@ -304,262 +338,141 @@ class PhasematchConfig:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    rel_sigma: float = 0.0
-    dark_floor: float = 0.0
-    seed: int = 0
-
-    @staticmethod
-    def parse(sec: _Section) -> "NoiseConfig":
-        rel = _require_nonnegative(
-            f"{sec.path}.rel_sigma", sec.take("rel_sigma", 0.0)
-        )
-        dark = _require_nonnegative(
-            f"{sec.path}.dark_floor", sec.take("dark_floor", 0.0)
-        )
-        seed = sec.take("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValidationError(
-                f"config key '{sec.path}.seed' must be an integer, got {seed!r}"
-            )
-        sec.finish()
-        return NoiseConfig(rel_sigma=rel, dark_floor=dark, seed=seed)
+    rel_sigma: float = _key(0.0, _nonnegative)
+    dark_floor: float = _key(0.0, _nonnegative)
+    seed: int = _key(0, _integer(None))
 
 
 @dataclass(frozen=True)
 class SetSimConfig:
-    seed_min_nm: float = 1530.0
-    seed_max_nm: float = 1560.0
-    steps: int = 201
-    pump_power_W: float = 0.2
-    seed_power_W: float = 50e-9
-    duty_cycle: float = 1.0
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
-    power_check_seed_W: tuple[float, ...] | None = None
-    power_check_pump_W: tuple[float, ...] | None = None
+    seed_min_nm: float = _key(1530.0, _positive)
+    seed_max_nm: float = _key(1560.0, _positive)
+    steps: int = _key(201, _integer(2))
+    pump_power_W: float = _key(0.2, _positive)
+    seed_power_W: float = _key(50e-9, _positive)
+    duty_cycle: float = _key(1.0, _interval(0, 1, "(]"))
+    noise: NoiseConfig = _section(NoiseConfig)
+    power_check_seed_W: tuple[float, ...] | None = _key(
+        None, _optional(_positives(5, "powers in W"))
+    )
+    power_check_pump_W: tuple[float, ...] | None = _key(
+        None, _optional(_positives(5, "powers in W"))
+    )
 
     @staticmethod
-    def parse(sec: _Section) -> "SetSimConfig":
-        lo = _require_positive(
-            f"{sec.path}.seed_min_nm", sec.take("seed_min_nm", 1530.0)
-        )
-        hi = _require_positive(
-            f"{sec.path}.seed_max_nm", sec.take("seed_max_nm", 1560.0)
-        )
-        if hi <= lo:
-            raise ValidationError(
-                f"config key '{sec.path}.seed_max_nm' must exceed "
-                "'seed_min_nm'"
-            )
-        duty = _number(f"{sec.path}.duty_cycle", sec.take("duty_cycle", 1.0))
-        if not 0.0 < duty <= 1.0:
-            raise ValidationError(
-                f"config key '{sec.path}.duty_cycle' must be in (0, 1], "
-                f"got {duty}"
-            )
-        noise_sec = sec.sub("noise")
-        noise = NoiseConfig.parse(noise_sec) if noise_sec else NoiseConfig()
-
-        def powers(key: str) -> tuple[float, ...] | None:
-            vals = sec.take(key, None)
-            if vals is None:
-                return None
-            if not isinstance(vals, (list, tuple)) or len(vals) < 5:
-                raise ValidationError(
-                    f"config key '{sec.path}.{key}' needs a list of >= 5 "
-                    "powers in W"
-                )
-            return tuple(
-                _require_positive(f"{sec.path}.{key}[{i}]", v)
-                for i, v in enumerate(vals)
-            )
-
-        cfg = SetSimConfig(
-            seed_min_nm=lo,
-            seed_max_nm=hi,
-            steps=_require_int(f"{sec.path}.steps", sec.take("steps", 201), 2),
-            pump_power_W=_require_positive(
-                f"{sec.path}.pump_power_W", sec.take("pump_power_W", 0.2)
-            ),
-            seed_power_W=_require_positive(
-                f"{sec.path}.seed_power_W", sec.take("seed_power_W", 50e-9)
-            ),
-            duty_cycle=duty,
-            noise=noise,
-            power_check_seed_W=powers("power_check_seed_W"),
-            power_check_pump_W=powers("power_check_pump_W"),
-        )
-        sec.finish()
-        return cfg
+    def _after(cfg: "SetSimConfig", path: str) -> None:
+        _exceeds(path, "seed_min_nm", cfg.seed_min_nm,
+                 "seed_max_nm", cfg.seed_max_nm)
 
 
 @dataclass(frozen=True)
 class SweepLengthConfig:
-    lengths_m: tuple[float, ...] = (0.4, 0.6, 0.8, 1.0)
+    lengths_m: tuple[float, ...] = _key(
+        (0.4, 0.6, 0.8, 1.0), _positives(increasing=True)
+    )
 
     @staticmethod
-    def parse(sec: _Section) -> "SweepLengthConfig":
-        vals = sec.take("lengths_m", None)
-        if vals is None:
+    def _before(raw: dict, path: str) -> None:
+        if raw.get("lengths_m") is None:
             raise ValidationError(
-                f"config section '{sec.path}' is missing key "
-                f"'{sec.path}.lengths_m'"
+                f"config section '{path}' is missing key '{path}.lengths_m'"
             )
-        if not isinstance(vals, (list, tuple)) or not vals:
-            raise ValidationError(
-                f"config key '{sec.path}.lengths_m' must be a non-empty list"
-            )
-        lengths = tuple(
-            _require_positive(f"{sec.path}.lengths_m[{i}]", v)
-            for i, v in enumerate(vals)
-        )
-        if len(lengths) > 1 and any(
-            b <= a for a, b in zip(lengths, lengths[1:])
-        ):
-            raise ValidationError(
-                f"config key '{sec.path}.lengths_m' must be strictly "
-                "increasing"
-            )
-        sec.finish()
-        return SweepLengthConfig(lengths_m=lengths)
 
 
 @dataclass(frozen=True)
 class SweepPressureConfig:
-    pressures_bar: tuple[float, ...] = ()
+    pressures_bar: tuple[float, ...] = _key((), _positives(increasing=True))
 
     @staticmethod
-    def parse(sec: _Section) -> "SweepPressureConfig":
-        explicit = sec.take("pressures_bar", None)
-        start = sec.take("start_bar", None)
-        stop = sec.take("stop_bar", None)
-        step = sec.take("step_bar", None)
-        ranged = start is not None or stop is not None or step is not None
+    def _before(raw: dict, path: str) -> None:
+        """Either 'pressures_bar' or the start/stop/step_bar range form."""
+        explicit = raw.pop("pressures_bar", None)
+        ends = [raw.pop(k, None) for k in _RANGE_KEYS]
+        ranged = any(v is not None for v in ends)
         if explicit is not None and ranged:
             raise ValidationError(
-                f"config section '{sec.path}' must set either "
+                f"config section '{path}' must set either "
                 "'pressures_bar' or start_bar/stop_bar/step_bar, not both"
             )
-        if explicit is not None:
-            if not isinstance(explicit, (list, tuple)) or not explicit:
+        if ranged:
+            if any(v is None for v in ends):
                 raise ValidationError(
-                    f"config key '{sec.path}.pressures_bar' must be a "
-                    "non-empty list"
-                )
-            pressures = tuple(
-                _require_positive(f"{sec.path}.pressures_bar[{i}]", v)
-                for i, v in enumerate(explicit)
-            )
-        elif ranged:
-            if start is None or stop is None or step is None:
-                raise ValidationError(
-                    f"config section '{sec.path}' needs all of start_bar, "
+                    f"config section '{path}' needs all of start_bar, "
                     "stop_bar, step_bar"
                 )
-            start = _require_positive(f"{sec.path}.start_bar", start)
-            stop = _require_positive(f"{sec.path}.stop_bar", stop)
-            step = _require_positive(f"{sec.path}.step_bar", step)
-            if stop <= start:
-                raise ValidationError(
-                    f"config key '{sec.path}.stop_bar' must exceed 'start_bar'"
-                )
-            count = int(round((stop - start) / step)) + 1
-            pressures = tuple(
-                round(start + i * step, 12) for i in range(count)
+            start, stop, step = (
+                _positive(f"{path}.{k}", v) for k, v in zip(_RANGE_KEYS, ends)
             )
-            if pressures[-1] > stop + 1e-9:
-                pressures = pressures[:-1]
-        else:
+            _exceeds(path, "start_bar", start, "stop_bar", stop)
+            span = (stop - start) / step  # inf when step_bar underflows it
+            count = round(span) + 1 if span < MAX_PRESSURE_POINTS else math.inf
+            if count > MAX_PRESSURE_POINTS:
+                # refused before the axis is built; an out-of-range stop_bar
+                # is the likelier typo, so it is named first
+                _below_sanity_max(f"{path}.stop_bar", stop)
+                raise ValidationError(
+                    f"config key '{path}.step_bar' gives more than "
+                    f"{MAX_PRESSURE_POINTS} pressures from start_bar to "
+                    "stop_bar"
+                )
+            explicit = tuple(round(start + i * step, 12) for i in range(count))
+            if explicit[-1] > stop + 1e-9:
+                explicit = explicit[:-1]
+        elif explicit is None:
             raise ValidationError(
-                f"config section '{sec.path}' is missing a pressure axis "
+                f"config section '{path}' is missing a pressure axis "
                 "('pressures_bar' or start_bar/stop_bar/step_bar)"
             )
-        if len(pressures) > 1 and any(
-            b <= a for a, b in zip(pressures, pressures[1:])
-        ):
-            raise ValidationError(
-                f"config key '{sec.path}.pressures_bar' must be strictly "
-                "increasing"
-            )
-        for i, p in enumerate(pressures):
-            if p > 20.0:
-                raise ValidationError(
-                    f"config key '{sec.path}.pressures_bar[{i}]' is outside "
-                    f"the gas-model sanity range (0, 20] bar: {p}"
-                )
-        sec.finish()
-        return SweepPressureConfig(pressures_bar=pressures)
+        raw["pressures_bar"] = explicit
+
+    @staticmethod
+    def _after(cfg: "SweepPressureConfig", path: str) -> None:
+        for i, p in enumerate(cfg.pressures_bar):
+            _below_sanity_max(f"{path}.pressures_bar[{i}]", p)
 
 
 @dataclass(frozen=True)
 class DensityMapConfig:
-    pump_min_nm: float = 700.0
-    pump_max_nm: float = 1250.0
-    pump_steps: int = 51
+    pump_min_nm: float = _key(700.0, _positive)
+    pump_max_nm: float = _key(1250.0, _positive)
+    pump_steps: int = _key(51, _integer(2))
 
     @staticmethod
-    def parse(sec: _Section) -> "DensityMapConfig":
-        lo = _require_positive(
-            f"{sec.path}.pump_min_nm", sec.take("pump_min_nm", 700.0)
-        )
-        hi = _require_positive(
-            f"{sec.path}.pump_max_nm", sec.take("pump_max_nm", 1250.0)
-        )
-        if hi <= lo:
-            raise ValidationError(
-                f"config key '{sec.path}.pump_max_nm' must exceed "
-                "'pump_min_nm'"
-            )
-        cfg = DensityMapConfig(
-            pump_min_nm=lo,
-            pump_max_nm=hi,
-            pump_steps=_require_int(
-                f"{sec.path}.pump_steps", sec.take("pump_steps", 51), 2
-            ),
-        )
-        sec.finish()
-        return cfg
+    def _after(cfg: "DensityMapConfig", path: str) -> None:
+        _exceeds(path, "pump_min_nm", cfg.pump_min_nm,
+                 "pump_max_nm", cfg.pump_max_nm)
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    dir: str = "runs"
-    formats: tuple[str, ...] = ("csv", "json")
-
-    @staticmethod
-    def parse(sec: _Section) -> "OutputConfig":
-        out_dir = sec.take("dir", "runs")
-        if not isinstance(out_dir, str) or not out_dir:
-            raise ValidationError(
-                f"config key '{sec.path}.dir' must be a directory name"
-            )
-        formats = sec.take("formats", list(KNOWN_FORMATS))
-        if not isinstance(formats, (list, tuple)) or not formats:
-            raise ValidationError(
-                f"config key '{sec.path}.formats' must be a non-empty list"
-            )
-        for fmt in formats:
-            if fmt not in KNOWN_FORMATS:
-                raise ValidationError(
-                    f"config key '{sec.path}.formats' allows only "
-                    f"{KNOWN_FORMATS}, got {fmt!r}"
-                )
-        sec.finish()
-        return OutputConfig(dir=out_dir, formats=tuple(formats))
+    dir: str = _key("runs", _text("a directory name", show_value=False))
+    formats: tuple[str, ...] = _key(KNOWN_FORMATS, _formats)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    fiber: FiberConfig = field(default_factory=FiberConfig)
-    gas: GasConfig = field(default_factory=GasConfig)
-    pump: PumpConfig = field(default_factory=PumpConfig)
-    fiber_length_m: float = 1.0
-    grid: GridConfig = field(default_factory=GridConfig)
-    phasematch: PhasematchConfig = field(default_factory=PhasematchConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
-    sweep_length: SweepLengthConfig | None = None
-    sweep_pressure: SweepPressureConfig | None = None
-    density_map: DensityMapConfig | None = None
-    set_sim: SetSimConfig | None = None
+    fiber: FiberConfig = _section(FiberConfig)
+    gas: GasConfig = _section(GasConfig)
+    pump: PumpConfig = _section(PumpConfig)
+    fiber_length_m: float = _key(1.0, _positive)
+    grid: GridConfig = _section(GridConfig)
+    phasematch: PhasematchConfig = _section(PhasematchConfig)
+    output: OutputConfig = _section(OutputConfig)
+    sweep_length: SweepLengthConfig | None = _section(SweepLengthConfig, True)
+    sweep_pressure: SweepPressureConfig | None = _section(
+        SweepPressureConfig, True
+    )
+    density_map: DensityMapConfig | None = _section(DensityMapConfig, True)
+    set_sim: SetSimConfig | None = _section(SetSimConfig, True)
+
+    @staticmethod
+    def _before(raw: dict, path: str) -> None:
+        missing = [s for s in REQUIRED_SECTIONS if s not in raw]
+        if missing:
+            raise ValidationError(
+                "config is missing required section(s): "
+                + ", ".join(f"'{s}'" for s in missing)
+            )
 
 
 def config_from_dict(raw: Any) -> RunConfig:
@@ -569,47 +482,7 @@ def config_from_dict(raw: Any) -> RunConfig:
             "config file is empty; missing required sections: "
             + ", ".join(f"'{s}'" for s in REQUIRED_SECTIONS)
         )
-    top = _Section(raw, "")
-    missing = [s for s in REQUIRED_SECTIONS if s not in top.raw]
-    if missing:
-        raise ValidationError(
-            "config is missing required section(s): "
-            + ", ".join(f"'{s}'" for s in missing)
-        )
-    fiber = FiberConfig.parse(top.sub("fiber"))
-    gas = GasConfig.parse(top.sub("gas"))
-    pump = PumpConfig.parse(top.sub("pump"))
-    length = _require_positive(
-        "fiber_length_m", top.take("fiber_length_m", 1.0)
-    )
-    grid_sec = top.sub("grid")
-    grid = GridConfig.parse(grid_sec) if grid_sec else GridConfig()
-    pm_sec = top.sub("phasematch")
-    pm = PhasematchConfig.parse(pm_sec) if pm_sec else PhasematchConfig()
-    out_sec = top.sub("output")
-    output = OutputConfig.parse(out_sec) if out_sec else OutputConfig()
-    sl_sec = top.sub("sweep_length")
-    sweep_length = SweepLengthConfig.parse(sl_sec) if sl_sec else None
-    sp_sec = top.sub("sweep_pressure")
-    sweep_pressure = SweepPressureConfig.parse(sp_sec) if sp_sec else None
-    dm_sec = top.sub("density_map")
-    density_map = DensityMapConfig.parse(dm_sec) if dm_sec else None
-    ss_sec = top.sub("set_sim")
-    set_sim = SetSimConfig.parse(ss_sec) if ss_sec else None
-    top.finish()
-    return RunConfig(
-        fiber=fiber,
-        gas=gas,
-        pump=pump,
-        fiber_length_m=length,
-        grid=grid,
-        phasematch=pm,
-        output=output,
-        sweep_length=sweep_length,
-        sweep_pressure=sweep_pressure,
-        density_map=density_map,
-        set_sim=set_sim,
-    )
+    return _parse(RunConfig, raw, "")
 
 
 def _strip_nones(obj: Any) -> Any:

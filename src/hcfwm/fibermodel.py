@@ -307,52 +307,16 @@ def band_structure(fiber: FiberModel, gas: GasState) -> BandStructure:
     return _band_structure_full(fiber, gas)
 
 
-def resonance_wavelengths(
-    fiber: FiberModel,
-    gas: GasState,
-    window_nm: tuple[float, float] | None = None,
-) -> BandStructure:
-    """Band structure, optionally clipped to a user window.
-
-    Clipping narrows band edges and drops resonances outside the window but
-    keeps the global labels, so band II stays band II however the window is
-    drawn.
-    """
-    full = band_structure(fiber, gas)
-    if window_nm is None:
-        return full
-    lo, hi = float(window_nm[0]), float(window_nm[1])
-    flo, fhi = full.window_nm
-    lo, hi = max(lo, flo), min(hi, fhi)
-    if not lo < hi:
-        raise ValidationError(f"empty window ({window_nm[0]}, {window_nm[1]}) nm")
-    bands = []
-    for b in full.bands:
-        b_lo, b_hi = max(b.lo_nm, lo), min(b.hi_nm, hi)
-        if b_lo < b_hi:
-            bands.append(
-                Band(label=b.label, index=b.index, lo_nm=b_lo, hi_nm=b_hi,
-                     res_lo_nm=b.res_lo_nm, res_hi_nm=b.res_hi_nm)
-            )
-    res = tuple(lj for lj in full.resonances_nm if lo <= lj <= hi)
-    return BandStructure(
-        fiber=fiber, gas=gas, window_nm=(lo, hi),
-        resonances_nm=res, bands=tuple(bands),
-    )
-
-
 def delta_eff(
     fiber: FiberModel,
     gas: GasState,
     lambda_nm,
     check: bool = True,
-    include_resonance_term: bool = True,
 ):
     """Reduced effective index n_eff - 1 of the mode.
 
-    With ``include_resonance_term=False`` the cot term is dropped, leaving
-    gas dispersion plus the smooth capillary waveguide term; useful for
-    isolating contributions, not for quantitative band-edge work.
+    Gas dispersion, minus the capillary deficit of the core, minus the
+    strut term whose cot diverges at the wall resonances.
     """
     lam = np.asarray(lambda_nm, dtype=float)
     if check:
@@ -364,24 +328,13 @@ def delta_eff(
     u = fiber.u
     k0 = 2.0 * np.pi / (lam * 1e-9)
     R = fiber.R_eff_um * 1e-6
-    out = dg - u**2 / (2.0 * k0**2 * n_gas * R**2)
-    if include_resonance_term:
-        si = gasmedia.get_model("silica")
-        n_si2 = 1.0 + si.n_squared_minus_one(lam, check=check)
-        eps = n_si2 / n_gas**2
-        psi = k0 * (fiber.t_nm * 1e-9) * np.sqrt(n_si2 - n_gas**2)
-        out = out - (
-            u**2 / (k0**3 * n_gas**2 * R**3)
-            * (eps + 1.0) / (2.0 * np.sqrt(eps - 1.0) * np.tan(psi))
-        )
-    return out
-
-
-def effective_index(fiber, gas, lambda_nm, check=True, include_resonance_term=True):
-    """Absolute effective index; see delta_eff for the reduced form."""
-    return 1.0 + delta_eff(
-        fiber, gas, lambda_nm, check=check,
-        include_resonance_term=include_resonance_term,
+    si = gasmedia.get_model("silica")
+    n_si2 = 1.0 + si.n_squared_minus_one(lam, check=check)
+    eps = n_si2 / n_gas**2
+    psi = k0 * (fiber.t_nm * 1e-9) * np.sqrt(n_si2 - n_gas**2)
+    return dg - u**2 / (2.0 * k0**2 * n_gas * R**2) - (
+        u**2 / (k0**3 * n_gas**2 * R**3)
+        * (eps + 1.0) / (2.0 * np.sqrt(eps - 1.0) * np.tan(psi))
     )
 
 

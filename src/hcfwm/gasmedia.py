@@ -227,14 +227,3 @@ def delta_gas(gas: GasState, lambda_nm, check: bool = True):
         gas.model.T0_K / gas.temperature_K
     )
     return s / (1.0 + np.sqrt(1.0 + s))
-
-
-def refractive_index(gas: GasState, lambda_nm, check: bool = True):
-    """Absolute index n(P, T) of the gas."""
-    return 1.0 + delta_gas(gas, lambda_nm, check=check)
-
-
-def silica_index(lambda_nm, path: str | None = None, check: bool = True):
-    """Index of the fused-silica wall (no pressure or temperature scaling)."""
-    model = get_model("silica", path)
-    return np.sqrt(1.0 + model.n_squared_minus_one(lambda_nm, check=check))

@@ -129,13 +129,6 @@ class PhaseMatchBranch:
         return dphi_width_from_beta1(self.beta1_p, self.beta1_s, self.beta1_i, L_m)
 
 
-def pm_angle_width(branch: PhaseMatchBranch, L_m: float) -> tuple[float, float]:
-    """(theta in degrees, dphi width in (rad/s)^2) of a branch at length L."""
-    if L_m <= 0.0:
-        raise ValidationError(f"fiber length must be > 0 m, got {L_m}")
-    return branch.theta_deg, branch.dphi_width(L_m)
-
-
 def kerr_gamma(fiber: FiberModel, gas: GasState, omega_p: float) -> float:
     """Kerr nonlinear parameter gamma = n2 omega_p / (c A_eff) in 1/(W m)."""
     a_eff = np.pi * (fiber.R_eff_um * 1e-6) ** 2

@@ -47,25 +47,6 @@ class SchmidtResult:
         return int(self.coefficients.size)
 
 
-def schmidt_number(coefficients) -> float:
-    """K = 1 / sum c_n^2 for normalized coefficients.
-
-    Exactly 1 when a single coefficient is nonzero; rejects unnormalized
-    or negative input rather than guessing a rescale.
-    """
-    c = np.asarray(coefficients, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValidationError("coefficients must be a non-empty 1-D sequence")
-    if np.any(c < 0.0) or not np.all(np.isfinite(c)):
-        raise ValidationError("coefficients must be finite and >= 0")
-    total = float(np.sum(c))
-    if abs(total - 1.0) > 1e-8:
-        raise ValidationError(
-            f"coefficients must be normalized: sum = {total!r}, expected 1"
-        )
-    return float(1.0 / np.sum(c**2))
-
-
 def schmidt_decompose(
     grid,
     flat_phase: bool = False,

@@ -326,6 +326,13 @@ def power_scaling_check(
             )
         if np.any(arr <= 0.0):
             raise ValidationError(f"{name} powers must all be > 0 W")
+        distinct = np.unique(arr).size
+        if distinct < 5:
+            # a log-log fit over repeated powers is ill-posed, not a result
+            raise ValidationError(
+                f"{name} power axis needs at least 5 distinct points, "
+                f"got {distinct}"
+            )
     if noise is None:
         noise = NoiseModel()
     if seed_omega_i is None:

@@ -4,7 +4,9 @@ The physics references are derived from textbook identities (Mehler's
 Hermite expansion of a correlated Gaussian, the Gaussian approximation of a
 sinc, and the Fourier transform of the exact sinc JSA to the time domain)
 so that the numerical decompositions in the package can be checked against
-formulas that share no code with them.  ``csv_writer_text`` is the
+formulas that share no code with them.  ``capillary_delta_eff`` is the
+smooth (Marcatili-Schmeltzer) part of the tube model, without the wall
+resonance term, for isolating that term.  ``csv_writer_text`` is the
 per-cell CSV writer the exporters used before ``hcfwm.export``, kept as
 the byte-for-byte reference of the artifact format.
 """
@@ -163,6 +165,18 @@ def sinc_gaussian_K(
     )
     tr_rho2 = 2.0 * half * np.sum(wts[:, None] * rho**2) * (T[1] - T[0])
     return float((np.pi / 2.0) / tr_rho2)
+
+
+def capillary_delta_eff(fiber, gas, lambda_nm) -> np.ndarray:
+    """n_eff - 1 of a bare capillary: gas dispersion minus the core deficit
+    u^2 / (2 k0^2 n_gas R^2), with no strut (cot) term."""
+    from hcfwm import gasmedia
+
+    lam = np.asarray(lambda_nm, dtype=float)
+    dg = gasmedia.delta_gas(gas, lam, check=False)
+    k0 = 2.0 * np.pi / (lam * 1e-9)
+    R = fiber.R_eff_um * 1e-6
+    return dg - fiber.u**2 / (2.0 * k0**2 * (1.0 + dg) * R**2)
 
 
 def csv_writer_text(header, rows) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -272,6 +273,42 @@ def test_non_numeric_config_value_exits_1(path, value, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_identical_power_check_exits_1(tmp_path, capsys):
+    raw = copy.deepcopy(BASE)
+    raw.update(copy.deepcopy(EXTRAS["set-sim"]))
+    raw["set_sim"]["power_check_seed_W"] = [1e-9] * 5
+    rc = cli.main(
+        ["set-sim", "--config", write_cfg(tmp_path, raw),
+         "--out", str(tmp_path / "o"), "--label", "t"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "seed power axis needs at least 5 distinct points, got 1" in err
+    assert not (tmp_path / "o" / "set-sim" / "t" / "power_scaling.json").exists()
+
+
+@pytest.mark.parametrize(
+    "axis, key",
+    [
+        ({"start_bar": 3.0, "stop_bar": 1e300, "step_bar": 0.05}, "stop_bar"),
+        ({"start_bar": 3.0, "stop_bar": 20.0, "step_bar": 1e-9}, "step_bar"),
+        ({"start_bar": 1.0, "stop_bar": 2.0, "step_bar": 5e-324}, "step_bar"),
+    ],
+    ids=["huge-stop", "tiny-step", "underflow-step"],
+)
+def test_unbounded_pressure_range_exits_1(axis, key, tmp_path, capsys):
+    """Refused before the axis is built, so memory stays bounded."""
+    raw = copy.deepcopy(BASE)
+    raw["sweep_pressure"] = axis
+    rc = cli.main(
+        ["sweep-pressure", "--config", write_cfg(tmp_path, raw),
+         "--out", str(tmp_path / "o"), "--label", "t"]
+    )
+    assert rc == 1
+    assert f"config key 'sweep_pressure.{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unfittable_sweep_exits_2(tmp_path, capsys):
     raw = copy.deepcopy(BASE)
     raw["phasematch"].update(
@@ -320,24 +357,47 @@ def test_extreme_config_exits_2_with_finite_artifacts(
 
 # ------------------------------------------- random configs: no escapes
 
-_MAP_T300_NUMBERS = [
-    ("fiber", "R_eff_um"),
-    ("fiber", "t_nm"),
-    ("gas", "pressure_bar"),
-    ("gas", "temperature_K"),
-    ("pump", "lambda_nm"),
-    ("pump", "pulse_fwhm_fs"),
-    ("density_map", "pump_min_nm"),
-    ("density_map", "pump_max_nm"),
-    ("density_map", "pump_steps"),
-]
+_MAP_T300 = yaml.safe_load(
+    resource_files("hcfwm").joinpath("recipes/map_t300.yaml").read_text()
+)
+
+
+def _numeric_keys(recipe):
+    """(section, key, default) for every key with a numeric default in the
+    sections the recipe sets, read from the config schema."""
+    keys = []
+    for section in dataclasses.fields(config.RunConfig):
+        cls = section.metadata.get("section")
+        if cls is None or section.name not in recipe:
+            continue
+        for f in dataclasses.fields(cls):
+            if isinstance(f.default, (int, float)) and not isinstance(
+                f.default, bool
+            ):
+                keys.append((section.name, f.name, f.default))
+    return keys
+
+
+_MAP_T300_NUMBERS = _numeric_keys(_MAP_T300)
+
+
+def test_schema_numeric_keys_cover_the_recipe():
+    drawn = {(s, k) for s, k, _ in _MAP_T300_NUMBERS}
+    set_by_recipe = {
+        (s, k)
+        for s, body in _MAP_T300.items()
+        for k, v in body.items()
+        if isinstance(v, (int, float)) and not isinstance(v, bool)
+    }
+    assert len(set_by_recipe) == 9 and set_by_recipe <= drawn
+
 
 _ODD_VALUES = [
     0, -1, 1e300, -1e300, 1e-300, -1e-300,
     float("nan"), float("inf"), -float("inf"), "abc", True, None,
 ]
 
-# ("times", f) scales the recipe's own value by f
+# ("times", f) scales the recipe's value, or the schema default, by f
 _CONFIG_VALUES = st.one_of(
     st.sampled_from(_ODD_VALUES),
     st.tuples(st.just("times"), st.floats(0.01, 100.0)),
@@ -382,13 +442,10 @@ def _non_finite_in(path):
     ),
 )
 def test_random_config_exits_cleanly_with_finite_artifacts(subcommand, edits):
-    recipe = yaml.safe_load(
-        resource_files("hcfwm").joinpath("recipes/map_t300.yaml").read_text()
-    )
-    raw = copy.deepcopy(recipe)
-    for (section, key), value in edits:
+    raw = copy.deepcopy(_MAP_T300)
+    for (section, key, default), value in edits:
         if isinstance(value, tuple):
-            value = recipe[section][key] * value[1]
+            value = _MAP_T300[section].get(key, default) * value[1]
         raw[section][key] = value
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "cfg.yaml")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pathlib
+import re
+
 import pytest
 
 from hcfwm import config
@@ -264,3 +268,41 @@ def test_invalid_yaml_and_missing_file(tmp_path):
     assert config.load_config(str(path)) == config.config_from_dict(
         dict(FULL)
     )
+
+
+def _readme_schema_block() -> str:
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("### Config schema", 1)[1]
+    return section.split("```yaml", 1)[1].split("```", 1)[0]
+
+
+def test_readme_key_table_lists_every_schema_key():
+    block = _readme_schema_block()
+    keys = {"start_bar", "stop_bar", "step_bar"}
+    todo = [config.RunConfig]
+    while todo:
+        for f in dataclasses.fields(todo.pop()):
+            keys.add(f.name)
+            if "section" in f.metadata:
+                todo.append(f.metadata["section"])
+    missing = sorted(k for k in keys if not re.search(rf"\b{k}:", block))
+    assert not missing
+
+
+def test_pressure_range_length_cap():
+    d = dict(MINIMAL)
+    d["sweep_pressure"] = {"start_bar": 1.0, "stop_bar": 10.999,
+                           "step_bar": 0.001}
+    axis = config.config_from_dict(d).sweep_pressure.pressures_bar
+    assert len(axis) == config.MAX_PRESSURE_POINTS
+    d["sweep_pressure"]["stop_bar"] = 11.0  # one point more
+    with pytest.raises(ValidationError, match="'sweep_pressure.step_bar'"):
+        config.config_from_dict(d)
+
+
+def test_unknown_keys_of_mixed_types_are_listed():
+    d = {"fiber": {1: 2.0, "x": 3.0}, "gas": {}, "pump": {}}
+    with pytest.raises(ValidationError, match="'fiber.1', 'fiber.x'"):
+        config.config_from_dict(d)
+

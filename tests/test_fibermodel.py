@@ -20,6 +20,8 @@ from hcfwm.errors import (
     ValidationError,
 )
 
+from _oracles import capillary_delta_eff
+
 # frozen regression values for the reference fiber (R_eff 22 um, t 630 nm)
 VACUUM_RESONANCES_NM = (1317.2899469788158, 666.790835205989, 449.9856380633246)
 XENON_34_RESONANCES_NM = (1314.7649827914972, 665.5223451924172, 449.1405519135065)
@@ -31,12 +33,12 @@ BETA2_XENON_34_1030 = -8.272111617054772e-28
 
 
 def test_resonance_goldens_vacuum(fiber, vacuum):
-    structure = fibermodel.resonance_wavelengths(
-        fiber, vacuum, window_nm=(400.0, 2000.0)
-    )
-    assert structure.resonances_nm == pytest.approx(
+    structure = fibermodel.band_structure(fiber, vacuum)
+    # the three longest resonances, the ones inside 400-2000 nm
+    assert structure.resonances_nm[:3] == pytest.approx(
         VACUUM_RESONANCES_NM, rel=1e-9
     )
+    assert structure.resonances_nm[3] < 400.0
 
 
 def test_resonances_satisfy_their_defining_equation(fiber, vacuum):
@@ -59,31 +61,15 @@ def test_gas_filling_shifts_resonances_down(fiber, xenon, vacuum):
 
 
 def test_band_labels_and_edges(fiber, vacuum):
-    structure = fibermodel.resonance_wavelengths(
-        fiber, vacuum, window_nm=(400.0, 2000.0)
-    )
+    structure = fibermodel.band_structure(fiber, vacuum)
     labels = [b.label for b in structure.bands]
-    assert labels == ["I", "II", "III", "IV"]
+    assert labels[:4] == ["I", "II", "III", "IV"]
     band_i = structure.bands_by_label["I"]
     assert band_i.lo_nm == pytest.approx(VACUUM_RESONANCES_NM[0], rel=1e-9)
-    assert band_i.hi_nm == 2000.0
+    assert band_i.hi_nm == structure.window_nm[1]
     band_ii = structure.bands_by_label["II"]
     assert band_ii.lo_nm == pytest.approx(VACUUM_RESONANCES_NM[1], rel=1e-9)
     assert band_ii.hi_nm == pytest.approx(VACUUM_RESONANCES_NM[0], rel=1e-9)
-
-
-def test_window_clipping_keeps_global_labels(fiber, vacuum):
-    clipped = fibermodel.resonance_wavelengths(
-        fiber, vacuum, window_nm=(700.0, 1300.0)
-    )
-    assert [b.label for b in clipped.bands] == ["II"]
-    band = clipped.bands[0]
-    assert band.index == 2
-    assert band.lo_nm == 700.0 and band.hi_nm == 1300.0
-    # resonances outside the window are dropped from the listing only
-    assert clipped.resonances_nm == ()
-    with pytest.raises(ValidationError, match="empty window"):
-        fibermodel.resonance_wavelengths(fiber, vacuum, window_nm=(900.0, 900.0))
 
 
 def test_band_index_and_band_of(fiber, xenon):
@@ -107,14 +93,17 @@ def test_exclusion_zone_half_percent(fiber, xenon):
         structure.require_band(5000.0)
 
 
-def test_capillary_index_deficit(fiber, vacuum):
-    """Without the wall term the mode sits below the gas index by
-    u^2 lambda^2 / (8 pi^2 R^2), the classic capillary deficit."""
-    n_eff = float(
-        fibermodel.effective_index(
-            fiber, vacuum, 1030.0, include_resonance_term=False
-        )
+def test_capillary_index_deficit(vacuum):
+    """At the strut anti-resonance the wall term vanishes and the mode
+    sits below the gas index by u^2 lambda^2 / (8 pi^2 R^2), the classic
+    capillary deficit."""
+    n_si2 = 1.0 + float(
+        gasmedia.get_model("silica").n_squared_minus_one(1030.0)
     )
+    # strut phase k0 t sqrt(n_si^2 - 1) = pi/2 at 1030 nm
+    t_nm = 1030.0 / (4.0 * math.sqrt(n_si2 - 1.0))
+    fiber = fibermodel.FiberModel(R_eff_um=22.0, t_nm=t_nm)
+    n_eff = 1.0 + float(fibermodel.delta_eff(fiber, vacuum, 1030.0))
     assert n_eff == pytest.approx(NEFF_VACUUM_NO_COT_1030, rel=1e-12)
     u = fiber.u
     expected_deficit = (
@@ -130,9 +119,7 @@ def test_cot_term_diverges_toward_resonance(fiber, xenon):
     def cot_magnitude(offset: float) -> float:
         lam = lam1 * (1.0 + offset)
         full = fibermodel.delta_eff(fiber, xenon, lam, check=False)
-        smooth = fibermodel.delta_eff(
-            fiber, xenon, lam, check=False, include_resonance_term=False
-        )
+        smooth = capillary_delta_eff(fiber, xenon, lam)
         return abs(float(full - smooth))
 
     offsets = (0.10, 0.05, 0.02, 0.01, 0.006, 0.001)
@@ -147,7 +134,7 @@ def test_wavevector_consistency(fiber, xenon):
     kappa = fibermodel.reduced_kappa(fiber, xenon, om)
     c = 299792458.0
     assert np.allclose(k, om / c + kappa, rtol=0.0, atol=0.0)
-    n_eff = fibermodel.effective_index(
+    n_eff = 1.0 + fibermodel.delta_eff(
         fiber, xenon, fibermodel.lambda_nm_from_omega(om)
     )
     assert np.allclose(k, n_eff * om / c, rtol=1e-12)
@@ -164,7 +151,7 @@ def test_dispersion_derivative_goldens(fiber, xenon):
     assert pt.beta1 == pytest.approx(BETA1_XENON_34_1030, rel=1e-12)
     assert pt.beta2 == pytest.approx(BETA2_XENON_34_1030, rel=1e-9)
     # beta1 is within a part in 1e3 of n_eff / c (group vs phase index)
-    n_eff = float(fibermodel.effective_index(fiber, xenon, 1030.0))
+    n_eff = 1.0 + float(fibermodel.delta_eff(fiber, xenon, 1030.0))
     assert pt.beta1 == pytest.approx(n_eff / 299792458.0, rel=1e-3)
 
 
@@ -235,10 +222,9 @@ def test_mode_parameter_bessel_zeros():
 def test_higher_order_mode_deeper_deficit(vacuum):
     base = fibermodel.FiberModel(R_eff_um=22.0, t_nm=630.0)
     he12 = fibermodel.FiberModel(R_eff_um=22.0, t_nm=630.0, mode_n=2)
-    d11 = float(fibermodel.delta_eff(base, vacuum, 1030.0,
-                                     include_resonance_term=False))
-    d12 = float(fibermodel.delta_eff(he12, vacuum, 1030.0,
-                                     include_resonance_term=False))
+    # in vacuum both the capillary and the wall term scale as u^2
+    d11 = float(fibermodel.delta_eff(base, vacuum, 1030.0))
+    d12 = float(fibermodel.delta_eff(he12, vacuum, 1030.0))
     assert d12 < d11 < 0.0
     assert d12 / d11 == pytest.approx((he12.u / base.u) ** 2, rel=1e-9)
 

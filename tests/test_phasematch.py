@@ -164,14 +164,6 @@ def test_kerr_term_moves_the_branch(fiber, xenon, branch):
     assert 0.01 < abs(shift_nm) < 1.0
 
 
-def test_pm_angle_width(branch):
-    theta, width = phasematch.pm_angle_width(branch, L_m=0.5)
-    assert theta == branch.theta_deg
-    assert width == branch.dphi_width(0.5)
-    with pytest.raises(ValidationError, match="length"):
-        phasematch.pm_angle_width(branch, L_m=0.0)
-
-
 def test_branch_ordering_validation():
     with pytest.raises(ValidationError, match="ordering"):
         phasematch.PhaseMatchBranch(

@@ -264,6 +264,17 @@ def test_power_scaling_validation(grid128):
         tomography.power_scaling_check(grid128, five, five * 0.0)
 
 
+def test_power_scaling_needs_distinct_powers(grid128):
+    """Five equal powers leave the log-log slope undetermined."""
+    five = np.geomspace(1e-4, 1e-2, 5)
+    same = np.full(5, 1e-9)
+    with pytest.raises(ValidationError, match="at least 5 distinct points, got 1"):
+        tomography.power_scaling_check(grid128, same, five)
+    repeated = np.array([1e-4, 1e-4, 2e-4, 3e-4, 4e-4])
+    with pytest.raises(ValidationError, match="pump .* 5 distinct points, got 4"):
+        tomography.power_scaling_check(grid128, five, repeated)
+
+
 # ----------------------------------------------------------------- IO
 
 
