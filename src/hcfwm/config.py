@@ -54,6 +54,13 @@ SANITY_MAX_BAR = 20.0  # upper end of the gas-model sanity range (0, 20] bar
 # built: tuning_ar has 21 points, and without a cap a stop_bar of 1e300 or
 # a step_bar of 1e-9 would allocate without limit instead of failing.
 MAX_PRESSURE_POINTS = 10_000
+# Sizes checked before anything is allocated.  One complex N x N grid at
+# N = 4096 holds 256 MiB, and the largest N the tests use is 1024; a mode
+# order of 1000 makes the Bessel-zero eigensolve 2064 x 2064 (34 MB).
+# Without the caps, grid.N: 1e20 fails inside numpy and fiber.mode_n:
+# 1000000 asks for a 29 TiB matrix.
+MAX_GRID_N = 4096
+MAX_MODE_N = 1000
 _RANGE_KEYS = ("start_bar", "stop_bar", "step_bar")
 
 
@@ -94,17 +101,22 @@ def _nonnegative(path: str, value: Any) -> float:
     return value
 
 
-def _integer(minimum: int | None) -> _Check:
-    """An int (booleans rejected), at least `minimum` if one is given."""
+def _integer(minimum: int, maximum: int | None = None) -> _Check:
+    """An int (booleans rejected), at least `minimum`, and at most
+    `maximum` if one is given."""
 
     def check(path: str, value: Any) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(
                 f"config key '{path}' must be an integer, got {value!r}"
             )
-        if minimum is not None and value < minimum:
+        if value < minimum:
             raise ValidationError(
                 f"config key '{path}' must be >= {minimum}, got {value}"
+            )
+        if maximum is not None and value > maximum:
+            raise ValidationError(
+                f"config key '{path}' must be <= {maximum}, got {value}"
             )
         return int(value)
 
@@ -266,7 +278,7 @@ class FiberConfig:
     R_eff_um: float = _key(22.0, _positive)
     t_nm: float = _key(630.0, _positive)
     mode_m: int = _key(1, _integer(1))
-    mode_n: int = _key(1, _integer(1))
+    mode_n: int = _key(1, _integer(1, MAX_MODE_N))
 
 
 @dataclass(frozen=True)
@@ -306,7 +318,7 @@ class PumpConfig:
 
 @dataclass(frozen=True)
 class GridConfig:
-    N: int = _key(512, _integer(16))
+    N: int = _key(512, _integer(16, MAX_GRID_N))
     span: float = _key(4.0, _positive)
     mode: str = _key("linearized", _choice("linearized", "full"))
 
@@ -340,7 +352,7 @@ class PhasematchConfig:
 class NoiseConfig:
     rel_sigma: float = _key(0.0, _nonnegative)
     dark_floor: float = _key(0.0, _nonnegative)
-    seed: int = _key(0, _integer(None))
+    seed: int = _key(0, _integer(0))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,20 @@ from .errors import NumericalError
 _NON_FINITE_CELL = re.compile(r"(?:^|,)-?(?:nan|inf)(?=,|$)", re.M)
 
 
+# cells per row -> "%.9g,...,%.9g", the format of an all-numeric row
+_ROW_FORMATS: dict[int, str] = {}
+
+
 def _line(cells) -> str:
-    return ",".join([c if isinstance(c, str) else "%.9g" % c for c in cells])
+    cells = tuple(cells)
+    fmt = _ROW_FORMATS.get(len(cells))
+    if fmt is None:
+        fmt = _ROW_FORMATS[len(cells)] = ",".join(["%.9g"] * len(cells))
+    try:
+        return fmt % cells
+    except TypeError:
+        # a text cell: "%.9g" refuses it, so join cell by cell
+        return ",".join([c if isinstance(c, str) else "%.9g" % c for c in cells])
 
 
 def _save(text: str, path: str | None) -> str:

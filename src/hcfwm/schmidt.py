@@ -5,7 +5,9 @@ S_n(omega_s) I_n(omega_i) is approximated by an SVD of the grid matrix
 weighted by sqrt(cell area), which makes the coefficients converge with
 grid refinement.  The Schmidt number K = 1 / sum c_n^2 counts effective
 modes: K = 1 for a factorable state, K > 1 for a correlated one; its
-inverse is the heralded-photon purity.
+inverse is the heralded-photon purity.  Where only K is needed, as at
+every sweep point, ``schmidt_number`` takes it from the Gram identity
+K = (tr G)^2 / ||G||_F^2, G = M M^H, without an SVD.
 
 Two variants matter in practice and are never interchanged silently:
 the complex-JSA decomposition uses the full amplitude including phase,
@@ -47,19 +49,10 @@ class SchmidtResult:
         return int(self.coefficients.size)
 
 
-def schmidt_decompose(
-    grid,
-    flat_phase: bool = False,
-    cell_area: float | None = None,
-) -> SchmidtResult:
-    """SVD-based Schmidt decomposition of a JsaGrid or a raw grid array.
-
-    A JsaGrid brings its own cell area; flat_phase=True decomposes the
-    magnitude |F| instead of F.  A raw real array is interpreted as a JSI
-    (decomposed as sqrt(JSI), necessarily flat-phase); a raw complex array
-    as a JSA.  Coefficients below 1e-12 of the leading one are truncated
-    as SVD noise, then renormalized.
-    """
+def _weighted_matrix(grid, flat_phase: bool, cell_area: float | None):
+    """The sqrt(cell area)-weighted amplitude matrix of a JsaGrid or a raw
+    grid array, and whether it is flat-phase; raises ValidationError on an
+    input no decomposition accepts."""
     if isinstance(grid, JsaGrid):
         matrix = np.abs(grid.values) if flat_phase else grid.values
         area = grid.cell_area
@@ -85,8 +78,44 @@ def schmidt_decompose(
         raise ValidationError("degenerate input: grid is identically zero")
     if area <= 0.0:
         raise ValidationError("cell_area must be > 0")
+    return np.asarray(matrix) * np.sqrt(area), bool(flat_phase)
 
-    weighted = np.asarray(matrix) * np.sqrt(area)
+
+def schmidt_number(
+    grid,
+    flat_phase: bool = False,
+    cell_area: float | None = None,
+) -> float:
+    """Schmidt number K of the same input as ``schmidt_decompose``, without
+    an SVD.
+
+    With G = M M^H for the weighted matrix M, the Schmidt coefficients are
+    the eigenvalues of G / tr G, so K = 1 / Tr rho_s^2 = (tr G)^2 / ||G||_F^2
+    (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).  G is formed on the
+    shorter grid axis.  No coefficient is truncated, so K can differ from
+    ``schmidt_decompose(...).K`` in the last digits.
+    """
+    m, _ = _weighted_matrix(grid, flat_phase, cell_area)
+    if m.shape[0] > m.shape[1]:
+        m = m.T
+    g = m @ m.conj().T
+    return float(np.trace(g).real ** 2 / np.vdot(g, g).real)
+
+
+def schmidt_decompose(
+    grid,
+    flat_phase: bool = False,
+    cell_area: float | None = None,
+) -> SchmidtResult:
+    """SVD-based Schmidt decomposition of a JsaGrid or a raw grid array.
+
+    A JsaGrid brings its own cell area; flat_phase=True decomposes the
+    magnitude |F| instead of F.  A raw real array is interpreted as a JSI
+    (decomposed as sqrt(JSI), necessarily flat-phase); a raw complex array
+    as a JSA.  Coefficients below 1e-12 of the leading one are truncated
+    as SVD noise, then renormalized.
+    """
+    weighted, flat_phase = _weighted_matrix(grid, flat_phase, cell_area)
     u, s, vh = np.linalg.svd(weighted, full_matrices=False)
 
     c = s**2

@@ -33,7 +33,7 @@ from .phasematch import (
     density_map,
     solve_phase_matching,
 )
-from .schmidt import schmidt_decompose
+from .schmidt import schmidt_number
 
 __all__ = [
     "SweepPoint",
@@ -204,8 +204,8 @@ def _evaluate_point(
         kappa_span=cfg.grid.span,
         mode=cfg.grid.mode,
     )
-    k_flat = schmidt_decompose(grid, flat_phase=True).K
-    k_complex = schmidt_decompose(grid, flat_phase=False).K
+    k_flat = schmidt_number(grid, flat_phase=True)
+    k_complex = schmidt_number(grid, flat_phase=False)
     marg = marginals(grid)
     artifacts: dict = {}
     if out_dir is not None:

@@ -309,6 +309,38 @@ def test_unbounded_pressure_range_exits_1(axis, key, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, path, value, bound",
+    [
+        ("jsa", "grid.N", 10**20, "<= 4096"),
+        ("jsa", "grid.N", 4097, "<= 4096"),
+        ("dispersion", "fiber.mode_n", 1_000_000, "<= 1000"),
+        ("set-sim", "set_sim.noise.seed", -5, ">= 0"),
+    ],
+    ids=["huge-grid", "grid-above-cap", "huge-mode-order", "negative-seed"],
+)
+def test_out_of_range_integer_exits_1(
+    subcommand, path, value, bound, tmp_path, capsys
+):
+    """Refused by the config check, before a grid, an eigensolve or a
+    random stream is set up."""
+    raw = copy.deepcopy(BASE)
+    raw.update(copy.deepcopy(EXTRAS[subcommand]))
+    *sections, key = path.split(".")
+    node = raw
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    rc = cli.main(
+        [subcommand, "--config", write_cfg(tmp_path, raw),
+         "--out", str(tmp_path / "o"), "--label", "t"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"config key '{path}' must be {bound}, got {value}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unfittable_sweep_exits_2(tmp_path, capsys):
     raw = copy.deepcopy(BASE)
     raw["phasematch"].update(

@@ -301,6 +301,30 @@ def test_pressure_range_length_cap():
         config.config_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "section, key, cap",
+    [("grid", "N", config.MAX_GRID_N), ("fiber", "mode_n", config.MAX_MODE_N)],
+)
+def test_size_caps(section, key, cap):
+    """Checked before a grid or an eigensolve is allocated; the cap itself
+    is valid."""
+    d = dict(MINIMAL)
+    d[section] = {key: cap + 1}
+    with pytest.raises(ValidationError, match=f"'{section}.{key}' must be <= {cap}"):
+        config.config_from_dict(d)
+    d[section] = {key: cap}
+    assert getattr(getattr(config.config_from_dict(d), section), key) == cap
+
+
+def test_noise_seed_must_be_nonnegative():
+    d = dict(MINIMAL)
+    d["set_sim"] = {"noise": {"seed": -1}}
+    with pytest.raises(ValidationError, match="'set_sim.noise.seed' must be >= 0"):
+        config.config_from_dict(d)
+    d["set_sim"] = {"noise": {"seed": 0}}
+    assert config.config_from_dict(d).set_sim.noise.seed == 0
+
+
 def test_unknown_keys_of_mixed_types_are_listed():
     d = {"fiber": {1: 2.0, "x": 3.0}, "gas": {}, "pump": {}}
     with pytest.raises(ValidationError, match="'fiber.1', 'fiber.x'"):

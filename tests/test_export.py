@@ -71,6 +71,59 @@ def test_csv_refuses_non_finite(bad, where, tmp_path):
     assert not path.exists()
 
 
+# cells an all-numeric row may hold besides Python floats
+ODD_NUMBERS = [
+    True,
+    False,
+    np.float32(0.1),
+    np.int64(-7),
+    np.uint8(255),
+    np.float64(1e-300),
+    2**53 + 1,
+    2**60,
+    -(2**64),
+]
+
+
+def test_csv_numeric_and_text_rows_format_numbers_alike():
+    """An all-numeric row is formatted in one call, a row with a text
+    cell cell by cell; a number must come out the same either way."""
+    header = [f"c{i}" for i in range(len(ODD_NUMBERS))]
+    numeric = export.to_csv(header, [ODD_NUMBERS]).splitlines()[1]
+    mixed = export.to_csv(header + ["t"], [ODD_NUMBERS + ["t"]])
+    assert mixed.splitlines()[1] == numeric + ",t"
+    assert numeric == (
+        "1,0,0.100000001,-7,255,1e-300,9.00719925e+15,1.1529215e+18,"
+        "-1.84467441e+19"
+    )
+
+
+def test_csv_text_among_numbers_matches_per_cell_writer():
+    header = ("a", "b", "c", "d")
+    rows = [
+        (1.0, "x", np.float64(2.5), 3),
+        (np.float32(0.1), np.int64(-7), "", 1e300),
+        (0.1 + 0.2, 4.0, 5.0, "tail"),
+    ]
+    assert export.to_csv(header, rows) == csv_writer_text(header, rows)
+
+
+def test_csv_rows_of_differing_lengths():
+    rows = [[1.0], [1.0, 2.5, 1e-7], [], [np.float64(3.0), 4.0], [0.5]]
+    assert export.to_csv(("a",), rows) == csv_writer_text(("a",), rows)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("row", [0, 3, 6])
+def test_csv_refuses_non_finite_in_numeric_rows(bad, row, tmp_path):
+    rows = [[1.5 * i, 2.5, np.float64(3.5)] for i in range(7)]
+    rows[row][row % 3] = bad
+    path = tmp_path / "table.csv"
+    with pytest.raises(NumericalError, match=f"line {row + 2} of table.csv"):
+        export.to_csv(("a", "b", "c"), rows, str(path))
+    assert not path.exists()
+
+
 def test_csv_text_cells_are_not_numbers():
     text = export.to_csv(("param", "info"), [("length_m", "inflated nano")])
     assert text == "param,info\nlength_m,inflated nano\n"

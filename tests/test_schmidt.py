@@ -196,6 +196,63 @@ def test_grid_refinement_stability(fiber, xenon, pump, branch):
     assert abs(ks[1] - ks[0]) / ks[1] < 5e-3
 
 
+# ----------------------------------------------- Gram-form Schmidt number
+
+
+@pytest.mark.parametrize("mode", ["linearized", "full"])
+@pytest.mark.parametrize("L_m", [0.4, 1.0])
+def test_gram_schmidt_number_matches_svd(fiber, xenon, pump, branch, L_m, mode):
+    grid = jsa.build_jsa(fiber, xenon, pump, branch, L_m=L_m, n=256, mode=mode)
+    for flat in (True, False):
+        k_svd = schmidt.schmidt_decompose(grid, flat_phase=flat).K
+        k_gram = schmidt.schmidt_number(grid, flat_phase=flat)
+        assert k_gram == pytest.approx(k_svd, rel=1e-9)
+
+
+def test_gram_schmidt_number_of_raw_arrays(grid128):
+    """A raw JSI and a raw complex JSA with an explicit cell area, on
+    both the square grid and a non-square cut of it in either
+    orientation."""
+    area = grid128.cell_area
+    amplitude = np.asarray(grid128.values)
+    for cut in (amplitude, amplitude[:, :100], amplitude[:100, :]):
+        inputs = [(np.abs(cut) ** 2, False), (cut, False), (cut, True)]
+        for arr, flat in inputs:
+            k_svd = schmidt.schmidt_decompose(
+                arr, flat_phase=flat, cell_area=area
+            ).K
+            k_gram = schmidt.schmidt_number(arr, flat_phase=flat, cell_area=area)
+            assert k_gram == pytest.approx(k_svd, rel=1e-9)
+
+
+def test_gram_schmidt_number_closed_cases():
+    amp = np.sqrt((1.0 - 0.5) * 0.5 ** np.arange(60)).astype(complex)
+    assert schmidt.schmidt_number(np.diag(amp)) == pytest.approx(3.0, abs=1e-9)
+    x = np.linspace(-12.0, 12.0, 384)
+    kernel = mehler_kernel(x, mehler_rho(0.6)).astype(complex)
+    assert schmidt.schmidt_number(kernel) == pytest.approx(1.25, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "arr, area",
+    [
+        (np.ones(8), 1.0),
+        (np.ones((1, 8)), 1.0),
+        (np.full((8, 8), np.nan), 1.0),
+        (np.zeros((8, 8), dtype=complex), 1.0),
+        (np.ones((8, 8)), 0.0),
+        (-np.ones((8, 8)), 1.0),
+    ],
+    ids=["1-D", "one-row", "non-finite", "all-zero", "cell-area", "negative-jsi"],
+)
+def test_gram_and_svd_refuse_the_same_inputs(arr, area):
+    with pytest.raises(ValidationError) as by_svd:
+        schmidt.schmidt_decompose(arr, cell_area=area)
+    with pytest.raises(ValidationError) as by_gram:
+        schmidt.schmidt_number(arr, cell_area=area)
+    assert str(by_gram.value) == str(by_svd.value)
+
+
 # -------------------------------------------------------------- output
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import os
 
 import numpy as np
 import pytest
 
-from hcfwm import config, sweeps
+from hcfwm import cli, config, schmidt, sweeps
 from hcfwm.errors import NumericalError, ValidationError
 from hcfwm.jsa import GaussianPump, SampledPump
 from hcfwm.phasematch import PhaseMatchBranch
@@ -68,6 +70,25 @@ def test_length_artifacts_written(tmp_path):
     assert result.points[1].artifacts == {"jsi_csv": "jsi_L_1m.csv"}
     for p in result.points:
         assert os.path.exists(tmp_path / p.artifacts["jsi_csv"])
+
+
+def test_length_sweep_runs_no_svd(monkeypatch):
+    """Sweep points take K from the Gram identity; an SVD on that path
+    would make every point cost two decompositions again."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep point ran an SVD")
+
+    assert not hasattr(sweeps, "schmidt_decompose")
+    monkeypatch.setattr(schmidt, "schmidt_decompose", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    cfg = cli.resolve_config("length_series")
+    cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, N=64))
+    result = sweeps.sweep_length(cfg, lengths=(0.4, 1.0))
+    assert result.gaps == () and len(result.points) == 2
+    for p in result.points:
+        assert math.isfinite(p.K_flat) and p.K_flat >= 1.0
+        assert math.isfinite(p.K_complex) and p.K_complex >= 1.0
 
 
 # ------------------------------------------------------ pressure sweeps
