@@ -321,8 +321,16 @@ def delta_eff(
     lam = np.asarray(lambda_nm, dtype=float)
     if check:
         structure = band_structure(fiber, gas)
-        for lam_i in np.atleast_1d(lam):
-            structure.require_band(float(lam_i))
+        flat = lam.ravel()
+        ok = structure.in_band_mask(flat)
+        # band_of's last test: the band the wavelength falls in exists
+        index = structure.band_index(flat)
+        for j in np.unique(index[ok]).tolist():
+            if roman(j) not in structure.bands_by_label:
+                ok &= index != j
+        # require_band on the first bad wavelength raises its own error
+        for i in np.flatnonzero(~ok).tolist():
+            structure.require_band(float(flat[i]))
     dg = gasmedia.delta_gas(gas, lam, check=check)
     n_gas = 1.0 + dg
     u = fiber.u

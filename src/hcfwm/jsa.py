@@ -480,9 +480,7 @@ def grid_to_csv(
     if values.shape != (lam_s.size, lam_i.size):
         raise ValidationError("grid shape does not match the wavelength axes")
     return export.to_csv(
-        ["0"] + lam_i.tolist(),
-        ([x] + row.tolist() for x, row in zip(lam_s.tolist(), values)),
-        path,
+        ["0"] + lam_i.tolist(), np.column_stack((lam_s, values)), path
     )
 
 

@@ -163,6 +163,4 @@ def schmidt_modes_to_csv(
         else:
             header += [f"S{m}", f"I{m}"]
             cols += [sig[:, m].real, idl[:, m].real]
-    return export.to_csv(
-        header, (row.tolist() for row in np.column_stack(cols)), path
-    )
+    return export.to_csv(header, np.column_stack(cols), path)

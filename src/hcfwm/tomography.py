@@ -72,6 +72,10 @@ class NoiseModel:
             object.__setattr__(self, "seed", (int(self.seed),))
         else:
             object.__setattr__(self, "seed", tuple(int(s) for s in self.seed))
+        if any(s < 0 for s in self.seed):
+            raise ValidationError(
+                f"noise seed entries must be >= 0, got {self.seed}"
+            )
 
     @property
     def active(self) -> bool:
@@ -371,15 +375,14 @@ def power_scaling_check(
 
 def set_scan_to_csv(scan: SetScan, path: str | None = None) -> str:
     """Long-format CSV, one row per (seed step, signal sample)."""
-    lam_s = scan.lambda_s_nm.tolist()
-    rows = (
-        (li, ls, v, pw)
-        for li, pw, counts in zip(
-            scan.lambda_i_nm.tolist(), scan.seed_power_W.tolist(), scan.slices
-        )
-        for ls, v in zip(lam_s, counts.tolist())
-    )
-    return export.to_csv(SET_CSV_HEADER.split(","), rows, path)
+    n_steps, n_signal = scan.slices.shape
+    table = np.column_stack((
+        np.repeat(scan.lambda_i_nm, n_signal),
+        np.tile(scan.lambda_s_nm, n_steps),
+        scan.slices.ravel(),
+        np.repeat(scan.seed_power_W, n_signal),
+    ))
+    return export.to_csv(SET_CSV_HEADER.split(","), table, path)
 
 
 def reconstruction_to_csv(rec: Reconstruction, path: str | None = None) -> str:

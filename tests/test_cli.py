@@ -557,6 +557,21 @@ def test_cli_import_leaves_scipy_unloaded(module, tmp_path):
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_csv_encoder_tables_unbuilt(tmp_path):
+    """The array encoder builds its lookup tables on first use, so that
+    start-up does not pay for them."""
+    proc = _fresh_python(
+        "import numpy, hcfwm.cli\n"
+        "from hcfwm import export\n"
+        "print(export._tables.cache_info().currsize)\n"
+        "export.to_csv(['a'], numpy.ones((1, 1)))\n"
+        "print(export._tables.cache_info().currsize)",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
 def test_cli_runs_with_scipy_blocked(tmp_path):
     """A None entry in sys.modules makes every scipy import raise."""
     out = tmp_path / "out"

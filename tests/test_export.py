@@ -7,9 +7,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import csv_writer_text
-from hcfwm import export, jsa
+from hcfwm import cli, export, jsa, sweeps
 from hcfwm.errors import NumericalError
 
 EDGE_VALUES = [
@@ -127,6 +129,114 @@ def test_csv_refuses_non_finite_in_numeric_rows(bad, row, tmp_path):
 def test_csv_text_cells_are_not_numbers():
     text = export.to_csv(("param", "info"), [("length_m", "inflated nano")])
     assert text == "param,info\nlength_m,inflated nano\n"
+
+
+# ------------------------------------------------ 2-D float64 tables
+
+
+def assert_encoded_alike(table):
+    """The array encoder, the row path and the per-cell oracle give the
+    same text for ``table``; a failure names the first differing cell."""
+    header = [f"c{j}" for j in range(table.shape[1])]
+    rows = table.tolist()
+    encoded = export.to_csv(header, table)
+    for other in (export.to_csv(header, rows), csv_writer_text(header, rows)):
+        if encoded != other:
+            pairs = zip(encoded.splitlines(), other.splitlines())
+            for line, (got, want) in enumerate(pairs, start=1):
+                for j, (a, b) in enumerate(zip(got.split(","), want.split(","))):
+                    assert a == b, f"line {line} cell {j}: {rows[line - 2][j]!r}"
+            assert encoded == other
+
+
+def test_table_random_bit_patterns_of_every_exponent():
+    rng = np.random.default_rng(20261018)
+    # 16 random mantissas and signs for each of the 2047 finite exponent
+    # fields (field 0: zero and the subnormals)
+    exponent = np.repeat(np.arange(2047, dtype=np.uint64), 16)
+    mantissa = rng.integers(0, 2**52, size=exponent.size, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=exponent.size, dtype=np.uint64)
+    bits = sign << np.uint64(63) | exponent << np.uint64(52) | mantissa
+    tiny = np.finfo(float).tiny
+    big = np.finfo(float).max
+    special = [0.0, -0.0, 5e-324, -5e-324, big, -big, tiny, np.nextafter(tiny, 0)]
+    cells = np.concatenate([bits.view(np.float64), special])
+    rng.shuffle(cells)
+    assert_encoded_alike(cells.reshape(-1, 24))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=48
+    ),
+    st.integers(1, 6),
+)
+def test_table_property_against_row_writers(cells, n_cols):
+    cells = cells * n_cols
+    assert_encoded_alike(np.array(cells).reshape(-1, n_cols))
+
+
+def test_table_ninth_digit_ties():
+    rng = np.random.default_rng(9)
+    mantissa = rng.integers(10**8, 10**9, size=3000)
+    scale = np.array([float(f"1e{k}") for k in rng.integers(-40, 30, size=3000)])
+    near = (mantissa + 0.5) * scale
+    # exact binary halves at the 9th digit, which round half to even
+    exact = [123456789.5, 123456788.5, 12345678.25, 12345678.75, 1234567.125,
+             1234567.375, 999999998.5, 100000000.5, 0.5, 2.5]
+    cells = np.concatenate([
+        near, np.nextafter(near, 0), np.nextafter(near, np.inf), exact,
+        np.negative(exact),
+    ])
+    assert_encoded_alike(cells.reshape(-1, 10))
+
+
+def test_table_format_switches():
+    """Where "%g" changes between fixed and exponent form, and where
+    rounding carries into a new exponent."""
+    switches = np.array([1e-5, 9.999999995e-5, 9.9999999949e-5, 1e-4, 1e-3,
+                         0.1, 1.0, 99999999.95, 999999999.4, 999999999.5,
+                         1e9, 1e16, 1e22, 1e100, 1e-100, 1e308, 1e-308])
+    cells = np.concatenate([switches, np.nextafter(switches, 0),
+                            np.nextafter(switches, np.inf)])
+    assert_encoded_alike(np.concatenate([cells, -cells]).reshape(-1, 6))
+
+
+@pytest.mark.parametrize("recipe", cli.bundled_recipes())
+def test_table_of_each_recipe_jsi_grid(recipe):
+    cfg = cli.resolve_config(recipe)
+    fiber = sweeps.fiber_from_config(cfg)
+    gas = sweeps.gas_from_config(cfg)
+    pump = sweeps.pump_from_config(cfg)
+    branch = cli._solve_branch(cfg, fiber, gas, pump)
+    grid = cli._build_grid(cfg, fiber, gas, pump, branch)
+    table = np.column_stack((grid.lambda_s_nm, jsa.jsi(grid)))
+    assert table.size > export._CHUNK_CELLS  # several chunks
+    assert_encoded_alike(table)
+
+
+def test_other_arrays_keep_the_row_path():
+    for table in (np.arange(12.0).reshape(3, 4).astype(np.float32) / 3,
+                  np.arange(-6, 6).reshape(4, 3), np.empty((3, 0))):
+        rows = [list(row) for row in table]
+        assert export.to_csv(["a"], table) == export.to_csv(["a"], rows)
+    assert export.to_csv(["a", "b"], np.empty((0, 2))) == "a,b\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("shape", [(5, 3), (20000, 3)])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_table_refuses_non_finite(bad, shape, where, tmp_path):
+    table = np.arange(shape[0] * shape[1], dtype=float).reshape(shape) / 7.0
+    row = {"first": 0, "middle": shape[0] // 2, "last": shape[0] - 1}[where]
+    table[row, row % 3] = bad
+    if where != "last":
+        table[-1, 0] = bad  # a later bad cell is not the one named
+    path = tmp_path / "table.csv"
+    with pytest.raises(NumericalError, match=f"line {row + 2} of table.csv"):
+        export.to_csv(("a", "b", "c"), table, str(path))
+    assert not path.exists()
 
 
 def test_json_layouts(tmp_path):

@@ -204,6 +204,34 @@ def test_derivatives_refuse_divergence_zone(fiber, xenon):
         fibermodel.delta_eff(fiber, xenon, lam2 * 1.001)
 
 
+@pytest.mark.parametrize("first_bad", ["window", "resonance"])
+def test_delta_eff_reports_the_first_bad_wavelength(fiber, xenon, first_bad):
+    """The whole array is checked at once; the error is the one
+    require_band gives for the first bad element, not for a later one."""
+    structure = fibermodel.band_structure(fiber, xenon)
+    outside = 5000.0
+    in_zone = structure.resonances_nm[0] * 1.004
+    bad, later = (outside, in_zone) if first_bad == "window" else (in_zone, outside)
+    lam = np.array([1030.0, 1100.0, bad, 1050.0, later])
+    with pytest.raises(RangeError) as got:
+        fibermodel.delta_eff(fiber, xenon, lam)
+    with pytest.raises(RangeError) as expected:
+        structure.require_band(bad)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    expected_type = RangeError if first_bad == "window" else DivergenceZoneError
+    assert type(got.value) is expected_type
+
+
+def test_delta_eff_check_leaves_values_alone(fiber, xenon):
+    lam = np.linspace(700.0, 1250.0, 512)
+    checked = fibermodel.delta_eff(fiber, xenon, lam)
+    np.testing.assert_array_equal(
+        checked, fibermodel.delta_eff(fiber, xenon, lam, check=False)
+    )
+    assert fibermodel.delta_eff(fiber, xenon, 700.0) == checked[0]
+
+
 def test_model_window_intersects_gas_and_silica(fiber, xenon, vacuum):
     assert fibermodel.model_window_nm(fiber, xenon) == (250.0, 3200.0)
     assert fibermodel.model_window_nm(fiber, vacuum) == (210.0, 3710.0)

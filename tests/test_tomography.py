@@ -161,6 +161,9 @@ def test_noise_model_validation():
     with pytest.raises(ValidationError, match="dark_floor"):
         NoiseModel(dark_floor=-1.0)
     assert NoiseModel(seed=7).seed == (7,)
+    for seed in (-5, (3, -1)):
+        with pytest.raises(ValidationError, match="seed entries must be >= 0"):
+            NoiseModel(rel_sigma=0.01, seed=seed)
     assert not NoiseModel().active
     assert NoiseModel(rel_sigma=0.01).active
 
