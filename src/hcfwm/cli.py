@@ -10,7 +10,7 @@ inf that an artifact would have held).
 
 Output files never embed wall-clock times or absolute paths, so a rerun
 with the same config and the same --label is byte-identical.  Runs are
-single-threaded; --threads is still accepted for compatibility.  The
+single-threaded; --threads is accepted (it must be >= 1) and ignored.  The
 bundled gas data can be replaced by pointing the HCFWM_GAS_DATA
 environment variable at an alternative table.
 """
@@ -121,30 +121,14 @@ class _Run:
         print(f"wrote {self.path('manifest.json')}  (run manifest)")
 
 
-def _solve_branch(cfg: RunConfig, fiber, gas, pump):
-    branches = phasematch.solve_phase_matching(
-        fiber,
-        gas,
-        pump.omega_p0,
-        detuning_window=cfg.phasematch.detuning_window(),
-        pump_peak_power_W=cfg.phasematch.pump_peak_power_W,
-        grid_points=cfg.phasematch.grid_points,
-    )
-    return sweeps_mod.select_branch(
-        branches, seed_idler_nm=cfg.phasematch.seed_idler_nm
-    )
-
-
-def _build_grid(cfg: RunConfig, fiber, gas, pump, branch):
-    return jsa.build_jsa(
-        fiber,
-        gas,
-        pump,
-        branch,
-        cfg.fiber_length_m,
-        n=cfg.grid.N,
-        kappa_span=cfg.grid.span,
-        mode=cfg.grid.mode,
+def _point_grid(cfg: RunConfig):
+    """The JSA at the config's operating point and fiber length."""
+    fiber = sweeps_mod.fiber_from_config(cfg)
+    gas = sweeps_mod.gas_from_config(cfg)
+    pump = sweeps_mod.pump_from_config(cfg)
+    branch = sweeps_mod.solve_branch(cfg, fiber, gas, pump)
+    return sweeps_mod.build_grid(
+        cfg, fiber, gas, pump, branch, cfg.fiber_length_m
     )
 
 
@@ -220,14 +204,7 @@ def cmd_phasematch(run: _Run) -> None:
     fiber = sweeps_mod.fiber_from_config(cfg)
     gas = sweeps_mod.gas_from_config(cfg)
     pump = sweeps_mod.pump_from_config(cfg)
-    branches = phasematch.solve_phase_matching(
-        fiber,
-        gas,
-        pump.omega_p0,
-        detuning_window=cfg.phasematch.detuning_window(),
-        pump_peak_power_W=cfg.phasematch.pump_peak_power_W,
-        grid_points=cfg.phasematch.grid_points,
-    )
+    branches = sweeps_mod.solve_branches(cfg, fiber, gas, pump)
     L = cfg.fiber_length_m
     _write_rows(
         run.path("branches.csv"),
@@ -272,11 +249,7 @@ def cmd_phasematch(run: _Run) -> None:
 
 def cmd_jsa(run: _Run) -> None:
     cfg = run.cfg
-    fiber = sweeps_mod.fiber_from_config(cfg)
-    gas = sweeps_mod.gas_from_config(cfg)
-    pump = sweeps_mod.pump_from_config(cfg)
-    branch = _solve_branch(cfg, fiber, gas, pump)
-    grid = _build_grid(cfg, fiber, gas, pump, branch)
+    grid = _point_grid(cfg)
     marg = jsa.marginals(grid)
     if run.wants("json"):
         jsa.jsa_to_json(grid, run.path("jsa.json"))
@@ -287,11 +260,8 @@ def cmd_jsa(run: _Run) -> None:
         _write_rows(
             run.path("marginals.csv"),
             ("lambda_s_nm", "signal", "lambda_i_nm", "idler"),
-            zip(
-                grid.lambda_s_nm.tolist(),
-                marg.signal.tolist(),
-                grid.lambda_i_nm.tolist(),
-                marg.idler.tolist(),
+            np.column_stack(
+                (grid.lambda_s_nm, marg.signal, grid.lambda_i_nm, marg.idler)
             ),
         )
         run.add("marginals.csv", "signal and idler marginal spectra")
@@ -307,11 +277,7 @@ def cmd_jsa(run: _Run) -> None:
 
 def cmd_schmidt(run: _Run) -> None:
     cfg = run.cfg
-    fiber = sweeps_mod.fiber_from_config(cfg)
-    gas = sweeps_mod.gas_from_config(cfg)
-    pump = sweeps_mod.pump_from_config(cfg)
-    branch = _solve_branch(cfg, fiber, gas, pump)
-    grid = _build_grid(cfg, fiber, gas, pump, branch)
+    grid = _point_grid(cfg)
     flat = schmidt.schmidt_decompose(grid, flat_phase=True)
     cplx = schmidt.schmidt_decompose(grid, flat_phase=False)
     if run.wants("json"):
@@ -338,11 +304,7 @@ def cmd_set_sim(run: _Run) -> None:
             "config section 'set_sim' is required for the set-sim subcommand"
         )
     ss = cfg.set_sim
-    fiber = sweeps_mod.fiber_from_config(cfg)
-    gas = sweeps_mod.gas_from_config(cfg)
-    pump = sweeps_mod.pump_from_config(cfg)
-    branch = _solve_branch(cfg, fiber, gas, pump)
-    grid = _build_grid(cfg, fiber, gas, pump, branch)
+    grid = _point_grid(cfg)
     seed_axis = np.linspace(
         float(fibermodel.omega_from_lambda_nm(ss.seed_max_nm)),
         float(fibermodel.omega_from_lambda_nm(ss.seed_min_nm)),
@@ -453,14 +415,7 @@ def cmd_density_map(run: _Run) -> None:
         )
     fiber = sweeps_mod.fiber_from_config(cfg)
     gas = sweeps_mod.gas_from_config(cfg)
-    records = phasematch.density_map(
-        fiber,
-        gas,
-        (cfg.density_map.pump_min_nm, cfg.density_map.pump_max_nm),
-        cfg.density_map.pump_steps,
-        detuning_window=cfg.phasematch.detuning_window(),
-        grid_points=cfg.phasematch.grid_points,
-    )
+    records = sweeps_mod.density_records(cfg, fiber, gas)
     phasematch.density_map_to_csv(records, run.path("density.csv"))
     run.add("density.csv", "phase-matched branches over the pump scan")
     families: dict[tuple[str, str], list[float]] = {}

@@ -3,8 +3,8 @@
 CSV: one header row, then one row per record; cells joined by ",", rows
 ended by "\\n".  A text cell is written as it is, a number as "%.9g".
 The rows come in one of two forms, with the same text from either:
-- an iterable of rows, each an iterable of cells: a row of numbers is
-  formatted with one "%" call, a row holding text cell by cell;
+- an iterable of rows, each an iterable of cells, formatted cell by
+  cell: the form for tables that hold text;
 - a 2-D float64 ndarray, one table row per array row: numpy encodes it,
   about 32k cells at a time, into the bytes that "%.9g" gives.
 JSON: keys sorted; compact for grids and decompositions, indent=1 plus a
@@ -29,20 +29,8 @@ from .errors import NumericalError
 _NON_FINITE_CELL = re.compile(r"(?:^|,)-?(?:nan|inf)(?=,|$)", re.M)
 
 
-# cells per row -> "%.9g,...,%.9g", the format of an all-numeric row
-_ROW_FORMATS: dict[int, str] = {}
-
-
 def _line(cells) -> str:
-    cells = tuple(cells)
-    fmt = _ROW_FORMATS.get(len(cells))
-    if fmt is None:
-        fmt = _ROW_FORMATS[len(cells)] = ",".join(["%.9g"] * len(cells))
-    try:
-        return fmt % cells
-    except TypeError:
-        # a text cell: "%.9g" refuses it, so join cell by cell
-        return ",".join([c if isinstance(c, str) else "%.9g" % c for c in cells])
+    return ",".join([c if isinstance(c, str) else "%.9g" % c for c in cells])
 
 
 # An array table is encoded this many cells at a time (rounded to whole

@@ -326,22 +326,18 @@ def density_map(
     steps: int,
     detuning_window: tuple[float, float] | None = None,
     grid_points: int = DEFAULT_GRID_POINTS,
-    threads: int = 1,
 ) -> list[DensityRecord]:
     """Branches for every pump on a wavelength grid.
 
     Pumps that land outside a band, or whose solve fails numerically, are
     recorded as gaps (no rows) rather than aborting the map.  Pumps are
-    solved one after another and the rows come out in pump order;
-    ``threads`` is accepted for compatibility and must be >= 1.
+    solved one after another and the rows come out in pump order.
     """
     lo, hi = float(pump_range_nm[0]), float(pump_range_nm[1])
     if not 0.0 < lo < hi:
         raise ValidationError(f"bad pump range ({lo}, {hi}) nm")
     if steps < 2:
         raise ValidationError("steps must be >= 2")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
     pumps = np.linspace(lo, hi, int(steps))
 
     def work(lam_p: float) -> list[DensityRecord]:

@@ -150,6 +150,8 @@ def schmidt_modes_to_csv(
 ) -> str:
     """Leading Schmidt mode vectors as CSV columns (real part, then imag
     when any mode is complex)."""
+    if n_modes < 1:
+        raise ValidationError(f"n_modes must be >= 1, got {n_modes}")
     n = min(int(n_modes), result.n_modes)
     sig = result.signal_modes[:, :n]
     idl = result.idler_modes[:, :n]

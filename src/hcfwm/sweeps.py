@@ -1,5 +1,9 @@
 """Parameter-study drivers: length series, pressure series, thickness maps.
 
+It is also the one place where a RunConfig reaches the physics, for the
+command line and the drivers alike: the ``*_from_config`` functions,
+``solve_branches``/``solve_branch``, ``build_grid`` and ``density_records``.
+
 Each driver re-solves the phase-matching branch where the parameter
 changes it, evaluates the JSA and its Schmidt numbers per point, and
 aggregates centroids and angles into one summary table.  Per-point
@@ -26,7 +30,7 @@ from .config import RunConfig
 from .errors import HcfwmError, NumericalError, ValidationError
 from .fibermodel import FiberModel, omega_from_lambda_nm
 from .gasmedia import GasState, make_gas
-from .jsa import GaussianPump, SampledPump, build_jsa, jsi_to_csv, marginals
+from .jsa import GaussianPump, JsaGrid, SampledPump, build_jsa, jsi_to_csv, marginals
 from .phasematch import (
     DensityRecord,
     PhaseMatchBranch,
@@ -45,6 +49,10 @@ __all__ = [
     "gas_from_config",
     "pump_from_config",
     "select_branch",
+    "solve_branches",
+    "solve_branch",
+    "build_grid",
+    "density_records",
     "sweep_length",
     "sweep_pressure",
     "sweep_thickness",
@@ -183,33 +191,53 @@ def select_branch(
     return max(branches, key=lambda b: b.delta_omega)
 
 
-def _evaluate_point(
-    cfg: RunConfig,
-    fiber: FiberModel,
-    gas: GasState,
-    pump,
-    branch: PhaseMatchBranch,
-    L_m: float,
-    value: float,
-    out_dir: str | None,
-    stem: str,
-) -> SweepPoint:
-    grid = build_jsa(
-        fiber,
-        gas,
-        pump,
-        branch,
-        L_m,
-        n=cfg.grid.N,
-        kappa_span=cfg.grid.span,
-        mode=cfg.grid.mode,
+def solve_branches(cfg: RunConfig, fiber, gas, pump) -> list[PhaseMatchBranch]:
+    """Every phase-matched branch at the pump, under ``cfg.phasematch``."""
+    pm = cfg.phasematch
+    return solve_phase_matching(
+        fiber, gas, pump.omega_p0,
+        detuning_window=pm.detuning_window(),
+        pump_peak_power_W=pm.pump_peak_power_W,
+        grid_points=pm.grid_points,
     )
+
+
+def solve_branch(cfg: RunConfig, fiber, gas, pump, prev=None) -> PhaseMatchBranch:
+    """The one branch a run follows, picked by ``select_branch``."""
+    return select_branch(
+        solve_branches(cfg, fiber, gas, pump),
+        prev=prev,
+        seed_idler_nm=cfg.phasematch.seed_idler_nm,
+    )
+
+
+def build_grid(cfg: RunConfig, fiber, gas, pump, branch, L_m: float) -> JsaGrid:
+    """The JSA of ``branch`` over a length ``L_m``, on ``cfg.grid``."""
+    g = cfg.grid
+    return build_jsa(
+        fiber, gas, pump, branch, L_m, n=g.N, kappa_span=g.span, mode=g.mode
+    )
+
+
+def density_records(cfg: RunConfig, fiber, gas) -> list[DensityRecord]:
+    """The density map over the pump scan of ``cfg.density_map``."""
+    dm = cfg.density_map
+    return density_map(
+        fiber, gas, (dm.pump_min_nm, dm.pump_max_nm), dm.pump_steps,
+        detuning_window=cfg.phasematch.detuning_window(),
+        grid_points=cfg.phasematch.grid_points,
+    )
+
+
+def _evaluate_point(cfg: RunConfig, fiber, pump, value, gas, branch, L_m,
+                    out_dir, stem) -> SweepPoint:
+    grid = build_grid(cfg, fiber, gas, pump, branch, L_m)
     k_flat = schmidt_number(grid, flat_phase=True)
     k_complex = schmidt_number(grid, flat_phase=False)
     marg = marginals(grid)
     artifacts: dict = {}
     if out_dir is not None:
-        fname = f"{stem}.csv"
+        fname = stem.format(value)
         jsi_to_csv(grid, os.path.join(out_dir, fname))
         artifacts["jsi_csv"] = fname
     return SweepPoint(
@@ -224,6 +252,25 @@ def _evaluate_point(
         signal_omega=marg.centroid_omega_s,
         artifacts=artifacts,
     )
+
+
+def _sweep_points(cfg: RunConfig, fiber, pump, values, at, out_dir, stem):
+    """(points, gaps) over ``values`` in order.  ``at(value)`` gives the
+    gas, branch and length of a point; a point that fails is a gap."""
+    points: list[SweepPoint] = []
+    gaps: list[SweepGap] = []
+    for value in values:
+        # each point's grid is freed in _evaluate_point, before the next
+        # one is built
+        try:
+            points.append(
+                _evaluate_point(
+                    cfg, fiber, pump, value, *at(value), out_dir, stem
+                )
+            )
+        except HcfwmError as exc:
+            gaps.append(SweepGap(value=value, reason=str(exc)))
+    return tuple(points), tuple(gaps)
 
 
 def _check_axis(name: str, values) -> tuple[float, ...]:
@@ -247,13 +294,11 @@ def sweep_length(
     cfg: RunConfig,
     lengths=None,
     out_dir: str | None = None,
-    threads: int = 1,
 ) -> SweepResult:
     """JSA and Schmidt numbers for a series of fiber lengths.
 
     The branch is pressure- and pump-determined, so it is solved once
-    and shared by all lengths.  Points run one after another in axis
-    order; ``threads`` is accepted for compatibility and ignored.
+    and shared by all lengths; points run in axis order.
     """
     if lengths is None:
         if cfg.sweep_length is None:
@@ -265,44 +310,18 @@ def sweep_length(
     fiber = fiber_from_config(cfg)
     gas = gas_from_config(cfg)
     pump = pump_from_config(cfg)
-    branches = solve_phase_matching(
-        fiber,
-        gas,
-        pump.omega_p0,
-        detuning_window=cfg.phasematch.detuning_window(),
-        pump_peak_power_W=cfg.phasematch.pump_peak_power_W,
-        grid_points=cfg.phasematch.grid_points,
+    branch = solve_branch(cfg, fiber, gas, pump)
+    points, gaps = _sweep_points(
+        cfg, fiber, pump, lengths, lambda L: (gas, branch, L), out_dir,
+        "jsi_L_{:g}m.csv",
     )
-    branch = select_branch(
-        branches, seed_idler_nm=cfg.phasematch.seed_idler_nm
-    )
-
-    points: list[SweepPoint] = []
-    gaps: list[SweepGap] = []
-    for L in lengths:
-        try:
-            points.append(
-                _evaluate_point(
-                    cfg, fiber, gas, pump, branch, L, L, out_dir,
-                    f"jsi_L_{L:g}m",
-                )
-            )
-        except HcfwmError as exc:
-            gaps.append(SweepGap(value=L, reason=str(exc)))
-    return SweepResult(
-        param="length_m",
-        unit="m",
-        points=tuple(points),
-        gaps=tuple(gaps),
-        fit=None,
-    )
+    return SweepResult(param="length_m", unit="m", points=points, gaps=gaps)
 
 
 def sweep_pressure(
     cfg: RunConfig,
     pressures=None,
     out_dir: str | None = None,
-    threads: int = 1,
 ) -> SweepResult:
     """Branch, JSA, and centroids across a gas-pressure series.
 
@@ -310,8 +329,7 @@ def sweep_pressure(
     the previous point's (omega_s, omega_i); the first point honors
     phasematch.seed_idler_nm when several families coexist.  The fit is
     idler centroid frequency (THz = 10^12 rad/s) vs pressure (bar); it
-    needs at least two successful points.  ``threads`` is accepted for
-    compatibility and ignored.
+    needs at least two successful points.
     """
     if pressures is None:
         if cfg.sweep_pressure is None:
@@ -323,37 +341,19 @@ def sweep_pressure(
     pressures = _check_axis("pressure_bar", pressures)
     fiber = fiber_from_config(cfg)
     pump = pump_from_config(cfg)
-
-    points: list[SweepPoint] = []
-    gaps: list[SweepGap] = []
     prev: tuple[float, float] | None = None
-    for P in pressures:
-        try:
-            gas = gas_from_config(cfg, pressure_bar=P)
-            branches = solve_phase_matching(
-                fiber,
-                gas,
-                pump.omega_p0,
-                detuning_window=cfg.phasematch.detuning_window(),
-                pump_peak_power_W=cfg.phasematch.pump_peak_power_W,
-                grid_points=cfg.phasematch.grid_points,
-            )
-            branch = select_branch(
-                branches,
-                prev=prev,
-                seed_idler_nm=cfg.phasematch.seed_idler_nm,
-            )
-            # chaining follows the selected branch even if its JSA fails
-            prev = (branch.omega_s, branch.omega_i)
-            points.append(
-                _evaluate_point(
-                    cfg, fiber, gas, pump, branch, cfg.fiber_length_m, P,
-                    out_dir, f"jsi_P_{P:g}bar",
-                )
-            )
-        except HcfwmError as exc:
-            gaps.append(SweepGap(value=P, reason=str(exc)))
 
+    def at(P: float):
+        nonlocal prev
+        gas = gas_from_config(cfg, pressure_bar=P)
+        branch = solve_branch(cfg, fiber, gas, pump, prev)
+        # chaining follows the selected branch even if its JSA fails
+        prev = (branch.omega_s, branch.omega_i)
+        return gas, branch, cfg.fiber_length_m
+
+    points, gaps = _sweep_points(
+        cfg, fiber, pump, pressures, at, out_dir, "jsi_P_{:g}bar.csv"
+    )
     if len(points) < 2:
         raise NumericalError(
             "pressure sweep produced fewer than 2 successful points "
@@ -375,40 +375,37 @@ def sweep_pressure(
     return SweepResult(
         param="pressure_bar",
         unit="bar",
-        points=tuple(points),
-        gaps=tuple(gaps),
+        points=points,
+        gaps=gaps,
         fit=fit,
     )
 
 
-def sweep_thickness(
-    cfg: RunConfig,
-    t_values_nm,
-    threads: int = 1,
-) -> list[ThicknessMap]:
+def sweep_thickness(cfg: RunConfig, t_values_nm) -> list[ThicknessMap]:
     """Phase-matching density map per strut thickness; [] for no values."""
-    maps: list[ThicknessMap] = []
     if cfg.density_map is None:
         raise ValidationError(
             "config section 'density_map' is required for thickness maps"
         )
-    base = fiber_from_config(cfg)
-    gas = gas_from_config(cfg)
+    t_values_nm = tuple(t_values_nm)
     for t in t_values_nm:
+        if isinstance(t, bool) or not isinstance(t, numbers.Real):
+            raise ValidationError(
+                f"strut thickness must be a number of nm, got {t!r}"
+            )
         if t <= 0.0:
             raise ValidationError(f"strut thickness must be > 0 nm, got {t}")
-        fiber = replace(base, t_nm=float(t))
-        records = density_map(
-            fiber,
-            gas,
-            (cfg.density_map.pump_min_nm, cfg.density_map.pump_max_nm),
-            cfg.density_map.pump_steps,
-            detuning_window=cfg.phasematch.detuning_window(),
-            grid_points=cfg.phasematch.grid_points,
-            threads=threads,
+    base = fiber_from_config(cfg)
+    gas = gas_from_config(cfg)
+    return [
+        ThicknessMap(
+            t_nm=float(t),
+            records=tuple(
+                density_records(cfg, replace(base, t_nm=float(t)), gas)
+            ),
         )
-        maps.append(ThicknessMap(t_nm=float(t), records=tuple(records)))
-    return maps
+        for t in t_values_nm
+    ]
 
 
 def summary_csv(result: SweepResult, path: str | None = None) -> str:

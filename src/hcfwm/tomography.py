@@ -207,7 +207,6 @@ def simulate_set_scan(
     noise: NoiseModel | None = None,
     gain: float = 1.0,
     duty_cycle: float = 1.0,
-    threads: int = 1,
 ) -> SetScan:
     """Forward-simulate a seeded scan of the ground-truth JSI.
 
@@ -215,7 +214,6 @@ def simulate_set_scan(
     N_seed the seed photon number for that step.  Noise draws use one
     splittable stream per slice (``NoiseModel.rng_for_slice``), so each
     slice's noise is fixed by the noise seed and the slice index alone.
-    ``threads`` is accepted for compatibility and ignored.
     """
     seed_omega_i = np.atleast_1d(np.asarray(seed_omega_i, dtype=float))
     if seed_omega_i.size < 1:

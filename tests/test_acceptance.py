@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from hcfwm import cli, jsa, phasematch, schmidt, sweeps, tomography
+from hcfwm import cli, jsa, schmidt, sweeps, tomography
 from hcfwm.fibermodel import omega_from_lambda_nm
 from hcfwm.phasematch import PhaseMatchBranch
 
@@ -53,7 +53,7 @@ def tuning_cfg():
 
 @pytest.fixture(scope="module")
 def tuning_sweep(tuning_cfg):
-    return sweeps.sweep_pressure(tuning_cfg, threads=4)
+    return sweeps.sweep_pressure(tuning_cfg)
 
 
 @pytest.fixture(scope="module")
@@ -75,15 +75,9 @@ def truth512(series_cfg):
     fiber = sweeps.fiber_from_config(series_cfg)
     gas = sweeps.gas_from_config(series_cfg)
     pump = sweeps.pump_from_config(series_cfg)
-    branches = phasematch.solve_phase_matching(
-        fiber, gas, pump.omega_p0,
-        grid_points=series_cfg.phasematch.grid_points,
-    )
-    branch = sweeps.select_branch(branches)
-    grid = jsa.build_jsa(
-        fiber, gas, pump, branch,
-        series_cfg.fiber_length_m, n=series_cfg.grid.N,
-        kappa_span=series_cfg.grid.span,
+    branch = sweeps.solve_branch(series_cfg, fiber, gas, pump)
+    grid = sweeps.build_grid(
+        series_cfg, fiber, gas, pump, branch, series_cfg.fiber_length_m
     )
     return fiber, gas, pump, branch, grid
 
@@ -237,13 +231,7 @@ def _recipe_density_map(name):
     cfg = cli.resolve_config(name)
     fiber = sweeps.fiber_from_config(cfg)
     gas = sweeps.gas_from_config(cfg)
-    dm = cfg.density_map
-    return phasematch.density_map(
-        fiber, gas, (dm.pump_min_nm, dm.pump_max_nm), dm.pump_steps,
-        detuning_window=cfg.phasematch.detuning_window(),
-        grid_points=cfg.phasematch.grid_points,
-        threads=4,
-    )
+    return sweeps.density_records(cfg, fiber, gas)
 
 
 def test_thin_strut_map_single_family():
@@ -428,26 +416,26 @@ def test_invariant_grid_refinement(truth512, series_cfg):
 
 
 def test_invariant_thread_independence(tuning_cfg, truth512):
+    """Runs are single-threaded, so the invariant is a same-seed rerun
+    giving the same bytes and the same noisy slices."""
     pressures = (3.0, 3.2, 3.4)
-    serial = sweeps.summary_csv(
-        sweeps.sweep_pressure(tuning_cfg, pressures=pressures, threads=1)
-    )
-    threaded = sweeps.summary_csv(
-        sweeps.sweep_pressure(tuning_cfg, pressures=pressures, threads=3)
+    first, again = (
+        sweeps.summary_csv(
+            sweeps.sweep_pressure(tuning_cfg, pressures=pressures)
+        )
+        for _ in range(2)
     )
     *_, grid = truth512
     noise = tomography.NoiseModel(rel_sigma=0.02, dark_floor=1e-20, seed=3)
     axis = grid.omega_i[::32]
     scans = [
-        tomography.simulate_set_scan(
-            grid, axis, 0.2, 5e-8, noise=noise, threads=t
-        ).slices
-        for t in (1, 4)
+        tomography.simulate_set_scan(grid, axis, 0.2, 5e-8, noise=noise).slices
+        for _ in range(2)
     ]
-    ok = serial == threaded and np.array_equal(scans[0], scans[1])
+    ok = first == again and np.array_equal(scans[0], scans[1])
     _report(
-        "invariant: thread independence", ok,
-        f"pressure-sweep summaries byte-identical: {serial == threaded}; "
+        "invariant: same-seed rerun", ok,
+        f"pressure-sweep summaries byte-identical: {first == again}; "
         f"noisy scan slices identical: {np.array_equal(scans[0], scans[1])}",
     )
     assert ok

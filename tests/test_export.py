@@ -209,8 +209,8 @@ def test_table_of_each_recipe_jsi_grid(recipe):
     fiber = sweeps.fiber_from_config(cfg)
     gas = sweeps.gas_from_config(cfg)
     pump = sweeps.pump_from_config(cfg)
-    branch = cli._solve_branch(cfg, fiber, gas, pump)
-    grid = cli._build_grid(cfg, fiber, gas, pump, branch)
+    branch = sweeps.solve_branch(cfg, fiber, gas, pump)
+    grid = sweeps.build_grid(cfg, fiber, gas, pump, branch, cfg.fiber_length_m)
     table = np.column_stack((grid.lambda_s_nm, jsa.jsi(grid)))
     assert table.size > export._CHUNK_CELLS  # several chunks
     assert_encoded_alike(table)

@@ -180,13 +180,14 @@ def test_branch_ordering_validation():
 
 
 def test_density_map_thread_invariance(fiber, xenon):
+    """A rerun of the same map gives the same records."""
     kwargs = dict(
         pump_range_nm=(1020.0, 1040.0), steps=5, grid_points=1200
     )
-    serial = phasematch.density_map(fiber, xenon, threads=1, **kwargs)
-    threaded = phasematch.density_map(fiber, xenon, threads=3, **kwargs)
-    assert len(serial) >= 5  # every pump here phase-matches at least once
-    assert serial == threaded
+    first = phasematch.density_map(fiber, xenon, **kwargs)
+    repeat = phasematch.density_map(fiber, xenon, **kwargs)
+    assert len(first) >= 5  # every pump here phase-matches at least once
+    assert first == repeat
 
 
 def test_density_map_gaps_over_divergence_zone(fiber, xenon):
@@ -207,9 +208,6 @@ def test_density_map_validation(fiber, xenon):
         phasematch.density_map(fiber, xenon, (1040.0, 1020.0), steps=3)
     with pytest.raises(ValidationError, match="steps"):
         phasematch.density_map(fiber, xenon, (1020.0, 1040.0), steps=1)
-    with pytest.raises(ValidationError, match="threads"):
-        phasematch.density_map(fiber, xenon, (1020.0, 1040.0), steps=2,
-                               threads=0)
 
 
 def test_density_csv_layout(fiber, xenon):

@@ -277,3 +277,12 @@ def test_modes_csv_headers(grid128):
     assert text_c.splitlines()[0] == (
         "S0_re,S0_im,I0_re,I0_im,S1_re,S1_im,I1_re,I1_im"
     )
+
+
+@pytest.mark.parametrize("n_modes", [0, -1])
+def test_modes_csv_needs_one_mode(grid128, n_modes, tmp_path):
+    res = schmidt.schmidt_decompose(grid128, flat_phase=True)
+    path = tmp_path / "modes.csv"
+    with pytest.raises(ValidationError, match=f"n_modes must be >= 1, got {n_modes}"):
+        schmidt.schmidt_modes_to_csv(res, n_modes=n_modes, path=str(path))
+    assert not path.exists()

