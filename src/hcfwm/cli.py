@@ -171,9 +171,9 @@ def cmd_dispersion(run: _Run) -> None:
         lo, hi = band.usable_lo_nm, band.usable_hi_nm
         margin = 1e-3 * (hi - lo)
         grid = np.linspace(lo + margin, hi - margin, _DISPERSION_SAMPLES_PER_BAND)
-        for lam in grid:
-            pt = fibermodel.dispersion_derivatives(fiber, gas, float(lam))
-            rows.append((pt.lambda_nm, band.label, pt.k, pt.beta1, pt.beta2))
+        pt = fibermodel.dispersion_derivatives(fiber, gas, grid)
+        table = np.column_stack((pt.lambda_nm, pt.k, pt.beta1, pt.beta2))
+        rows += [(lam, band.label, *rest) for lam, *rest in table.tolist()]
         try:
             zdws[band.label] = fibermodel.find_zdw(fiber, gas, band)
         except NumericalError:

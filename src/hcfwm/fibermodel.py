@@ -206,7 +206,22 @@ class BandStructure:
 
     def require_band(self, lambda_nm: float) -> Band:
         """Like band_of, but raises a specific error instead of None."""
-        lam = float(lambda_nm)
+        self.require_bands(lambda_nm)
+        return self.band_of(lambda_nm)
+
+    def require_bands(self, lambda_nm) -> None:
+        """Check a whole array at once; the first wavelength that band_of
+        maps to None raises the error that says why."""
+        flat = np.asarray(lambda_nm, dtype=float).ravel()
+        ok = self.in_band_mask(flat)
+        # band_of's last test: the band the wavelength falls in exists
+        index = self.band_index(flat)
+        for j in np.unique(index[ok]).tolist():
+            if roman(j) not in self.bands_by_label:
+                ok &= index != j
+        if ok.all():
+            return
+        lam = float(flat[np.argmin(ok)])
         lo, hi = self.window_nm
         if not (lo < lam < hi):
             raise RangeError(
@@ -220,10 +235,7 @@ class BandStructure:
                     f"wall resonance at {lj:.6g} nm where the tube model diverges",
                     lambda_j_nm=lj,
                 )
-        band = self.band_of(lam)
-        if band is None:
-            raise RangeError(f"{lam:.6g} nm is not inside any transmission band")
-        return band
+        raise RangeError(f"{lam:.6g} nm is not inside any transmission band")
 
 
 def model_window_nm(fiber: FiberModel, gas: GasState) -> tuple[float, float]:
@@ -320,17 +332,7 @@ def delta_eff(
     """
     lam = np.asarray(lambda_nm, dtype=float)
     if check:
-        structure = band_structure(fiber, gas)
-        flat = lam.ravel()
-        ok = structure.in_band_mask(flat)
-        # band_of's last test: the band the wavelength falls in exists
-        index = structure.band_index(flat)
-        for j in np.unique(index[ok]).tolist():
-            if roman(j) not in structure.bands_by_label:
-                ok &= index != j
-        # require_band on the first bad wavelength raises its own error
-        for i in np.flatnonzero(~ok).tolist():
-            structure.require_band(float(flat[i]))
+        band_structure(fiber, gas).require_bands(lam)
     dg = gasmedia.delta_gas(gas, lam, check=check)
     n_gas = 1.0 + dg
     u = fiber.u
@@ -361,7 +363,7 @@ def wavevector(fiber: FiberModel, gas: GasState, omega, check: bool = True):
 
 @dataclass(frozen=True)
 class DispersionPoint:
-    """Local dispersion at one wavelength."""
+    """Local dispersion at one wavelength, or per element of an array."""
 
     lambda_nm: float
     omega: float
@@ -370,44 +372,50 @@ class DispersionPoint:
     beta2: float    # s^2/m
 
 
-def _stencil_ok(structure: BandStructure, omega_pts: np.ndarray) -> bool:
-    lam = lambda_nm_from_omega(omega_pts)
-    return bool(np.all(structure.in_band_mask(lam)))
-
-
 def dispersion_derivatives(
-    fiber: FiberModel, gas: GasState, lambda_nm: float
+    fiber: FiberModel, gas: GasState, lambda_nm
 ) -> DispersionPoint:
-    """k, beta1, beta2 at one wavelength by central differences on kappa.
+    """k, beta1, beta2 by central differences on kappa, at one wavelength
+    or per element of an array (the fields then take its shape).
 
     beta1 = 1/c + d kappa / d omega at relative step 1e-5; beta2 from the
     second central difference at relative step 1e-4.  If a stencil point
-    lands outside the band (near a resonance or window edge) the steps are
-    halved up to three times before giving up.
+    lands outside the band (near a resonance or window edge) that element's
+    steps are halved up to three times before giving up.  The first
+    wavelength outside a band, or without room for a stencil, names the
+    error.
     """
-    lam0 = float(lambda_nm)
+    lam0 = np.asarray(lambda_nm, dtype=float)
     structure = band_structure(fiber, gas)
-    structure.require_band(lam0)
-    om0 = float(omega_from_lambda_nm(lam0))
+    structure.require_bands(lam0)
+    lam = lam0.ravel()
+    om0 = omega_from_lambda_nm(lam)
 
-    h1, h2 = BETA1_REL_STEP * om0, BETA2_REL_STEP * om0
-    for _ in range(4):
-        pts = np.array([om0 - h2, om0 - h1, om0, om0 + h1, om0 + h2])
-        if _stencil_ok(structure, pts):
-            kap = reduced_kappa(fiber, gas, pts, check=False)
-            beta1 = 1.0 / _C + (kap[3] - kap[1]) / (2.0 * h1)
-            beta2 = (kap[4] - 2.0 * kap[2] + kap[0]) / h2**2
-            return DispersionPoint(
-                lambda_nm=lam0, omega=om0,
-                k=om0 / _C + float(kap[2]),
-                beta1=float(beta1), beta2=float(beta2),
-            )
-        h1, h2 = 0.5 * h1, 0.5 * h2
-    raise StencilError(
-        f"no room for a dispersion stencil at {lam0:.6g} nm; a band edge or "
-        f"resonance exclusion zone is closer than {BETA2_REL_STEP / 8:.1e} "
-        f"(relative) in omega"
-    )
+    # row a of h1 and h2 halves the steps a times; pts is (5, 4, lam.size)
+    halving = 0.5 ** np.arange(4.0)[:, None]
+    h1, h2 = BETA1_REL_STEP * om0 * halving, BETA2_REL_STEP * om0 * halving
+    pts = om0 + np.array([-h2, -h1, np.zeros_like(h1), h1, h2])
+    fits = np.all(structure.in_band_mask(lambda_nm_from_omega(pts)), axis=0)
+    room = fits.any(axis=0)
+    if not room.all():
+        raise StencilError(
+            f"no room for a dispersion stencil at {lam[np.argmin(room)]:.6g} nm; "
+            f"a band edge or resonance exclusion zone is closer than "
+            f"{BETA2_REL_STEP / 8:.1e} (relative) in omega"
+        )
+    first, cols = np.argmax(fits, axis=0), np.arange(lam.size)
+    h1, h2, pts = h1[first, cols], h2[first, cols], pts[:, first, cols]
+
+    kap = reduced_kappa(fiber, gas, pts, check=False)
+    k = om0 / _C + kap[2]
+    beta1 = 1.0 / _C + (kap[3] - kap[1]) / (2.0 * h1)
+    # float_power is libm pow per element, as float ** 2 is; h2**2 on an
+    # array is h2 * h2, which can differ from it in the last bit
+    beta2 = (kap[4] - 2.0 * kap[2] + kap[0]) / np.float_power(h2, 2)
+    fields = (lam, om0, k, beta1, beta2)
+    if lam0.ndim == 0:
+        return DispersionPoint(*(float(f[0]) for f in fields))
+    return DispersionPoint(*(f.reshape(lam0.shape) for f in fields))
 
 
 def _beta2_on_grid(
@@ -496,6 +504,8 @@ def find_zdw(
     points on every run; a different root finder would land elsewhere in
     the noise band.
     """
+    if not math.isfinite(grid_points):
+        raise ValidationError(f"grid_points must be finite, got {grid_points}")
     structure = band_structure(fiber, gas)
     if isinstance(band, str):
         try:

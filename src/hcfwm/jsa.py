@@ -204,6 +204,11 @@ def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
+def _check_length(L_m: float) -> None:
+    if not (math.isfinite(L_m) and L_m > 0.0):
+        raise ValidationError(f"fiber length must be finite and > 0 m, got {L_m}")
+
+
 def phi_function(
     fiber: FiberModel | None,
     gas: GasState | None,
@@ -222,8 +227,7 @@ def phi_function(
     omega_bar = (omega_s + omega_i)/2, requiring fiber and gas.
     |phi| <= 1 everywhere.
     """
-    if L_m <= 0.0:
-        raise ValidationError(f"fiber length must be > 0 m, got {L_m}")
+    _check_length(L_m)
     om_s = np.asarray(omega_s, dtype=float)
     om_i = np.asarray(omega_i, dtype=float)
     if mode == "linearized":
@@ -295,12 +299,11 @@ def build_jsa(
     mode: str = "linearized",
 ) -> JsaGrid:
     """JSA grid centered on a solved branch, normalized to unit L2 norm."""
-    if L_m <= 0.0:
-        raise ValidationError(f"fiber length must be > 0 m, got {L_m}")
-    if n < 8:
-        raise ValidationError("grid size n must be >= 8")
-    if kappa_span <= 0.0:
-        raise ValidationError("kappa_span must be > 0")
+    _check_length(L_m)
+    if not (math.isfinite(n) and n >= 8):
+        raise ValidationError(f"grid size n must be >= 8 and finite, got {n}")
+    if not (math.isfinite(kappa_span) and kappa_span > 0.0):
+        raise ValidationError(f"kappa_span must be finite and > 0, got {kappa_span}")
 
     sigma = _pump_sizing_sigma(pump)
     half = kappa_span * max(np.sqrt(2.0) * sigma, np.sqrt(branch.dphi_width(L_m)))

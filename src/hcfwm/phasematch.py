@@ -12,10 +12,12 @@ A_eff = pi R_eff^2, off by default (P_peak = 0).
 
 The solver scans delta_omega on a dense grid, masks out points whose signal
 or idler falls outside a transmission band or inside a resonance exclusion
-zone, brackets every sign change of delta_k within contiguous valid runs,
-and bisects each bracket until |delta_k| <= 1e-4 rad/m.  Because the band
+zone, and brackets every sign change of delta_k between adjacent valid
+points, all with array operations.  One bisection loop then halves every
+bracket at once until each has |delta_k| <= 1e-4 rad/m.  Because the band
 structure is split by wall resonances, several disjoint solutions can
-coexist; each solved branch is annotated with its band labels, the
+coexist; each solved branch is annotated with its band labels, beta1 of
+pump, signal and idler (from one dispersion_derivatives call per pump), the
 stripe angle
 
     theta = -arctan((beta1_p - beta1_s) / (beta1_p - beta1_i))
@@ -45,6 +47,7 @@ from .fibermodel import (
     FiberModel,
     lambda_nm_from_omega,
     omega_from_lambda_nm,
+    roman,
 )
 from .gasmedia import GasState
 
@@ -159,17 +162,21 @@ def delta_k(
 ):
     """Wavevector mismatch k_s + k_i - 2 k_p in rad/m.
 
-    Symmetric under signal-idler exchange.  With nonzero peak power the
-    Kerr term -2 gamma P is included.
+    The three frequency sets broadcast together; kappa is evaluated once
+    for all of them, checked in the order signal, idler, pump.  Symmetric
+    under signal-idler exchange.  With nonzero peak power the Kerr term
+    -2 gamma P is included.
     """
     _check_peak_power(pump_peak_power_W)
-    ks = fibermodel.reduced_kappa(fiber, gas, omega_s, check=check)
-    ki = fibermodel.reduced_kappa(fiber, gas, omega_i, check=check)
-    kp = fibermodel.reduced_kappa(fiber, gas, omega_p, check=check)
+    om = [np.asarray(w, dtype=float) for w in (omega_s, omega_i, omega_p)]
+    kappa = fibermodel.reduced_kappa(
+        fiber, gas, np.concatenate([w.ravel() for w in om]), check=check
+    )
+    ends = np.cumsum([w.size for w in om])
+    ks, ki, kp = (kappa[e - w.size:e].reshape(w.shape) for e, w in zip(ends, om))
     out = ks + ki - 2.0 * kp
     if pump_peak_power_W > 0.0:
-        om_p = np.asarray(omega_p, dtype=float)
-        out = out - 2.0 * kerr_gamma(fiber, gas, om_p) * pump_peak_power_W
+        out = out - 2.0 * kerr_gamma(fiber, gas, om[2]) * pump_peak_power_W
     return out
 
 
@@ -190,8 +197,7 @@ def solve_phase_matching(
     """
     _check_peak_power(pump_peak_power_W)
     structure = fibermodel.band_structure(fiber, gas)
-    lam_p = float(lambda_nm_from_omega(omega_p))
-    band_p = structure.require_band(lam_p)
+    band_p = structure.require_band(float(lambda_nm_from_omega(omega_p)))
     win_lo, win_hi = structure.window_nm
 
     if detuning_window is None:
@@ -202,107 +208,89 @@ def solve_phase_matching(
         ) * (1.0 - 1e-9)
     else:
         dw_lo, dw_hi = float(detuning_window[0]), float(detuning_window[1])
-    if not 0.0 < dw_lo < dw_hi:
+    if not (0.0 < dw_lo < dw_hi and math.isfinite(dw_hi)):
         raise ValidationError(
-            f"detuning window must satisfy 0 < min < max, got ({dw_lo}, {dw_hi})"
+            "detuning window must be finite and satisfy 0 < min < max, got "
+            f"({dw_lo}, {dw_hi})"
         )
-    if grid_points < 16:
-        raise ValidationError("grid_points must be >= 16")
+    if not (math.isfinite(grid_points) and grid_points >= 16):
+        raise ValidationError(
+            f"grid_points must be finite and >= 16, got {grid_points}"
+        )
+
+    def mismatch(detuning):
+        return delta_k(
+            fiber, gas, omega_p, omega_p + detuning, omega_p - detuning,
+            pump_peak_power_W, check=False,
+        )
 
     dw = np.linspace(dw_lo, dw_hi, int(grid_points))
-    omega_s = omega_p + dw
-    omega_i = omega_p - dw
-    ok = structure.in_band_mask(lambda_nm_from_omega(omega_s))
-    ok &= structure.in_band_mask(lambda_nm_from_omega(omega_i))
-    ok &= omega_i > 0.0
+    ok = structure.in_band_mask(lambda_nm_from_omega(omega_p + dw))
+    ok &= structure.in_band_mask(lambda_nm_from_omega(omega_p - dw))
+    ok &= omega_p - dw > 0.0
+    dk = np.full(dw.shape, np.nan)
+    dk[ok] = mismatch(dw[ok])
 
-    kp = float(fibermodel.reduced_kappa(fiber, gas, np.array([omega_p]), check=False)[0])
-    gamma_term = (
-        2.0 * kerr_gamma(fiber, gas, omega_p) * pump_peak_power_W
-        if pump_peak_power_W > 0.0
-        else 0.0
-    )
+    # in a cell with both ends valid, a zero at the left end is a root and
+    # a sign change is a bracket; so is a NaN product, which is bisected
+    # (and normally stalls with an error) rather than skipped
+    fa, fb = dk[:-1], dk[1:]
+    cell_ok = ok[:-1] & ok[1:]
+    exact = cell_ok & (fa == 0.0)
+    cells = np.flatnonzero(exact | cell_ok & ~(fa * fb >= 0.0))
+    roots = dw[cells]
+    residuals = np.zeros(cells.size)
 
-    mismatch = np.full(dw.shape, np.nan)
-    if np.any(ok):
-        mismatch[ok] = (
-            fibermodel.reduced_kappa(fiber, gas, omega_s[ok], check=False)
-            + fibermodel.reduced_kappa(fiber, gas, omega_i[ok], check=False)
-            - 2.0 * kp
-            - gamma_term
+    # bisect every bracket together until |delta_k| <= BISECT_TOL_RAD_M;
+    # live indexes the brackets still open
+    live = np.flatnonzero(~exact[cells])
+    a, b, fa = dw[cells[live]], dw[cells[live] + 1], fa[cells[live]]
+    for _ in range(200):
+        if not live.size:
+            break
+        m = 0.5 * (a + b)
+        fm = mismatch(m)
+        roots[live], residuals[live] = m, fm
+        left = fa * fm < 0.0
+        a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
+        keep = np.abs(fm) > BISECT_TOL_RAD_M
+        live, a, b, fa = live[keep], a[keep], b[keep], fa[keep]
+    if live.size:
+        k = live[0]
+        raise NumericalError(
+            f"bisection stalled at delta_omega = {roots[k]:.6e} rad/s with "
+            f"|delta_k| = {abs(residuals[k]):.3e} rad/m > {BISECT_TOL_RAD_M} rad/m"
         )
 
-    def f(detuning: float) -> float:
-        ks = fibermodel.reduced_kappa(
-            fiber, gas, np.array([omega_p + detuning]), check=False
-        )[0]
-        ki = fibermodel.reduced_kappa(
-            fiber, gas, np.array([omega_p - detuning]), check=False
-        )[0]
-        return float(ks + ki - 2.0 * kp - gamma_term)
-
-    roots: list[tuple[float, float]] = []  # (delta_omega, residual)
-    for i in range(dw.size - 1):
-        if not (ok[i] and ok[i + 1]):
-            continue
-        fa, fb = mismatch[i], mismatch[i + 1]
-        if fa == 0.0:
-            roots.append((float(dw[i]), 0.0))
-            continue
-        if fa * fb >= 0.0:
-            continue
-        a, b = float(dw[i]), float(dw[i + 1])
-        fm = fa
-        m = a
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = f(m)
-            if abs(fm) <= BISECT_TOL_RAD_M:
-                break
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        else:
-            raise NumericalError(
-                f"bisection stalled at delta_omega = {m:.6e} rad/s with "
-                f"|delta_k| = {abs(fm):.3e} rad/m > {BISECT_TOL_RAD_M} rad/m"
-            )
-        roots.append((m, fm))
-
-    cell = float(dw[1] - dw[0]) if dw.size > 1 else 0.0
-    roots.sort(key=lambda r: r[0])
-    for (r1, _), (r2, _) in zip(roots, roots[1:]):
+    cell = float(dw[1] - dw[0])
+    for r1, r2 in zip(roots.tolist(), roots[1:].tolist()):
         if r2 - r1 < 2.0 * cell:
             warnings.warn(
                 f"phase-matching roots {r1:.4e} and {r2:.4e} rad/s are closer "
                 f"than two grid cells; increase grid_points to resolve them",
                 stacklevel=2,
             )
+    if not roots.size:
+        return []
 
-    branches = []
-    for detuning, residual in roots:
-        om_s = omega_p + detuning
-        om_i = omega_p - detuning  # exact energy conservation by construction
-        lam_s = float(lambda_nm_from_omega(om_s))
-        lam_i = float(lambda_nm_from_omega(om_i))
-        band_s = structure.require_band(lam_s)
-        band_i = structure.require_band(lam_i)
-        branches.append(
-            PhaseMatchBranch(
-                omega_p=omega_p,
-                omega_s=om_s,
-                omega_i=om_i,
-                band_p=band_p.label,
-                band_s=band_s.label,
-                band_i=band_i.label,
-                beta1_p=fibermodel.dispersion_derivatives(fiber, gas, lam_p).beta1,
-                beta1_s=fibermodel.dispersion_derivatives(fiber, gas, lam_s).beta1,
-                beta1_i=fibermodel.dispersion_derivatives(fiber, gas, lam_i).beta1,
-                residual_rad_m=residual,
-            )
+    # beta1 and bands of the pump, then of (signal, idler) per root; energy
+    # is conserved by construction
+    om_si = np.column_stack((omega_p + roots, omega_p - roots))
+    lam = lambda_nm_from_omega(np.concatenate(([omega_p], om_si.ravel())))
+    beta1 = fibermodel.dispersion_derivatives(fiber, gas, lam).beta1
+    bands = np.array([roman(j) for j in structure.band_index(lam[1:])])
+    return [
+        PhaseMatchBranch(
+            omega_p=omega_p, omega_s=om_s, omega_i=om_i,
+            band_p=band_p.label, band_s=band_s, band_i=band_i,
+            beta1_p=float(beta1[0]), beta1_s=beta1_s, beta1_i=beta1_i,
+            residual_rad_m=residual,
         )
-    return branches
+        for (om_s, om_i), (band_s, band_i), (beta1_s, beta1_i), residual in zip(
+            om_si.tolist(), bands.reshape(-1, 2).tolist(),
+            beta1[1:].reshape(-1, 2).tolist(), residuals.tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -336,19 +324,18 @@ def density_map(
     lo, hi = float(pump_range_nm[0]), float(pump_range_nm[1])
     if not 0.0 < lo < hi:
         raise ValidationError(f"bad pump range ({lo}, {hi}) nm")
-    if steps < 2:
-        raise ValidationError("steps must be >= 2")
-    pumps = np.linspace(lo, hi, int(steps))
-
-    def work(lam_p: float) -> list[DensityRecord]:
+    if not (math.isfinite(steps) and steps >= 2):
+        raise ValidationError(f"steps must be finite and >= 2, got {steps}")
+    records: list[DensityRecord] = []
+    for lam_p in np.linspace(lo, hi, int(steps)).tolist():
         try:
             branches = solve_phase_matching(
                 fiber, gas, float(omega_from_lambda_nm(lam_p)),
                 detuning_window=detuning_window, grid_points=grid_points,
             )
         except (RangeError, NumericalError):
-            return []
-        return [
+            continue
+        records.extend(
             DensityRecord(
                 lambda_p_nm=lam_p,
                 delta_omega=b.delta_omega,
@@ -360,9 +347,8 @@ def density_map(
                 lambda_i_nm=b.lambda_i_nm,
             )
             for b in branches
-        ]
-
-    return [rec for lam in pumps for rec in work(float(lam))]
+        )
+    return records
 
 
 def density_map_to_csv(records: list[DensityRecord], path=None) -> str:

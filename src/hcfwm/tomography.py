@@ -17,6 +17,7 @@ across a 30 nm sweep near 1550 nm the neglected variation is below 1%.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,14 +61,12 @@ class NoiseModel:
     seed: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        if self.rel_sigma < 0.0:
-            raise ValidationError(
-                f"noise rel_sigma must be >= 0, got {self.rel_sigma}"
-            )
-        if self.dark_floor < 0.0:
-            raise ValidationError(
-                f"noise dark_floor must be >= 0, got {self.dark_floor}"
-            )
+        for name in ("rel_sigma", "dark_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(
+                    f"noise {name} must be finite and >= 0, got {value}"
+                )
         if isinstance(self.seed, (int, np.integer)):
             object.__setattr__(self, "seed", (int(self.seed),))
         else:
@@ -119,11 +118,12 @@ class SetScan:
             raise ValidationError(
                 "seed power profile must match the sweep axis length"
             )
-        if np.any(self.seed_power_W <= 0.0):
-            raise ValidationError("monitored seed powers must be > 0 W")
-        if self.pump_power_W <= 0.0:
+        if not np.all(np.isfinite(self.seed_power_W) & (self.seed_power_W > 0.0)):
+            raise ValidationError("monitored seed powers must be finite and > 0 W")
+        if not (math.isfinite(self.pump_power_W) and self.pump_power_W > 0.0):
             raise ValidationError(
-                f"pump power must be > 0 W, got {self.pump_power_W}"
+                "pump power must be finite and > 0 W, got "
+                f"pump_power_W={self.pump_power_W}"
             )
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ValidationError(
@@ -219,7 +219,7 @@ def simulate_set_scan(
     if seed_omega_i.size < 1:
         raise ValidationError("seed sweep must contain at least one step")
     lo, hi = float(truth.omega_i[0]), float(truth.omega_i[-1])
-    if np.any(seed_omega_i < lo) or np.any(seed_omega_i > hi):
+    if not np.all((seed_omega_i >= lo) & (seed_omega_i <= hi)):
         raise RangeError(
             "seed sweep leaves the ground-truth idler axis "
             f"[{lo:.6g}, {hi:.6g}] rad/s"
@@ -229,15 +229,16 @@ def simulate_set_scan(
     ).copy()
     if noise is None:
         noise = NoiseModel()
-    if gain <= 0.0:
-        raise ValidationError(f"gain must be > 0, got {gain}")
+    if not (math.isfinite(gain) and gain > 0.0):
+        raise ValidationError(f"gain must be finite and > 0, got {gain}")
 
     intensity = jsi(truth)
     omega_ref = float(0.5 * (seed_omega_i[0] + seed_omega_i[-1]))
     n_seed = powers * duty_cycle / (hbar * omega_ref)
     prefactor = gain * pump_power_W**2
 
-    def one_slice(k: int) -> np.ndarray:
+    rows = []
+    for k in range(seed_omega_i.size):
         out = prefactor * n_seed[k] * _interp_jsi_slice(
             intensity, truth.omega_i, seed_omega_i[k]
         )
@@ -249,9 +250,7 @@ def simulate_set_scan(
             np.maximum(out, 0.0, out=out)
         if noise.dark_floor > 0.0:
             out = out + noise.dark_floor
-        return out
-
-    rows = [one_slice(k) for k in range(seed_omega_i.size)]
+        rows.append(out)
 
     return SetScan(
         omega_i=seed_omega_i,

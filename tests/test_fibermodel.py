@@ -204,6 +204,74 @@ def test_derivatives_refuse_divergence_zone(fiber, xenon):
         fibermodel.delta_eff(fiber, xenon, lam2 * 1.001)
 
 
+def _halved_stencil_wavelength(structure):
+    """A band II wavelength whose full-size stencil reaches into the band I
+    exclusion zone, but whose once-halved stencil fits."""
+    lam = structure.resonances_nm[0] * 0.995 * (1.0 - 7e-5)
+    om0 = float(fibermodel.omega_from_lambda_nm(lam))
+    reach = fibermodel.lambda_nm_from_omega(
+        om0 * (1.0 - np.array([1.0, 0.5]) * fibermodel.BETA2_REL_STEP)
+    )
+    assert structure.in_band_mask(reach).tolist() == [False, True]
+    return lam
+
+
+def test_dispersion_derivatives_array_is_per_element(fiber, xenon):
+    """An array call gives bit for bit the k, beta1 and beta2 of one call
+    per element, halved stencils included, and keeps the input shape."""
+    structure = fibermodel.band_structure(fiber, xenon)
+    halved = _halved_stencil_wavelength(structure)
+    lam = np.array([[780.0, 1030.0, halved], [1500.0, 1700.0, 900.0]])
+    got = fibermodel.dispersion_derivatives(fiber, xenon, lam)
+    for field in ("lambda_nm", "omega", "k", "beta1", "beta2"):
+        assert getattr(got, field).shape == lam.shape
+    for index in np.ndindex(lam.shape):
+        one = fibermodel.dispersion_derivatives(fiber, xenon, float(lam[index]))
+        assert (got.k[index], got.beta1[index], got.beta2[index]) == (
+            one.k, one.beta1, one.beta2
+        )
+        assert isinstance(one.beta2, float)
+
+    # the halved element, formed by hand on the once-halved stencil
+    om0 = float(fibermodel.omega_from_lambda_nm(halved))
+    h1 = 0.5 * fibermodel.BETA1_REL_STEP * om0
+    h2 = 0.5 * fibermodel.BETA2_REL_STEP * om0
+    kap = fibermodel.reduced_kappa(
+        fiber, xenon, np.array([om0 - h2, om0 - h1, om0, om0 + h1, om0 + h2]),
+        check=False,
+    )
+    c = scipy.constants.c
+    assert got.k[0, 2] == om0 / c + kap[2]
+    assert got.beta1[0, 2] == 1.0 / c + (kap[3] - kap[1]) / (2.0 * h1)
+    assert got.beta2[0, 2] == (kap[4] - 2.0 * kap[2] + kap[0]) / h2**2
+
+
+def test_dispersion_derivatives_array_names_the_first_bad(fiber, xenon):
+    structure = fibermodel.band_structure(fiber, xenon)
+    lam1, lam2 = structure.resonances_nm[:2]
+    no_room = (lam1 * 0.995 * (1.0 - 1e-6), lam1 * 0.995 * (1.0 - 2e-6))
+    with pytest.raises(StencilError) as got:
+        fibermodel.dispersion_derivatives(
+            fiber, xenon, np.array([1030.0, no_room[0], 900.0, no_room[1]])
+        )
+    assert f"at {no_room[0]:.6g} nm" in str(got.value)
+    in_zone = (lam2 * 1.001, lam1 * 1.004)
+    with pytest.raises(DivergenceZoneError) as got:
+        fibermodel.dispersion_derivatives(
+            fiber, xenon, np.array([1030.0, in_zone[0], in_zone[1], no_room[0]])
+        )
+    assert got.value.lambda_j_nm == lam2
+    with pytest.raises(DivergenceZoneError) as expected:
+        structure.require_band(in_zone[0])
+    assert str(got.value) == str(expected.value)
+
+
+def test_find_zdw_rejects_non_finite_grid_points(fiber, xenon):
+    for points in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="grid_points"):
+            fibermodel.find_zdw(fiber, xenon, "I", grid_points=points)
+
+
 @pytest.mark.parametrize("first_bad", ["window", "resonance"])
 def test_delta_eff_reports_the_first_bad_wavelength(fiber, xenon, first_bad):
     """The whole array is checked at once; the error is the one

@@ -368,6 +368,22 @@ def test_build_jsa_validation(fiber, xenon, pump, branch):
                       mode="exact")
 
 
+def test_non_finite_sizes_and_lengths_are_refused(fiber, xenon, pump, branch):
+    nan = float("nan")
+    for L_m in (nan, float("inf")):
+        with pytest.raises(ValidationError, match="length"):
+            jsa.phi_function(None, None, branch, branch.omega_s,
+                             branch.omega_i, L_m)
+        with pytest.raises(ValidationError, match="length"):
+            jsa.build_jsa(fiber, xenon, pump, branch, L_m=L_m)
+    for n in (nan, float("inf")):
+        with pytest.raises(ValidationError, match="grid size n"):
+            jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=n)
+    for span in (nan, float("inf")):
+        with pytest.raises(ValidationError, match="kappa_span"):
+            jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, kappa_span=span)
+
+
 # ----------------------------------------------------- marginals and IO
 
 

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcfwm import fibermodel, phasematch
-from hcfwm.errors import DivergenceZoneError, RangeError, ValidationError
+from hcfwm.errors import (
+    DivergenceZoneError,
+    NumericalError,
+    RangeError,
+    ValidationError,
+)
 from hcfwm.fibermodel import omega_from_lambda_nm
 
 # frozen regression values: xenon 3.4 bar, 1030 nm pump, reference fiber
@@ -107,6 +112,95 @@ def test_solver_input_validation(fiber, xenon):
             phasematch.solve_phase_matching(
                 fiber, xenon, om_p, pump_peak_power_W=power
             )
+
+
+def test_solver_rejects_non_finite_inputs(fiber, xenon):
+    om_p = float(omega_from_lambda_nm(1030.0))
+    with pytest.raises(ValidationError, match="detuning window"):
+        phasematch.solve_phase_matching(
+            fiber, xenon, om_p, detuning_window=(1e14, float("inf"))
+        )
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="grid_points"):
+            phasematch.solve_phase_matching(fiber, xenon, om_p, grid_points=bad)
+        with pytest.raises(ValidationError, match="steps"):
+            phasematch.density_map(fiber, xenon, (1020.0, 1040.0), steps=bad)
+
+
+def test_two_brackets_solve_as_two_sub_windows(fiber, xenon):
+    """Bisecting two brackets in one loop gives the branches that two
+    one-bracket windows give.  The windows share their grid points exactly
+    (steps of 1e12 rad/s), so the brackets, and so the branches, match bit
+    for bit."""
+    om_p = float(omega_from_lambda_nm(740.0))
+
+    def solve(lo_THz, hi_THz):
+        return phasematch.solve_phase_matching(
+            fiber, xenon, om_p, detuning_window=(lo_THz * 1e12, hi_THz * 1e12),
+            grid_points=hi_THz - lo_THz + 1,
+        )
+
+    both = solve(400, 1100)
+    assert len(both) == 2
+    assert both == solve(400, 760) + solve(760, 1100)
+    for br in both:
+        assert abs(br.residual_rad_m) <= phasematch.BISECT_TOL_RAD_M
+        assert br.family == ("III", "II")
+
+    # reference: each bracket bisected on its own, one detuning at a time
+    def mismatch(d):
+        return float(phasematch.delta_k(
+            fiber, xenon, om_p, om_p + d, om_p - d, check=False
+        ))
+
+    dw = np.linspace(400e12, 1100e12, 701)
+    expected = []
+    for a, b in zip(dw.tolist(), dw[1:].tolist()):
+        fa = mismatch(a)
+        if fa * mismatch(b) >= 0.0:
+            continue
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            fm = mismatch(m)
+            if abs(fm) <= phasematch.BISECT_TOL_RAD_M:
+                break
+            if fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        expected.append((om_p + m, fm))
+    assert [(br.omega_s, br.residual_rad_m) for br in both] == expected
+
+
+def test_grid_zero_stall_and_close_roots(fiber, xenon, monkeypatch):
+    """A mismatch of exactly 0 on a grid point is a root with residual 0; a
+    sign change that never comes within tolerance raises; roots closer than
+    two cells warn.  The mismatch is replaced by simple functions of the
+    signal frequency; grid steps are 1e12 rad/s exactly."""
+    om_p = float(omega_from_lambda_nm(1030.0))
+
+    def solve_with(mismatch):
+        monkeypatch.setattr(
+            phasematch, "delta_k",
+            lambda fiber, gas, om_p, om_s, om_i, *args, **kw: mismatch(om_s),
+        )
+        return phasematch.solve_phase_matching(
+            fiber, xenon, om_p, detuning_window=(100e12, 200e12),
+            grid_points=101,
+        )
+
+    on_grid = om_p + 150e12
+    (root,) = solve_with(lambda om_s: (om_s - on_grid) * 1e-12)
+    assert (root.omega_s, root.residual_rad_m) == (on_grid, 0.0)
+    assert root.omega_i == om_p - 150e12
+
+    with pytest.raises(NumericalError, match="bisection stalled"):
+        solve_with(lambda om_s: np.where(om_s < om_p + 170.5e12, -1.0, 1.0))
+
+    near = (om_p + 150.2e12, om_p + 151.4e12)
+    with pytest.warns(UserWarning, match="closer than two grid cells"):
+        pair = solve_with(lambda om_s: (om_s - near[0]) * (om_s - near[1]) * 1e-24)
+    assert [br.omega_s for br in pair] == pytest.approx(near, abs=1e8)
 
 
 def test_no_roots_returns_empty_list(fiber, xenon):

@@ -127,6 +127,34 @@ def test_pressure_sweep_records_gaps_and_still_fits():
     assert result.fit is not None and result.fit.n_points == 2
 
 
+def test_pressure_sweep_chains_to_the_nearest_branch(monkeypatch):
+    """Each pressure takes the branch nearest the previous point's, even
+    where another branch is more detuned."""
+    cfg = make_cfg()
+    fiber, pump = sweeps.fiber_from_config(cfg), sweeps.pump_from_config(cfg)
+    real = sweeps.solve_branch(cfg, fiber, sweeps.gas_from_config(cfg), pump)
+
+    def detuned(scale):
+        d = real.delta_omega * scale
+        return dataclasses.replace(
+            real, omega_s=real.omega_p + d, omega_i=real.omega_p - d
+        )
+
+    # point 1 follows the most detuned branch; from point 2 on, a branch
+    # close to it competes with one that is more detuned but far away
+    calls = iter([
+        [detuned(0.99), detuned(1.0)],
+        [detuned(1.0005), detuned(1.01)],
+        [detuned(1.02), detuned(1.001)],
+    ])
+    monkeypatch.setattr(sweeps, "solve_branches", lambda *args: next(calls))
+    result = sweeps.sweep_pressure(cfg, pressures=(3.3, 3.4, 3.5))
+    assert result.gaps == ()
+    assert [p.branch for p in result.points] == [
+        detuned(1.0), detuned(1.0005), detuned(1.001)
+    ]
+
+
 def test_pressure_sweep_needs_two_points():
     cfg = make_cfg(
         phasematch={"detuning_min_THz": 100.0, "detuning_max_THz": 200.0}

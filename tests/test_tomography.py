@@ -168,6 +168,22 @@ def test_noise_model_validation():
     assert NoiseModel(rel_sigma=0.01).active
 
 
+def test_non_finite_noise_and_scan_inputs_are_refused(grid128):
+    axis = grid128.omega_i[:4]
+    for bad in (float("nan"), float("inf")):
+        for name in ("rel_sigma", "dark_floor"):
+            with pytest.raises(ValidationError, match=name):
+                NoiseModel(**{name: bad})
+        with pytest.raises(ValidationError, match="pump_power_W"):
+            tomography.simulate_set_scan(grid128, axis, bad, 1e-3)
+        with pytest.raises(ValidationError, match="gain"):
+            tomography.simulate_set_scan(grid128, axis, 1.0, 1e-3, gain=bad)
+        with pytest.raises(ValidationError, match="seed powers"):
+            tomography.simulate_set_scan(grid128, axis, 1.0, bad)
+    with pytest.raises(RangeError, match="seed sweep"):
+        tomography.simulate_set_scan(grid128, [float("nan")], 1.0, 1e-3)
+
+
 def test_noise_is_reproducible_and_thread_invariant(grid128):
     noise = NoiseModel(rel_sigma=0.01, dark_floor=2.0, seed=(42,))
     kwargs = dict(
