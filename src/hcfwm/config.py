@@ -24,7 +24,9 @@ from typing import Any, Callable
 
 import yaml
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
+from .fibermodel import MAX_MODE_N
+from .jsa import MAX_GRID_N
 
 __all__ = [
     "FiberConfig",
@@ -54,13 +56,6 @@ SANITY_MAX_BAR = 20.0  # upper end of the gas-model sanity range (0, 20] bar
 # built: tuning_ar has 21 points, and without a cap a stop_bar of 1e300 or
 # a step_bar of 1e-9 would allocate without limit instead of failing.
 MAX_PRESSURE_POINTS = 10_000
-# Sizes checked before anything is allocated.  One complex N x N grid at
-# N = 4096 holds 256 MiB, and the largest N the tests use is 1024; a mode
-# order of 1000 makes the Bessel-zero eigensolve 2064 x 2064 (34 MB).
-# Without the caps, grid.N: 1e20 fails inside numpy and fiber.mode_n:
-# 1000000 asks for a 29 TiB matrix.
-MAX_GRID_N = 4096
-MAX_MODE_N = 1000
 _RANGE_KEYS = ("start_bar", "stop_bar", "step_bar")
 
 
@@ -69,75 +64,40 @@ _RANGE_KEYS = ("start_bar", "stop_bar", "step_bar")
 _Check = Callable[[str, Any], Any]
 
 
-def _number(path: str, value: Any) -> float:
-    """A number or numeric string as float; booleans are rejected.
+def _number(path: str, value: Any, **bounds: Any) -> float:
+    """A number or numeric string as float, through ``check_number``.
 
     PyYAML reads 50e-9 (no dot in the mantissa) as a string, so numeric
-    strings stay accepted.
+    strings stay accepted here, and only here.
     """
-    if not isinstance(value, bool):
+    if isinstance(value, str):
         try:
-            return float(value)
-        except (TypeError, ValueError):
+            value = float(value)
+        except ValueError:
             pass
-    raise ValidationError(f"config key '{path}' must be a number, got {value!r}")
+    return float(check_number(f"config key '{path}'", value, **bounds))
 
 
 def _positive(path: str, value: Any) -> float:
-    value = _number(path, value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(
-            f"config key '{path}' must be finite and > 0, got {value}"
-        )
-    return value
+    return _number(path, value, lo=0, lo_open=True)
 
 
 def _nonnegative(path: str, value: Any) -> float:
-    value = _number(path, value)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValidationError(
-            f"config key '{path}' must be finite and >= 0, got {value}"
-        )
-    return value
+    return _number(path, value, lo=0)
 
 
 def _integer(minimum: int, maximum: int | None = None) -> _Check:
-    """An int (booleans rejected), at least `minimum`, and at most
-    `maximum` if one is given."""
-
-    def check(path: str, value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(
-                f"config key '{path}' must be an integer, got {value!r}"
-            )
-        if value < minimum:
-            raise ValidationError(
-                f"config key '{path}' must be >= {minimum}, got {value}"
-            )
-        if maximum is not None and value > maximum:
-            raise ValidationError(
-                f"config key '{path}' must be <= {maximum}, got {value}"
-            )
-        return int(value)
-
-    return check
+    """An integer, at least `minimum`, and at most `maximum` if given."""
+    return lambda path, value: check_number(
+        f"config key '{path}'", value, lo=minimum, hi=maximum, integer=True
+    )
 
 
 def _interval(lo: int, hi: int, ends: str) -> _Check:
     """A number in the interval lo..hi, `ends` being e.g. '[)' or '(]'."""
-
-    def check(path: str, value: Any) -> float:
-        x = _number(path, value)
-        above = lo <= x if ends[0] == "[" else lo < x
-        below = x <= hi if ends[1] == "]" else x < hi
-        if not (above and below):
-            raise ValidationError(
-                f"config key '{path}' must be in "
-                f"{ends[0]}{lo}, {hi}{ends[1]}, got {x}"
-            )
-        return x
-
-    return check
+    return lambda path, value: _number(
+        path, value, lo=lo, lo_open=ends[0] == "(", hi=hi, hi_open=ends[1] == ")"
+    )
 
 
 def _text(noun: str, show_value: bool = True) -> _Check:

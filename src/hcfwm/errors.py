@@ -7,16 +7,23 @@ Two top-level families, matching the two CLI exit codes:
   inside a resonance exclusion zone, over-clipped grids).
 * NumericalError (exit 2): the inputs were legal but a numerical procedure
   failed (root bracketing, fixed-point iteration, derivative stencils).
+
+Every scalar numeric argument of the library passes ``check_number``, the
+one input boundary; only the config layer turns numeric strings into
+numbers before it.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class HcfwmError(Exception):
     """Base class for all package errors."""
 
 
-class ValidationError(HcfwmError):
+class ValidationError(HcfwmError, ValueError):
     """Invalid input, configuration, or precondition."""
 
 
@@ -50,3 +57,50 @@ class ConvergenceError(NumericalError):
 
 class StencilError(NumericalError):
     """Finite-difference stencil could not be placed inside a valid band."""
+
+
+def check_number(
+    name: str,
+    value,
+    *,
+    lo=None,
+    lo_open: bool = False,
+    hi=None,
+    hi_open: bool = False,
+    integer: bool = False,
+    kind: str | None = None,
+):
+    """``value`` if it is a finite real number inside the bounds (an open
+    end excludes the bound itself), as an int when ``integer``; otherwise a
+    ValidationError that names ``name``.
+
+    Booleans, strings and other non-numbers are refused as not being
+    ``kind`` (default "a number", or "an integer"), and so are NaN, +-inf
+    and, with ``integer``, a value with a fractional part.
+    """
+    # floats (numpy's too) skip the slower numbers.Real test
+    if not isinstance(value, float) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        kind = kind or ("an integer" if integer else "a number")
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+    finite = math.isfinite(value)
+    if integer and not (finite and value == int(value)):
+        raise ValidationError(f"{name} must be an integer, got {value}")
+    low = lo is None or (value > lo if lo_open else value >= lo)
+    high = hi is None or (value < hi if hi_open else value <= hi)
+    if finite and low and high:
+        return int(value) if integer else value
+    above = f"{'>' if lo_open else '>='} {lo}"
+    below = f"{'<' if hi_open else '<='} {hi}"
+    if integer:
+        need = above if not low else below
+    elif lo is not None and hi is not None:
+        need = f"in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+    else:
+        need = "finite"
+        if lo is not None:
+            need += f" and {above}"
+        if hi is not None:
+            need += f" and {below}"
+    raise ValidationError(f"{name} must be {need}, got {value}")

@@ -35,7 +35,6 @@ beta2 s^2/m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -49,12 +48,17 @@ from .errors import (
     RangeError,
     StencilError,
     ValidationError,
+    check_number,
 )
 from .gasmedia import GasState
 
 _C = 299792458.0  # speed of light in vacuum, m/s (exact in SI)
 
 EXCLUSION_FRACTION = 0.005
+
+# A mode order of 1000 makes the Bessel-zero eigensolve 2064 x 2064
+# (34 MB); without a cap, mode_n = 1000000 asks for a 29 TiB matrix.
+MAX_MODE_N = 1000
 
 # relative omega steps for the dispersion stencils; the second-difference
 # step is wider because beta2 of these fibers is ~1e-28 s^2/m and a 1e-5
@@ -70,8 +74,7 @@ _ROMAN = (
 
 
 def roman(n: int) -> str:
-    if n < 1:
-        raise ValueError("roman numerals start at 1")
+    n = check_number("roman numeral n", n, lo=1, integer=True)
     out = []
     for value, glyph in _ROMAN:
         while n >= value:
@@ -113,16 +116,12 @@ class FiberModel:
     mode_n: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.R_eff_um) and self.R_eff_um > 0.0):
-            raise ValidationError(
-                f"R_eff_um must be finite and > 0, got {self.R_eff_um}"
-            )
-        if not (math.isfinite(self.t_nm) and self.t_nm > 0.0):
-            raise ValidationError(f"t_nm must be finite and > 0, got {self.t_nm}")
-        if self.mode_m < 1 or self.mode_n < 1:
-            raise ValidationError(
-                f"mode indices must be >= 1, got HE{self.mode_m}{self.mode_n}"
-            )
+        check_number("R_eff_um", self.R_eff_um, lo=0, lo_open=True)
+        check_number("t_nm", self.t_nm, lo=0, lo_open=True)
+        for name, cap in (("mode_m", None), ("mode_n", MAX_MODE_N)):
+            # stored as an int, so mode_n = 1.0 indexes and prints as 1
+            n = check_number(name, getattr(self, name), lo=1, hi=cap, integer=True)
+            object.__setattr__(self, name, n)
 
     @cached_property
     def u(self) -> float:
@@ -199,6 +198,7 @@ class BandStructure:
 
     def band_of(self, lambda_nm: float) -> Band | None:
         """Band containing the wavelength, or None if not evaluable there."""
+        check_number("lambda_nm", lambda_nm, lo=0, lo_open=True)
         if not bool(self.in_band_mask(lambda_nm)[0]):
             return None
         j = int(self.band_index(lambda_nm)[0])
@@ -206,6 +206,7 @@ class BandStructure:
 
     def require_band(self, lambda_nm: float) -> Band:
         """Like band_of, but raises a specific error instead of None."""
+        check_number("lambda_nm", lambda_nm, lo=0, lo_open=True)
         self.require_bands(lambda_nm)
         return self.band_of(lambda_nm)
 
@@ -504,8 +505,7 @@ def find_zdw(
     points on every run; a different root finder would land elsewhere in
     the noise band.
     """
-    if not math.isfinite(grid_points):
-        raise ValidationError(f"grid_points must be finite, got {grid_points}")
+    grid_points = check_number("grid_points", grid_points, lo=8, integer=True)
     structure = band_structure(fiber, gas)
     if isinstance(band, str):
         try:
@@ -529,7 +529,7 @@ def find_zdw(
 
     om = np.linspace(
         float(omega_from_lambda_nm(hi)), float(omega_from_lambda_nm(lo)),
-        max(int(grid_points), 8),
+        grid_points,
     )
     b2 = _beta2_on_grid(fiber, gas, om)
 

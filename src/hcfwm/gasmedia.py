@@ -27,7 +27,6 @@ n2           m^2/W (per-species tabulated as m^2/(W bar))
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +35,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .errors import RangeError, ValidationError
+from .errors import RangeError, ValidationError, check_number
 
 _REQUIRED_KEYS = {
     "B",
@@ -70,17 +69,19 @@ class SellmeierModel:
             raise ValidationError(
                 f"{self.species}: B and C_um2 must be equal-length, non-empty"
             )
-        if not (0.0 < self.lambda_min_nm < self.lambda_max_nm):
+        for key in ("B", "C_um2"):
+            for i, v in enumerate(getattr(self, key)):
+                check_number(f"{self.species}: {key}[{i}]", v)
+        for key in ("lambda_min_nm", "lambda_max_nm", "P0_bar", "T0_K"):
+            check_number(
+                f"{self.species}: {key}", getattr(self, key), lo=0, lo_open=True
+            )
+        check_number(f"{self.species}: n2_per_bar_m2W", self.n2_per_bar_m2W, lo=0)
+        if not self.lambda_min_nm < self.lambda_max_nm:
             raise ValidationError(
                 f"{self.species}: invalid validity window "
                 f"({self.lambda_min_nm}, {self.lambda_max_nm}) nm"
             )
-        if self.P0_bar <= 0.0 or self.T0_K <= 0.0:
-            raise ValidationError(
-                f"{self.species}: reference conditions must be positive"
-            )
-        if self.n2_per_bar_m2W < 0.0:
-            raise ValidationError(f"{self.species}: n2_per_bar_m2W must be >= 0")
 
     def check_window(self, lambda_nm):
         lam = np.asarray(lambda_nm, dtype=float)
@@ -120,14 +121,8 @@ class GasState:
             raise ValidationError(
                 f"{self.model.species} is a wall material, not a filling gas"
             )
-        if not (math.isfinite(self.pressure_bar) and self.pressure_bar >= 0.0):
-            raise ValidationError(
-                f"pressure must be finite and >= 0 bar, got {self.pressure_bar}"
-            )
-        if not (math.isfinite(self.temperature_K) and self.temperature_K > 0.0):
-            raise ValidationError(
-                f"temperature must be finite and > 0 K, got {self.temperature_K}"
-            )
+        check_number("pressure", self.pressure_bar, lo=0)
+        check_number("temperature", self.temperature_K, lo=0, lo_open=True)
 
     @property
     def species(self) -> str:

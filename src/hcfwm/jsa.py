@@ -39,19 +39,21 @@ constant is absorbed into this normalization).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import export, fibermodel
-from .errors import ClippedGridError, ValidationError
+from .errors import ClippedGridError, ValidationError, check_number
 from .fibermodel import FiberModel, lambda_nm_from_omega
 from .gasmedia import GasState
 from .phasematch import PhaseMatchBranch
 
 DEFAULT_GRID_N = 512
+# One complex N x N grid at N = 4096 holds 256 MiB, and the largest N the
+# tests use is 1024; without a cap, n = 1e20 fails inside numpy.
+MAX_GRID_N = 4096
 DEFAULT_KAPPA_SPAN = 4.0
 CLIP_FATAL_FRACTION = 0.20
 
@@ -66,14 +68,8 @@ class GaussianPump:
     sigma: float  # rad/s, field-amplitude standard deviation
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_p0) and self.omega_p0 > 0.0):
-            raise ValidationError(
-                f"omega_p0 must be finite and > 0, got {self.omega_p0}"
-            )
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValidationError(
-                f"pump sigma must be finite and > 0, got {self.sigma}"
-            )
+        check_number("omega_p0", self.omega_p0, lo=0, lo_open=True)
+        check_number("sigma", self.sigma, lo=0, lo_open=True)
 
     @classmethod
     def from_fwhm(cls, lambda_nm: float, fwhm_fs: float) -> "GaussianPump":
@@ -82,12 +78,8 @@ class GaussianPump:
         Transform-limited Gaussian assumption: FWHM_t * FWHM_omega = 4 ln 2,
         so the field sigma is 2 sqrt(ln 2) / FWHM_t.
         """
-        if not (math.isfinite(lambda_nm) and lambda_nm > 0.0):
-            raise ValidationError(
-                f"pump lambda_nm must be finite and > 0, got {lambda_nm}"
-            )
-        if not (math.isfinite(fwhm_fs) and fwhm_fs > 0.0):
-            raise ValidationError(f"fwhm_fs must be finite and > 0, got {fwhm_fs}")
+        check_number("lambda_nm", lambda_nm, lo=0, lo_open=True)
+        check_number("fwhm_fs", fwhm_fs, lo=0, lo_open=True)
         sigma = 2.0 * np.sqrt(np.log(2.0)) / (fwhm_fs * 1e-15)
         return cls(
             omega_p0=float(fibermodel.omega_from_lambda_nm(lambda_nm)),
@@ -169,11 +161,15 @@ class SampledPump:
         modulation structure; depth and period are calibration knobs, not
         measured quantities.
         """
-        if sigma <= 0.0 or period <= 0.0:
-            raise ValidationError("sigma and period must be > 0")
-        if not 0.0 <= depth < 1.0:
-            raise ValidationError(f"modulation depth must be in [0, 1), got {depth}")
-        om = omega_p0 + np.linspace(-span * sigma, span * sigma, int(n))
+        for name, value in (
+            ("omega_p0", omega_p0), ("sigma", sigma), ("period", period),
+            ("span", span),
+        ):
+            check_number(name, value, lo=0, lo_open=True)
+        check_number("modulation depth", depth, lo=0, hi=1, hi_open=True)
+        check_number("phase", phase)
+        n = check_number("n", n, lo=4, integer=True)
+        om = omega_p0 + np.linspace(-span * sigma, span * sigma, n)
         a = np.exp(-((om - omega_p0) ** 2) / (2.0 * sigma**2)) * (
             1.0 + depth * np.cos(2.0 * np.pi * (om - omega_p0) / period + phase)
         )
@@ -204,11 +200,6 @@ def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
-def _check_length(L_m: float) -> None:
-    if not (math.isfinite(L_m) and L_m > 0.0):
-        raise ValidationError(f"fiber length must be finite and > 0 m, got {L_m}")
-
-
 def phi_function(
     fiber: FiberModel | None,
     gas: GasState | None,
@@ -227,7 +218,7 @@ def phi_function(
     omega_bar = (omega_s + omega_i)/2, requiring fiber and gas.
     |phi| <= 1 everywhere.
     """
-    _check_length(L_m)
+    check_number("fiber length L_m", L_m, lo=0, lo_open=True)
     om_s = np.asarray(omega_s, dtype=float)
     om_i = np.asarray(omega_i, dtype=float)
     if mode == "linearized":
@@ -299,15 +290,13 @@ def build_jsa(
     mode: str = "linearized",
 ) -> JsaGrid:
     """JSA grid centered on a solved branch, normalized to unit L2 norm."""
-    _check_length(L_m)
-    if not (math.isfinite(n) and n >= 8):
-        raise ValidationError(f"grid size n must be >= 8 and finite, got {n}")
-    if not (math.isfinite(kappa_span) and kappa_span > 0.0):
-        raise ValidationError(f"kappa_span must be finite and > 0, got {kappa_span}")
+    check_number("fiber length L_m", L_m, lo=0, lo_open=True)
+    n = check_number("grid size n", n, lo=8, hi=MAX_GRID_N, integer=True)
+    check_number("kappa_span", kappa_span, lo=0, lo_open=True)
 
     sigma = _pump_sizing_sigma(pump)
     half = kappa_span * max(np.sqrt(2.0) * sigma, np.sqrt(branch.dphi_width(L_m)))
-    offsets = np.linspace(-half, half, int(n))
+    offsets = np.linspace(-half, half, n)
     omega_s = branch.omega_s + offsets
     omega_i = branch.omega_i + offsets
 
@@ -334,7 +323,7 @@ def build_jsa(
             stacklevel=2,
         )
 
-    values = np.zeros((int(n), int(n)), dtype=complex)
+    values = np.zeros((n, n), dtype=complex)
     alpha = pump_alpha(pump, omega_s[:, None] + omega_i[None, :])
     if mode == "linearized":
         phi = phi_function(None, None, branch, omega_s[:, None], omega_i[None, :], L_m,

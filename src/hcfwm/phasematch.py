@@ -33,15 +33,13 @@ and idler sit in different band pairs belong to different families; the
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import export, fibermodel
-from .errors import NumericalError, RangeError, ValidationError
+from .errors import NumericalError, RangeError, ValidationError, check_number
 from .fibermodel import (
     _C,
     FiberModel,
@@ -57,6 +55,7 @@ DEFAULT_GRID_POINTS = 4000
 DEFAULT_DETUNING_MIN = 2.0 * np.pi * 5e12
 
 DENSITY_CSV_HEADER = ("lambda_p_nm", "delta_omega_THz", "theta_deg", "band_s", "band_i")
+_BETA1 = ("beta1_p", "beta1_s", "beta1_i")
 
 
 def theta_deg_from_beta1(beta1_p: float, beta1_s: float, beta1_i: float) -> float:
@@ -66,6 +65,8 @@ def theta_deg_from_beta1(beta1_p: float, beta1_s: float, beta1_i: float) -> floa
     rather than a division error; the doubly degenerate case (all three
     group delays equal) has no defined orientation and returns 0.
     """
+    for name, value in zip(_BETA1, (beta1_p, beta1_s, beta1_i)):
+        check_number(name, value)
     num = beta1_p - beta1_s
     den = beta1_p - beta1_i
     if den == 0.0:
@@ -77,6 +78,9 @@ def dphi_width_from_beta1(
     beta1_p: float, beta1_s: float, beta1_i: float, L_m: float = 1.0
 ) -> float:
     """Phase-matching width |1 / (2 L^2 (b1p-b1s)(b1p-b1i))| in (rad/s)^2."""
+    for name, value in zip(_BETA1, (beta1_p, beta1_s, beta1_i)):
+        check_number(name, value)
+    check_number("L_m", L_m, lo=0, lo_open=True)
     num = (beta1_p - beta1_s) * (beta1_p - beta1_i)
     if num == 0.0:
         return np.inf
@@ -99,6 +103,8 @@ class PhaseMatchBranch:
     residual_rad_m: float
 
     def __post_init__(self):
+        for name in ("omega_p", "omega_s", "omega_i", *_BETA1, "residual_rad_m"):
+            check_number(name, getattr(self, name))
         if not (self.omega_s >= self.omega_p >= self.omega_i > 0.0):
             raise ValidationError(
                 "branch ordering must satisfy omega_s >= omega_p >= omega_i > 0"
@@ -132,23 +138,11 @@ class PhaseMatchBranch:
         return dphi_width_from_beta1(self.beta1_p, self.beta1_s, self.beta1_i, L_m)
 
 
-def kerr_gamma(fiber: FiberModel, gas: GasState, omega_p: float) -> float:
-    """Kerr nonlinear parameter gamma = n2 omega_p / (c A_eff) in 1/(W m)."""
+def kerr_gamma(fiber: FiberModel, gas: GasState, omega_p):
+    """Kerr nonlinear parameter gamma = n2 omega_p / (c A_eff) in 1/(W m),
+    at one pump frequency or per element of an array."""
     a_eff = np.pi * (fiber.R_eff_um * 1e-6) ** 2
     return gas.n2_m2W * omega_p / (_C * a_eff)
-
-
-def _check_peak_power(pump_peak_power_W: float) -> None:
-    if isinstance(pump_peak_power_W, bool) or not isinstance(
-        pump_peak_power_W, numbers.Real
-    ):
-        raise ValidationError(
-            f"pump_peak_power_W must be a number, got {pump_peak_power_W!r}"
-        )
-    if not (math.isfinite(pump_peak_power_W) and pump_peak_power_W >= 0.0):
-        raise ValidationError(
-            f"pump_peak_power_W must be finite and >= 0, got {pump_peak_power_W}"
-        )
 
 
 def delta_k(
@@ -167,7 +161,7 @@ def delta_k(
     under signal-idler exchange.  With nonzero peak power the Kerr term
     -2 gamma P is included.
     """
-    _check_peak_power(pump_peak_power_W)
+    check_number("pump_peak_power_W", pump_peak_power_W, lo=0)
     om = [np.asarray(w, dtype=float) for w in (omega_s, omega_i, omega_p)]
     kappa = fibermodel.reduced_kappa(
         fiber, gas, np.concatenate([w.ravel() for w in om]), check=check
@@ -195,27 +189,27 @@ def solve_phase_matching(
     FWM merges into the pump line) and ends where signal or idler leaves
     the model window.
     """
-    _check_peak_power(pump_peak_power_W)
+    check_number("omega_p", omega_p, lo=0, lo_open=True)
+    check_number("pump_peak_power_W", pump_peak_power_W, lo=0)
+    grid_points = check_number("grid_points", grid_points, lo=16, integer=True)
+    if detuning_window is not None:
+        dw_lo, dw_hi = (
+            float(check_number(f"detuning window {end}", w, lo=0, lo_open=True))
+            for end, w in zip(("min", "max"), detuning_window)
+        )
     structure = fibermodel.band_structure(fiber, gas)
     band_p = structure.require_band(float(lambda_nm_from_omega(omega_p)))
-    win_lo, win_hi = structure.window_nm
 
     if detuning_window is None:
+        win_lo, win_hi = structure.window_nm
         dw_lo = DEFAULT_DETUNING_MIN
         dw_hi = min(
             float(omega_from_lambda_nm(win_lo)) - omega_p,  # signal edge
             omega_p - float(omega_from_lambda_nm(win_hi)),  # idler edge
         ) * (1.0 - 1e-9)
-    else:
-        dw_lo, dw_hi = float(detuning_window[0]), float(detuning_window[1])
-    if not (0.0 < dw_lo < dw_hi and math.isfinite(dw_hi)):
+    if not dw_lo < dw_hi:
         raise ValidationError(
-            "detuning window must be finite and satisfy 0 < min < max, got "
-            f"({dw_lo}, {dw_hi})"
-        )
-    if not (math.isfinite(grid_points) and grid_points >= 16):
-        raise ValidationError(
-            f"grid_points must be finite and >= 16, got {grid_points}"
+            f"detuning window must satisfy 0 < min < max, got ({dw_lo}, {dw_hi})"
         )
 
     def mismatch(detuning):
@@ -224,7 +218,7 @@ def solve_phase_matching(
             pump_peak_power_W, check=False,
         )
 
-    dw = np.linspace(dw_lo, dw_hi, int(grid_points))
+    dw = np.linspace(dw_lo, dw_hi, grid_points)
     ok = structure.in_band_mask(lambda_nm_from_omega(omega_p + dw))
     ok &= structure.in_band_mask(lambda_nm_from_omega(omega_p - dw))
     ok &= omega_p - dw > 0.0
@@ -321,13 +315,15 @@ def density_map(
     recorded as gaps (no rows) rather than aborting the map.  Pumps are
     solved one after another and the rows come out in pump order.
     """
-    lo, hi = float(pump_range_nm[0]), float(pump_range_nm[1])
-    if not 0.0 < lo < hi:
+    lo, hi = (
+        float(check_number(f"pump range {end}", lam, lo=0, lo_open=True))
+        for end, lam in zip(("min", "max"), pump_range_nm)
+    )
+    if not lo < hi:
         raise ValidationError(f"bad pump range ({lo}, {hi}) nm")
-    if not (math.isfinite(steps) and steps >= 2):
-        raise ValidationError(f"steps must be finite and >= 2, got {steps}")
+    steps = check_number("steps", steps, lo=2, integer=True)
     records: list[DensityRecord] = []
-    for lam_p in np.linspace(lo, hi, int(steps)).tolist():
+    for lam_p in np.linspace(lo, hi, steps).tolist():
         try:
             branches = solve_phase_matching(
                 fiber, gas, float(omega_from_lambda_nm(lam_p)),

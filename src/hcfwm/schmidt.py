@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import export
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .jsa import JsaGrid
 
 TRUNCATION_RELATIVE = 1e-12
@@ -53,6 +53,8 @@ def _weighted_matrix(grid, flat_phase: bool, cell_area: float | None):
     """The sqrt(cell area)-weighted amplitude matrix of a JsaGrid or a raw
     grid array, and whether it is flat-phase; raises ValidationError on an
     input no decomposition accepts."""
+    if cell_area is not None:
+        check_number("cell_area", cell_area, lo=0, lo_open=True)
     if isinstance(grid, JsaGrid):
         matrix = np.abs(grid.values) if flat_phase else grid.values
         area = grid.cell_area
@@ -150,9 +152,7 @@ def schmidt_modes_to_csv(
 ) -> str:
     """Leading Schmidt mode vectors as CSV columns (real part, then imag
     when any mode is complex)."""
-    if n_modes < 1:
-        raise ValidationError(f"n_modes must be >= 1, got {n_modes}")
-    n = min(int(n_modes), result.n_modes)
+    n = min(check_number("n_modes", n_modes, lo=1, integer=True), result.n_modes)
     sig = result.signal_modes[:, :n]
     idl = result.idler_modes[:, :n]
     complex_modes = np.iscomplexobj(sig) or np.iscomplexobj(idl)

@@ -18,8 +18,6 @@ Fits are reported in frequency (THz = 10^12 rad/s), not wavelength.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -27,7 +25,7 @@ import numpy as np
 
 from . import export
 from .config import RunConfig
-from .errors import HcfwmError, NumericalError, ValidationError
+from .errors import HcfwmError, NumericalError, ValidationError, check_number
 from .fibermodel import FiberModel, omega_from_lambda_nm
 from .gasmedia import GasState, make_gas
 from .jsa import GaussianPump, JsaGrid, SampledPump, build_jsa, jsi_to_csv, marginals
@@ -178,6 +176,10 @@ def select_branch(
 ) -> PhaseMatchBranch:
     """Pick one branch: nearest to the previous point, else nearest to a
     requested idler wavelength, else the most-detuned branch."""
+    if prev is not None:
+        prev = tuple(check_number("prev", w, lo=0, lo_open=True) for w in prev)
+    if seed_idler_nm is not None:
+        check_number("seed_idler_nm", seed_idler_nm, lo=0, lo_open=True)
     if not branches:
         raise NumericalError("no phase-matched branch in the scan window")
     if prev is not None:
@@ -274,17 +276,14 @@ def _sweep_points(cfg: RunConfig, fiber, pump, values, at, out_dir, stem):
 
 
 def _check_axis(name: str, values) -> tuple[float, ...]:
-    values = tuple(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValidationError(
-                f"{name} axis values must be numbers, got {v!r}"
-            )
-    values = tuple(float(v) for v in values)
+    values = tuple(
+        float(check_number(
+            f"{name} axis values", v, lo=0, lo_open=True, kind="numbers"
+        ))
+        for v in values
+    )
     if not values:
         raise ValidationError(f"{name} axis must not be empty")
-    if not all(math.isfinite(v) and v > 0.0 for v in values):
-        raise ValidationError(f"{name} axis values must be finite and > 0")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValidationError(f"{name} axis must be strictly increasing")
     return values
@@ -387,14 +386,10 @@ def sweep_thickness(cfg: RunConfig, t_values_nm) -> list[ThicknessMap]:
         raise ValidationError(
             "config section 'density_map' is required for thickness maps"
         )
-    t_values_nm = tuple(t_values_nm)
-    for t in t_values_nm:
-        if isinstance(t, bool) or not isinstance(t, numbers.Real):
-            raise ValidationError(
-                f"strut thickness must be a number of nm, got {t!r}"
-            )
-        if t <= 0.0:
-            raise ValidationError(f"strut thickness must be > 0 nm, got {t}")
+    t_values_nm = tuple(
+        check_number("strut thickness", t, lo=0, lo_open=True)
+        for t in t_values_nm
+    )
     base = fiber_from_config(cfg)
     gas = gas_from_config(cfg)
     return [

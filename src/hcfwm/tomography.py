@@ -17,13 +17,12 @@ across a 30 nm sweep near 1550 nm the neglected variation is below 1%.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import export
-from .errors import RangeError, ValidationError
+from .errors import RangeError, ValidationError, check_number
 from .fibermodel import lambda_nm_from_omega
 from .jsa import JsaGrid, grid_to_csv, jsi
 
@@ -62,26 +61,27 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("rel_sigma", "dark_floor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(
-                    f"noise {name} must be finite and >= 0, got {value}"
-                )
-        if isinstance(self.seed, (int, np.integer)):
-            object.__setattr__(self, "seed", (int(self.seed),))
-        else:
-            object.__setattr__(self, "seed", tuple(int(s) for s in self.seed))
-        if any(s < 0 for s in self.seed):
-            raise ValidationError(
-                f"noise seed entries must be >= 0, got {self.seed}"
-            )
+            check_number(f"noise {name}", getattr(self, name), lo=0)
+        seed = (self.seed,) if np.ndim(self.seed) == 0 else self.seed
+        object.__setattr__(self, "seed", tuple(
+            check_number("noise seed entries", s, lo=0, integer=True)
+            for s in seed
+        ))
 
     @property
     def active(self) -> bool:
         return self.rel_sigma > 0.0 or self.dark_floor > 0.0
 
     def rng_for_slice(self, index: int) -> np.random.Generator:
-        return np.random.default_rng([*self.seed, int(index)])
+        index = check_number("slice index", index, lo=0, integer=True)
+        return np.random.default_rng([*self.seed, index])
+
+
+def _check_scalars(pump_power_W, duty_cycle, gain) -> None:
+    """The scalar inputs that a scan and its simulation share."""
+    check_number("pump power pump_power_W", pump_power_W, lo=0, lo_open=True)
+    check_number("duty cycle", duty_cycle, lo=0, lo_open=True, hi=1)
+    check_number("gain", gain, lo=0, lo_open=True)
 
 
 @dataclass
@@ -120,15 +120,7 @@ class SetScan:
             )
         if not np.all(np.isfinite(self.seed_power_W) & (self.seed_power_W > 0.0)):
             raise ValidationError("monitored seed powers must be finite and > 0 W")
-        if not (math.isfinite(self.pump_power_W) and self.pump_power_W > 0.0):
-            raise ValidationError(
-                "pump power must be finite and > 0 W, got "
-                f"pump_power_W={self.pump_power_W}"
-            )
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ValidationError(
-                f"duty cycle must be in (0, 1], got {self.duty_cycle}"
-            )
+        _check_scalars(self.pump_power_W, self.duty_cycle, self.gain)
         if self.slices.shape != (self.omega_i.size, self.omega_s.size):
             raise ValidationError(
                 "slices must have shape (sweep steps, signal axis); got "
@@ -215,6 +207,7 @@ def simulate_set_scan(
     splittable stream per slice (``NoiseModel.rng_for_slice``), so each
     slice's noise is fixed by the noise seed and the slice index alone.
     """
+    _check_scalars(pump_power_W, duty_cycle, gain)
     seed_omega_i = np.atleast_1d(np.asarray(seed_omega_i, dtype=float))
     if seed_omega_i.size < 1:
         raise ValidationError("seed sweep must contain at least one step")
@@ -229,8 +222,6 @@ def simulate_set_scan(
     ).copy()
     if noise is None:
         noise = NoiseModel()
-    if not (math.isfinite(gain) and gain > 0.0):
-        raise ValidationError(f"gain must be finite and > 0, got {gain}")
 
     intensity = jsi(truth)
     omega_ref = float(0.5 * (seed_omega_i[0] + seed_omega_i[-1]))

@@ -1,0 +1,426 @@
+"""The library's one input boundary, walked by signature.
+
+Every public callable of the seven physics modules is found with
+``inspect.signature``.  Each parameter whose annotation names ``int`` or
+``float`` gets NaN, +-inf, True, "3", 0 and -1 in turn (a tuple parameter
+gets them at each position) and must raise a ValidationError that names
+it, unless the table below lists that value as accepted.  A numeric
+parameter with no entry in CALLS fails the walk, so a new entry point
+cannot skip ``errors.check_number``.
+"""
+
+from __future__ import annotations
+
+import inspect
+import math
+import re
+import types
+
+import numpy as np
+import pytest
+
+from hcfwm import (
+    config,
+    fibermodel,
+    gasmedia,
+    jsa,
+    phasematch,
+    schmidt,
+    sweeps,
+    tomography,
+)
+from hcfwm.errors import ValidationError, check_number
+
+MODULES = (fibermodel, gasmedia, jsa, phasematch, schmidt, tomography, sweeps)
+
+BAD = {
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "True": True,
+    "'3'": "3",
+    "0": 0,
+    "-1": -1,
+}
+
+# Results the library builds from inputs it has already checked.
+RECORDS = {
+    "fibermodel.Band",
+    "fibermodel.BandStructure",
+    "fibermodel.DispersionPoint",
+    "jsa.JsaGrid",
+    "jsa.Marginals",
+    "phasematch.DensityRecord",
+    "schmidt.SchmidtResult",
+    "tomography.PowerScaling",
+    "sweeps.SweepPoint",
+    "sweeps.SweepGap",
+    "sweeps.PressureFit",
+    "sweeps.SweepResult",
+    "sweeps.ThicknessMap",
+}
+
+_SELLMEIER = dict(
+    species="x", B=(1.0,), C_um2=(0.01,), lambda_min_nm=200.0,
+    lambda_max_nm=2000.0, P0_bar=1.0, T0_K=273.15, n2_per_bar_m2W=1e-23,
+)
+_BRANCH = dict(
+    omega_p=2.0, omega_s=3.0, omega_i=1.0, band_p="I", band_s="I",
+    band_i="I", beta1_p=1.0, beta1_s=2.0, beta1_i=3.0, residual_rad_m=0.0,
+)
+
+# "module.Qualname" -> fx -> (callable, valid keyword arguments); fx holds
+# the reference fixtures.
+CALLS = {
+    "fibermodel.roman": lambda fx: (fibermodel.roman, dict(n=3)),
+    "fibermodel.FiberModel": lambda fx: (
+        fibermodel.FiberModel, dict(R_eff_um=22.0, t_nm=630.0, mode_m=1, mode_n=1)
+    ),
+    "fibermodel.BandStructure.band_of": lambda fx: (
+        fx.structure.band_of, dict(lambda_nm=1030.0)
+    ),
+    "fibermodel.BandStructure.require_band": lambda fx: (
+        fx.structure.require_band, dict(lambda_nm=1030.0)
+    ),
+    "fibermodel.find_zdw": lambda fx: (
+        fibermodel.find_zdw, dict(fiber=fx.fiber, gas=fx.xenon, band="I")
+    ),
+    "gasmedia.SellmeierModel": lambda fx: (gasmedia.SellmeierModel, _SELLMEIER),
+    "gasmedia.GasState": lambda fx: (
+        gasmedia.GasState, dict(model=fx.xenon.model, pressure_bar=3.4)
+    ),
+    "gasmedia.make_gas": lambda fx: (
+        gasmedia.make_gas, dict(species="xenon", pressure_bar=3.4)
+    ),
+    "jsa.GaussianPump": lambda fx: (
+        jsa.GaussianPump, dict(omega_p0=1.8e15, sigma=1e13)
+    ),
+    "jsa.GaussianPump.from_fwhm": lambda fx: (
+        jsa.GaussianPump.from_fwhm, dict(lambda_nm=1030.0, fwhm_fs=280.0)
+    ),
+    "jsa.SampledPump.modulated_gaussian": lambda fx: (
+        jsa.SampledPump.modulated_gaussian,
+        dict(omega_p0=1.8e15, sigma=1e13, depth=0.3, period=3e12, n=64),
+    ),
+    "jsa.phi_function": lambda fx: (
+        jsa.phi_function,
+        dict(fiber=None, gas=None, branch=fx.branch,
+             omega_s=fx.branch.omega_s, omega_i=fx.branch.omega_i, L_m=1.0),
+    ),
+    "jsa.build_jsa": lambda fx: (
+        jsa.build_jsa,
+        dict(fiber=fx.fiber, gas=fx.xenon, pump=fx.pump, branch=fx.branch,
+             L_m=1.0, n=16),
+    ),
+    "phasematch.theta_deg_from_beta1": lambda fx: (
+        phasematch.theta_deg_from_beta1,
+        dict(beta1_p=1.0, beta1_s=2.0, beta1_i=3.0),
+    ),
+    "phasematch.dphi_width_from_beta1": lambda fx: (
+        phasematch.dphi_width_from_beta1,
+        dict(beta1_p=1.0, beta1_s=2.0, beta1_i=3.0, L_m=1.0),
+    ),
+    "phasematch.PhaseMatchBranch": lambda fx: (
+        phasematch.PhaseMatchBranch, _BRANCH
+    ),
+    "phasematch.PhaseMatchBranch.dphi_width": lambda fx: (
+        fx.branch.dphi_width, dict(L_m=1.0)
+    ),
+    "phasematch.delta_k": lambda fx: (
+        phasematch.delta_k,
+        dict(fiber=fx.fiber, gas=fx.xenon, omega_p=fx.branch.omega_p,
+             omega_s=fx.branch.omega_s, omega_i=fx.branch.omega_i),
+    ),
+    "phasematch.solve_phase_matching": lambda fx: (
+        phasematch.solve_phase_matching,
+        dict(fiber=fx.fiber, gas=fx.xenon, omega_p=fx.branch.omega_p,
+             detuning_window=(1e13, 4e14), grid_points=400),
+    ),
+    "phasematch.density_map": lambda fx: (
+        phasematch.density_map,
+        dict(fiber=fx.fiber, gas=fx.xenon, pump_range_nm=(1025.0, 1035.0),
+             steps=2, detuning_window=(1e13, 4e14), grid_points=400),
+    ),
+    "schmidt.schmidt_number": lambda fx: (
+        schmidt.schmidt_number, dict(grid=np.eye(4), cell_area=1.0)
+    ),
+    "schmidt.schmidt_decompose": lambda fx: (
+        schmidt.schmidt_decompose, dict(grid=np.eye(4), cell_area=1.0)
+    ),
+    "schmidt.schmidt_modes_to_csv": lambda fx: (
+        schmidt.schmidt_modes_to_csv,
+        dict(result=schmidt.schmidt_decompose(np.eye(4)), n_modes=2),
+    ),
+    "tomography.NoiseModel": lambda fx: (
+        tomography.NoiseModel, dict(rel_sigma=0.1, dark_floor=0.1, seed=(1,))
+    ),
+    "tomography.NoiseModel.rng_for_slice": lambda fx: (
+        tomography.NoiseModel().rng_for_slice, dict(index=3)
+    ),
+    "tomography.SetScan": lambda fx: (
+        tomography.SetScan,
+        dict(omega_i=fx.grid.omega_i[:4], omega_s=fx.grid.omega_s,
+             slices=np.ones((4, fx.grid.omega_s.size)),
+             seed_power_W=np.full(4, 1e-3), pump_power_W=1.0),
+    ),
+    "tomography.simulate_set_scan": lambda fx: (
+        tomography.simulate_set_scan,
+        dict(truth=fx.grid, seed_omega_i=fx.grid.omega_i[:4],
+             pump_power_W=1.0, seed_power_W=1e-3),
+    ),
+    "tomography.power_scaling_check": lambda fx: (
+        tomography.power_scaling_check,
+        dict(truth=fx.grid, seed_powers_W=np.geomspace(1e-4, 1e-2, 5),
+             pump_powers_W=np.geomspace(1e-4, 1e-2, 5),
+             seed_omega_i=fx.grid.omega_i[:4]),
+    ),
+    "sweeps.gas_from_config": lambda fx: (
+        sweeps.gas_from_config, dict(cfg=fx.cfg, pressure_bar=3.4)
+    ),
+    "sweeps.select_branch": lambda fx: (
+        sweeps.select_branch,
+        dict(branches=[fx.branch], prev=(fx.branch.omega_s, fx.branch.omega_i),
+             seed_idler_nm=1500.0),
+    ),
+    "sweeps.build_grid": lambda fx: (
+        sweeps.build_grid,
+        dict(cfg=fx.cfg, fiber=fx.fiber, gas=fx.xenon, pump=fx.pump,
+             branch=fx.branch, L_m=1.0),
+    ),
+}
+
+# (callable, parameter) -> bad values that are legal input there
+ACCEPTED = {
+    ("gasmedia.SellmeierModel", "B"): {"0", "-1"},
+    ("gasmedia.SellmeierModel", "C_um2"): {"0", "-1"},
+    ("gasmedia.SellmeierModel", "n2_per_bar_m2W"): {"0"},
+    ("gasmedia.GasState", "pressure_bar"): {"0"},
+    ("gasmedia.make_gas", "pressure_bar"): {"0"},
+    ("jsa.SampledPump.modulated_gaussian", "depth"): {"0"},
+    ("jsa.SampledPump.modulated_gaussian", "phase"): {"0", "-1"},
+    ("phasematch.theta_deg_from_beta1", "beta1_p"): {"0", "-1"},
+    ("phasematch.theta_deg_from_beta1", "beta1_s"): {"0", "-1"},
+    ("phasematch.theta_deg_from_beta1", "beta1_i"): {"0", "-1"},
+    ("phasematch.dphi_width_from_beta1", "beta1_p"): {"0", "-1"},
+    ("phasematch.dphi_width_from_beta1", "beta1_s"): {"0", "-1"},
+    ("phasematch.dphi_width_from_beta1", "beta1_i"): {"0", "-1"},
+    ("phasematch.PhaseMatchBranch", "beta1_p"): {"0", "-1"},
+    ("phasematch.PhaseMatchBranch", "beta1_s"): {"0", "-1"},
+    ("phasematch.PhaseMatchBranch", "beta1_i"): {"0", "-1"},
+    ("phasematch.PhaseMatchBranch", "residual_rad_m"): {"0", "-1"},
+    ("phasematch.delta_k", "pump_peak_power_W"): {"0"},
+    ("phasematch.solve_phase_matching", "pump_peak_power_W"): {"0"},
+    ("tomography.NoiseModel", "rel_sigma"): {"0"},
+    ("tomography.NoiseModel", "dark_floor"): {"0"},
+    ("tomography.NoiseModel", "seed"): {"0"},
+    ("tomography.NoiseModel.rng_for_slice", "index"): {"0"},
+    ("sweeps.gas_from_config", "pressure_bar"): {"0"},
+}
+
+# (callable, parameter) -> the words the error uses for the parameter,
+# where they are not its name
+WORDS = {
+    ("gasmedia.GasState", "pressure_bar"): "pressure",
+    ("gasmedia.GasState", "temperature_K"): "temperature",
+    ("gasmedia.make_gas", "pressure_bar"): "pressure",
+    ("gasmedia.make_gas", "temperature_K"): "temperature",
+    ("sweeps.gas_from_config", "pressure_bar"): "pressure",
+    ("phasematch.solve_phase_matching", "detuning_window"): "detuning window",
+    ("phasematch.density_map", "detuning_window"): "detuning window",
+    ("phasematch.density_map", "pump_range_nm"): "pump range",
+    ("tomography.SetScan", "duty_cycle"): "duty cycle",
+    ("tomography.simulate_set_scan", "duty_cycle"): "duty cycle",
+    ("tomography.power_scaling_check", "duty_cycle"): "duty cycle",
+}
+
+_NUMERIC = re.compile(r"\b(int|float)\b")
+
+
+def _public_callables():
+    """("module.Qualname", callable) for every public function, class and
+    method defined in the seven modules."""
+    for mod in MODULES:
+        short = mod.__name__.rsplit(".", 1)[1]
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{short}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{short}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_"):
+                        continue
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    if inspect.isfunction(member):
+                        yield f"{short}.{name}.{attr}", member
+
+
+def _numeric_parameters():
+    for qualname, obj in _public_callables():
+        if qualname in RECORDS:
+            continue
+        for p in inspect.signature(obj).parameters.values():
+            if isinstance(p.annotation, str) and _NUMERIC.search(p.annotation):
+                yield qualname, p.name
+
+
+NUMERIC = sorted(_numeric_parameters())
+
+
+@pytest.fixture(scope="module")
+def fx(fiber, xenon, pump, branch, grid128):
+    return types.SimpleNamespace(
+        fiber=fiber, xenon=xenon, pump=pump, branch=branch, grid=grid128,
+        structure=fibermodel.band_structure(fiber, xenon),
+        cfg=config.config_from_dict(
+            {"fiber": {}, "gas": {}, "pump": {}, "grid": {"N": 16}}
+        ),
+    )
+
+
+def test_walk_finds_the_entry_points():
+    """The walk itself works: spot-check parameters it must see."""
+    for pair in [
+        ("fibermodel.FiberModel", "mode_n"),
+        ("jsa.build_jsa", "L_m"),
+        ("jsa.GaussianPump.from_fwhm", "fwhm_fs"),
+        ("phasematch.density_map", "pump_range_nm"),
+        ("schmidt.schmidt_modes_to_csv", "n_modes"),
+        ("tomography.NoiseModel", "seed"),
+    ]:
+        assert pair in NUMERIC
+    # no stale rows
+    assert set(ACCEPTED) <= set(NUMERIC) and set(WORDS) <= set(NUMERIC)
+    assert set(CALLS) == {qualname for qualname, _ in NUMERIC}
+
+
+@pytest.mark.parametrize("qualname, param", NUMERIC)
+def test_every_numeric_parameter_is_checked(fx, qualname, param):
+    assert qualname in CALLS, f"{qualname}({param}) has no row in CALLS"
+    func, base = CALLS[qualname](fx)
+    func(**base)  # the valid call
+    accepted = ACCEPTED.get((qualname, param), set())
+    words = WORDS.get((qualname, param), param)
+    value = base.get(param)
+    positions = range(len(value)) if isinstance(value, tuple) else [None]
+    for label, bad in BAD.items():
+        for i in positions:
+            arg = bad if i is None else value[:i] + (bad,) + value[i + 1:]
+            if label in accepted:
+                func(**{**base, param: arg})
+                continue
+            with pytest.raises(ValidationError) as err:
+                func(**{**base, param: arg})
+            assert words in str(err.value), (label, str(err.value))
+
+
+@pytest.mark.parametrize(
+    "value, bounds, error",
+    [
+        (2.5, dict(integer=True), "n must be an integer, got 2.5"),
+        (0, dict(lo=0, lo_open=True), "n must be finite and > 0, got 0"),
+        (1.0, dict(lo=0, hi=1, hi_open=True), "n must be in [0, 1), got 1.0"),
+        (0.0, dict(lo=0, lo_open=True, hi=1), "n must be in (0, 1], got 0.0"),
+        (9, dict(lo=1, hi=8, integer=True), "n must be <= 8, got 9"),
+        (None, dict(integer=True), "n must be an integer, got None"),
+        (math.nan, dict(), "n must be finite, got nan"),
+    ],
+)
+def test_check_number_messages(value, bounds, error):
+    with pytest.raises(ValidationError) as err:
+        check_number("n", value, **bounds)
+    assert str(err.value) == error
+
+
+def test_check_number_returns_the_value():
+    x = np.float64(2.5)
+    assert check_number("x", x, lo=0) is x
+    assert check_number("n", 64.0, integer=True) == 64
+    assert type(check_number("n", np.int64(3), integer=True)) is int
+    assert isinstance(ValidationError("x"), ValueError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fx: fibermodel.FiberModel(22.0, 630.0, mode_n=1.5),
+        lambda fx: jsa.build_jsa(fx.fiber, fx.xenon, fx.pump, fx.branch,
+                                 L_m=1.0, n=64.5),
+        lambda fx: phasematch.density_map(fx.fiber, fx.xenon, (1025.0, 1035.0),
+                                          steps=2.5),
+        lambda fx: schmidt.schmidt_modes_to_csv(
+            schmidt.schmidt_decompose(np.eye(4)), n_modes=2.5
+        ),
+        lambda fx: fibermodel.find_zdw(fx.fiber, fx.xenon, "I", grid_points=8.5),
+    ],
+    ids=["mode_n", "n", "steps", "n_modes", "grid_points"],
+)
+def test_counts_are_not_truncated(fx, call):
+    with pytest.raises(ValidationError, match="must be an integer, got"):
+        call(fx)
+
+
+def test_integral_floats_count_as_integers(fx):
+    fiber = fibermodel.FiberModel(22.0, 630.0, mode_m=1.0, mode_n=1.0)
+    assert (fiber.mode_m, fiber.mode_n) == (1, 1) and fiber.mode_label == "HE11"
+    assert fiber == fx.fiber
+    assert fibermodel.find_zdw(fx.fiber, fx.xenon, "I", grid_points=400.0) == (
+        fibermodel.find_zdw(fx.fiber, fx.xenon, "I")
+    )
+
+
+def test_size_caps_live_in_the_library(fx):
+    """One past each cap is refused before anything is allocated; the
+    config layer reads the same constants."""
+    assert config.MAX_MODE_N is fibermodel.MAX_MODE_N
+    assert config.MAX_GRID_N is jsa.MAX_GRID_N
+    with pytest.raises(ValidationError, match="mode_n must be <= 1000"):
+        fibermodel.FiberModel(22.0, 630.0, mode_n=fibermodel.MAX_MODE_N + 1)
+    with pytest.raises(ValidationError, match="grid size n must be <= 4096"):
+        jsa.build_jsa(fx.fiber, fx.xenon, fx.pump, fx.branch, L_m=1.0,
+                      n=jsa.MAX_GRID_N + 1)
+
+
+@pytest.mark.parametrize("points", [0, -1, 7, True])
+def test_find_zdw_refuses_small_scans(fx, points):
+    with pytest.raises(ValidationError, match="grid_points"):
+        fibermodel.find_zdw(fx.fiber, fx.xenon, "I", grid_points=points)
+
+
+@pytest.mark.parametrize(
+    "pump_range_nm, error",
+    [
+        ((1000.0, math.inf), "pump range max must be finite"),
+        (("1000", 1040.0), "pump range min must be a number, got '1000'"),
+        ((1000.0, True), "pump range max must be a number, got True"),
+    ],
+)
+def test_density_map_pump_range_ends(fx, pump_range_nm, error):
+    with pytest.raises(ValidationError, match=re.escape(error)):
+        phasematch.density_map(fx.fiber, fx.xenon, pump_range_nm, steps=2)
+
+
+@pytest.mark.parametrize(
+    "window", [("1e13", 4e14), (1e13, math.nan), (True, 4e14)]
+)
+def test_detuning_window_ends(fx, window):
+    """Checked before any pump is solved, so a map whose pumps all miss
+    the bands still refuses a bad window."""
+    with pytest.raises(ValidationError, match="detuning window"):
+        phasematch.solve_phase_matching(
+            fx.fiber, fx.xenon, fx.branch.omega_p, detuning_window=window
+        )
+    with pytest.raises(ValidationError, match="detuning window"):
+        phasematch.density_map(
+            fx.fiber, fx.xenon, (5000.0, 5001.0), steps=2,
+            detuning_window=window,
+        )
+
+
+@pytest.mark.parametrize("n_modes", [math.nan, math.inf, "3", True, 2.5])
+def test_modes_csv_count_is_checked(n_modes):
+    res = schmidt.schmidt_decompose(np.eye(4))
+    with pytest.raises(ValidationError, match="n_modes"):
+        schmidt.schmidt_modes_to_csv(res, n_modes=n_modes)
