@@ -9,8 +9,8 @@ Two top-level families, matching the two CLI exit codes:
   failed (root bracketing, fixed-point iteration, derivative stencils).
 
 Every scalar numeric argument of the library passes ``check_number``, the
-one input boundary; only the config layer turns numeric strings into
-numbers before it.
+one input boundary, and every (first, second) pair ``check_pair``; only
+the config layer turns numeric strings into numbers before them.
 """
 
 from __future__ import annotations
@@ -104,3 +104,14 @@ def check_number(
         if hi is not None:
             need += f" and {below}"
     raise ValidationError(f"{name} must be {need}, got {value}")
+
+
+def check_pair(name: str, value, ends=("min", "max"), **bounds) -> tuple:
+    """The two entries of ``value``, each through ``check_number`` as
+    ``"<name> <end>"``; a ValidationError that names ``name`` if ``value``
+    is not a pair."""
+    if isinstance(value, str) or not hasattr(value, "__len__") or len(value) != 2:
+        raise ValidationError(f"{name} must be a pair of numbers, got {value!r}")
+    return tuple(
+        check_number(f"{name} {end}", v, **bounds) for end, v in zip(ends, value)
+    )

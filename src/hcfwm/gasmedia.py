@@ -166,15 +166,26 @@ def _load_table(path: str | None) -> dict[str, SellmeierModel]:
             )
         table[species] = SellmeierModel(
             species=species,
-            B=tuple(float(x) for x in entry["B"]),
-            C_um2=tuple(float(x) for x in entry["C_um2"]),
-            lambda_min_nm=float(entry["lambda_min_nm"]),
-            lambda_max_nm=float(entry["lambda_max_nm"]),
-            P0_bar=float(entry["P0_bar"]),
-            T0_K=float(entry["T0_K"]),
-            n2_per_bar_m2W=float(entry["n2_per_bar_m2W"]),
+            **{key: _table_value(species, key, entry[key]) for key in _REQUIRED_KEYS},
         )
     return table
+
+
+def _table_value(species, key, value):
+    """A gas-table entry as a float (a tuple of floats for the Sellmeier
+    lists); numeric strings are accepted, anything else is a
+    ValidationError that names the species and the key."""
+    where = f"gas data for {species!r}: {key}"
+    if key in ("B", "C_um2"):
+        if not isinstance(value, list):
+            raise ValidationError(f"{where} must be a list of numbers, got {value!r}")
+        return tuple(
+            _table_value(species, f"{key}[{i}]", v) for i, v in enumerate(value)
+        )
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where} must be a number, got {value!r}") from None
 
 
 def load_gas_data(path: str | None = None) -> dict[str, SellmeierModel]:

@@ -15,11 +15,12 @@ Around a solved branch (omega_s0, omega_i0) the mismatch linearizes to
     delta_k_lin =   (omega_s - omega_s0)(beta1_p - beta1_s)
                   + (omega_i - omega_i0)(beta1_p - beta1_i)
 
-with zero offset at the branch itself.  The "full" mode instead evaluates
-the un-linearized mismatch 2 k((omega_s+omega_i)/2) - k(omega_s) -
-k(omega_i), whose first-order Taylor expansion reproduces delta_k_lin;
-both modes therefore agree near the branch center and differ only where
-dispersion curvature matters.
+with zero offset at the branch itself.  The "full" mode instead takes the
+un-linearized mismatch from phasematch.delta_k, pumped at
+omega_bar = (omega_s + omega_i)/2 with the Kerr power the branch was
+solved at; its first-order Taylor expansion reproduces delta_k_lin, so
+both modes agree near the branch center and differ only where dispersion
+curvature matters.
 
 Pump spectra come in two flavors: an analytic Gaussian (closed-form
 autoconvolution of width sqrt(2) sigma centered at 2 omega_p0) and a
@@ -30,11 +31,13 @@ closed form and the sampled autoconvolution of the same Gaussian agree
 pointwise with unit peak.
 
 Grids are square (N x N), centered on the branch, with half-width
-kappa_span * max(sqrt(2) sigma, sqrt(dphi width at L)) per axis.  Cells
-whose signal or idler leaves its transmission band are zeroed; the clipped
-fraction is reported, warning above zero and failing above 20%.  After
-construction sum |F|^2 domega_s domega_i = 1 (the overall FWM gain
-constant is absorbed into this normalization).
+kappa_span * max(sqrt(2) sigma, sqrt(dphi width at L)) per axis.  Signal
+and idler points outside their transmission band enter phi as NaN, so no
+kappa sees them as numbers; cells whose signal, idler or (full mode)
+omega_bar leaves its band are zeroed, and the clipped fraction is
+reported, warning above zero and failing above 20%.  After construction
+sum |F|^2 domega_s domega_i = 1 (the overall FWM gain constant is absorbed
+into this normalization).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from . import export, fibermodel
 from .errors import ClippedGridError, ValidationError, check_number
 from .fibermodel import FiberModel, lambda_nm_from_omega
 from .gasmedia import GasState
-from .phasematch import PhaseMatchBranch
+from .phasematch import PhaseMatchBranch, delta_k
 
 DEFAULT_GRID_N = 512
 # One complex N x N grid at N = 4096 holds 256 MiB, and the largest N the
@@ -213,10 +216,11 @@ def phi_function(
     """Phase-matching function phi = sinc(delta_k L/2) exp(i delta_k L/2).
 
     mode="linearized" uses the first-order expansion around the branch (no
-    fiber/gas evaluation needed); mode="full" evaluates the un-linearized
-    mismatch 2k(omega_bar) - k(omega_s) - k(omega_i) with
-    omega_bar = (omega_s + omega_i)/2, requiring fiber and gas.
-    |phi| <= 1 everywhere.
+    fiber/gas evaluation needed); mode="full" negates phasematch.delta_k
+    at the pump omega_bar = (omega_s + omega_i)/2 and the branch's
+    pump_peak_power_W, giving 2k(omega_bar) - k(omega_s) - k(omega_i) -
+    2 gamma P, and requires fiber and gas.  A NaN frequency passes through
+    kappa as NaN and gives NaN phi; |phi| <= 1 everywhere else.
     """
     check_number("fiber length L_m", L_m, lo=0, lo_open=True)
     om_s = np.asarray(omega_s, dtype=float)
@@ -228,11 +232,9 @@ def phi_function(
     elif mode == "full":
         if fiber is None or gas is None:
             raise ValidationError("full mode requires fiber and gas")
-        om_p = 0.5 * (om_s + om_i)
-        dk = (
-            2.0 * fibermodel.reduced_kappa(fiber, gas, om_p, check=check)
-            - fibermodel.reduced_kappa(fiber, gas, om_s, check=check)
-            - fibermodel.reduced_kappa(fiber, gas, om_i, check=check)
+        dk = -delta_k(
+            fiber, gas, 0.5 * (om_s + om_i), om_s, om_i,
+            branch.pump_peak_power_W, check=check,
         )
     else:
         raise ValidationError(f"mode must be 'linearized' or 'full', got {mode!r}")
@@ -306,9 +308,7 @@ def build_jsa(
     mask = np.outer(ok_s, ok_i)
     if mode == "full":
         om_bar = 0.5 * (omega_s[:, None] + omega_i[None, :])
-        mask &= structure.in_band_mask(
-            lambda_nm_from_omega(om_bar.ravel())
-        ).reshape(om_bar.shape)
+        mask &= structure.in_band_mask(lambda_nm_from_omega(om_bar))
 
     clipped = 1.0 - float(np.count_nonzero(mask)) / mask.size
     if clipped > CLIP_FATAL_FRACTION:
@@ -323,22 +323,14 @@ def build_jsa(
             stacklevel=2,
         )
 
-    values = np.zeros((n, n), dtype=complex)
-    alpha = pump_alpha(pump, omega_s[:, None] + omega_i[None, :])
-    if mode == "linearized":
-        phi = phi_function(None, None, branch, omega_s[:, None], omega_i[None, :], L_m,
-                           mode="linearized")
-        values = alpha * phi
-        values[~mask] = 0.0
-    elif mode == "full":
-        js, ks = np.nonzero(mask)
-        phi_valid = phi_function(
-            fiber, gas, branch, omega_s[js], omega_i[ks], L_m,
-            mode="full", check=False,
-        )
-        values[js, ks] = alpha[js, ks] * phi_valid
-    else:
-        raise ValidationError(f"mode must be 'linearized' or 'full', got {mode!r}")
+    phi = phi_function(
+        fiber, gas, branch,
+        np.where(ok_s, omega_s, np.nan)[:, None],
+        np.where(ok_i, omega_i, np.nan)[None, :],
+        L_m, mode=mode, check=False,
+    )
+    values = pump_alpha(pump, omega_s[:, None] + omega_i[None, :]) * phi
+    values[~mask] = 0.0
 
     if not np.all(np.isfinite(values)):
         raise ValidationError("JSA grid contains non-finite values")

@@ -5,10 +5,14 @@ omega_s = omega_p + delta_omega and omega_i = omega_p - delta_omega.  The
 wavevector mismatch is evaluated entirely in reduced quantities (the
 omega/c parts of k_s + k_i - 2 k_p cancel exactly):
 
-    delta_k = kappa_s + kappa_i - 2 kappa_p  [- 2 gamma P_peak]
+    delta_k = kappa_s + kappa_i - 2 kappa_p  [+ 2 gamma P_peak]
 
 with the optional Kerr contribution gamma = n2 omega_p / (c A_eff),
-A_eff = pi R_eff^2, off by default (P_peak = 0).
+A_eff = pi R_eff^2, off by default (P_peak = 0).  The sign is the textbook
+one (Agrawal, Nonlinear Fiber Optics, sec. 10.2): near the pump
+delta_k ~ beta2 Omega^2, so the Kerr root Omega_MI = sqrt(2 gamma P /
+|beta2|) exists only where beta2 < 0.  delta_k is the one place the
+mismatch is formed; the full-mode JSA takes it from there too.
 
 The solver scans delta_omega on a dense grid, masks out points whose signal
 or idler falls outside a transmission band or inside a resonance exclusion
@@ -39,7 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import export, fibermodel
-from .errors import NumericalError, RangeError, ValidationError, check_number
+from .errors import (
+    NumericalError,
+    RangeError,
+    ValidationError,
+    check_number,
+    check_pair,
+)
 from .fibermodel import (
     _C,
     FiberModel,
@@ -101,10 +111,13 @@ class PhaseMatchBranch:
     beta1_s: float
     beta1_i: float
     residual_rad_m: float
+    # the Kerr power the branch was solved at; full-mode phi uses it too
+    pump_peak_power_W: float = 0.0
 
     def __post_init__(self):
         for name in ("omega_p", "omega_s", "omega_i", *_BETA1, "residual_rad_m"):
             check_number(name, getattr(self, name))
+        check_number("pump_peak_power_W", self.pump_peak_power_W, lo=0)
         if not (self.omega_s >= self.omega_p >= self.omega_i > 0.0):
             raise ValidationError(
                 "branch ordering must satisfy omega_s >= omega_p >= omega_i > 0"
@@ -154,12 +167,13 @@ def delta_k(
     pump_peak_power_W: float = 0.0,
     check: bool = True,
 ):
-    """Wavevector mismatch k_s + k_i - 2 k_p in rad/m.
+    """Wavevector mismatch k_s + k_i - 2 k_p + 2 gamma P in rad/m.
 
     The three frequency sets broadcast together; kappa is evaluated once
     for all of them, checked in the order signal, idler, pump.  Symmetric
     under signal-idler exchange.  With nonzero peak power the Kerr term
-    -2 gamma P is included.
+    +2 gamma P is added, gamma taken at each pump frequency (the textbook
+    sign; see the module docstring).
     """
     check_number("pump_peak_power_W", pump_peak_power_W, lo=0)
     om = [np.asarray(w, dtype=float) for w in (omega_s, omega_i, omega_p)]
@@ -170,7 +184,7 @@ def delta_k(
     ks, ki, kp = (kappa[e - w.size:e].reshape(w.shape) for e, w in zip(ends, om))
     out = ks + ki - 2.0 * kp
     if pump_peak_power_W > 0.0:
-        out = out - 2.0 * kerr_gamma(fiber, gas, om[2]) * pump_peak_power_W
+        out = out + 2.0 * kerr_gamma(fiber, gas, om[2]) * pump_peak_power_W
     return out
 
 
@@ -193,9 +207,8 @@ def solve_phase_matching(
     check_number("pump_peak_power_W", pump_peak_power_W, lo=0)
     grid_points = check_number("grid_points", grid_points, lo=16, integer=True)
     if detuning_window is not None:
-        dw_lo, dw_hi = (
-            float(check_number(f"detuning window {end}", w, lo=0, lo_open=True))
-            for end, w in zip(("min", "max"), detuning_window)
+        dw_lo, dw_hi = map(
+            float, check_pair("detuning window", detuning_window, lo=0, lo_open=True)
         )
     structure = fibermodel.band_structure(fiber, gas)
     band_p = structure.require_band(float(lambda_nm_from_omega(omega_p)))
@@ -278,7 +291,7 @@ def solve_phase_matching(
             omega_p=omega_p, omega_s=om_s, omega_i=om_i,
             band_p=band_p.label, band_s=band_s, band_i=band_i,
             beta1_p=float(beta1[0]), beta1_s=beta1_s, beta1_i=beta1_i,
-            residual_rad_m=residual,
+            residual_rad_m=residual, pump_peak_power_W=pump_peak_power_W,
         )
         for (om_s, om_i), (band_s, band_i), (beta1_s, beta1_i), residual in zip(
             om_si.tolist(), bands.reshape(-1, 2).tolist(),
@@ -315,10 +328,7 @@ def density_map(
     recorded as gaps (no rows) rather than aborting the map.  Pumps are
     solved one after another and the rows come out in pump order.
     """
-    lo, hi = (
-        float(check_number(f"pump range {end}", lam, lo=0, lo_open=True))
-        for end, lam in zip(("min", "max"), pump_range_nm)
-    )
+    lo, hi = map(float, check_pair("pump range", pump_range_nm, lo=0, lo_open=True))
     if not lo < hi:
         raise ValidationError(f"bad pump range ({lo}, {hi}) nm")
     steps = check_number("steps", steps, lo=2, integer=True)

@@ -25,7 +25,13 @@ import numpy as np
 
 from . import export
 from .config import RunConfig
-from .errors import HcfwmError, NumericalError, ValidationError, check_number
+from .errors import (
+    HcfwmError,
+    NumericalError,
+    ValidationError,
+    check_number,
+    check_pair,
+)
 from .fibermodel import FiberModel, omega_from_lambda_nm
 from .gasmedia import GasState, make_gas
 from .jsa import GaussianPump, JsaGrid, SampledPump, build_jsa, jsi_to_csv, marginals
@@ -177,7 +183,7 @@ def select_branch(
     """Pick one branch: nearest to the previous point, else nearest to a
     requested idler wavelength, else the most-detuned branch."""
     if prev is not None:
-        prev = tuple(check_number("prev", w, lo=0, lo_open=True) for w in prev)
+        prev = check_pair("prev", prev, ("omega_s", "omega_i"), lo=0, lo_open=True)
     if seed_idler_nm is not None:
         check_number("seed_idler_nm", seed_idler_nm, lo=0, lo_open=True)
     if not branches:

@@ -6,7 +6,9 @@ sinc, and the Fourier transform of the exact sinc JSA to the time domain)
 so that the numerical decompositions in the package can be checked against
 formulas that share no code with them.  ``capillary_delta_eff`` is the
 smooth (Marcatili-Schmeltzer) part of the tube model, without the wall
-resonance term, for isolating that term.  ``csv_writer_text`` is the
+resonance term, for isolating that term.  ``three_kappa_phi`` is the
+full-mode phase-matching function as the JSA formed it before it took
+its mismatch from ``phasematch.delta_k``.  ``csv_writer_text`` is the
 per-cell CSV writer the exporters used before ``hcfwm.export``, kept as
 the byte-for-byte reference of the artifact format.
 """
@@ -177,6 +179,24 @@ def capillary_delta_eff(fiber, gas, lambda_nm) -> np.ndarray:
     k0 = 2.0 * np.pi / (lam * 1e-9)
     R = fiber.R_eff_um * 1e-6
     return dg - fiber.u**2 / (2.0 * k0**2 * (1.0 + dg) * R**2)
+
+
+def three_kappa_phi(fiber, gas, omega_s, omega_i, L_m: float) -> np.ndarray:
+    """Loss-free full-mode phi without a Kerr term, from three reduced
+    wavevectors formed here: delta_k = 2 kappa(omega_bar) - kappa_s -
+    kappa_i with omega_bar = (omega_s + omega_i) / 2, and phi =
+    sinc(delta_k L / 2) exp(i delta_k L / 2)."""
+    from hcfwm.fibermodel import reduced_kappa
+
+    om_s = np.asarray(omega_s, dtype=float)
+    om_i = np.asarray(omega_i, dtype=float)
+    dk = (
+        2.0 * reduced_kappa(fiber, gas, 0.5 * (om_s + om_i), check=False)
+        - reduced_kappa(fiber, gas, om_s, check=False)
+        - reduced_kappa(fiber, gas, om_i, check=False)
+    )
+    x = dk * L_m / 2.0
+    return np.sinc(x / np.pi) * np.exp(1j * x)
 
 
 def csv_writer_text(header, rows) -> str:

@@ -527,6 +527,21 @@ def test_gas_data_override(tmp_path, monkeypatch, capsys):
     assert "unknown species 'xenon'" in capsys.readouterr().err
 
 
+def test_non_numeric_gas_data_exits_1(tmp_path, monkeypatch, capsys):
+    bundled = yaml.safe_load(
+        resource_files("hcfwm").joinpath("data/gases.yaml").read_text()
+    )
+    bundled["xenon"]["P0_bar"] = "abc"
+    table_path = tmp_path / "bad_xenon.yaml"
+    table_path.write_text(yaml.safe_dump(bundled))
+    monkeypatch.setenv("HCFWM_GAS_DATA", str(table_path))
+    cfg_path = write_cfg(tmp_path, copy.deepcopy(BASE))
+    rc = cli.main(["phasematch", "--config", cfg_path,
+                   "--out", str(tmp_path / "o"), "--label", "t"])
+    assert rc == 1
+    assert "'xenon': P0_bar must be a number, got 'abc'" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -217,6 +217,48 @@ argon:
         gasmedia.load_gas_data(empty)
 
 
+_ARGON = """
+argon:
+  B: [5.496879532e-05, 1.138403950e-05, 4.881254088e-04]
+  C_um2: [1.098756208e-02, 1.137759978e-02, 4.672460518e-03]
+  lambda_min_nm: 250.0
+  lambda_max_nm: 3200.0
+  P0_bar: 1.01325
+  T0_K: 273.15
+  n2_per_bar_m2W: 0.8e-21
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        ("P0_bar: 1.01325", "P0_bar: abc",
+         "gas data for 'argon': P0_bar must be a number, got 'abc'"),
+        ("T0_K: 273.15", "T0_K: [273.15]",
+         "gas data for 'argon': T0_K must be a number, got [273.15]"),
+        ("B: [5.496879532e-05, 1.138403950e-05, 4.881254088e-04]",
+         "B: 5.496879532e-05",
+         "gas data for 'argon': B must be a list of numbers, got 5.496879532e-05"),
+        ("C_um2: [1.098756208e-02,", "C_um2: [x,",
+         "gas data for 'argon': C_um2[0] must be a number, got 'x'"),
+    ],
+)
+def test_data_values_must_be_numbers(tmp_path, old, new, error):
+    path = _write_table(tmp_path, _ARGON.replace(old, new))
+    with pytest.raises(ValidationError) as err:
+        gasmedia.load_gas_data(path)
+    assert str(err.value) == error
+
+
+def test_data_values_may_be_numeric_strings(tmp_path):
+    quoted = _ARGON.replace("P0_bar: 1.01325", "P0_bar: '1.01325'").replace(
+        "B: [5.496879532e-05,", "B: ['5.496879532e-05',"
+    )
+    assert gasmedia.load_gas_data(_write_table(tmp_path, quoted)) == (
+        gasmedia.load_gas_data(_write_table(tmp_path, _ARGON, name="plain.yaml"))
+    )
+
+
 def test_model_validation_rules():
     with pytest.raises(ValidationError, match="equal-length"):
         gasmedia.SellmeierModel(

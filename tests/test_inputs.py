@@ -208,6 +208,7 @@ ACCEPTED = {
     ("phasematch.PhaseMatchBranch", "beta1_s"): {"0", "-1"},
     ("phasematch.PhaseMatchBranch", "beta1_i"): {"0", "-1"},
     ("phasematch.PhaseMatchBranch", "residual_rad_m"): {"0", "-1"},
+    ("phasematch.PhaseMatchBranch", "pump_peak_power_W"): {"0"},
     ("phasematch.delta_k", "pump_peak_power_W"): {"0"},
     ("phasematch.solve_phase_matching", "pump_peak_power_W"): {"0"},
     ("tomography.NoiseModel", "rel_sigma"): {"0"},
@@ -417,6 +418,25 @@ def test_detuning_window_ends(fx, window):
             fx.fiber, fx.xenon, (5000.0, 5001.0), steps=2,
             detuning_window=window,
         )
+
+
+@pytest.mark.parametrize("pair", [(1000.0,), (1.0, 2.0, 3.0), (), 1000.0, "ab"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda fx, v: phasematch.density_map(fx.fiber, fx.xenon, v, steps=2),
+         "pump range"),
+        (lambda fx, v: phasematch.solve_phase_matching(
+            fx.fiber, fx.xenon, fx.branch.omega_p, detuning_window=v),
+         "detuning window"),
+        (lambda fx, v: sweeps.select_branch([fx.branch], prev=v), "prev"),
+    ],
+    ids=["pump_range_nm", "detuning_window", "prev"],
+)
+def test_pairs_of_the_wrong_length(fx, call, name, pair):
+    with pytest.raises(ValidationError) as err:
+        call(fx, pair)
+    assert str(err.value) == f"{name} must be a pair of numbers, got {pair!r}"
 
 
 @pytest.mark.parametrize("n_modes", [math.nan, math.inf, "3", True, 2.5])

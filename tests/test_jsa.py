@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from hcfwm import fibermodel, jsa, schmidt
+from hcfwm import fibermodel, jsa, phasematch, schmidt
 from hcfwm.errors import ClippedGridError, ValidationError
 from hcfwm.fibermodel import omega_from_lambda_nm
 from hcfwm.jsa import GaussianPump, SampledPump
 from hcfwm.phasematch import PhaseMatchBranch
 
+from _oracles import three_kappa_phi
 from conftest import REF_FWHM_FS, REF_LAMBDA_P_NM
 
 PUMP_SIGMA_280FS = 5946818651126.412  # 2 sqrt(ln 2) / 280 fs, rad/s
@@ -313,6 +315,82 @@ def test_full_mode_schmidt_number_close_to_linearized(fiber, xenon, pump,
     k_lin = schmidt.schmidt_decompose(grid128, flat_phase=True).K
     k_full = schmidt.schmidt_decompose(full, flat_phase=True).K
     assert abs(k_full - k_lin) / k_lin < 1e-3
+
+
+@pytest.fixture(scope="module", params=[2e4, 1e5])
+def kerr_branch(request, fiber, xenon, pump):
+    """The most-detuned branch solved with a Kerr term (gamma P L = 2.5
+    and 12.5 rad at 1 m)."""
+    branches = phasematch.solve_phase_matching(
+        fiber, xenon, pump.omega_p0, pump_peak_power_W=request.param
+    )
+    return max(branches, key=lambda b: b.delta_omega)
+
+
+def test_full_mode_phi_is_centred_on_a_kerr_branch(fiber, xenon, kerr_branch):
+    """Full-mode phi carries the Kerr power the branch was solved at, so
+    its ridge passes through the branch centre."""
+    assert kerr_branch.pump_peak_power_W > 0.0
+    phi = jsa.phi_function(fiber, xenon, kerr_branch, kerr_branch.omega_s,
+                           kerr_branch.omega_i, 1.0, mode="full")
+    assert abs(abs(complex(phi)) - 1.0) < 1e-6
+
+
+def test_full_mode_schmidt_number_close_to_linearized_with_kerr(
+    fiber, xenon, pump, kerr_branch
+):
+    k_full, k_lin = (
+        schmidt.schmidt_decompose(
+            jsa.build_jsa(fiber, xenon, pump, kerr_branch, L_m=1.0, n=128,
+                          mode=mode),
+            flat_phase=True,
+        ).K
+        for mode in ("full", "linearized")
+    )
+    assert abs(k_full - k_lin) / k_lin < 1e-3
+
+
+@pytest.mark.parametrize("n, span", [(128, 4.0), (32, 30.0)])
+def test_full_mode_grid_matches_three_kappa_formula(fiber, xenon, pump,
+                                                    branch, n, span):
+    """At P = 0 the full-mode grid is alpha times the three-kappa phi of
+    the oracle, zeroed where signal, idler or omega_bar leaves its band;
+    the second grid is clipped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        grid = jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=n,
+                             kappa_span=span, mode="full")
+    assert (grid.clipped_fraction > 0.0) == (span > 4.0)
+    om_s, om_i = grid.omega_s[:, None], grid.omega_i[None, :]
+    in_band = fibermodel.band_structure(fiber, xenon).in_band_mask
+    mask = np.all(
+        [in_band(fibermodel.lambda_nm_from_omega(om))
+         for om in np.broadcast_arrays(om_s, om_i, 0.5 * (om_s + om_i))],
+        axis=0,
+    )
+    ref = np.zeros(mask.shape, dtype=complex)
+    ref[mask] = (
+        jsa.pump_alpha(pump, om_s + om_i)
+        * three_kappa_phi(fiber, xenon, om_s, om_i, 1.0)
+    )[mask]
+    ref /= np.sqrt(np.sum(np.abs(ref) ** 2) * grid.cell_area)
+    assert np.max(np.abs(grid.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_clipped_full_mode_grid_warns_only_about_clipping(fiber, xenon, pump,
+                                                         branch):
+    """Out-of-band signal and idler points reach kappa as NaN, which
+    numpy passes through silently: the clipped-fraction warning is the
+    only one."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        grid = jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=32,
+                             kappa_span=30.0, mode="full")
+    assert grid.clipped_fraction > 0.0
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, f"{grid.clipped_fraction:.2%} of the JSA grid clipped "
+                      f"by band edges")
+    ]
 
 
 def test_quasi_cw_pump_pins_the_antidiagonal(fiber, xenon, branch):

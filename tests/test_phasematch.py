@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +237,8 @@ def test_kerr_gamma_golden(fiber, xenon):
 
 
 def test_kerr_term_shifts_delta_k(fiber, xenon, branch):
+    """The textbook degenerate-pump mismatch kappa = delta_k + 2 gamma P
+    (Agrawal, Nonlinear Fiber Optics, sec. 10.2)."""
     gamma = phasematch.kerr_gamma(fiber, xenon, branch.omega_p)
     base = float(
         phasematch.delta_k(
@@ -246,7 +251,33 @@ def test_kerr_term_shifts_delta_k(fiber, xenon, branch):
             pump_peak_power_W=1000.0,
         )
     )
-    assert powered == pytest.approx(base - 2.0 * gamma * 1000.0, rel=1e-12)
+    assert powered == pytest.approx(base + 2.0 * gamma * 1000.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("lambda_p_nm, anomalous", [(1030.0, True), (675.0, False)])
+def test_kerr_root_sits_at_the_modulation_instability_frequency(
+    fiber, xenon, lambda_p_nm, anomalous
+):
+    """Near the pump delta_k ~ beta2 Omega^2, so kappa = delta_k + 2 gamma P
+    vanishes at Omega_MI = sqrt(2 gamma P / |beta2|) where beta2 < 0 and
+    nowhere near it where beta2 > 0.  The window (0.2, 3) Omega_MI is
+    explicit because the default one starts above Omega_MI at 2 kW."""
+    power = 2e3
+    beta2 = fibermodel.dispersion_derivatives(fiber, xenon, lambda_p_nm).beta2
+    assert (beta2 < 0.0) == anomalous
+    om_p = float(omega_from_lambda_nm(lambda_p_nm))
+    gamma = phasematch.kerr_gamma(fiber, xenon, om_p)
+    om_mi = np.sqrt(2.0 * gamma * power / abs(beta2))
+    branches = phasematch.solve_phase_matching(
+        fiber, xenon, om_p, detuning_window=(0.2 * om_mi, 3.0 * om_mi),
+        pump_peak_power_W=power,
+    )
+    if anomalous:
+        (b,) = branches
+        assert b.delta_omega == pytest.approx(om_mi, rel=1e-2)
+        assert b.pump_peak_power_W == power
+    else:
+        assert branches == []
 
 
 def test_kerr_term_moves_the_branch(fiber, xenon, branch):
@@ -320,3 +351,19 @@ def test_density_csv_layout(fiber, xenon):
         records[0].delta_omega / 1e12, rel=1e-8
     )
     assert first[3] == records[0].band_s and first[4] == records[0].band_i
+
+
+def test_only_fibermodel_and_phasematch_evaluate_kappa():
+    """The mismatch has one home: phasematch.delta_k.  No other module of
+    the package calls reduced_kappa, so no second mismatch can be formed
+    from it."""
+    pkg = pathlib.Path(phasematch.__file__).parent
+    callers = set()
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "attr", getattr(f, "id", None)) == "reduced_kappa":
+                    callers.add(path.stem)
+    assert callers <= {"fibermodel", "phasematch"}, callers
+    assert "phasematch" in callers

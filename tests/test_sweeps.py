@@ -336,8 +336,9 @@ def test_fiber_and_gas_from_config():
 def test_schmidt_subcommand_and_length_sweep_read_the_same_keys(tmp_path):
     """Every non-default phasematch and grid key reaches the solver and the
     grid as given, through the CLI and through a sweep alike.  At this
-    825 nm pump two families phase-match, and the seed picks the less
-    detuned one."""
+    825 nm pump three branches phase-match: two dispersion families and,
+    from the Kerr term at 2e4 W, a third at 700.13 / 1004.08 nm.  The seed
+    picks the 1147 nm idler branch, which is not the most detuned."""
     cfg = make_cfg(
         fiber={"R_eff_um": 20.0, "t_nm": 600.0},
         gas={"pressure_bar": 4.0},
@@ -359,8 +360,9 @@ def test_schmidt_subcommand_and_length_sweep_read_the_same_keys(tmp_path):
         fiber, gas, pump.omega_p0, detuning_window=(300e12, 1300e12),
         pump_peak_power_W=2e4, grid_points=1500,
     )
-    assert len(branches) == 2
+    assert len(branches) == 3
     seeded = min(branches, key=lambda b: abs(b.lambda_i_nm - 1150.0))
+    assert seeded.lambda_i_nm == pytest.approx(1147.0, abs=1.0)
     assert seeded != max(branches, key=lambda b: b.delta_omega)
     grid = jsa.build_jsa(
         fiber, gas, pump, seeded, 0.5, n=96, kappa_span=2.5, mode="full"
