@@ -4,9 +4,10 @@ Every subcommand reads one config (a YAML path or the name of a bundled
 recipe), writes its artifacts under `<out>/<subcommand>/<label>/` where
 the label defaults to a UTC timestamp, and emits a machine-parseable
 manifest.json listing the files.  Exit code 0 means success, 1 a
-validation problem (bad config, out-of-range physics), 2 a numerical
-failure (non-convergence, no fittable sweep, float overflow, or a NaN or
-inf that an artifact would have held).
+validation problem (bad config, unreadable gas table, run directory that
+cannot be created, out-of-range physics), 2 a numerical failure
+(non-convergence, no fittable sweep, float overflow, or a NaN or inf that
+an artifact would have held).
 
 Output files never embed wall-clock times or absolute paths, so a rerun
 with the same config and the same --label is byte-identical.  Runs are
@@ -36,17 +37,6 @@ from .config import (
     loads_config,
 )
 from .errors import NumericalError, ValidationError
-
-SUBCOMMANDS = (
-    "dispersion",
-    "phasematch",
-    "jsa",
-    "schmidt",
-    "set-sim",
-    "sweep-length",
-    "sweep-pressure",
-    "density-map",
-)
 
 _DISPERSION_SAMPLES_PER_BAND = 200
 
@@ -336,12 +326,7 @@ def cmd_set_sim(run: _Run) -> None:
         f"scan: {scan.n_slices} slices x {scan.omega_s.size} samples; "
         f"reconstructed idler centroid {rec_marg.centroid_lambda_i_nm:.2f} nm"
     )
-    if ss.power_check_seed_W is not None or ss.power_check_pump_W is not None:
-        if ss.power_check_seed_W is None or ss.power_check_pump_W is None:
-            raise ValidationError(
-                "config keys 'set_sim.power_check_seed_W' and "
-                "'set_sim.power_check_pump_W' must be set together"
-            )
+    if ss.power_check_seed_W is not None:  # set together with the pump axis
         scaling = tomography.power_scaling_check(
             grid,
             ss.power_check_seed_W,
@@ -415,12 +400,12 @@ def cmd_density_map(run: _Run) -> None:
         )
     fiber = sweeps_mod.fiber_from_config(cfg)
     gas = sweeps_mod.gas_from_config(cfg)
-    records = sweeps_mod.density_records(cfg, fiber, gas)
-    phasematch.density_map_to_csv(records, run.path("density.csv"))
+    branches = sweeps_mod.density_records(cfg, fiber, gas)
+    phasematch.density_map_to_csv(branches, run.path("density.csv"))
     run.add("density.csv", "phase-matched branches over the pump scan")
     families: dict[tuple[str, str], list[float]] = {}
-    for r in records:
-        families.setdefault((r.band_s, r.band_i), []).append(r.theta_deg)
+    for b in branches:
+        families.setdefault(b.family, []).append(b.theta_deg)
     fam_obj = {
         f"{s}+{i}": {
             "count": len(thetas),
@@ -431,36 +416,33 @@ def cmd_density_map(run: _Run) -> None:
     }
     export.to_json(fam_obj, run.path("families.json"), indent=1)
     run.add("families.json", "branch families and their angle ranges")
-    run.results["n_records"] = len(records)
+    run.results["n_records"] = len(branches)
     run.results["families"] = sorted(f"{s}+{i}" for s, i in families)
     print(
-        f"{len(records)} phase-matched points in "
+        f"{len(branches)} phase-matched points in "
         f"{len(families)} famil{'y' if len(families) == 1 else 'ies'}: "
         + ", ".join(sorted(f"{s}+{i}" for s, i in families))
     )
 
 
-_HANDLERS = {
-    "dispersion": cmd_dispersion,
-    "phasematch": cmd_phasematch,
-    "jsa": cmd_jsa,
-    "schmidt": cmd_schmidt,
-    "set-sim": cmd_set_sim,
-    "sweep-length": cmd_sweep_length,
-    "sweep-pressure": cmd_sweep_pressure,
-    "density-map": cmd_density_map,
+# subcommand -> (handler, help line), in --help order
+_COMMANDS = {
+    "dispersion": (cmd_dispersion, "band structure, dispersion curves, and ZDWs"),
+    "phasematch": (
+        cmd_phasematch, "phase-matched signal/idler branches at the pump"
+    ),
+    "jsa": (cmd_jsa, "joint spectral amplitude and marginals"),
+    "schmidt": (cmd_schmidt, "Schmidt decomposition of the JSA"),
+    "set-sim": (cmd_set_sim, "stimulated-emission tomography simulation"),
+    "sweep-length": (cmd_sweep_length, "JSA and Schmidt numbers vs fiber length"),
+    "sweep-pressure": (
+        cmd_sweep_pressure, "branch tuning and Schmidt numbers vs gas pressure"
+    ),
+    "density-map": (
+        cmd_density_map, "branch families over a pump-wavelength scan"
+    ),
 }
-
-_HELP = {
-    "dispersion": "band structure, dispersion curves, and ZDWs",
-    "phasematch": "phase-matched signal/idler branches at the pump",
-    "jsa": "joint spectral amplitude and marginals",
-    "schmidt": "Schmidt decomposition of the JSA",
-    "set-sim": "stimulated-emission tomography simulation",
-    "sweep-length": "JSA and Schmidt numbers vs fiber length",
-    "sweep-pressure": "branch tuning and Schmidt numbers vs gas pressure",
-    "density-map": "branch families over a pump-wavelength scan",
-}
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def build_parser() -> _Parser:
@@ -475,8 +457,8 @@ def build_parser() -> _Parser:
         "--version", action="version", version=f"hcfwm {__version__}"
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument(
             "--config",
             required=True,
@@ -521,9 +503,14 @@ def main(argv=None) -> int:
         ).strftime("%Y%m%dT%H%M%SZ")
         out_root = args.out or cfg.output.dir
         run_dir = os.path.join(out_root, args.subcommand, label)
-        os.makedirs(run_dir, exist_ok=True)
+        try:
+            os.makedirs(run_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot create run directory {run_dir}: {exc.strerror}"
+            ) from None
         run = _Run(cfg, args.subcommand, run_dir)
-        _HANDLERS[args.subcommand](run)
+        _COMMANDS[args.subcommand][0](run)
         run.finish()
         return 0
     except ValidationError as exc:

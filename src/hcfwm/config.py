@@ -172,6 +172,15 @@ def _exceeds(path: str, lo_key: str, lo: Any, hi_key: str, hi: Any) -> None:
         )
 
 
+def _together(path: str, a_key: str, a: Any, b_key: str, b: Any) -> None:
+    """Rule spanning two keys: both set or neither."""
+    if (a is None) != (b is None):
+        raise ValidationError(
+            f"config keys '{path}.{a_key}' and '{path}.{b_key}' must be set "
+            "together"
+        )
+
+
 def _below_sanity_max(key: str, bar: float) -> None:
     if bar > SANITY_MAX_BAR:
         raise ValidationError(
@@ -293,18 +302,16 @@ class PhasematchConfig:
 
     @staticmethod
     def _after(cfg: "PhasematchConfig", path: str) -> None:
+        _together(path, "detuning_min_THz", cfg.detuning_min_THz,
+                  "detuning_max_THz", cfg.detuning_max_THz)
         _exceeds(path, "detuning_min_THz", cfg.detuning_min_THz,
                  "detuning_max_THz", cfg.detuning_max_THz)
 
     def detuning_window(self) -> tuple[float, float] | None:
-        """Window in rad/s for the root scan, or None for the band default."""
-        if self.detuning_min_THz is None and self.detuning_max_THz is None:
+        """Window in rad/s for the root scan, or None for the band default;
+        the two keys are set together (checked at load)."""
+        if self.detuning_min_THz is None:
             return None
-        if self.detuning_min_THz is None or self.detuning_max_THz is None:
-            raise ValidationError(
-                "config keys 'phasematch.detuning_min_THz' and "
-                "'phasematch.detuning_max_THz' must be set together"
-            )
         return (self.detuning_min_THz * 1e12, self.detuning_max_THz * 1e12)
 
 
@@ -335,6 +342,8 @@ class SetSimConfig:
     def _after(cfg: "SetSimConfig", path: str) -> None:
         _exceeds(path, "seed_min_nm", cfg.seed_min_nm,
                  "seed_max_nm", cfg.seed_max_nm)
+        _together(path, "power_check_seed_W", cfg.power_check_seed_W,
+                  "power_check_pump_W", cfg.power_check_pump_W)
 
 
 @dataclass(frozen=True)

@@ -145,9 +145,19 @@ def _load_table(path: str | None) -> dict[str, SellmeierModel]:
             resources.files("hcfwm").joinpath("data/gases.yaml").read_text()
         )
     else:
-        with open(path, "r") as fh:
-            text = fh.read()
-    raw = yaml.safe_load(text)
+        try:
+            with open(path, "r") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot read gas data file {path}: {exc.strerror}"
+            ) from None
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValidationError(
+            f"gas data file {path or 'data/gases.yaml'} is not valid YAML: {exc}"
+        ) from None
     if not isinstance(raw, dict) or not raw:
         raise ValidationError("gas data file must map species names to entries")
     table: dict[str, SellmeierModel] = {}

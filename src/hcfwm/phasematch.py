@@ -33,6 +33,10 @@ and the phase-matching width
 stored at L = 1 m and rescaled by 1/L^2 on request.  Branches whose signal
 and idler sit in different band pairs belong to different families; the
 (band_s, band_i) pair is the family key.
+
+The density map is the same solve over a grid of pump wavelengths: it
+returns the PhaseMatchBranch of every pump, with the same solver settings,
+Kerr term included, and density_map_to_csv writes them one row each.
 """
 
 from __future__ import annotations
@@ -300,71 +304,43 @@ def solve_phase_matching(
     ]
 
 
-@dataclass(frozen=True)
-class DensityRecord:
-    """One (pump, branch) entry of a phase-matching density map."""
-
-    lambda_p_nm: float
-    delta_omega: float
-    theta_deg: float
-    band_p: str
-    band_s: str
-    band_i: str
-    lambda_s_nm: float
-    lambda_i_nm: float
-
-
 def density_map(
     fiber: FiberModel,
     gas: GasState,
     pump_range_nm: tuple[float, float],
     steps: int,
-    detuning_window: tuple[float, float] | None = None,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> list[DensityRecord]:
-    """Branches for every pump on a wavelength grid.
+    **solve,
+) -> list[PhaseMatchBranch]:
+    """The branches of every pump on a wavelength grid, in pump order.
 
-    Pumps that land outside a band, or whose solve fails numerically, are
-    recorded as gaps (no rows) rather than aborting the map.  Pumps are
-    solved one after another and the rows come out in pump order.
+    ``solve`` (detuning_window, pump_peak_power_W, grid_points) goes to
+    ``solve_phase_matching`` unchanged, so a map row is exactly what a
+    single-pump solve gives.  Pumps that land outside a band, or whose
+    solve fails numerically, are gaps (no branches) rather than aborting
+    the map.
     """
     lo, hi = map(float, check_pair("pump range", pump_range_nm, lo=0, lo_open=True))
     if not lo < hi:
         raise ValidationError(f"bad pump range ({lo}, {hi}) nm")
     steps = check_number("steps", steps, lo=2, integer=True)
-    records: list[DensityRecord] = []
+    branches: list[PhaseMatchBranch] = []
     for lam_p in np.linspace(lo, hi, steps).tolist():
         try:
-            branches = solve_phase_matching(
-                fiber, gas, float(omega_from_lambda_nm(lam_p)),
-                detuning_window=detuning_window, grid_points=grid_points,
+            branches += solve_phase_matching(
+                fiber, gas, float(omega_from_lambda_nm(lam_p)), **solve
             )
         except (RangeError, NumericalError):
             continue
-        records.extend(
-            DensityRecord(
-                lambda_p_nm=lam_p,
-                delta_omega=b.delta_omega,
-                theta_deg=b.theta_deg,
-                band_p=b.band_p,
-                band_s=b.band_s,
-                band_i=b.band_i,
-                lambda_s_nm=b.lambda_s_nm,
-                lambda_i_nm=b.lambda_i_nm,
-            )
-            for b in branches
-        )
-    return records
+    return branches
 
 
-def density_map_to_csv(records: list[DensityRecord], path=None) -> str:
-    """Serialize map records; delta_omega_THz is angular frequency / 1e12."""
+def density_map_to_csv(branches: list[PhaseMatchBranch], path=None) -> str:
+    """Serialize map branches; delta_omega_THz is angular frequency / 1e12."""
     return export.to_csv(
         DENSITY_CSV_HEADER,
         (
-            (r.lambda_p_nm, r.delta_omega / 1e12, r.theta_deg,
-             r.band_s, r.band_i)
-            for r in records
+            (b.lambda_p_nm, b.delta_omega / 1e12, b.theta_deg, b.band_s, b.band_i)
+            for b in branches
         ),
         path,
     )

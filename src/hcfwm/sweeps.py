@@ -2,7 +2,8 @@
 
 It is also the one place where a RunConfig reaches the physics, for the
 command line and the drivers alike: the ``*_from_config`` functions,
-``solve_branches``/``solve_branch``, ``build_grid`` and ``density_records``.
+``solve_settings``, ``solve_branches``/``solve_branch``, ``build_grid`` and
+``density_records``.
 
 Each driver re-solves the phase-matching branch where the parameter
 changes it, evaluates the JSA and its Schmidt numbers per point, and
@@ -35,12 +36,7 @@ from .errors import (
 from .fibermodel import FiberModel, omega_from_lambda_nm
 from .gasmedia import GasState, make_gas
 from .jsa import GaussianPump, JsaGrid, SampledPump, build_jsa, jsi_to_csv, marginals
-from .phasematch import (
-    DensityRecord,
-    PhaseMatchBranch,
-    density_map,
-    solve_phase_matching,
-)
+from .phasematch import PhaseMatchBranch, density_map, solve_phase_matching
 from .schmidt import schmidt_number
 
 __all__ = [
@@ -53,6 +49,7 @@ __all__ = [
     "gas_from_config",
     "pump_from_config",
     "select_branch",
+    "solve_settings",
     "solve_branches",
     "solve_branch",
     "build_grid",
@@ -131,14 +128,15 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class ThicknessMap:
-    """Phase-matching density map for one strut thickness."""
+    """Phase-matching density map for one strut thickness: the branches
+    of every pump of the scan."""
 
     t_nm: float
-    records: tuple[DensityRecord, ...]
+    records: tuple[PhaseMatchBranch, ...]
 
     @property
     def families(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted({(r.band_s, r.band_i) for r in self.records}))
+        return tuple(sorted({b.family for b in self.records}))
 
 
 def fiber_from_config(cfg: RunConfig) -> FiberModel:
@@ -199,15 +197,20 @@ def select_branch(
     return max(branches, key=lambda b: b.delta_omega)
 
 
-def solve_branches(cfg: RunConfig, fiber, gas, pump) -> list[PhaseMatchBranch]:
-    """Every phase-matched branch at the pump, under ``cfg.phasematch``."""
+def solve_settings(cfg: RunConfig) -> dict:
+    """The keywords of ``solve_phase_matching`` that ``cfg.phasematch``
+    sets; the one mapping for a single pump and the density map alike."""
     pm = cfg.phasematch
-    return solve_phase_matching(
-        fiber, gas, pump.omega_p0,
+    return dict(
         detuning_window=pm.detuning_window(),
         pump_peak_power_W=pm.pump_peak_power_W,
         grid_points=pm.grid_points,
     )
+
+
+def solve_branches(cfg: RunConfig, fiber, gas, pump) -> list[PhaseMatchBranch]:
+    """Every phase-matched branch at the pump, under ``cfg.phasematch``."""
+    return solve_phase_matching(fiber, gas, pump.omega_p0, **solve_settings(cfg))
 
 
 def solve_branch(cfg: RunConfig, fiber, gas, pump, prev=None) -> PhaseMatchBranch:
@@ -227,13 +230,13 @@ def build_grid(cfg: RunConfig, fiber, gas, pump, branch, L_m: float) -> JsaGrid:
     )
 
 
-def density_records(cfg: RunConfig, fiber, gas) -> list[DensityRecord]:
-    """The density map over the pump scan of ``cfg.density_map``."""
+def density_records(cfg: RunConfig, fiber, gas) -> list[PhaseMatchBranch]:
+    """The branches of every pump of ``cfg.density_map``'s scan, solved
+    under ``cfg.phasematch`` as ``solve_branches`` solves one pump."""
     dm = cfg.density_map
     return density_map(
         fiber, gas, (dm.pump_min_nm, dm.pump_max_nm), dm.pump_steps,
-        detuning_window=cfg.phasematch.detuning_window(),
-        grid_points=cfg.phasematch.grid_points,
+        **solve_settings(cfg),
     )
 
 

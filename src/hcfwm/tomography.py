@@ -176,21 +176,6 @@ class PowerScaling:
     r_squared_pump: float
 
 
-def _interp_jsi_slice(
-    intensity: np.ndarray, axis: np.ndarray, omega: float
-) -> np.ndarray:
-    """Linear interpolation of JSI columns at one seed frequency."""
-    k = int(np.searchsorted(axis, omega))
-    if k == 0:
-        return intensity[:, 0].copy()
-    if k >= axis.size:
-        return intensity[:, -1].copy()
-    w = (omega - axis[k - 1]) / (axis[k] - axis[k - 1])
-    if w == 0.0:
-        return intensity[:, k - 1].copy()
-    return (1.0 - w) * intensity[:, k - 1] + w * intensity[:, k]
-
-
 def simulate_set_scan(
     truth: JsaGrid,
     seed_omega_i,
@@ -228,25 +213,27 @@ def simulate_set_scan(
     n_seed = powers * duty_cycle / (hbar * omega_ref)
     prefactor = gain * pump_power_W**2
 
-    rows = []
-    for k in range(seed_omega_i.size):
-        out = prefactor * n_seed[k] * _interp_jsi_slice(
-            intensity, truth.omega_i, seed_omega_i[k]
-        )
-        if noise.rel_sigma > 0.0:
-            rng = noise.rng_for_slice(k)
-            out = out * (
-                1.0 + noise.rel_sigma * rng.standard_normal(out.size)
-            )
-            np.maximum(out, 0.0, out=out)
-        if noise.dark_floor > 0.0:
-            out = out + noise.dark_floor
-        rows.append(out)
+    # linear interpolation of the JSI columns at every seed; a seed on an
+    # axis point (w = 0, or w = 1 at the last point) gives its column exactly
+    axis = truth.omega_i
+    k = np.clip(np.searchsorted(axis, seed_omega_i), 1, axis.size - 1)
+    w = ((seed_omega_i - axis[k - 1]) / (axis[k] - axis[k - 1]))[:, None]
+    columns = (1.0 - w) * intensity[:, k - 1].T + w * intensity[:, k].T
+    slices = (prefactor * n_seed)[:, None] * columns
+    if noise.rel_sigma > 0.0:
+        draws = np.vstack([
+            noise.rng_for_slice(i).standard_normal(slices.shape[1])
+            for i in range(slices.shape[0])
+        ])
+        slices = slices * (1.0 + noise.rel_sigma * draws)
+        np.maximum(slices, 0.0, out=slices)
+    if noise.dark_floor > 0.0:
+        slices = slices + noise.dark_floor
 
     return SetScan(
         omega_i=seed_omega_i,
         omega_s=truth.omega_s.copy(),
-        slices=np.vstack(rows),
+        slices=slices,
         seed_power_W=powers,
         pump_power_W=float(pump_power_W),
         duty_cycle=float(duty_cycle),

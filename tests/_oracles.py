@@ -8,7 +8,9 @@ formulas that share no code with them.  ``capillary_delta_eff`` is the
 smooth (Marcatili-Schmeltzer) part of the tube model, without the wall
 resonance term, for isolating that term.  ``three_kappa_phi`` is the
 full-mode phase-matching function as the JSA formed it before it took
-its mismatch from ``phasematch.delta_k``.  ``csv_writer_text`` is the
+its mismatch from ``phasematch.delta_k``.  ``per_slice_set_scan`` is the
+seeded scan as ``tomography`` built it one slice at a time, before the
+slices became one array expression.  ``csv_writer_text`` is the
 per-cell CSV writer the exporters used before ``hcfwm.export``, kept as
 the byte-for-byte reference of the artifact format.
 """
@@ -197,6 +199,34 @@ def three_kappa_phi(fiber, gas, omega_s, omega_i, L_m: float) -> np.ndarray:
     )
     x = dk * L_m / 2.0
     return np.sinc(x / np.pi) * np.exp(1j * x)
+
+
+def per_slice_set_scan(intensity, axis, seeds, scale, noise) -> np.ndarray:
+    """Slices of a seeded scan, one seed at a time: the JSI column at each
+    seed, interpolated linearly in ``axis`` (increasing), times
+    ``scale[k]``, then ``noise``'s multiplicative draws (clipped at zero)
+    and dark floor."""
+    rows = []
+    for k, omega in enumerate(seeds):
+        j = int(np.searchsorted(axis, omega))
+        if j == 0:
+            col = intensity[:, 0]
+        elif j >= axis.size:
+            col = intensity[:, -1]
+        else:
+            w = (omega - axis[j - 1]) / (axis[j] - axis[j - 1])
+            col = (
+                intensity[:, j - 1] if w == 0.0
+                else (1.0 - w) * intensity[:, j - 1] + w * intensity[:, j]
+            )
+        out = scale[k] * col
+        if noise.rel_sigma > 0.0:
+            draws = noise.rng_for_slice(k).standard_normal(out.size)
+            out = np.maximum(out * (1.0 + noise.rel_sigma * draws), 0.0)
+        if noise.dark_floor > 0.0:
+            out = out + noise.dark_floor
+        rows.append(out)
+    return np.vstack(rows)
 
 
 def csv_writer_text(header, rows) -> str:

@@ -542,6 +542,55 @@ def test_non_numeric_gas_data_exits_1(tmp_path, monkeypatch, capsys):
     assert "'xenon': P0_bar must be a number, got 'abc'" in capsys.readouterr().err
 
 
+def test_unreadable_gas_data_exits_1(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing.yaml"
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("xenon: {B: [1.0\n  C_um2: : [")
+    cfg_path = write_cfg(tmp_path, copy.deepcopy(BASE))
+    for table_path, error in [
+        (missing, f"cannot read gas data file {missing}: No such file"),
+        (broken, f"gas data file {broken} is not valid YAML"),
+    ]:
+        monkeypatch.setenv("HCFWM_GAS_DATA", str(table_path))
+        rc = cli.main(["dispersion", "--config", cfg_path,
+                       "--out", str(tmp_path / "o"), "--label", "t"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}"), err
+        assert "Traceback" not in err
+
+
+def test_uncreatable_run_directory_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"
+    rc = cli.main(["dispersion", "--config", write_cfg(tmp_path, BASE),
+                   "--out", str(out), "--label", "t"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: cannot create run directory {out / 'dispersion' / 't'}: "
+        "Not a directory\n"
+    )
+
+
+@pytest.mark.parametrize("subcommand", ["set-sim", "dispersion"])
+def test_half_set_pair_exits_1_before_any_artifact(tmp_path, capsys, subcommand):
+    """set-sim with one power axis, or any subcommand with half a detuning
+    window, exits 1 at load and leaves no run directory."""
+    raw = copy.deepcopy(BASE)
+    raw.update(copy.deepcopy(EXTRAS[subcommand]))
+    if subcommand == "set-sim":
+        del raw["set_sim"]["power_check_pump_W"]
+    else:
+        raw["phasematch"]["detuning_min_THz"] = 550.0
+    rc = cli.main([subcommand, "--config", write_cfg(tmp_path, raw),
+                   "--out", str(tmp_path / "o"), "--label", "t"])
+    assert rc == 1
+    assert "must be set together" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -134,12 +134,34 @@ def test_exactly_one_pump_width():
     assert cfg.pump.pulse_fwhm_fs == 280.0  # neither given: default width
 
 
-def test_detuning_keys_must_pair():
+@pytest.mark.parametrize(
+    "section, raw",
+    [
+        ("phasematch", {"detuning_min_THz": 550.0}),
+        ("phasematch", {"detuning_max_THz": 650.0}),
+        ("set_sim", {"power_check_seed_W": [1e-6, 2e-6, 4e-6, 8e-6, 1.6e-5]}),
+        ("set_sim", {"power_check_pump_W": [0.1, 0.2, 0.4, 0.8, 1.6]}),
+    ],
+)
+def test_half_set_pairs_are_refused_at_load(section, raw):
+    """A pair of keys that only work together is refused when the config
+    is loaded, not when (or whether) a subcommand reads it."""
     d = dict(MINIMAL)
-    d["phasematch"] = {"detuning_min_THz": 550.0}
-    cfg = config.config_from_dict(d)
-    with pytest.raises(ValidationError, match="set together"):
-        cfg.phasematch.detuning_window()
+    d[section] = raw
+    pair = {
+        "phasematch": ("detuning_min_THz", "detuning_max_THz"),
+        "set_sim": ("power_check_seed_W", "power_check_pump_W"),
+    }[section]
+    with pytest.raises(ValidationError) as err:
+        config.config_from_dict(d)
+    assert str(err.value) == (
+        f"config keys '{section}.{pair[0]}' and '{section}.{pair[1]}' "
+        "must be set together"
+    )
+
+
+def test_detuning_keys_must_pair():
+    d = dict(MINIMAL)  # half-set pairs: test_half_set_pairs_are_refused_at_load
     d["phasematch"] = {"detuning_min_THz": 550.0, "detuning_max_THz": 650.0}
     lo, hi = config.config_from_dict(d).phasematch.detuning_window()
     assert (lo, hi) == (550.0e12, 650.0e12)

@@ -50,7 +50,6 @@ RECORDS = {
     "fibermodel.DispersionPoint",
     "jsa.JsaGrid",
     "jsa.Marginals",
-    "phasematch.DensityRecord",
     "schmidt.SchmidtResult",
     "tomography.PowerScaling",
     "sweeps.SweepPoint",
@@ -227,7 +226,6 @@ WORDS = {
     ("gasmedia.make_gas", "temperature_K"): "temperature",
     ("sweeps.gas_from_config", "pressure_bar"): "pressure",
     ("phasematch.solve_phase_matching", "detuning_window"): "detuning window",
-    ("phasematch.density_map", "detuning_window"): "detuning window",
     ("phasematch.density_map", "pump_range_nm"): "pump range",
     ("tomography.SetScan", "duty_cycle"): "duty cycle",
     ("tomography.simulate_set_scan", "duty_cycle"): "duty cycle",
@@ -418,6 +416,24 @@ def test_detuning_window_ends(fx, window):
             fx.fiber, fx.xenon, (5000.0, 5001.0), steps=2,
             detuning_window=window,
         )
+
+
+@pytest.mark.parametrize("param", ["grid_points", "pump_peak_power_W"])
+@pytest.mark.parametrize("label", BAD)
+def test_density_map_passes_the_solve_keywords_to_their_check(fx, param, label):
+    """density_map hands its solve keywords to solve_phase_matching, which
+    checks them before any band lookup: a map whose pumps all miss the
+    bands still refuses a bad one, naming it (0 W is a legal power)."""
+    def run():
+        return phasematch.density_map(
+            fx.fiber, fx.xenon, (5000.0, 5001.0), steps=2, **{param: BAD[label]}
+        )
+
+    if label in ACCEPTED.get(("phasematch.solve_phase_matching", param), set()):
+        assert run() == []
+        return
+    with pytest.raises(ValidationError, match=param):
+        run()
 
 
 @pytest.mark.parametrize("pair", [(1000.0,), (1.0, 2.0, 3.0), (), 1000.0, "ab"])

@@ -12,6 +12,7 @@ import pytest
 
 from hcfwm import cli, config, jsa, phasematch, schmidt, sweeps
 from hcfwm.errors import NumericalError, ValidationError
+from hcfwm.fibermodel import omega_from_lambda_nm
 from hcfwm.jsa import GaussianPump, SampledPump
 from hcfwm.phasematch import PhaseMatchBranch
 
@@ -225,20 +226,36 @@ def test_thickness_maps():
 
 
 def test_density_records_read_the_config_keys():
+    """The map solves each pump as ``solve_branches`` does, Kerr term
+    included: its 1030 nm branches are the single-pump solve's."""
     cfg = make_cfg(
         density_map={"pump_min_nm": 1020.0, "pump_max_nm": 1040.0,
                      "pump_steps": 3},
         phasematch={"grid_points": 1200, "detuning_min_THz": 500.0,
-                    "detuning_max_THz": 700.0},
+                    "detuning_max_THz": 700.0, "pump_peak_power_W": 2e4},
     )
     fiber = sweeps.fiber_from_config(cfg)
     gas = sweeps.gas_from_config(cfg)
     records = sweeps.density_records(cfg, fiber, gas)
     kwargs = dict(pump_range_nm=(1020.0, 1040.0), steps=3, grid_points=1200)
+    window = (500e12, 700e12)
     assert records == phasematch.density_map(
-        fiber, gas, detuning_window=(500e12, 700e12), **kwargs
+        fiber, gas, detuning_window=window, pump_peak_power_W=2e4, **kwargs
     )
     assert records and records != phasematch.density_map(fiber, gas, **kwargs)
+    assert records != phasematch.density_map(
+        fiber, gas, detuning_window=window, **kwargs
+    )
+    om_p = float(omega_from_lambda_nm(1030.0))
+    at_1030 = [b for b in records if b.omega_p == om_p]
+    assert at_1030 and at_1030 == phasematch.solve_phase_matching(
+        fiber, gas, om_p, detuning_window=window, pump_peak_power_W=2e4,
+        grid_points=1200,
+    )
+    pump = sweeps.pump_from_config(cfg)  # the default 1030 nm pump
+    assert pump.omega_p0 == om_p
+    assert at_1030 == sweeps.solve_branches(cfg, fiber, gas, pump)
+    assert {b.pump_peak_power_W for b in records} == {2e4}
 
 
 # ----------------------------------------------------- branch selection

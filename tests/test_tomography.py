@@ -10,6 +10,8 @@ from hcfwm import jsa, schmidt, tomography
 from hcfwm.errors import RangeError, ValidationError
 from hcfwm.tomography import NoiseModel, SetScan
 
+from _oracles import per_slice_set_scan
+
 
 def normalized_truth(grid):
     intensity = jsa.jsi(grid)
@@ -97,6 +99,30 @@ def test_seed_between_grid_columns_interpolates_linearly(grid128):
     n_seed = scan.seed_photon_number()[0]
     manual = (1.0 - w) * intensity[:, k] + w * intensity[:, k + 1]
     assert np.allclose(scan.slices[0] / n_seed, manual, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [NoiseModel(), NoiseModel(rel_sigma=0.3, dark_floor=2.0, seed=(5,))],
+    ids=["noiseless", "noisy"],
+)
+def test_scan_equals_the_per_slice_reference(grid128, noise):
+    """Seeds on the first, an inner and the last axis point and between
+    columns, descending: bit for bit the one-slice-at-a-time scan."""
+    axis = grid128.omega_i
+    seeds = np.array([
+        axis[-1], 0.7 * axis[90] + 0.3 * axis[91], axis[40],
+        0.25 * axis[10] + 0.75 * axis[11], axis[0],
+    ])
+    powers = np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
+    scan = tomography.simulate_set_scan(
+        grid128, seeds, 2.0, powers, noise=noise, gain=1e9
+    )
+    scale = 1e9 * 2.0**2 * scan.seed_photon_number()
+    assert np.array_equal(
+        scan.slices,
+        per_slice_set_scan(jsa.jsi(grid128), axis, seeds, scale, noise),
+    )
 
 
 def test_seed_photon_number_uses_sweep_center(grid128):
