@@ -26,6 +26,7 @@ import yaml
 
 from .errors import ValidationError, check_number
 from .fibermodel import MAX_MODE_N
+from .gasmedia import _load_yaml
 from .jsa import MAX_GRID_N
 
 __all__ = [
@@ -481,7 +482,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def loads_config(text: str, origin: str = "<config>") -> RunConfig:
     try:
-        raw = yaml.safe_load(text)
+        raw = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ValidationError(f"config {origin} is not valid YAML: {exc}")
     return config_from_dict(raw)

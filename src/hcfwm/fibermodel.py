@@ -215,9 +215,11 @@ class BandStructure:
         maps to None raises the error that says why."""
         flat = np.asarray(lambda_nm, dtype=float).ravel()
         ok = self.in_band_mask(flat)
-        # band_of's last test: the band the wavelength falls in exists
+        # band_of's last test: the band the wavelength falls in exists.
+        # bincount lists the band indexes present in ascending order, as
+        # np.unique would, without np.unique's import of numpy.ma
         index = self.band_index(flat)
-        for j in np.unique(index[ok]).tolist():
+        for j in np.flatnonzero(np.bincount(index[ok])).tolist():
             if roman(j) not in self.bands_by_label:
                 ok &= index != j
         if ok.all():

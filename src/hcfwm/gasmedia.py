@@ -138,6 +138,19 @@ def _data_path() -> str | None:
     return os.environ.get("HCFWM_GAS_DATA")
 
 
+def _load_yaml(text: str):
+    """``yaml.safe_load(text)``, through libyaml's ``CSafeLoader`` where
+    PyYAML was built with it: about 6x faster, and it returns equal objects.
+
+    A parse error is raised by the pure-Python ``SafeLoader``, whose message
+    quotes the source line and a caret under the fault; libyaml's does not.
+    """
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError:
+        return yaml.load(text, Loader=yaml.SafeLoader)
+
+
 @lru_cache(maxsize=8)
 def _load_table(path: str | None) -> dict[str, SellmeierModel]:
     if path is None:
@@ -153,7 +166,7 @@ def _load_table(path: str | None) -> dict[str, SellmeierModel]:
                 f"cannot read gas data file {path}: {exc.strerror}"
             ) from None
     try:
-        raw = yaml.safe_load(text)
+        raw = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ValidationError(
             f"gas data file {path or 'data/gases.yaml'} is not valid YAML: {exc}"

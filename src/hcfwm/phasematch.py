@@ -21,8 +21,8 @@ points, all with array operations.  One bisection loop then halves every
 bracket at once until each has |delta_k| <= 1e-4 rad/m.  Because the band
 structure is split by wall resonances, several disjoint solutions can
 coexist; each solved branch is annotated with its band labels, beta1 of
-pump, signal and idler (from one dispersion_derivatives call per pump), the
-stripe angle
+pump, signal and idler (from one dispersion_derivatives call), the stripe
+angle
 
     theta = -arctan((beta1_p - beta1_s) / (beta1_p - beta1_i))
 
@@ -34,9 +34,14 @@ stored at L = 1 m and rescaled by 1/L^2 on request.  Branches whose signal
 and idler sit in different band pairs belong to different families; the
 (band_s, band_i) pair is the family key.
 
-The density map is the same solve over a grid of pump wavelengths: it
-returns the PhaseMatchBranch of every pump, with the same solver settings,
-Kerr term included, and density_map_to_csv writes them one row each.
+The density map is the same solve over a grid of pump wavelengths, with
+the same solver settings, Kerr term included.  Each pump is scanned on its
+own detuning grid, but the brackets of all pumps are bisected in one loop,
+each at its own pump frequency, and beta1 comes from one
+dispersion_derivatives call for the whole map; so a map row is bit for bit
+what a single-pump solve gives.  A pump that fails (outside a band, a
+stalled bracket, no stencil room) is a gap.  density_map_to_csv writes the
+branches one row each.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import numpy as np
 
 from . import export, fibermodel
 from .errors import (
+    HcfwmError,
     NumericalError,
     RangeError,
     ValidationError,
@@ -208,100 +214,192 @@ def solve_phase_matching(
     the model window.
     """
     check_number("omega_p", omega_p, lo=0, lo_open=True)
-    check_number("pump_peak_power_W", pump_peak_power_W, lo=0)
-    grid_points = check_number("grid_points", grid_points, lo=16, integer=True)
-    if detuning_window is not None:
-        dw_lo, dw_hi = map(
-            float, check_pair("detuning window", detuning_window, lo=0, lo_open=True)
-        )
-    structure = fibermodel.band_structure(fiber, gas)
-    band_p = structure.require_band(float(lambda_nm_from_omega(omega_p)))
+    return _solve_pumps(
+        fiber, gas, [omega_p], (), detuning_window, pump_peak_power_W, grid_points
+    )
 
-    if detuning_window is None:
+
+def _scan_pump(fiber, gas, structure, omega_p, window, pump_peak_power_W, grid_points):
+    """One pump's band label, detuning grid step, and the cells of its grid
+    that hold a root, as rows (left end, right end, mismatch at the left
+    end): a mismatch of 0 there is the root itself."""
+    band_p = structure.require_band(float(lambda_nm_from_omega(omega_p)))
+    if window is None:
         win_lo, win_hi = structure.window_nm
         dw_lo = DEFAULT_DETUNING_MIN
         dw_hi = min(
             float(omega_from_lambda_nm(win_lo)) - omega_p,  # signal edge
             omega_p - float(omega_from_lambda_nm(win_hi)),  # idler edge
         ) * (1.0 - 1e-9)
+    else:
+        dw_lo, dw_hi = window
     if not dw_lo < dw_hi:
         raise ValidationError(
             f"detuning window must satisfy 0 < min < max, got ({dw_lo}, {dw_hi})"
         )
-
-    def mismatch(detuning):
-        return delta_k(
-            fiber, gas, omega_p, omega_p + detuning, omega_p - detuning,
-            pump_peak_power_W, check=False,
-        )
-
     dw = np.linspace(dw_lo, dw_hi, grid_points)
     ok = structure.in_band_mask(lambda_nm_from_omega(omega_p + dw))
     ok &= structure.in_band_mask(lambda_nm_from_omega(omega_p - dw))
     ok &= omega_p - dw > 0.0
     dk = np.full(dw.shape, np.nan)
-    dk[ok] = mismatch(dw[ok])
-
+    dk[ok] = delta_k(
+        fiber, gas, omega_p, omega_p + dw[ok], omega_p - dw[ok],
+        pump_peak_power_W, check=False,
+    )
     # in a cell with both ends valid, a zero at the left end is a root and
     # a sign change is a bracket; so is a NaN product, which is bisected
     # (and normally stalls with an error) rather than skipped
     fa, fb = dk[:-1], dk[1:]
     cell_ok = ok[:-1] & ok[1:]
-    exact = cell_ok & (fa == 0.0)
-    cells = np.flatnonzero(exact | cell_ok & ~(fa * fb >= 0.0))
-    roots = dw[cells]
-    residuals = np.zeros(cells.size)
+    cells = np.flatnonzero(cell_ok & ((fa == 0.0) | ~(fa * fb >= 0.0)))
+    return band_p.label, float(dw[1] - dw[0]), np.array(
+        [dw[cells], dw[cells + 1], fa[cells]]
+    )
 
-    # bisect every bracket together until |delta_k| <= BISECT_TOL_RAD_M;
-    # live indexes the brackets still open
-    live = np.flatnonzero(~exact[cells])
-    a, b, fa = dw[cells[live]], dw[cells[live] + 1], fa[cells[live]]
+
+def _bisect(fiber, gas, omega_p, a, b, fa, pump_peak_power_W):
+    """Halve every bracket [a, b] at once, each at its own pump frequency,
+    until |delta_k| <= BISECT_TOL_RAD_M or 200 steps have passed.
+
+    Returns the last midpoint and mismatch of each bracket, and the indexes
+    of the brackets still open (stalled)."""
+    roots, residuals = np.array(a), np.zeros(a.size)
+    live = np.arange(a.size)
     for _ in range(200):
         if not live.size:
             break
         m = 0.5 * (a + b)
-        fm = mismatch(m)
+        fm = delta_k(
+            fiber, gas, omega_p, omega_p + m, omega_p - m,
+            pump_peak_power_W, check=False,
+        )
         roots[live], residuals[live] = m, fm
         left = fa * fm < 0.0
         a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
         keep = np.abs(fm) > BISECT_TOL_RAD_M
         live, a, b, fa = live[keep], a[keep], b[keep], fa[keep]
-    if live.size:
-        k = live[0]
-        raise NumericalError(
-            f"bisection stalled at delta_omega = {roots[k]:.6e} rad/s with "
-            f"|delta_k| = {abs(residuals[k]):.3e} rad/m > {BISECT_TOL_RAD_M} rad/m"
-        )
+        omega_p = omega_p[keep]
+    return roots, residuals, live
 
-    cell = float(dw[1] - dw[0])
-    for r1, r2 in zip(roots.tolist(), roots[1:].tolist()):
-        if r2 - r1 < 2.0 * cell:
-            warnings.warn(
-                f"phase-matching roots {r1:.4e} and {r2:.4e} rad/s are closer "
-                f"than two grid cells; increase grid_points to resolve them",
-                stacklevel=2,
-            )
-    if not roots.size:
-        return []
 
-    # beta1 and bands of the pump, then of (signal, idler) per root; energy
-    # is conserved by construction
-    om_si = np.column_stack((omega_p + roots, omega_p - roots))
-    lam = lambda_nm_from_omega(np.concatenate(([omega_p], om_si.ravel())))
-    beta1 = fibermodel.dispersion_derivatives(fiber, gas, lam).beta1
-    bands = np.array([roman(j) for j in structure.band_index(lam[1:])])
-    return [
-        PhaseMatchBranch(
-            omega_p=omega_p, omega_s=om_s, omega_i=om_i,
-            band_p=band_p.label, band_s=band_s, band_i=band_i,
-            beta1_p=float(beta1[0]), beta1_s=beta1_s, beta1_i=beta1_i,
-            residual_rad_m=residual, pump_peak_power_W=pump_peak_power_W,
-        )
-        for (om_s, om_i), (band_s, band_i), (beta1_s, beta1_i), residual in zip(
-            om_si.tolist(), bands.reshape(-1, 2).tolist(),
-            beta1[1:].reshape(-1, 2).tolist(), residuals.tolist(),
-        )
+def _solve_pumps(
+    fiber: FiberModel,
+    gas: GasState,
+    omegas_p,
+    gaps: tuple[type[HcfwmError], ...],
+    detuning_window: tuple[float, float] | None = None,
+    pump_peak_power_W: float = 0.0,
+    grid_points: int = DEFAULT_GRID_POINTS,
+) -> list[PhaseMatchBranch]:
+    """The branches of every pump in ``omegas_p``, in pump order: the one
+    solve behind solve_phase_matching (one pump) and density_map.
+
+    Each pump is scanned on its own detuning grid; then one bisection loop
+    halves the brackets of all pumps together.  An error of a type in
+    ``gaps`` drops only its own pump.  Any other error ends the scan at its
+    pump and is raised once the pumps before it are finished, warnings
+    included, as a pump-by-pump loop would do.
+    """
+    check_number("pump_peak_power_W", pump_peak_power_W, lo=0)
+    grid_points = check_number("grid_points", grid_points, lo=16, integer=True)
+    if detuning_window is not None:
+        detuning_window = tuple(map(
+            float, check_pair("detuning window", detuning_window, lo=0, lo_open=True)
+        ))
+    structure = fibermodel.band_structure(fiber, gas)
+
+    scans, pending = [], None
+    for omega_p in omegas_p:
+        try:
+            scans.append((omega_p, *_scan_pump(
+                fiber, gas, structure, omega_p, detuning_window,
+                pump_peak_power_W, grid_points,
+            )))
+        except gaps:
+            continue
+        except HcfwmError as exc:
+            pending = exc
+            break
+    pumps = [omega_p for omega_p, *_ in scans]
+    # every pump's brackets in pump order, and in detuning order within a
+    # pump; the brackets of pump k are bounds[k]:bounds[k + 1]
+    sizes = [rows.shape[1] for *_, rows in scans]
+    bounds = np.cumsum([0, *sizes]).tolist()
+    om = np.repeat(np.asarray(pumps, dtype=float), sizes)
+    roots, right, fa = np.concatenate(
+        [np.empty((3, 0)), *(rows for *_, rows in scans)], axis=1
+    )
+    residuals = np.zeros(roots.size)
+    stalled = np.zeros(roots.size, dtype=bool)
+    # a bracket whose left end is an exact zero is solved, with residual 0
+    todo = np.flatnonzero(fa != 0.0)
+    roots[todo], residuals[todo], open_ = _bisect(
+        fiber, gas, om[todo], roots[todo], right[todo], fa[todo], pump_peak_power_W
+    )
+    stalled[todo[open_]] = True
+
+    # pump, then (signal, idler) per root; energy is conserved by
+    # construction
+    om_si = np.column_stack((om + roots, om - roots))
+    lam = [
+        lambda_nm_from_omega(np.concatenate(([omega_p], om_si[lo:hi].ravel())))
+        for omega_p, lo, hi in zip(pumps, bounds, bounds[1:])
     ]
+    # beta1 of every pump and root in one call; if that fails, each pump's
+    # own call below raises the error that names its pump
+    beta1 = None
+    if roots.size:
+        try:
+            beta1 = fibermodel.dispersion_derivatives(
+                fiber, gas, np.concatenate(lam)
+            ).beta1
+        except HcfwmError:
+            pass
+
+    branches: list[PhaseMatchBranch] = []
+    for k, (omega_p, band_p, cell_w, _) in enumerate(scans):
+        lo, hi = bounds[k], bounds[k + 1]
+        try:
+            if stalled[lo:hi].any():
+                j = lo + int(np.argmax(stalled[lo:hi]))
+                raise NumericalError(
+                    f"bisection stalled at delta_omega = {roots[j]:.6e} rad/s with "
+                    f"|delta_k| = {abs(residuals[j]):.3e} rad/m > "
+                    f"{BISECT_TOL_RAD_M} rad/m"
+                )
+            for r1, r2 in zip(roots[lo:hi].tolist(), roots[lo + 1:hi].tolist()):
+                if r2 - r1 < 2.0 * cell_w:
+                    warnings.warn(
+                        f"phase-matching roots {r1:.4e} and {r2:.4e} rad/s are "
+                        f"closer than two grid cells; increase grid_points to "
+                        f"resolve them",
+                        stacklevel=3,
+                    )
+            if hi == lo:
+                continue
+            if beta1 is None:
+                beta1_k = fibermodel.dispersion_derivatives(fiber, gas, lam[k]).beta1
+            else:  # pump k's wavelengths start after k pumps and 2 lo roots
+                beta1_k = beta1[k + 2 * lo:k + 2 * hi + 1]
+            bands = np.array([roman(j) for j in structure.band_index(lam[k][1:])])
+            branches += [
+                PhaseMatchBranch(
+                    omega_p=omega_p, omega_s=om_s, omega_i=om_i,
+                    band_p=band_p, band_s=band_s, band_i=band_i,
+                    beta1_p=float(beta1_k[0]), beta1_s=beta1_s, beta1_i=beta1_i,
+                    residual_rad_m=residual, pump_peak_power_W=pump_peak_power_W,
+                )
+                for (om_s, om_i), (band_s, band_i), (beta1_s, beta1_i), residual
+                in zip(
+                    om_si[lo:hi].tolist(), bands.reshape(-1, 2).tolist(),
+                    beta1_k[1:].reshape(-1, 2).tolist(), residuals[lo:hi].tolist(),
+                )
+            ]
+        except gaps:
+            continue
+    if pending is not None:
+        raise pending
+    return branches
 
 
 def density_map(
@@ -313,25 +411,19 @@ def density_map(
 ) -> list[PhaseMatchBranch]:
     """The branches of every pump on a wavelength grid, in pump order.
 
-    ``solve`` (detuning_window, pump_peak_power_W, grid_points) goes to
-    ``solve_phase_matching`` unchanged, so a map row is exactly what a
-    single-pump solve gives.  Pumps that land outside a band, or whose
-    solve fails numerically, are gaps (no branches) rather than aborting
-    the map.
+    ``solve`` (detuning_window, pump_peak_power_W, grid_points) are the
+    settings of ``solve_phase_matching``, and a map row is exactly what a
+    single-pump solve gives: each pump is scanned on its own detuning grid,
+    then one bisection loop halves the brackets of every pump at once.
+    Pumps that land outside a band, or whose solve fails numerically, are
+    gaps (no branches) rather than aborting the map.
     """
     lo, hi = map(float, check_pair("pump range", pump_range_nm, lo=0, lo_open=True))
     if not lo < hi:
         raise ValidationError(f"bad pump range ({lo}, {hi}) nm")
     steps = check_number("steps", steps, lo=2, integer=True)
-    branches: list[PhaseMatchBranch] = []
-    for lam_p in np.linspace(lo, hi, steps).tolist():
-        try:
-            branches += solve_phase_matching(
-                fiber, gas, float(omega_from_lambda_nm(lam_p)), **solve
-            )
-        except (RangeError, NumericalError):
-            continue
-    return branches
+    pumps = omega_from_lambda_nm(np.linspace(lo, hi, steps)).tolist()
+    return _solve_pumps(fiber, gas, pumps, (RangeError, NumericalError), **solve)
 
 
 def density_map_to_csv(branches: list[PhaseMatchBranch], path=None) -> str:

@@ -303,9 +303,9 @@ def power_scaling_check(
             raise ValidationError(
                 f"{name} power axis needs at least 5 points, got {arr.size}"
             )
-        if np.any(arr <= 0.0):
+        if not np.all(arr > 0.0):
             raise ValidationError(f"{name} powers must all be > 0 W")
-        distinct = np.unique(arr).size
+        distinct = len(set(arr.tolist()))
         if distinct < 5:
             # a log-log fit over repeated powers is ill-posed, not a result
             raise ValidationError(

@@ -636,6 +636,34 @@ def test_cli_import_leaves_csv_encoder_tables_unbuilt(tmp_path):
     assert proc.stdout.split() == ["0", "1"]
 
 
+def test_no_subcommand_loads_numpy_ma(tmp_path):
+    """numpy 2's np.unique imports numpy.ma on first use, which costs every
+    run start-up time; no subcommand may reach it."""
+    runs = [
+        ("dispersion", "map_t300"), ("phasematch", "length_series"),
+        ("jsa", "length_series"), ("schmidt", "length_series"),
+        ("set-sim", "length_series"), ("sweep-length", "length_series"),
+        ("sweep-pressure", "tuning_ar"), ("density-map", "map_t600"),
+    ]
+    assert {sub for sub, _ in runs} == set(cli.SUBCOMMANDS)
+    out = str(tmp_path / "out")
+    proc = _fresh_python(
+        "import sys\n"
+        "from hcfwm import cli\n"
+        "first = None\n"
+        f"for sub, recipe in {runs!r}:\n"
+        f"    code = cli.main([sub, '--config', recipe, '--out', {out!r}, "
+        "'--label', 't'])\n"
+        "    assert code == 0, (sub, code)\n"
+        "    if first is None and 'numpy.ma' in sys.modules:\n"
+        "        first = sub\n"
+        "print('first to load numpy.ma:', first)",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "first to load numpy.ma: None"
+
+
 def test_cli_runs_with_scipy_blocked(tmp_path):
     """A None entry in sys.modules makes every scipy import raise."""
     out = tmp_path / "out"

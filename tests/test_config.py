@@ -5,10 +5,12 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import re
+from importlib.resources import files as resource_files
 
 import pytest
+import yaml
 
-from hcfwm import config
+from hcfwm import config, gasmedia
 from hcfwm.errors import ValidationError
 
 MINIMAL = {"fiber": {}, "gas": {}, "pump": {}}
@@ -290,6 +292,52 @@ def test_invalid_yaml_and_missing_file(tmp_path):
     assert config.load_config(str(path)) == config.config_from_dict(
         dict(FULL)
     )
+
+
+def _bundled_yaml_texts():
+    root = resource_files("hcfwm")
+    paths = [root.joinpath("data", "gases.yaml")]
+    paths += sorted(
+        (p for p in root.joinpath("recipes").iterdir() if p.name.endswith(".yaml")),
+        key=lambda p: p.name,
+    )
+    return [p.read_text() for p in paths]
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+def test_yaml_loader_reads_bundled_files_as_safe_load(monkeypatch, libyaml):
+    """The one YAML reader of configs and gas tables gives what
+    yaml.safe_load gives, with libyaml's loader and without it."""
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    texts = _bundled_yaml_texts()
+    assert len(texts) == 6  # the gas table and five recipes
+    for text in texts:
+        assert gasmedia._load_yaml(text) == yaml.safe_load(text)
+    for text in texts[1:]:
+        assert config.loads_config(text) == config.config_from_dict(
+            yaml.safe_load(text)
+        )
+
+
+def test_invalid_yaml_message_quotes_the_source(tmp_path, monkeypatch):
+    """libyaml's parse errors drop the source line and the caret; the
+    messages keep them, for config files and gas tables alike."""
+    path = tmp_path / "bad.yaml"
+    path.write_text("fiber:\n  R_eff_um: 20\n   t_nm: 300\n")
+    detail = (
+        "is not valid YAML: mapping values are not allowed here\n"
+        '  in "<unicode string>", line 3, column 8:\n'
+        "       t_nm: 300\n"
+        "           ^"
+    )
+    with pytest.raises(ValidationError) as exc:
+        config.load_config(str(path))
+    assert str(exc.value) == f"config {path} {detail}"
+    monkeypatch.setenv("HCFWM_GAS_DATA", str(path))
+    with pytest.raises(ValidationError) as exc:
+        gasmedia.load_gas_data()
+    assert str(exc.value) == f"gas data file {path} {detail}"
 
 
 def _readme_schema_block() -> str:

@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcfwm import fibermodel, phasematch
+from hcfwm import cli, fibermodel, phasematch, sweeps
 from hcfwm.errors import (
     DivergenceZoneError,
     NumericalError,
     RangeError,
+    StencilError,
     ValidationError,
 )
-from hcfwm.fibermodel import omega_from_lambda_nm
+from hcfwm.fibermodel import lambda_nm_from_omega, omega_from_lambda_nm
 
 # frozen regression values: xenon 3.4 bar, 1030 nm pump, reference fiber
 BRANCH_LAMBDA_S_NM = 775.8910168885263
@@ -332,6 +333,118 @@ def test_density_map_gaps_over_divergence_zone(fiber, xenon):
         float(fibermodel.lambda_nm_from_omega(fibermodel.omega_from_lambda_nm(x)))
         for x in pumps
     }
+
+
+def _map_recipe(name):
+    cfg = cli.resolve_config(name)
+    dm = cfg.density_map
+    pumps = [
+        float(omega_from_lambda_nm(lam))
+        for lam in np.linspace(dm.pump_min_nm, dm.pump_max_nm, dm.pump_steps).tolist()
+    ]
+    return cfg, sweeps.fiber_from_config(cfg), sweeps.gas_from_config(cfg), pumps
+
+
+def _per_pump(fiber, gas, pumps, solve):
+    """The density map the slow way: one solve_phase_matching per pump, a
+    failed pump a gap."""
+    branches = []
+    for omega_p in pumps:
+        try:
+            branches += phasematch.solve_phase_matching(fiber, gas, omega_p, **solve)
+        except (RangeError, NumericalError):
+            continue
+    return branches
+
+
+@pytest.mark.parametrize("name", ["map_t300", "map_t600"])
+@pytest.mark.parametrize("kerr", [False, True], ids=["P0", "P2e4-window"])
+def test_density_map_rows_equal_single_pump_solves(name, kerr):
+    """Bisecting every pump's brackets in one loop gives each pump exactly
+    the branches, floats bit for bit, that a single-pump solve gives it."""
+    cfg, fiber, gas, pumps = _map_recipe(name)
+    solve = sweeps.solve_settings(cfg)
+    if kerr:
+        solve.update(pump_peak_power_W=2e4, detuning_window=(20e12, 900e12))
+    dm = cfg.density_map
+    rows = phasematch.density_map(
+        fiber, gas, (dm.pump_min_nm, dm.pump_max_nm), dm.pump_steps, **solve
+    )
+    assert rows
+    assert rows == _per_pump(fiber, gas, pumps, solve)
+
+
+@pytest.mark.parametrize("fault", ["stalled bracket", "no stencil room"])
+def test_density_map_failing_pump_is_a_gap(fiber, xenon, monkeypatch, fault):
+    """A pump whose solve fails drops out of the map alone; its neighbours
+    keep the branches a single-pump solve gives them.  The stall comes from
+    a mismatch that steps across zero at the middle pump only (as in
+    test_grid_zero_stall_and_close_roots); the stencil failure from
+    dispersion_derivatives refusing any array that holds that pump."""
+    pumps = [float(omega_from_lambda_nm(lam)) for lam in (1020.0, 1030.0, 1040.0)]
+    bad = pumps[1]
+    if fault == "stalled bracket":
+        def mismatch(fiber, gas, om_p, om_s, om_i, *args, **kw):
+            d = om_s - om_p
+            return np.where(
+                om_p == bad, np.where(d < 170.5e12, -1.0, 1.0), (d - 150.3e12) * 1e-12
+            )
+
+        monkeypatch.setattr(phasematch, "delta_k", mismatch)
+        solve = dict(detuning_window=(100e12, 200e12), grid_points=101)
+    else:
+        derivatives = fibermodel.dispersion_derivatives
+        lam_bad = float(lambda_nm_from_omega(bad))
+
+        def no_room(fiber, gas, lambda_nm):
+            if lam_bad in np.asarray(lambda_nm):
+                raise StencilError(f"no room for a dispersion stencil at {lam_bad}")
+            return derivatives(fiber, gas, lambda_nm)
+
+        monkeypatch.setattr(fibermodel, "dispersion_derivatives", no_room)
+        solve = dict(grid_points=1200)
+
+    with pytest.raises(NumericalError):
+        phasematch.solve_phase_matching(fiber, xenon, bad, **solve)
+    rows = phasematch.density_map(fiber, xenon, (1020.0, 1040.0), 3, **solve)
+    assert {b.omega_p for b in rows} == {pumps[0], pumps[2]}
+    assert rows == _per_pump(fiber, xenon, pumps, solve)
+
+
+def test_density_map_abort_comes_after_earlier_pumps(fiber, xenon, monkeypatch):
+    """An error that is not a gap ends the map, but only once the pumps
+    before it are finished, close-root warnings included, as a pump-by-pump
+    loop would.  Here the 3199 nm pump leaves no room for the default
+    detuning window below the 3200 nm window edge."""
+    near = (35.01e12, 35.05e12)
+
+    def mismatch(fiber, gas, om_p, om_s, om_i, *args, **kw):
+        return (om_s - om_p - near[0]) * (om_s - om_p - near[1]) * 1e-24
+
+    monkeypatch.setattr(phasematch, "delta_k", mismatch)
+    with pytest.warns(UserWarning, match="closer than two grid cells"):
+        with pytest.raises(ValidationError, match="detuning window"):
+            phasematch.density_map(
+                fiber, xenon, (3000.0, 3199.0), 2, grid_points=101
+            )
+
+
+def test_density_map_bisects_every_pump_in_one_loop(monkeypatch):
+    """kappa is evaluated once per pump for its grid, once per bisection
+    step for all pumps together, and once per dispersion_derivatives call;
+    bisecting pump by pump would take about ten evaluations per pump."""
+    cfg, fiber, gas, pumps = _map_recipe("map_t600")
+    calls = dict.fromkeys(("reduced_kappa", "dispersion_derivatives"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(fibermodel, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(fibermodel, name, counted)
+    assert sweeps.density_records(cfg, fiber, gas)
+    assert calls["reduced_kappa"] <= (
+        len(pumps) + 200 + calls["dispersion_derivatives"]
+    ), calls
 
 
 def test_density_map_validation(fiber, xenon):

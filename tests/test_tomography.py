@@ -305,6 +305,8 @@ def test_power_scaling_validation(grid128):
         tomography.power_scaling_check(grid128, four, five)
     with pytest.raises(ValidationError, match="> 0 W"):
         tomography.power_scaling_check(grid128, five, five * 0.0)
+    with pytest.raises(ValidationError, match="> 0 W"):
+        tomography.power_scaling_check(grid128, five, np.append(five, np.nan))
 
 
 def test_power_scaling_needs_distinct_powers(grid128):
