@@ -35,6 +35,7 @@ from .config import (
     dump_config,
     load_config,
     loads_config,
+    required_section,
 )
 from .errors import NumericalError, ValidationError
 
@@ -289,11 +290,7 @@ def cmd_schmidt(run: _Run) -> None:
 
 def cmd_set_sim(run: _Run) -> None:
     cfg = run.cfg
-    if cfg.set_sim is None:
-        raise ValidationError(
-            "config section 'set_sim' is required for the set-sim subcommand"
-        )
-    ss = cfg.set_sim
+    ss = required_section(cfg, "set_sim", "the set-sim subcommand")
     grid = _point_grid(cfg)
     seed_axis = np.linspace(
         float(fibermodel.omega_from_lambda_nm(ss.seed_max_nm)),
@@ -393,11 +390,7 @@ def cmd_sweep_pressure(run: _Run) -> None:
 
 def cmd_density_map(run: _Run) -> None:
     cfg = run.cfg
-    if cfg.density_map is None:
-        raise ValidationError(
-            "config section 'density_map' is required for the density-map "
-            "subcommand"
-        )
+    required_section(cfg, "density_map", "the density-map subcommand")
     fiber = sweeps_mod.fiber_from_config(cfg)
     gas = sweeps_mod.gas_from_config(cfg)
     branches = sweeps_mod.density_records(cfg, fiber, gas)

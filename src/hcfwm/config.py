@@ -27,7 +27,8 @@ import yaml
 from .errors import ValidationError, check_number
 from .fibermodel import MAX_MODE_N
 from .gasmedia import _load_yaml
-from .jsa import MAX_GRID_N
+from .jsa import DEFAULT_GRID_N, DEFAULT_KAPPA_SPAN, MAX_GRID_N
+from .phasematch import DEFAULT_GRID_POINTS, MAX_GRID_POINTS, MAX_PUMP_STEPS
 
 __all__ = [
     "FiberConfig",
@@ -43,6 +44,7 @@ __all__ = [
     "DensityMapConfig",
     "OutputConfig",
     "RunConfig",
+    "required_section",
     "config_from_dict",
     "config_to_dict",
     "load_config",
@@ -288,14 +290,14 @@ class PumpConfig:
 
 @dataclass(frozen=True)
 class GridConfig:
-    N: int = _key(512, _integer(16, MAX_GRID_N))
-    span: float = _key(4.0, _positive)
+    N: int = _key(DEFAULT_GRID_N, _integer(16, MAX_GRID_N))
+    span: float = _key(DEFAULT_KAPPA_SPAN, _positive)
     mode: str = _key("linearized", _choice("linearized", "full"))
 
 
 @dataclass(frozen=True)
 class PhasematchConfig:
-    grid_points: int = _key(4000, _integer(16))
+    grid_points: int = _key(DEFAULT_GRID_POINTS, _integer(16, MAX_GRID_POINTS))
     pump_peak_power_W: float = _key(0.0, _nonnegative)
     detuning_min_THz: float | None = _key(None, _optional(_positive))
     detuning_max_THz: float | None = _key(None, _optional(_positive))
@@ -327,7 +329,7 @@ class NoiseConfig:
 class SetSimConfig:
     seed_min_nm: float = _key(1530.0, _positive)
     seed_max_nm: float = _key(1560.0, _positive)
-    steps: int = _key(201, _integer(2))
+    steps: int = _key(201, _integer(2, MAX_GRID_N))
     pump_power_W: float = _key(0.2, _positive)
     seed_power_W: float = _key(50e-9, _positive)
     duty_cycle: float = _key(1.0, _interval(0, 1, "(]"))
@@ -417,7 +419,7 @@ class SweepPressureConfig:
 class DensityMapConfig:
     pump_min_nm: float = _key(700.0, _positive)
     pump_max_nm: float = _key(1250.0, _positive)
-    pump_steps: int = _key(51, _integer(2))
+    pump_steps: int = _key(51, _integer(2, MAX_PUMP_STEPS))
 
     @staticmethod
     def _after(cfg: "DensityMapConfig", path: str) -> None:
@@ -455,6 +457,14 @@ class RunConfig:
                 "config is missing required section(s): "
                 + ", ".join(f"'{s}'" for s in missing)
             )
+
+
+def required_section(cfg: RunConfig, name: str, purpose: str) -> Any:
+    """The optional section ``name`` of ``cfg``, which ``purpose`` needs."""
+    section = getattr(cfg, name)
+    if section is None:
+        raise ValidationError(f"config section '{name}' is required for {purpose}")
+    return section
 
 
 def config_from_dict(raw: Any) -> RunConfig:

@@ -196,26 +196,18 @@ class BandStructure:
             ok &= np.abs(lam - lj) > EXCLUSION_FRACTION * lj
         return ok
 
-    def band_of(self, lambda_nm: float) -> Band | None:
-        """Band containing the wavelength, or None if not evaluable there."""
-        check_number("lambda_nm", lambda_nm, lo=0, lo_open=True)
-        if not bool(self.in_band_mask(lambda_nm)[0]):
-            return None
-        j = int(self.band_index(lambda_nm)[0])
-        return self.bands_by_label.get(roman(j))
-
     def require_band(self, lambda_nm: float) -> Band:
-        """Like band_of, but raises a specific error instead of None."""
+        """The band containing the wavelength, or require_bands' error."""
         check_number("lambda_nm", lambda_nm, lo=0, lo_open=True)
         self.require_bands(lambda_nm)
-        return self.band_of(lambda_nm)
+        return self.bands_by_label[roman(int(self.band_index(lambda_nm)[0]))]
 
     def require_bands(self, lambda_nm) -> None:
-        """Check a whole array at once; the first wavelength that band_of
-        maps to None raises the error that says why."""
+        """Check a whole array at once; the first wavelength outside every
+        band raises the error that says why."""
         flat = np.asarray(lambda_nm, dtype=float).ravel()
         ok = self.in_band_mask(flat)
-        # band_of's last test: the band the wavelength falls in exists.
+        # the last test: the band the wavelength falls in exists.
         # bincount lists the band indexes present in ascending order, as
         # np.unique would, without np.unique's import of numpy.ma
         index = self.band_index(flat)
@@ -275,7 +267,8 @@ def _solve_resonance(fiber: FiberModel, gas: GasState, j: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def _band_structure_full(fiber: FiberModel, gas: GasState) -> BandStructure:
+def band_structure(fiber: FiberModel, gas: GasState) -> BandStructure:
+    """Bands over the full joint validity window (cached)."""
     window = model_window_nm(fiber, gas)
     lo, hi = window
     # solve resonances down past the window edge so exclusion zones of
@@ -317,11 +310,6 @@ def _band_structure_full(fiber: FiberModel, gas: GasState) -> BandStructure:
     )
 
 
-def band_structure(fiber: FiberModel, gas: GasState) -> BandStructure:
-    """Bands over the full joint validity window (cached)."""
-    return _band_structure_full(fiber, gas)
-
-
 def delta_eff(
     fiber: FiberModel,
     gas: GasState,
@@ -356,12 +344,6 @@ def reduced_kappa(fiber: FiberModel, gas: GasState, omega, check: bool = True):
     om = np.asarray(omega, dtype=float)
     lam = lambda_nm_from_omega(om)
     return om * delta_eff(fiber, gas, lam, check=check) / _C
-
-
-def wavevector(fiber: FiberModel, gas: GasState, omega, check: bool = True):
-    """Full propagation constant k = omega/c + kappa in rad/m."""
-    om = np.asarray(omega, dtype=float)
-    return om / _C + reduced_kappa(fiber, gas, om, check=check)
 
 
 @dataclass(frozen=True)

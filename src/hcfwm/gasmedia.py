@@ -220,8 +220,8 @@ def load_gas_data(path: str | None = None) -> dict[str, SellmeierModel]:
     return dict(_load_table(path if path is not None else _data_path()))
 
 
-def get_model(species: str, path: str | None = None) -> SellmeierModel:
-    table = load_gas_data(path)
+def get_model(species: str) -> SellmeierModel:
+    table = load_gas_data()
     try:
         return table[species]
     except KeyError:
@@ -234,11 +234,10 @@ def make_gas(
     species: str,
     pressure_bar: float,
     temperature_K: float = 293.15,
-    path: str | None = None,
 ) -> GasState:
     """Convenience constructor: species name plus conditions."""
     return GasState(
-        model=get_model(species, path),
+        model=get_model(species),
         pressure_bar=pressure_bar,
         temperature_K=temperature_K,
     )

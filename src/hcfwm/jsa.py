@@ -151,14 +151,13 @@ class SampledPump:
         sigma: float,
         depth: float,
         period: float,
-        phase: float = 0.0,
-        n: int = 4096,
-        span: float = 8.0,
     ) -> "SampledPump":
-        """Gaussian envelope times a sinusoidal spectral modulation.
+        """Gaussian envelope times a sinusoidal spectral modulation,
 
         A(omega) = exp(-(omega-omega_p0)^2/(2 sigma^2))
-                   * (1 + depth cos(2 pi (omega-omega_p0)/period + phase))
+                   * (1 + depth cos(2 pi (omega-omega_p0)/period)),
+
+        sampled at 4096 points over omega_p0 +- 8 sigma.
 
         An empirical stand-in for a pump carrying residual self-phase
         modulation structure; depth and period are calibration knobs, not
@@ -166,15 +165,12 @@ class SampledPump:
         """
         for name, value in (
             ("omega_p0", omega_p0), ("sigma", sigma), ("period", period),
-            ("span", span),
         ):
             check_number(name, value, lo=0, lo_open=True)
         check_number("modulation depth", depth, lo=0, hi=1, hi_open=True)
-        check_number("phase", phase)
-        n = check_number("n", n, lo=4, integer=True)
-        om = omega_p0 + np.linspace(-span * sigma, span * sigma, n)
+        om = omega_p0 + np.linspace(-8.0 * sigma, 8.0 * sigma, 4096)
         a = np.exp(-((om - omega_p0) ** 2) / (2.0 * sigma**2)) * (
-            1.0 + depth * np.cos(2.0 * np.pi * (om - omega_p0) / period + phase)
+            1.0 + depth * np.cos(2.0 * np.pi * (om - omega_p0) / period)
         )
         return cls(om, a.astype(complex))
 

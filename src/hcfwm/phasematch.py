@@ -71,6 +71,10 @@ from .gasmedia import GasState
 
 BISECT_TOL_RAD_M = 1e-4
 DEFAULT_GRID_POINTS = 4000
+# Without caps, a typo such as grid_points: 4e9 exhausts memory instead of
+# failing.  The recipes use 4000 grid points and 26 or 51 pump steps.
+MAX_GRID_POINTS = 1_000_000
+MAX_PUMP_STEPS = 10_000
 # default near-pump cutoff: |delta_omega| / 2 pi >= 5e12 Hz
 DEFAULT_DETUNING_MIN = 2.0 * np.pi * 5e12
 
@@ -301,7 +305,9 @@ def _solve_pumps(
     included, as a pump-by-pump loop would do.
     """
     check_number("pump_peak_power_W", pump_peak_power_W, lo=0)
-    grid_points = check_number("grid_points", grid_points, lo=16, integer=True)
+    grid_points = check_number(
+        "grid_points", grid_points, lo=16, hi=MAX_GRID_POINTS, integer=True
+    )
     if detuning_window is not None:
         detuning_window = tuple(map(
             float, check_pair("detuning window", detuning_window, lo=0, lo_open=True)
@@ -421,7 +427,7 @@ def density_map(
     lo, hi = map(float, check_pair("pump range", pump_range_nm, lo=0, lo_open=True))
     if not lo < hi:
         raise ValidationError(f"bad pump range ({lo}, {hi}) nm")
-    steps = check_number("steps", steps, lo=2, integer=True)
+    steps = check_number("steps", steps, lo=2, hi=MAX_PUMP_STEPS, integer=True)
     pumps = omega_from_lambda_nm(np.linspace(lo, hi, steps)).tolist()
     return _solve_pumps(fiber, gas, pumps, (RangeError, NumericalError), **solve)
 

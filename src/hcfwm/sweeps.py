@@ -1,4 +1,4 @@
-"""Parameter-study drivers: length series, pressure series, thickness maps.
+"""Parameter-study drivers: length and pressure series.
 
 It is also the one place where a RunConfig reaches the physics, for the
 command line and the drivers alike: the ``*_from_config`` functions,
@@ -20,12 +20,12 @@ Fits are reported in frequency (THz = 10^12 rad/s), not wavelength.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import export
-from .config import RunConfig
+from .config import RunConfig, required_section
 from .errors import (
     HcfwmError,
     NumericalError,
@@ -44,7 +44,6 @@ __all__ = [
     "SweepGap",
     "PressureFit",
     "SweepResult",
-    "ThicknessMap",
     "fiber_from_config",
     "gas_from_config",
     "pump_from_config",
@@ -56,7 +55,6 @@ __all__ = [
     "density_records",
     "sweep_length",
     "sweep_pressure",
-    "sweep_thickness",
     "summary_csv",
     "fit_to_dict",
 ]
@@ -86,10 +84,6 @@ class SweepPoint:
     idler_omega: float
     signal_omega: float
     artifacts: dict
-
-    @property
-    def family(self) -> tuple[str, str]:
-        return self.branch.family
 
 
 @dataclass(frozen=True)
@@ -124,19 +118,6 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
     gaps: tuple[SweepGap, ...]
     fit: PressureFit | None = None
-
-
-@dataclass(frozen=True)
-class ThicknessMap:
-    """Phase-matching density map for one strut thickness: the branches
-    of every pump of the scan."""
-
-    t_nm: float
-    records: tuple[PhaseMatchBranch, ...]
-
-    @property
-    def families(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted({b.family for b in self.records}))
 
 
 def fiber_from_config(cfg: RunConfig) -> FiberModel:
@@ -309,11 +290,7 @@ def sweep_length(
     and shared by all lengths; points run in axis order.
     """
     if lengths is None:
-        if cfg.sweep_length is None:
-            raise ValidationError(
-                "config section 'sweep_length' is required for a length sweep"
-            )
-        lengths = cfg.sweep_length.lengths_m
+        lengths = required_section(cfg, "sweep_length", "a length sweep").lengths_m
     lengths = _check_axis("length_m", lengths)
     fiber = fiber_from_config(cfg)
     gas = gas_from_config(cfg)
@@ -340,12 +317,9 @@ def sweep_pressure(
     needs at least two successful points.
     """
     if pressures is None:
-        if cfg.sweep_pressure is None:
-            raise ValidationError(
-                "config section 'sweep_pressure' is required for a "
-                "pressure sweep"
-            )
-        pressures = cfg.sweep_pressure.pressures_bar
+        pressures = required_section(
+            cfg, "sweep_pressure", "a pressure sweep"
+        ).pressures_bar
     pressures = _check_axis("pressure_bar", pressures)
     fiber = fiber_from_config(cfg)
     pump = pump_from_config(cfg)
@@ -387,29 +361,6 @@ def sweep_pressure(
         gaps=gaps,
         fit=fit,
     )
-
-
-def sweep_thickness(cfg: RunConfig, t_values_nm) -> list[ThicknessMap]:
-    """Phase-matching density map per strut thickness; [] for no values."""
-    if cfg.density_map is None:
-        raise ValidationError(
-            "config section 'density_map' is required for thickness maps"
-        )
-    t_values_nm = tuple(
-        check_number("strut thickness", t, lo=0, lo_open=True)
-        for t in t_values_nm
-    )
-    base = fiber_from_config(cfg)
-    gas = gas_from_config(cfg)
-    return [
-        ThicknessMap(
-            t_nm=float(t),
-            records=tuple(
-                density_records(cfg, replace(base, t_nm=float(t)), gas)
-            ),
-        )
-        for t in t_values_nm
-    ]
 
 
 def summary_csv(result: SweepResult, path: str | None = None) -> str:

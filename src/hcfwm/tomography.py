@@ -24,7 +24,7 @@ import numpy as np
 from . import export
 from .errors import RangeError, ValidationError, check_number
 from .fibermodel import lambda_nm_from_omega
-from .jsa import JsaGrid, grid_to_csv, jsi
+from .jsa import MAX_GRID_N, JsaGrid, grid_to_csv, jsi
 
 # reduced Planck constant h / (2 pi) in J s, from the exact SI h = 6.62607015e-34
 hbar = 1.0545718176461565e-34
@@ -68,10 +68,6 @@ class NoiseModel:
             for s in seed
         ))
 
-    @property
-    def active(self) -> bool:
-        return self.rel_sigma > 0.0 or self.dark_floor > 0.0
-
     def rng_for_slice(self, index: int) -> np.random.Generator:
         index = check_number("slice index", index, lo=0, integer=True)
         return np.random.default_rng([*self.seed, index])
@@ -82,6 +78,12 @@ def _check_scalars(pump_power_W, duty_cycle, gain) -> None:
     check_number("pump power pump_power_W", pump_power_W, lo=0, lo_open=True)
     check_number("duty cycle", duty_cycle, lo=0, lo_open=True, hi=1)
     check_number("gain", gain, lo=0, lo_open=True)
+
+
+def _seed_photon_number(seed_power_W, duty_cycle, omega_i):
+    """Per-step seed photon number at the sweep-center photon energy."""
+    omega_ref = float(0.5 * (omega_i[0] + omega_i[-1]))
+    return seed_power_W * duty_cycle / (hbar * omega_ref)
 
 
 @dataclass
@@ -146,7 +148,7 @@ class SetScan:
 
     def seed_photon_number(self) -> np.ndarray:
         """Per-step seed photon number derived from the monitored power."""
-        return self.seed_power_W * self.duty_cycle / (hbar * self.omega_ref)
+        return _seed_photon_number(self.seed_power_W, self.duty_cycle, self.omega_i)
 
 
 @dataclass(frozen=True)
@@ -196,6 +198,8 @@ def simulate_set_scan(
     seed_omega_i = np.atleast_1d(np.asarray(seed_omega_i, dtype=float))
     if seed_omega_i.size < 1:
         raise ValidationError("seed sweep must contain at least one step")
+    # the slices are steps x N, so the steps share the grid's cap
+    check_number("seed sweep steps", seed_omega_i.size, hi=MAX_GRID_N, integer=True)
     lo, hi = float(truth.omega_i[0]), float(truth.omega_i[-1])
     if not np.all((seed_omega_i >= lo) & (seed_omega_i <= hi)):
         raise RangeError(
@@ -209,8 +213,7 @@ def simulate_set_scan(
         noise = NoiseModel()
 
     intensity = jsi(truth)
-    omega_ref = float(0.5 * (seed_omega_i[0] + seed_omega_i[-1]))
-    n_seed = powers * duty_cycle / (hbar * omega_ref)
+    n_seed = _seed_photon_number(powers, duty_cycle, seed_omega_i)
     prefactor = gain * pump_power_W**2
 
     # linear interpolation of the JSI columns at every seed; a seed on an

@@ -373,11 +373,17 @@ def test_pressure_range_length_cap():
 
 @pytest.mark.parametrize(
     "section, key, cap",
-    [("grid", "N", config.MAX_GRID_N), ("fiber", "mode_n", config.MAX_MODE_N)],
+    [
+        ("grid", "N", config.MAX_GRID_N),
+        ("fiber", "mode_n", config.MAX_MODE_N),
+        ("phasematch", "grid_points", config.MAX_GRID_POINTS),
+        ("density_map", "pump_steps", config.MAX_PUMP_STEPS),
+        ("set_sim", "steps", config.MAX_GRID_N),
+    ],
 )
 def test_size_caps(section, key, cap):
-    """Checked before a grid or an eigensolve is allocated; the cap itself
-    is valid."""
+    """Checked before a grid, a scan or an eigensolve is allocated; the cap
+    itself is valid."""
     d = dict(MINIMAL)
     d[section] = {key: cap + 1}
     with pytest.raises(ValidationError, match=f"'{section}.{key}' must be <= {cap}"):

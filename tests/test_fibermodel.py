@@ -75,8 +75,9 @@ def test_band_labels_and_edges(fiber, vacuum):
 def test_band_index_and_band_of(fiber, xenon):
     structure = fibermodel.band_structure(fiber, xenon)
     assert structure.band_index([1500.0, 1030.0, 500.0]).tolist() == [1, 2, 3]
-    assert structure.band_of(1030.0).label == "II"
-    assert structure.band_of(XENON_34_RESONANCES_NM[0]) is None
+    assert structure.require_band(1030.0).label == "II"
+    with pytest.raises(DivergenceZoneError):
+        structure.require_band(XENON_34_RESONANCES_NM[0])
 
 
 def test_exclusion_zone_half_percent(fiber, xenon):
@@ -129,8 +130,9 @@ def test_cot_term_diverges_toward_resonance(fiber, xenon):
 
 
 def test_wavevector_consistency(fiber, xenon):
-    om = fibermodel.omega_from_lambda_nm(np.array([800.0, 1030.0, 1500.0]))
-    k = fibermodel.wavevector(fiber, xenon, om)
+    lam = np.array([800.0, 1030.0, 1500.0])
+    om = fibermodel.omega_from_lambda_nm(lam)
+    k = fibermodel.dispersion_derivatives(fiber, xenon, lam).k
     kappa = fibermodel.reduced_kappa(fiber, xenon, om)
     c = 299792458.0
     assert np.allclose(k, om / c + kappa, rtol=0.0, atol=0.0)

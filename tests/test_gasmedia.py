@@ -169,7 +169,7 @@ def _write_table(tmp_path, text, name="gases.yaml"):
     return str(path)
 
 
-def test_data_path_override_loads_alternative_table(tmp_path):
+def test_data_path_override_loads_alternative_table(tmp_path, monkeypatch):
     path = _write_table(
         tmp_path,
         """
@@ -185,8 +185,9 @@ argon:
     )
     table = gasmedia.load_gas_data(path)
     assert sorted(table) == ["argon"]
+    monkeypatch.setenv("HCFWM_GAS_DATA", path)
     with pytest.raises(ValidationError, match="unknown species 'xenon'"):
-        gasmedia.make_gas("xenon", 1.0, path=path)
+        gasmedia.make_gas("xenon", 1.0)
 
 
 def test_data_schema_missing_and_unknown_keys(tmp_path):

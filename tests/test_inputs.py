@@ -14,6 +14,7 @@ from __future__ import annotations
 import inspect
 import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -56,7 +57,6 @@ RECORDS = {
     "sweeps.SweepGap",
     "sweeps.PressureFit",
     "sweeps.SweepResult",
-    "sweeps.ThicknessMap",
 }
 
 _SELLMEIER = dict(
@@ -74,9 +74,6 @@ CALLS = {
     "fibermodel.roman": lambda fx: (fibermodel.roman, dict(n=3)),
     "fibermodel.FiberModel": lambda fx: (
         fibermodel.FiberModel, dict(R_eff_um=22.0, t_nm=630.0, mode_m=1, mode_n=1)
-    ),
-    "fibermodel.BandStructure.band_of": lambda fx: (
-        fx.structure.band_of, dict(lambda_nm=1030.0)
     ),
     "fibermodel.BandStructure.require_band": lambda fx: (
         fx.structure.require_band, dict(lambda_nm=1030.0)
@@ -99,7 +96,7 @@ CALLS = {
     ),
     "jsa.SampledPump.modulated_gaussian": lambda fx: (
         jsa.SampledPump.modulated_gaussian,
-        dict(omega_p0=1.8e15, sigma=1e13, depth=0.3, period=3e12, n=64),
+        dict(omega_p0=1.8e15, sigma=1e13, depth=0.3, period=3e12),
     ),
     "jsa.phi_function": lambda fx: (
         jsa.phi_function,
@@ -196,7 +193,6 @@ ACCEPTED = {
     ("gasmedia.GasState", "pressure_bar"): {"0"},
     ("gasmedia.make_gas", "pressure_bar"): {"0"},
     ("jsa.SampledPump.modulated_gaussian", "depth"): {"0"},
-    ("jsa.SampledPump.modulated_gaussian", "phase"): {"0", "-1"},
     ("phasematch.theta_deg_from_beta1", "beta1_p"): {"0", "-1"},
     ("phasematch.theta_deg_from_beta1", "beta1_s"): {"0", "-1"},
     ("phasematch.theta_deg_from_beta1", "beta1_i"): {"0", "-1"},
@@ -375,11 +371,33 @@ def test_size_caps_live_in_the_library(fx):
     config layer reads the same constants."""
     assert config.MAX_MODE_N is fibermodel.MAX_MODE_N
     assert config.MAX_GRID_N is jsa.MAX_GRID_N
-    with pytest.raises(ValidationError, match="mode_n must be <= 1000"):
-        fibermodel.FiberModel(22.0, 630.0, mode_n=fibermodel.MAX_MODE_N + 1)
-    with pytest.raises(ValidationError, match="grid size n must be <= 4096"):
-        jsa.build_jsa(fx.fiber, fx.xenon, fx.pump, fx.branch, L_m=1.0,
-                      n=jsa.MAX_GRID_N + 1)
+    assert config.MAX_GRID_POINTS is phasematch.MAX_GRID_POINTS
+    assert config.MAX_PUMP_STEPS is phasematch.MAX_PUMP_STEPS
+    seeds = np.full(jsa.MAX_GRID_N + 1, fx.grid.omega_i[0])
+    for error, call in [
+        ("mode_n must be <= 1000", lambda: fibermodel.FiberModel(
+            22.0, 630.0, mode_n=fibermodel.MAX_MODE_N + 1)),
+        ("grid size n must be <= 4096", lambda: jsa.build_jsa(
+            fx.fiber, fx.xenon, fx.pump, fx.branch, L_m=1.0,
+            n=jsa.MAX_GRID_N + 1)),
+        ("grid_points must be <= 1000000", lambda: phasematch.solve_phase_matching(
+            fx.fiber, fx.xenon, fx.branch.omega_p,
+            grid_points=phasematch.MAX_GRID_POINTS + 1)),
+        ("steps must be <= 10000", lambda: phasematch.density_map(
+            fx.fiber, fx.xenon, (1025.0, 1035.0),
+            steps=phasematch.MAX_PUMP_STEPS + 1)),
+        ("seed sweep steps must be <= 4096", lambda: (
+            tomography.simulate_set_scan(fx.grid, seeds, 1.0, 1e-3))),
+    ]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=error):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # going on past the check would allocate well over 1 MB
+        assert peak < 1e6, (error, peak)
 
 
 @pytest.mark.parametrize("points", [0, -1, 7, True])

@@ -1,4 +1,4 @@
-"""Sweep drivers: length and pressure series, thickness maps, summaries."""
+"""Sweep drivers: length and pressure series, summaries."""
 
 from __future__ import annotations
 
@@ -197,32 +197,9 @@ def test_axis_and_section_validation():
         sweeps.sweep_length(cfg)
     with pytest.raises(ValidationError, match="'sweep_pressure'"):
         sweeps.sweep_pressure(cfg)
-    with pytest.raises(ValidationError, match="'density_map'"):
-        sweeps.sweep_thickness(cfg, [630.0])
 
 
-# ------------------------------------------------------ thickness maps
-
-
-def test_thickness_maps():
-    cfg = make_cfg(
-        density_map={"pump_min_nm": 1020.0, "pump_max_nm": 1040.0,
-                     "pump_steps": 3},
-        phasematch={"grid_points": 1200},
-    )
-    maps = sweeps.sweep_thickness(cfg, [600.0, 630.0])
-    assert [m.t_nm for m in maps] == [600.0, 630.0]
-    for m in maps:
-        assert m.records, f"no branches found for t = {m.t_nm} nm"
-        assert m.families  # sorted unique (band_s, band_i) pairs
-        assert m.families == tuple(sorted(set(m.families)))
-    assert sweeps.sweep_thickness(cfg, []) == []
-    with pytest.raises(ValidationError, match="thickness"):
-        sweeps.sweep_thickness(cfg, [0.0])
-    with pytest.raises(ValidationError, match="thickness.*'a'"):
-        sweeps.sweep_thickness(cfg, [600.0, "a"])
-    with pytest.raises(ValidationError, match="thickness.*True"):
-        sweeps.sweep_thickness(cfg, [True])
+# --------------------------------------------------------- density maps
 
 
 def test_density_records_read_the_config_keys():

@@ -190,8 +190,6 @@ def test_noise_model_validation():
     for seed in (-5, (3, -1)):
         with pytest.raises(ValidationError, match="seed entries must be >= 0"):
             NoiseModel(rel_sigma=0.01, seed=seed)
-    assert not NoiseModel().active
-    assert NoiseModel(rel_sigma=0.01).active
 
 
 def test_non_finite_noise_and_scan_inputs_are_refused(grid128):
