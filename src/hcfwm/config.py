@@ -28,7 +28,12 @@ from .errors import ValidationError, check_number
 from .fibermodel import MAX_MODE_N
 from .gasmedia import _load_yaml
 from .jsa import DEFAULT_GRID_N, DEFAULT_KAPPA_SPAN, MAX_GRID_N
-from .phasematch import DEFAULT_GRID_POINTS, MAX_GRID_POINTS, MAX_PUMP_STEPS
+from .phasematch import (
+    DEFAULT_GRID_POINTS,
+    MAX_GRID_POINTS,
+    MAX_MAP_POINTS,
+    MAX_PUMP_STEPS,
+)
 
 __all__ = [
     "FiberConfig",
@@ -456,6 +461,17 @@ class RunConfig:
             raise ValidationError(
                 "config is missing required section(s): "
                 + ", ".join(f"'{s}'" for s in missing)
+            )
+
+    @staticmethod
+    def _after(cfg: "RunConfig", path: str) -> None:
+        if cfg.density_map is None:
+            return
+        steps, points = cfg.density_map.pump_steps, cfg.phasematch.grid_points
+        if steps * points > MAX_MAP_POINTS:
+            raise ValidationError(
+                "config keys 'density_map.pump_steps' x 'phasematch.grid_points' "
+                f"must be <= {MAX_MAP_POINTS}, got {steps} x {points}"
             )
 
 

@@ -8,7 +8,11 @@ The rows come in one of two forms, with the same text from either:
 - a 2-D float64 ndarray, one table row per array row: numpy encodes it,
   about 32k cells at a time, into the bytes that "%.9g" gives.
 JSON: keys sorted; compact for grids and decompositions, indent=1 plus a
-trailing newline for summaries and manifests.
+trailing newline for summaries and manifests.  In compact JSON, each 1-D
+or 2-D float64 ndarray is encoded by numpy, 8,192 cells at a time, into
+exactly the bytes json.dumps gives for its .tolist(): every number as its
+shortest round-trip repr.  The rest of the object, and all of an indented
+one, goes through json.
 
 A non-finite number never reaches an artifact: both writers raise
 NumericalError (CLI exit 2) before anything is written.
@@ -17,6 +21,7 @@ NumericalError (CLI exit 2) before anything is written.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from functools import cache
@@ -175,6 +180,210 @@ def _table_text(table: np.ndarray, path: str | None) -> str:
     return "".join(chunks)
 
 
+# ------------------------------------------------ JSON float arrays
+#
+# repr writes the shortest digits that read back to the same float64 and,
+# of those, the ones nearest to it.  With x = f * 2**e2 (f in [0.5, 1)),
+# e10 = floor(log10 x) and v = x * 10**(16 - e10) in [1e16, 1e17), a
+# decimal text reads back to x when its scaled value lies within half a
+# scaled ulp, h, of v (Ryu: Adams, PLDI 2018).  The interval always holds
+# an integer, and v is formed exactly enough as a double-double (Dekker,
+# Numer. Math. 18 (1971)) to decide the rest.
+
+# an array is encoded this many cells at a time
+_REPR_CHUNK = 8192
+
+# v and h are good to about 1e-14; a cell whose interval bound or rounding
+# lies within this distance of the decision goes through Python's repr
+_REPR_UNSURE = 1e-6
+
+# the Dekker split of a float64 into two 26-bit halves
+_SPLIT = 134217729.0
+
+
+@cache
+def _repr_tables() -> dict[str, np.ndarray]:
+    """The repr encoder's tables, built on first use and not at import.
+
+    By e10 + _EXP_SPAN: 10**(16 - e10) = (hi + lo) * 2**b with hi in
+    [1, 2], from exact integers, and what e10 decides of the layout.  By
+    q = 0..16: the bytes of the first q of the 16 digits after the first,
+    in the low and the high word, and a point after them.
+    """
+    rows = []
+    for k in range(16 + _EXP_SPAN, 15 - _EXP_SPAN, -1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        b = num.bit_length() - den.bit_length()
+        if num << max(-b, 0) < den << max(b, 0):
+            b -= 1
+        # 10**k * 2**(106 - b), rounded to an integer below 2**107
+        num <<= max(106 - b, 0)
+        den <<= max(b - 106, 0)
+        t = (2 * num + den) // (2 * den)
+        hi = float(t)
+        rows.append((math.ldexp(hi, -106), math.ldexp(float(t - int(hi)), -106), b))
+    hi, lo, b = (np.array(col) for col in zip(*rows))
+    c = hi * _SPLIT
+    hi_h = c - (c - hi)
+    exps = range(-_EXP_SPAN, _EXP_SPAN + 1)
+    q = np.arange(17)
+    keep = _tables()["keep"]
+    tables = {
+        "hi": hi,
+        "hi_h": hi_h,
+        "hi_l": hi - hi_h,
+        "lo": lo,
+        "b": b.astype(np.int32),  # np.ldexp is slower with int64 exponents
+        # digits after the first that fixed notation shows at least
+        "int_after": np.array([e + 1 if 0 <= e < 16 else 0 for e in exps]),
+        # digits after the first before the point; 16: none, or in the head
+        "point_at": np.array(
+            [e if 0 <= e < 16 else 16 if -4 <= e < 0 else 0 for e in exps]
+        ),
+        # "e", sign and exponent digits, from byte 1
+        "exponent": np.array(
+            [0 if -4 <= e < 16 else _packed("e%+03d" % e) << 8 for e in exps],
+            dtype=np.uint64,
+        ),
+        "first_lo": keep[np.minimum(q, 8)],
+        "first_hi": keep[np.clip(q - 8, 0, 8)],
+        "point_lo": np.where(q < 8, 46 << 8 * (q % 8), 0).astype(np.uint64),
+        "point_hi": np.where((8 <= q) & (q < 16), 46 << 8 * (q % 8), 0).astype(
+            np.uint64
+        ),
+    }
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
+
+
+def _shortest(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """repr's digits of each positive float64 in ``a``: the digits, then
+    zeros, as a 17-digit integer; e10 + _EXP_SPAN; and the cells this
+    cannot decide."""
+    t = _repr_tables()
+    f, e2 = np.frexp(a)
+    k = np.floor(np.log10(a)).astype(np.int64) + _EXP_SPAN
+    hi, lo = t["hi"][k], t["lo"][k]
+    # p + err = f * hi exactly
+    c = f * _SPLIT
+    fh = c - (c - f)
+    fl = f - fh
+    hh, hl = t["hi_h"][k], t["hi_l"][k]
+    p = f * hi
+    err = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl
+    s = t["b"][k] + e2
+    v = np.ldexp(p, s).astype(np.int64)  # an integer, since v >= 2**53
+    vl = np.ldexp(err + f * lo, s)
+    h = np.ldexp(hi, s - 54)  # ulp(x) = 2**(e2 - 53)
+    below, above = vl - h, vl + h
+    low = v + np.ceil(below).astype(np.int64)
+    high = v + np.floor(above).astype(np.int64)
+    unsure = (
+        (np.abs(below - np.rint(below)) < _REPR_UNSURE)
+        | (np.abs(above - np.rint(above)) < _REPR_UNSURE)
+        | (f == 0.5)  # a power of two: the interval below is half as wide
+        | (a < 2.2250738585072014e-308)  # subnormal
+        | (high < 10**16)  # e10 one off, or digits that reach 10**17
+        | (high >= 10**17)
+    )
+    # [low, high] is at most 23 wide, so it holds at most one multiple of
+    # 100: that one, if any, has the most trailing zeros.  Otherwise take
+    # the multiple of 10, or else the integer, nearest to v.
+    hundreds = high // 100 * 100
+    tens = high // 10 * 10
+    has_ten = tens >= low
+    d = 1 + 9 * has_ten
+    top = high - has_ten * (high - tens)
+    g = ((top - v) - vl) / d
+    r = np.rint(g)
+    unsure |= np.abs(np.abs(g - r) - 0.5) < _REPR_UNSURE
+    nearest = top - d * r.astype(np.int64)
+    return np.where(hundreds >= low, hundreds, nearest), k, unsure
+
+
+def _repr_digits(x: float) -> tuple[int, int]:
+    """_shortest's digits and exponent index for one float, read from repr."""
+    mant, _, exp = repr(x).partition("e")
+    ip, _, fp = mant.partition(".")
+    if ip == "0":
+        e10 = len(fp.lstrip("0")) - len(fp) - 1
+    else:
+        e10 = len(ip) - 1 + int(exp or 0)
+    digits = (ip + fp).strip("0")
+    return int(digits) * 10 ** (17 - len(digits)), e10 + _EXP_SPAN
+
+
+def _repr_encode(values: np.ndarray, seps: np.ndarray) -> bytes:
+    """ASCII of each finite float64 in ``values`` as repr gives it, cell i
+    followed by the separator in bytes 6-7 of ``seps[i]``."""
+    t = _tables()
+    rt = _repr_tables()
+    a = np.abs(values)
+    zero = a == 0.0
+    mult, ei, unsure = _shortest(np.where(zero, 1.0, a))
+    mult[zero] = 0  # 1.0 has the exponent and layout of 0.0
+    for i in np.flatnonzero(unsure & ~zero).tolist():
+        mult[i], ei[i] = _repr_digits(float(a[i]))
+
+    first = mult // 10**16
+    rest = mult - first * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    g1 = high // 10000
+    g2 = high - g1 * 10000
+    g3 = low // 10000
+    g4 = low - g3 * 10000
+    # trailing zeros of the 16 digits after the first (trailing[0] is 4)
+    tr = t["trailing"]
+    zeros = tr[g4]
+    i = np.flatnonzero(g4 == 0)
+    zeros[i] += tr[g3[i]] + (low[i] == 0) * (tr[g2[i]] + (g2[i] == 0) * tr[g1[i]])
+    # digits after the first, the shown ones only: the significant digits,
+    # and in fixed notation the integer part and one after the point
+    shown = np.maximum(16 - zeros, rt["int_after"][ei])
+    w_lo = (t["group_lo"][g1] | t["group_hi"][g2]) & rt["first_lo"][shown]
+    w_hi = (t["group_lo"][g3] | t["group_hi"][g4]) & rt["first_hi"][shown]
+    # the point shows only before a further digit; the digits after it
+    # move up one byte to make room
+    p = np.where(shown > 0, rt["point_at"][ei], 16)
+    stay_lo, stay_hi = rt["first_lo"][p], rt["first_hi"][p]
+    move_lo, move_hi = w_lo & ~stay_lo, w_hi & ~stay_hi
+    out = np.empty((values.size, 4), dtype="<u8")
+    # repr, like "%g", writes "0." and zeros before the digits for e10 in [-4, -1]
+    out[:, 0] = t["head"][t["head_row"][ei] + np.signbit(values) * 10 + first]
+    out[:, 1] = w_lo & stay_lo | move_lo << np.uint64(8) | rt["point_lo"][p]
+    out[:, 2] = (
+        move_lo >> np.uint64(56)
+        | w_hi & stay_hi
+        | move_hi << np.uint64(8)
+        | rt["point_hi"][p]
+    )
+    out[:, 3] = move_hi >> np.uint64(56) | rt["exponent"][ei] | seps
+    return out.tobytes().translate(None, b"\0")
+
+
+def _array_pieces(arr: np.ndarray) -> list[str]:
+    """json.dumps(arr.tolist()) of a finite 1-D or 2-D float64 array, in
+    pieces."""
+    if arr.size == 0:
+        return [json.dumps(arr.tolist())]
+    flat = arr.ravel()
+    n_cols = arr.shape[-1]
+    pieces = ["[[" if arr.ndim == 2 else "["]
+    for start in range(0, flat.size, _REPR_CHUNK):
+        cells = flat[start : start + _REPR_CHUNK]
+        # ", " after a cell, "\x01" (for "], [") after a row, none at the end
+        seps = np.full(cells.size, 0x202C << 48, dtype=np.uint64)
+        seps[(n_cols - 1 - start) % n_cols :: n_cols] = 1 << 48
+        if start + cells.size == flat.size:
+            seps[-1] = 0
+        text = _repr_encode(cells, seps).replace(b"\x01", b"], [")
+        pieces.append(text.decode("ascii"))
+    pieces.append("]]" if arr.ndim == 2 else "]")
+    return pieces
+
+
 def _save(text: str, path: str | None) -> str:
     if path is not None:
         with open(path, "w") as fh:
@@ -215,13 +424,42 @@ def to_csv(header, rows, path: str | None = None) -> str:
     return _save(f"{head}\n{body}", path)
 
 
+def _stub_arrays(obj, arrays: list):
+    """``obj`` with each 1-D or 2-D float64 ndarray in its dicts and lists
+    moved to ``arrays`` and replaced by the string "\\0" + its index."""
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
+        arrays.append(obj)
+        return f"\0{len(arrays) - 1}"
+    if isinstance(obj, dict):
+        return {k: _stub_arrays(v, arrays) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_stub_arrays(v, arrays) for v in obj]
+    return obj
+
+
 def to_json(obj, path: str | None = None, indent: int | None = None) -> str:
     """Key-sorted JSON text of ``obj``, written to ``path`` when given;
-    with ``indent``, the text ends in a newline."""
+    with ``indent``, the text ends in a newline.  Without ``indent``, a 1-D
+    or 2-D float64 ndarray in ``obj`` is written as its ``.tolist()``."""
+    arrays = []
+    if indent is None:
+        obj = _stub_arrays(obj, arrays)
+    non_finite = NumericalError(f"non-finite number in {_where(path)}")
+    if not all(np.isfinite(arr).all() for arr in arrays):
+        raise non_finite
     try:
         text = json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
     except ValueError:
-        raise NumericalError(f"non-finite number in {_where(path)}") from None
+        raise non_finite from None
     if indent is not None:
         text += "\n"
+    elif arrays:
+        # every other piece is the index of an array, in the order of the text
+        parts = re.split(r'"\\u0000(\d+)"', text)
+        if len(parts) != 2 * len(arrays) + 1:
+            raise ValueError("a string in the object reads like an array stub")
+        pieces = []
+        for i, part in enumerate(parts):
+            pieces += _array_pieces(arrays[int(part)]) if i % 2 else [part]
+        text = "".join(pieces)
     return _save(text, path)

@@ -413,12 +413,12 @@ def _pump_meta(pump) -> dict:
 def jsa_to_json(grid: JsaGrid, path: str | None = None) -> str:
     """Self-describing JSON: axes, row-major magnitude and phase, metadata."""
     obj = {
-        "omega_s_rad_s": grid.omega_s.tolist(),
-        "omega_i_rad_s": grid.omega_i.tolist(),
-        "lambda_s_nm": grid.lambda_s_nm.tolist(),
-        "lambda_i_nm": grid.lambda_i_nm.tolist(),
-        "magnitude": np.abs(grid.values).tolist(),
-        "phase_rad": np.angle(grid.values).tolist(),
+        "omega_s_rad_s": grid.omega_s,
+        "omega_i_rad_s": grid.omega_i,
+        "lambda_s_nm": grid.lambda_s_nm,
+        "lambda_i_nm": grid.lambda_i_nm,
+        "magnitude": np.abs(grid.values),
+        "phase_rad": np.angle(grid.values),
         "metadata": {
             "fiber": {
                 "R_eff_um": grid.fiber.R_eff_um,

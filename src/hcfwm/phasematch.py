@@ -75,6 +75,10 @@ DEFAULT_GRID_POINTS = 4000
 # failing.  The recipes use 4000 grid points and 26 or 51 pump steps.
 MAX_GRID_POINTS = 1_000_000
 MAX_PUMP_STEPS = 10_000
+# Each cap holds alone, but both at once would scan for over an hour.  At
+# about 0.5 us per scanned point (measured on a 2-vCPU x86 host), this
+# bounds a density map to about a minute.
+MAX_MAP_POINTS = 10**8
 # default near-pump cutoff: |delta_omega| / 2 pi >= 5e12 Hz
 DEFAULT_DETUNING_MIN = 2.0 * np.pi * 5e12
 
@@ -308,6 +312,11 @@ def _solve_pumps(
     grid_points = check_number(
         "grid_points", grid_points, lo=16, hi=MAX_GRID_POINTS, integer=True
     )
+    if len(omegas_p) * grid_points > MAX_MAP_POINTS:
+        raise ValidationError(
+            f"steps x grid_points must be <= {MAX_MAP_POINTS}, got "
+            f"{len(omegas_p)} x {grid_points}"
+        )
     if detuning_window is not None:
         detuning_window = tuple(map(
             float, check_pair("detuning window", detuning_window, lo=0, lo_open=True)
@@ -422,7 +431,8 @@ def density_map(
     single-pump solve gives: each pump is scanned on its own detuning grid,
     then one bisection loop halves the brackets of every pump at once.
     Pumps that land outside a band, or whose solve fails numerically, are
-    gaps (no branches) rather than aborting the map.
+    gaps (no branches) rather than aborting the map.  ``steps`` times
+    ``grid_points`` is refused above MAX_MAP_POINTS before any scan.
     """
     lo, hi = map(float, check_pair("pump range", pump_range_nm, lo=0, lo_open=True))
     if not lo < hi:

@@ -139,7 +139,7 @@ def schmidt_decompose(
 
 def schmidt_to_json(result: SchmidtResult, path: str | None = None) -> str:
     obj = {
-        "c": result.coefficients.tolist(),
+        "c": result.coefficients,
         "K": result.K,
         "purity": result.purity,
         "flat_phase": result.flat_phase,

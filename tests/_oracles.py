@@ -12,13 +12,16 @@ its mismatch from ``phasematch.delta_k``.  ``per_slice_set_scan`` is the
 seeded scan as ``tomography`` built it one slice at a time, before the
 slices became one array expression.  ``csv_writer_text`` is the
 per-cell CSV writer the exporters used before ``hcfwm.export``, kept as
-the byte-for-byte reference of the artifact format.
+the byte-for-byte reference of the artifact format; ``tolist_jsa_json`` is
+``jsa.json`` as ``json.dumps`` wrote it from ``.tolist()`` lists, before
+``hcfwm.export`` encoded float arrays itself.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 
 import numpy as np
 from scipy.special import erf
@@ -240,3 +243,21 @@ def csv_writer_text(header, rows) -> str:
             [v if isinstance(v, (str, int)) else f"{v:.9g}" for v in row]
         )
     return buf.getvalue()
+
+
+def tolist_jsa_json(grid, metadata: dict) -> str:
+    """The text of jsa.json: the axes and the row-major magnitude and phase
+    of ``grid`` as ``.tolist()`` lists, and ``metadata``, through
+    ``json.dumps``."""
+    return json.dumps(
+        {
+            "omega_s_rad_s": grid.omega_s.tolist(),
+            "omega_i_rad_s": grid.omega_i.tolist(),
+            "lambda_s_nm": grid.lambda_s_nm.tolist(),
+            "lambda_i_nm": grid.lambda_i_nm.tolist(),
+            "magnitude": np.abs(grid.values).tolist(),
+            "phase_rad": np.angle(grid.values).tolist(),
+            "metadata": metadata,
+        },
+        sort_keys=True,
+    )

@@ -636,6 +636,27 @@ def test_cli_import_leaves_csv_encoder_tables_unbuilt(tmp_path):
     assert proc.stdout.split() == ["0", "1"]
 
 
+def test_design_map_leaves_repr_encoder_unbuilt(tmp_path):
+    """Only JSON float arrays need the repr encoder: the design-map
+    subcommands neither build its tables nor import the exact-arithmetic
+    modules."""
+    out = str(tmp_path / "out")
+    proc = _fresh_python(
+        "import sys\n"
+        "from hcfwm import cli, export\n"
+        "for sub, recipe in [('dispersion', 'map_t300'), "
+        "('phasematch', 'map_t300'), ('density-map', 'map_t600')]:\n"
+        f"    code = cli.main([sub, '--config', recipe, '--out', {out!r}, "
+        "'--label', 't'])\n"
+        "    assert code == 0, (sub, code)\n"
+        "print(export._repr_tables.cache_info().currsize, "
+        "'fractions' in sys.modules, 'decimal' in sys.modules)",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"
+
+
 def test_no_subcommand_loads_numpy_ma(tmp_path):
     """numpy 2's np.unique imports numpy.ma on first use, which costs every
     run start-up time; no subcommand may reach it."""

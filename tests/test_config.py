@@ -392,6 +392,25 @@ def test_size_caps(section, key, cap):
     assert getattr(getattr(config.config_from_dict(d), section), key) == cap
 
 
+def test_density_map_scan_cap():
+    """pump_steps x grid_points is bounded, though each key is in range;
+    the cap itself is valid, and a config without a density map is not
+    checked."""
+    d = dict(MINIMAL)
+    d["phasematch"] = {"grid_points": config.MAX_GRID_POINTS}
+    d["density_map"] = {"pump_steps": config.MAX_PUMP_STEPS}
+    with pytest.raises(
+        ValidationError,
+        match=r"'density_map.pump_steps' x 'phasematch.grid_points' must be "
+        r"<= 100000000, got 10000 x 1000000",
+    ):
+        config.config_from_dict(d)
+    d["density_map"] = {"pump_steps": config.MAX_MAP_POINTS // config.MAX_GRID_POINTS}
+    assert config.config_from_dict(d).density_map.pump_steps == 100
+    del d["density_map"]
+    assert config.config_from_dict(d).phasematch.grid_points == config.MAX_GRID_POINTS
+
+
 def test_noise_seed_must_be_nonnegative():
     d = dict(MINIMAL)
     d["set_sim"] = {"noise": {"seed": -1}}

@@ -1,16 +1,19 @@
-"""Artifact writer: byte identity with the per-cell CSV writer, JSON layout,
-and refusal of non-finite numbers."""
+"""Artifact writer: byte identity with the per-cell CSV writer and with
+json.dumps of .tolist() lists, JSON layout, and refusal of non-finite
+numbers."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from _oracles import csv_writer_text
+from _oracles import csv_writer_text, tolist_jsa_json
 from hcfwm import cli, export, jsa, sweeps
 from hcfwm.errors import NumericalError
 
@@ -254,4 +257,109 @@ def test_json_refuses_non_finite(bad, tmp_path):
     path = tmp_path / "sweep.json"
     with pytest.raises(NumericalError, match="sweep.json"):
         export.to_json({"fit": {"r_squared": bad}}, str(path), indent=1)
+    assert not path.exists()
+
+
+# ------------------------------------------------ JSON float arrays
+
+
+def assert_json_alike(arr):
+    """to_json writes ``arr`` as json.dumps writes ``arr.tolist()``; a
+    failure names the first differing cell."""
+    got = export.to_json({"a": arr})
+    want = json.dumps({"a": arr.tolist()}, sort_keys=True)
+    if got != want:
+        cells = arr.ravel().tolist()
+        split = [t.replace("[", "").replace("]", "").split(", ") for t in (got, want)]
+        for x, a, b in zip(cells, *split):
+            assert a == b, f"{x!r}: {a!r}"
+        assert got == want
+
+
+def test_json_random_bit_patterns_of_every_exponent():
+    rng = np.random.default_rng(20261019)
+    # 512 random mantissas and signs for each of the 2047 finite exponent
+    # fields (field 0: zero and the subnormals), about 10**6 cells
+    exponent = np.repeat(np.arange(2047, dtype=np.uint64), 512)
+    mantissa = rng.integers(0, 2**52, size=exponent.size, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=exponent.size, dtype=np.uint64)
+    bits = sign << np.uint64(63) | exponent << np.uint64(52) | mantissa
+    cells = bits.view(np.float64)
+    rng.shuffle(cells)
+    assert_json_alike(cells)
+
+
+def test_json_edge_values():
+    tiny = np.finfo(float).tiny
+    edges = np.array(
+        [5e-324, np.nextafter(tiny, 0), tiny, 2.2250738585072014e-308,
+         1.7976931348623157e308, 9999999999999998.0, 1e16, 1e-4, 1e-5,
+         3.0, 0.1, 0.0]
+        + [2.0**k for k in range(-1074, 1024)]
+        + [float(f"1e{k}") for k in range(-323, 309)]
+    )
+    near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1e308)])
+    assert_json_alike(np.concatenate([near, -near]))
+    assert export.to_json(np.array([-0.0, 3.0, 0.1, 1e16, 1e-5, 5e-324])) == (
+        "[-0.0, 3.0, 0.1, 1e+16, 1e-05, 5e-324]"
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+@example(np.empty(0))
+@example(np.empty((0, 3)))
+@example(np.empty((3, 0)))
+@example(np.ones((1, 1)))
+def test_json_array_property(arr):
+    assert_json_alike(arr)
+    assert export.to_json([arr, (arr,)]) == json.dumps([arr.tolist(), [arr.tolist()]])
+
+
+def test_json_arrays_only_without_indent():
+    """Arrays at any depth of lists, tuples and dicts; with indent, and for
+    other arrays, the json path as before."""
+    arr = np.linspace(-1.0, 2.0, 7)
+    obj = {"b": [arr, {"z": arr[::2], "y": 1}], "a": (arr.reshape(7, 1),), "s": "x"}
+    plain = {"b": [arr.tolist(), {"z": arr[::2].tolist(), "y": 1}],
+             "a": [arr.reshape(7, 1).tolist()], "s": "x"}
+    assert export.to_json(obj) == json.dumps(plain, sort_keys=True)
+    with pytest.raises(TypeError):
+        export.to_json({"a": arr}, indent=1)
+    with pytest.raises(TypeError):
+        export.to_json({"a": np.arange(3)})
+    with pytest.raises(ValueError, match="array stub"):
+        export.to_json({"a": arr, "b": "\x000"})
+
+
+@pytest.mark.parametrize("mode", ["linearized", "full"])
+@pytest.mark.parametrize("recipe", cli.bundled_recipes())
+def test_jsa_json_of_each_recipe_matches_tolist_dumps(recipe, mode):
+    cfg = cli.resolve_config(recipe)
+    cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, mode=mode))
+    fiber = sweeps.fiber_from_config(cfg)
+    gas = sweeps.gas_from_config(cfg)
+    pump = sweeps.pump_from_config(cfg)
+    branch = sweeps.solve_branch(cfg, fiber, gas, pump)
+    grid = sweeps.build_grid(cfg, fiber, gas, pump, branch, cfg.fiber_length_m)
+    assert grid.mode == mode
+    text = jsa.jsa_to_json(grid)
+    assert text == tolist_jsa_json(grid, json.loads(text)["metadata"])
+
+
+@pytest.mark.parametrize("field", ["values", "omega_s", "omega_i"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_jsa_json_refuses_non_finite(grid128, field, bad, tmp_path):
+    arr = getattr(grid128, field).copy()
+    arr.flat[arr.size // 2] = bad
+    grid = dataclasses.replace(grid128, **{field: arr})
+    path = tmp_path / "jsa.json"
+    with pytest.raises(NumericalError, match="^non-finite number in jsa.json$"):
+        jsa.jsa_to_json(grid, str(path))
     assert not path.exists()

@@ -373,6 +373,7 @@ def test_size_caps_live_in_the_library(fx):
     assert config.MAX_GRID_N is jsa.MAX_GRID_N
     assert config.MAX_GRID_POINTS is phasematch.MAX_GRID_POINTS
     assert config.MAX_PUMP_STEPS is phasematch.MAX_PUMP_STEPS
+    assert config.MAX_MAP_POINTS is phasematch.MAX_MAP_POINTS
     seeds = np.full(jsa.MAX_GRID_N + 1, fx.grid.omega_i[0])
     for error, call in [
         ("mode_n must be <= 1000", lambda: fibermodel.FiberModel(
@@ -386,6 +387,11 @@ def test_size_caps_live_in_the_library(fx):
         ("steps must be <= 10000", lambda: phasematch.density_map(
             fx.fiber, fx.xenon, (1025.0, 1035.0),
             steps=phasematch.MAX_PUMP_STEPS + 1)),
+        ("steps x grid_points must be <= 100000000, got 10000 x 1000000",
+         lambda: phasematch.density_map(
+            fx.fiber, fx.xenon, (1025.0, 1035.0),
+            steps=phasematch.MAX_PUMP_STEPS,
+            grid_points=phasematch.MAX_GRID_POINTS)),
         ("seed sweep steps must be <= 4096", lambda: (
             tomography.simulate_set_scan(fx.grid, seeds, 1.0, 1e-3))),
     ]:
