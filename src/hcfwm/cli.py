@@ -10,8 +10,13 @@ cannot be created, out-of-range physics), 2 a numerical failure
 an artifact would have held).
 
 Output files never embed wall-clock times or absolute paths, so a rerun
-with the same config and the same --label is byte-identical.  Runs are
-single-threaded; --threads is accepted (it must be >= 1) and ignored.  The
+with the same config and the same --label is byte-identical.  --threads
+is accepted (it must be >= 1) and ignored: hcfwm starts no threads of its
+own.  numpy's OpenBLAS does, one per CPU unless OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS says otherwise, on the first BLAS or LAPACK call of a
+process (the Schmidt SVDs, the sweeps' Schmidt numbers, the power-law
+fits); on a small matrix, waking them costs milliseconds, more than the
+arithmetic.  The thread count is left to the caller's environment.  The
 bundled gas data can be replaced by pointing the HCFWM_GAS_DATA
 environment variable at an alternative table.
 """
@@ -450,14 +455,12 @@ def build_parser() -> _Parser:
         "--version", action="version", version=f"hcfwm {__version__}"
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
+    config_help = (
+        f"YAML config path or bundled recipe name ({', '.join(bundled_recipes())})"
+    )
     for name, (_, help_line) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        p.add_argument(
-            "--config",
-            required=True,
-            help="YAML config path or bundled recipe name "
-            f"({', '.join(bundled_recipes())})",
-        )
+        p.add_argument("--config", required=True, help=config_help)
         p.add_argument(
             "--out",
             default=None,
@@ -472,8 +475,8 @@ def build_parser() -> _Parser:
             "--threads",
             type=int,
             default=1,
-            help="accepted for compatibility (must be >= 1); runs are "
-            "single-threaded",
+            help="accepted for compatibility (must be >= 1); hcfwm starts "
+            "no threads of its own",
         )
     return parser
 

@@ -83,8 +83,22 @@ def roman(n: int) -> str:
     return "".join(out)
 
 
+# j_{0,1}, the HE11 mode parameter, as _bessel_zero_eigen rounds it (and
+# as scipy's jn_zeros does): one ulp below the correctly rounded
+# 2.404825557695773.  Every artifact depends on these bits, and the literal
+# keeps a LAPACK call, which wakes the BLAS threads, out of every HE11 run.
+_J01 = 2.4048255576957724
+
+
 def _bessel_zero(nu: int, n: int) -> float:
-    """n-th positive zero j_{nu,n} of the Bessel function J_nu.
+    """n-th positive zero j_{nu,n} of the Bessel function J_nu."""
+    if nu == 0 and n == 1:
+        return _J01
+    return _bessel_zero_eigen(nu, n)
+
+
+def _bessel_zero_eigen(nu: int, n: int) -> float:
+    """j_{nu,n} by an eigen-solve.
 
     The numbers 4 / j_{nu,k}^2 are the eigenvalues of a symmetric
     tridiagonal matrix (Ikebe, Kikuchi & Fujishiro, J. Comput. Appl. Math.
@@ -406,11 +420,15 @@ def dispersion_derivatives(
 def _beta2_on_grid(
     fiber: FiberModel, gas: GasState, omega: np.ndarray
 ) -> np.ndarray:
-    """Vectorized beta2 for grids already known to sit safely inside a band."""
+    """Vectorized beta2 for grids already known to sit safely inside a band.
+
+    One kappa evaluation covers the whole stencil; kappa is elementwise, so
+    its rows equal three separate evaluations bit for bit.
+    """
     h2 = BETA2_REL_STEP * omega
-    kp = reduced_kappa(fiber, gas, omega + h2, check=False)
-    k0 = reduced_kappa(fiber, gas, omega, check=False)
-    km = reduced_kappa(fiber, gas, omega - h2, check=False)
+    kp, k0, km = reduced_kappa(
+        fiber, gas, np.stack((omega + h2, omega, omega - h2)), check=False
+    )
     return (kp - 2.0 * k0 + km) / h2**2
 
 

@@ -165,6 +165,10 @@ def _load_table(path: str | None) -> dict[str, SellmeierModel]:
             raise ValidationError(
                 f"cannot read gas data file {path}: {exc.strerror}"
             ) from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"cannot read gas data file {path}: {exc}"
+            ) from None
     try:
         raw = _load_yaml(text)
     except yaml.YAMLError as exc:

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -546,10 +547,13 @@ def test_unreadable_gas_data_exits_1(tmp_path, monkeypatch, capsys):
     missing = tmp_path / "missing.yaml"
     broken = tmp_path / "broken.yaml"
     broken.write_text("xenon: {B: [1.0\n  C_um2: : [")
+    utf16 = tmp_path / "utf16.yaml"
+    utf16.write_bytes(b"\xff\xfe")
     cfg_path = write_cfg(tmp_path, copy.deepcopy(BASE))
     for table_path, error in [
         (missing, f"cannot read gas data file {missing}: No such file"),
         (broken, f"gas data file {broken} is not valid YAML"),
+        (utf16, f"cannot read gas data file {utf16}: 'utf-8' codec can't decode"),
     ]:
         monkeypatch.setenv("HCFWM_GAS_DATA", str(table_path))
         rc = cli.main(["dispersion", "--config", cfg_path,
@@ -558,6 +562,23 @@ def test_unreadable_gas_data_exits_1(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}"), err
         assert "Traceback" not in err
+
+
+def test_unreadable_config_exits_1(tmp_path, capsys):
+    folder = tmp_path / "folder.yaml"
+    folder.mkdir()
+    utf16 = tmp_path / "utf16.yaml"
+    utf16.write_bytes(b"\xff\xfe")  # a UTF-16 byte-order mark
+    for cfg_path, error in [
+        (folder, f"cannot read config file {folder}: [Errno 21] Is a directory"),
+        (utf16, f"cannot read config file {utf16}: 'utf-8' codec can't decode"),
+    ]:
+        rc = cli.main(["dispersion", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "o"), "--label", "t"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {error}"), err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_uncreatable_run_directory_exits_1(tmp_path, capsys):
@@ -596,6 +617,39 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "hcfwm" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_subcommand_help_names_every_recipe_once(subcommand, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([subcommand, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for recipe in cli.bundled_recipes():
+        assert out.count(recipe) == 1, (recipe, out)
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert len(cli.SUBCOMMANDS) == 8
+    for subcommand in cli.SUBCOMMANDS:
+        assert re.search(rf"^ +{subcommand}\s", out, re.MULTILINE), out
+
+
+def test_parser_lists_recipes_once(monkeypatch):
+    calls = []
+    listing = cli.bundled_recipes
+
+    def counted():
+        calls.append(1)
+        return listing()
+
+    monkeypatch.setattr(cli, "bundled_recipes", counted)
+    cli.build_parser()
+    assert calls == [1]
 
 
 # ------------------------------------------------ runtime dependencies
@@ -697,3 +751,26 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "dispersion" / "t" / "zdw.csv").exists()
+
+
+def test_design_map_runs_without_lapack(tmp_path):
+    """The HE11 mode parameter is a literal, so the design-map subcommands
+    make no BLAS or LAPACK call: each runs with numpy's linear algebra
+    replaced by stubs that raise."""
+    out = str(tmp_path / "out")
+    proc = _fresh_python(
+        "import numpy\n"
+        "def stub(*args, **kwargs):\n"
+        "    raise AssertionError('linear algebra called')\n"
+        "for name in ('eigvalsh', 'eigh', 'svd', 'lstsq'):\n"
+        "    setattr(numpy.linalg, name, stub)\n"
+        "from hcfwm import cli\n"
+        "for sub in ('dispersion', 'phasematch', 'density-map'):\n"
+        f"    code = cli.main([sub, '--config', 'map_t300', '--out', {out!r}, "
+        "'--label', 't'])\n"
+        "    assert code == 0, (sub, code)\n"
+        "print('ok')",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"

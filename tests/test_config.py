@@ -9,6 +9,8 @@ from importlib.resources import files as resource_files
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hcfwm import config, gasmedia
 from hcfwm.errors import ValidationError
@@ -425,3 +427,75 @@ def test_unknown_keys_of_mixed_types_are_listed():
     with pytest.raises(ValidationError, match="'fiber.1', 'fiber.x'"):
         config.config_from_dict(d)
 
+
+# ------------------------------------------------ config.yaml through libyaml
+
+RECIPES = sorted(
+    entry.name for entry in resource_files("hcfwm").joinpath("recipes").iterdir()
+    if entry.name.endswith(".yaml")
+)
+
+
+def _python_dump(cfg):
+    """The reference: PyYAML's pure-Python emitter."""
+    return yaml.safe_dump(
+        config.config_to_dict(cfg), default_flow_style=False, sort_keys=True
+    )
+
+
+def test_dump_config_goes_through_libyaml(monkeypatch):
+    calls = []
+
+    class Spy(yaml.CSafeDumper):
+        def __init__(self, *args, **kwargs):
+            calls.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(yaml, "CSafeDumper", Spy)
+    config.dump_config(config.config_from_dict(dict(FULL)))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("recipe", RECIPES)
+def test_dump_config_equals_python_emitter_on_recipes(recipe):
+    text = resource_files("hcfwm").joinpath("recipes", recipe).read_text()
+    cfg = config.loads_config(text)
+    for grid_mode in ("linearized", "full"):
+        cfg = dataclasses.replace(
+            cfg, grid=dataclasses.replace(cfg.grid, mode=grid_mode)
+        )
+        assert config.dump_config(cfg) == _python_dump(cfg)
+
+
+# long runs of printable ASCII with spaces and YAML indicators, which the
+# emitters fold and quote; st.text() alone seldom builds them
+_ASCII_TEXT = st.lists(
+    st.sampled_from([" ", "  ", ": ", "# ", "'", '"', "\\", "- ", "yes", "null",
+                     "~", "1e3", "[", "{", "&", "!", "%", "@", "`", "ab", "c"])
+    | st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+    max_size=150,
+).map("".join)
+_ANY_TEXT = st.text() | _ASCII_TEXT
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    out_dir=_ANY_TEXT,
+    formats=st.lists(_ANY_TEXT, min_size=1, max_size=4),
+    species=_ANY_TEXT,
+)
+@example(out_dir="\ufeffruns: # yes", formats=["null", " csv", "\x85"],
+         species="xenon")
+@example(out_dir="y" * 200 + " \u2028 ü", formats=["on", "1e3", "- x"],
+         species="xenon")
+@example(out_dir="y" * 100 + " ü", formats=["csv"], species="a " * 60)
+def test_dump_config_equals_python_emitter_on_any_text(out_dir, formats, species):
+    """Any text in output.dir, output.formats and gas.species (the dump does
+    not check them) comes out as the pure-Python emitter writes it."""
+    cfg = config.config_from_dict(dict(MINIMAL))
+    cfg = dataclasses.replace(
+        cfg,
+        gas=dataclasses.replace(cfg.gas, species=species),
+        output=config.OutputConfig(dir=out_dir, formats=tuple(formats)),
+    )
+    assert config.dump_config(cfg) == _python_dump(cfg)

@@ -360,8 +360,10 @@ def test_physical_constants_equal_scipy():
 
 
 def test_bessel_zero_matches_scipy():
-    # HE11 feeds every artifact, so it must agree to the last bit
-    assert fibermodel._bessel_zero(0, 1) == jn_zeros(0, 1)[0]
+    # HE11 feeds every artifact, so it must agree to the last bit, and its
+    # literal must be the float of the eigen-solve
+    he11 = fibermodel.FiberModel(R_eff_um=22.0, t_nm=630.0).u
+    assert he11 == fibermodel._bessel_zero_eigen(0, 1) == jn_zeros(0, 1)[0]
     # the eigenvalue method's rounding grows as (j_n / j_1)^2; the worst
     # case here is 10 ulp (1.18e-15 relative) at nu = 6, n = 7
     for nu in range(8):
@@ -369,6 +371,38 @@ def test_bessel_zero_matches_scipy():
         for n in range(1, 8):
             got = fibermodel._bessel_zero(nu, n)
             assert got == pytest.approx(ref[n - 1], rel=1.2e-15, abs=0.0)
+
+
+def test_beta2_stencil_is_one_kappa_call(fiber, xenon, monkeypatch):
+    """One kappa evaluation on the stacked stencil equals three separate
+    ones bit for bit, on random in-band omega, for the band scan and for
+    the 1-element arrays of the Brent solve."""
+    structure = fibermodel.band_structure(fiber, xenon)
+    rng = np.random.default_rng(20261019)
+    calls = []
+    kappa = fibermodel.reduced_kappa
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kappa(*args, **kwargs)
+
+    monkeypatch.setattr(fibermodel, "reduced_kappa", counted)
+    for band in structure.bands:
+        lo = band.usable_lo_nm * (1.0 + 1e-3)
+        hi = band.usable_hi_nm * (1.0 - 1e-3)
+        for size in (1, 2, 7, 400):
+            om = fibermodel.omega_from_lambda_nm(rng.uniform(lo, hi, size))
+            h2 = fibermodel.BETA2_REL_STEP * om
+            want = (
+                kappa(fiber, xenon, om + h2, check=False)
+                - 2.0 * kappa(fiber, xenon, om, check=False)
+                + kappa(fiber, xenon, om - h2, check=False)
+            ) / h2**2
+            calls.clear()
+            got = fibermodel._beta2_on_grid(fiber, xenon, om)
+            assert calls == [1]
+            assert np.all(np.isfinite(want))
+            assert got.tobytes() == want.tobytes()
 
 
 def _oracle_brackets(rng):
