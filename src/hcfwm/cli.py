@@ -13,20 +13,34 @@ Output files never embed wall-clock times or absolute paths, so a rerun
 with the same config and the same --label is byte-identical.  --threads
 is accepted (it must be >= 1) and ignored: hcfwm starts no threads of its
 own.  numpy's OpenBLAS does, one per CPU unless OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS says otherwise, on the first BLAS or LAPACK call of a
-process (the Schmidt SVDs, the sweeps' Schmidt numbers, the power-law
-fits); on a small matrix, waking them costs milliseconds, more than the
-arithmetic.  The thread count is left to the caller's environment.  The
-bundled gas data can be replaced by pointing the HCFWM_GAS_DATA
-environment variable at an alternative table.
+OMP_NUM_THREADS says otherwise: its workers exist from `import numpy` on
+and sleep until a BLAS or LAPACK call (the Schmidt SVDs, the sweeps'
+Schmidt numbers, the power-law fits) wakes them; on a small matrix,
+waking them costs milliseconds, more than the arithmetic.  The thread
+count is left to the caller's environment.  The bundled gas data can be
+replaced by pointing the HCFWM_GAS_DATA environment variable at an
+alternative table.
+
+`main` also sets the C allocator's policy for the process it runs in
+(glibc only; see `_keep_freed_memory`): freed heap pages stay mapped, so
+the numpy temporaries of each grid and each encoder chunk reuse them
+instead of faulting in fresh zero pages.  Inside `main`, a
+`sweep-pressure` run of 23 points at N = 256 took 111k minor page faults
+without it, 73k of them in the CSV encoder, and takes 2.9k with it.
+`import hcfwm` and the library functions leave the allocator alone.
+Every warning of a run is printed once to stderr as one line,
+`warning: <Category>: <message>`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import datetime
 import os
 import sys
+import warnings
 from importlib.resources import files as resource_files
 
 import numpy as np
@@ -52,6 +66,44 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
+
+
+def _keep_freed_memory() -> None:
+    """Make glibc keep freed memory in the process instead of returning it.
+
+    By default glibc gives the top of the heap back to the kernel once
+    128 KiB of it are free, and serves large blocks from fresh mmaps that
+    it unmaps on free.  A sweep frees all the numpy temporaries of one
+    grid or encoder chunk together, so the next one gets them back as
+    fresh zero pages, one minor fault per 4 KiB.  Raising both thresholds
+    (256 MiB to trim, 32 MiB to mmap) keeps those pages mapped for reuse.
+    Both must be set: setting either one alone also switches off glibc's
+    dynamic thresholds and faults more than the default (276k instead of
+    119k for a fresh 23-point `sweep-pressure` process).  Where the C
+    library has no mallopt, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD (<malloc.h>)
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at the largest value allowed
+
+
+@contextlib.contextmanager
+def _one_line_warnings():
+    """Print each distinct warning raised inside as one stderr line,
+    before any error line, also when the body raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            lines = (
+                f"warning: {w.category.__name__}: {w.message}" for w in caught
+            )
+            for line in dict.fromkeys(lines):
+                print(line, file=sys.stderr)
 
 
 def bundled_recipes() -> list[str]:
@@ -482,6 +534,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -506,8 +559,9 @@ def main(argv=None) -> int:
                 f"cannot create run directory {run_dir}: {exc.strerror}"
             ) from None
         run = _Run(cfg, args.subcommand, run_dir)
-        _COMMANDS[args.subcommand][0](run)
-        run.finish()
+        with _one_line_warnings():
+            _COMMANDS[args.subcommand][0](run)
+            run.finish()
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

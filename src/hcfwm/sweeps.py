@@ -35,7 +35,15 @@ from .errors import (
 )
 from .fibermodel import FiberModel, omega_from_lambda_nm
 from .gasmedia import GasState, make_gas
-from .jsa import GaussianPump, JsaGrid, SampledPump, build_jsa, jsi_to_csv, marginals
+from .jsa import (
+    GaussianPump,
+    JsaGrid,
+    SampledPump,
+    build_jsa,
+    grid_to_csv,
+    jsi,
+    marginals,
+)
 from .phasematch import PhaseMatchBranch, density_map, solve_phase_matching
 from .schmidt import schmidt_number
 
@@ -226,11 +234,15 @@ def _evaluate_point(cfg: RunConfig, fiber, pump, value, gas, branch, L_m,
     grid = build_grid(cfg, fiber, gas, pump, branch, L_m)
     k_flat = schmidt_number(grid, flat_phase=True)
     k_complex = schmidt_number(grid, flat_phase=False)
-    marg = marginals(grid)
+    intensity = jsi(grid)
+    marg = marginals(intensity, grid.omega_s, grid.omega_i)
     artifacts: dict = {}
     if out_dir is not None:
         fname = stem.format(value)
-        jsi_to_csv(grid, os.path.join(out_dir, fname))
+        grid_to_csv(
+            grid.lambda_s_nm, grid.lambda_i_nm, intensity,
+            os.path.join(out_dir, fname),
+        )
         artifacts["jsi_csv"] = fname
     return SweepPoint(
         value=value,

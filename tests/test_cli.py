@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import copy
+import ctypes
 import dataclasses
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 import yaml
@@ -381,9 +384,10 @@ def test_extreme_config_exits_2_with_finite_artifacts(
          "--out", str(out), "--label", "t"]
     )
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure:")
-    assert len(err.strip().splitlines()) == 1
+    *warned, failure = capsys.readouterr().err.splitlines()
+    assert failure.startswith("numerical failure:")
+    assert all(re.fullmatch(r"warning: \w+Warning: .+", w) for w in warned)
+    assert len(set(warned)) == len(warned)
     assert not [p for p in out.rglob("*") if p.is_file()
                 and _non_finite_in(str(p))]
 
@@ -774,3 +778,98 @@ def test_design_map_runs_without_lapack(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
+
+
+# ------------------------------------------- process policy: allocator
+
+def _has_glibc_mallopt():
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return False
+    return platform.libc_ver()[0] == "glibc" and hasattr(libc, "mallopt")
+
+
+@pytest.mark.skipif(not _has_glibc_mallopt(), reason="no glibc mallopt")
+def test_cli_keeps_freed_heap_pages(tmp_path):
+    """main raises glibc's trim and mmap thresholds together, so repeated
+    encodes of one grid reuse the freed pages of the last one instead of
+    faulting in fresh zero pages (about 13k faults with glibc's defaults,
+    34k with only the trim threshold raised)."""
+    out = str(tmp_path / "out")
+    proc = _fresh_python(
+        "import resource, numpy\n"
+        "from hcfwm import cli, export\n"
+        f"code = cli.main(['phasematch', '--config', 'map_t300', '--out', "
+        f"{out!r}, '--label', 't'])\n"
+        "assert code == 0, code\n"
+        "table = numpy.random.default_rng(0).random((256, 257))\n"
+        "header = [str(j) for j in range(257)]\n"
+        "export.to_csv(header, table)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(4):\n"
+        "    export.to_csv(header, table)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 1000
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize(
+    "cdll", [_no_libc, lambda name: object()], ids=["no-libc", "no-mallopt"]
+)
+def test_cli_runs_where_mallopt_is_missing(cdll, tmp_path, monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    rc = cli.main(
+        ["phasematch", "--config", "map_t300", "--out", str(tmp_path),
+         "--label", "t"]
+    )
+    assert rc == 0
+
+
+# ------------------------------------------------ warnings on stderr
+
+def test_numerical_failure_prints_each_warning_once(tmp_path):
+    """In a plain interpreter numpy's RuntimeWarnings would print as source
+    excerpts; the CLI prints each distinct one as one line, then the
+    failure."""
+    raw = copy.deepcopy(BASE)
+    raw["fiber"]["R_eff_um"] = 1e-300
+    cfg = write_cfg(tmp_path, raw)
+    out = str(tmp_path / "out")
+    proc = _fresh_python(
+        "import sys\n"
+        "from hcfwm import cli\n"
+        f"sys.exit(cli.main(['dispersion', '--config', {cfg!r}, '--out', "
+        f"{out!r}, '--label', 't']))",
+        tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "warning: RuntimeWarning: divide by zero encountered in divide",
+        "warning: RuntimeWarning: invalid value encountered in subtract",
+        "numerical failure: non-finite number on line 2 of dispersion.csv",
+    ]
+
+
+def test_handler_warnings_print_once_on_success(tmp_path, monkeypatch, capsys):
+    def handler(run):
+        for _ in range(3):
+            warnings.warn("slow path", UserWarning)
+        warnings.warn("old key", DeprecationWarning)
+
+    monkeypatch.setitem(cli._COMMANDS, "phasematch", (handler, "stub"))
+    rc = cli.main(
+        ["phasematch", "--config", "map_t300", "--out", str(tmp_path),
+         "--label", "t"]
+    )
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: UserWarning: slow path",
+        "warning: DeprecationWarning: old key",
+    ]
