@@ -5,9 +5,9 @@ recipe), writes its artifacts under `<out>/<subcommand>/<label>/` where
 the label defaults to a UTC timestamp, and emits a machine-parseable
 manifest.json listing the files.  Exit code 0 means success, 1 a
 validation problem (bad config, unreadable gas table, run directory that
-cannot be created, out-of-range physics), 2 a numerical failure
-(non-convergence, no fittable sweep, float overflow, or a NaN or inf that
-an artifact would have held).
+cannot be created, artifact that cannot be written, out-of-range
+physics), 2 a numerical failure (non-convergence, no fittable sweep,
+float overflow, or a NaN or inf that an artifact would have held).
 
 Output files never embed wall-clock times or absolute paths, so a rerun
 with the same config and the same --label is byte-identical.  --threads
@@ -298,12 +298,15 @@ def cmd_phasematch(run: _Run) -> None:
 def cmd_jsa(run: _Run) -> None:
     cfg = run.cfg
     grid = _point_grid(cfg)
-    marg = jsa.marginals(grid)
+    intensity = jsa.jsi(grid)
+    marg = jsa.marginals(intensity, grid.omega_s, grid.omega_i)
     if run.wants("json"):
         jsa.jsa_to_json(grid, run.path("jsa.json"))
         run.add("jsa.json", "complex JSA grid with metadata")
     if run.wants("csv"):
-        jsa.jsi_to_csv(grid, run.path("jsi.csv"))
+        jsa.grid_to_csv(
+            grid.lambda_s_nm, grid.lambda_i_nm, intensity, run.path("jsi.csv")
+        )
         run.add("jsi.csv", "joint spectral intensity grid")
         _write_rows(
             run.path("marginals.csv"),
@@ -373,7 +376,7 @@ def cmd_set_sim(run: _Run) -> None:
         run.add("scan.csv", "stimulated scan, one row per sample")
         tomography.reconstruction_to_csv(rec, run.path("reconstruction.csv"))
         run.add("reconstruction.csv", "seed-normalized JSI reconstruction")
-    rec_marg = jsa.marginals(rec.values, omega_s=rec.omega_s, omega_i=rec.omega_i)
+    rec_marg = jsa.marginals(rec.values, rec.omega_s, rec.omega_i)
     run.results["reconstructed_idler_nm"] = rec_marg.centroid_lambda_i_nm
     run.results["reconstructed_signal_nm"] = rec_marg.centroid_lambda_s_nm
     print(

@@ -24,6 +24,7 @@ from typing import Any, Callable
 
 import yaml
 
+from . import export
 from .errors import ValidationError, check_number
 from .fibermodel import MAX_MODE_N
 from .gasmedia import _load_yaml
@@ -546,7 +547,4 @@ def dump_config(cfg: RunConfig, path: str | None = None) -> str:
     if _printable_ascii(data):
         dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
     text = yaml.dump(data, Dumper=dumper, default_flow_style=False, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return export.save(text, path)

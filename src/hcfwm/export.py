@@ -15,7 +15,9 @@ shortest round-trip repr.  The rest of the object, and all of an indented
 one, goes through json.
 
 A non-finite number never reaches an artifact: both writers raise
-NumericalError (CLI exit 2) before anything is written.
+NumericalError (CLI exit 2) before anything is written.  A file that
+cannot be written raises ValidationError (CLI exit 1); ``save`` is the one
+place that opens an artifact for writing.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 
 # a whole cell reading nan, inf or -inf
 _NON_FINITE_CELL = re.compile(r"(?:^|,)-?(?:nan|inf)(?=,|$)", re.M)
@@ -384,10 +386,18 @@ def _array_pieces(arr: np.ndarray) -> list[str]:
     return pieces
 
 
-def _save(text: str, path: str | None) -> str:
+def save(text: str, path: str | None) -> str:
+    """Write ``text`` to ``path`` when given, and return it.  A file that
+    cannot be written (a directory in its place, a full disk) raises
+    ValidationError naming it."""
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write {path}: {exc.strerror}"
+            ) from None
     return text
 
 
@@ -421,7 +431,7 @@ def to_csv(header, rows, path: str | None = None) -> str:
     else:
         body = "".join([_line(row) + "\n" for row in rows])
         _refuse_non_finite(body, 2, path)
-    return _save(f"{head}\n{body}", path)
+    return save(f"{head}\n{body}", path)
 
 
 def _stub_arrays(obj, arrays: list):
@@ -462,4 +472,4 @@ def to_json(obj, path: str | None = None, indent: int | None = None) -> str:
         for i, part in enumerate(parts):
             pieces += _array_pieces(arrays[int(part)]) if i % 2 else [part]
         text = "".join(pieces)
-    return _save(text, path)
+    return save(text, path)

@@ -221,13 +221,6 @@ class BandStructure:
         band raises the error that says why."""
         flat = np.asarray(lambda_nm, dtype=float).ravel()
         ok = self.in_band_mask(flat)
-        # the last test: the band the wavelength falls in exists.
-        # bincount lists the band indexes present in ascending order, as
-        # np.unique would, without np.unique's import of numpy.ma
-        index = self.band_index(flat)
-        for j in np.flatnonzero(np.bincount(index[ok])).tolist():
-            if roman(j) not in self.bands_by_label:
-                ok &= index != j
         if ok.all():
             return
         lam = float(flat[np.argmin(ok)])
@@ -237,6 +230,10 @@ class BandStructure:
                 f"{lam:.6g} nm outside the model window [{lo:.6g}, {hi:.6g}] nm "
                 f"for {self.gas.species} at {self.gas.pressure_bar:g} bar"
             )
+        # inside the window, so inside an exclusion zone: a wavelength of
+        # the window clear of every zone lies in (lambda_j, lambda_{j-1}),
+        # and band_structure builds band j wherever that interval meets
+        # the window
         for lj in self.resonances_nm:
             if abs(lam - lj) <= EXCLUSION_FRACTION * lj:
                 raise DivergenceZoneError(
@@ -244,7 +241,6 @@ class BandStructure:
                     f"wall resonance at {lj:.6g} nm where the tube model diverges",
                     lambda_j_nm=lj,
                 )
-        raise RangeError(f"{lam:.6g} nm is not inside any transmission band")
 
 
 def model_window_nm(fiber: FiberModel, gas: GasState) -> tuple[float, float]:

@@ -360,28 +360,27 @@ class Marginals:
     centroid_lambda_i_nm: float
 
 
-def marginals(grid, omega_s=None, omega_i=None) -> Marginals:
-    """Marginal spectra and intensity-weighted centroids.
-
-    Accepts a JsaGrid, or a raw real JSI array with explicit axes (as
-    produced by tomography reconstruction).
+def marginals(intensity, omega_s, omega_i) -> Marginals:
+    """Marginal spectra and intensity-weighted centroids of a real JSI on
+    its axes: ``jsi(grid)`` on the grid's axes, or a tomography
+    reconstruction.
     """
-    if isinstance(grid, JsaGrid):
-        intensity = jsi(grid)
-        omega_s, omega_i = grid.omega_s, grid.omega_i
-    else:
-        intensity = np.asarray(grid, dtype=float)
-        if omega_s is None or omega_i is None:
-            raise ValidationError("raw-grid marginals need omega_s and omega_i axes")
-        omega_s = np.asarray(omega_s, dtype=float)
-        omega_i = np.asarray(omega_i, dtype=float)
+    intensity = np.asarray(intensity, dtype=float)
+    omega_s = np.asarray(omega_s, dtype=float)
+    omega_i = np.asarray(omega_i, dtype=float)
     if intensity.shape != (omega_s.size, omega_i.size):
         raise ValidationError("JSI shape does not match the axes")
+    if not (np.all(np.isfinite(omega_s)) and np.all(np.isfinite(omega_i))):
+        raise ValidationError("JSI axes must be finite")
     d_s = float(omega_s[1] - omega_s[0])
     d_i = float(omega_i[1] - omega_i[0])
     sig = intensity.sum(axis=1) * d_i
     idl = intensity.sum(axis=0) * d_s
     tot_s, tot_i = sig.sum(), idl.sum()
+    # a NaN or inf cell makes its row and column sums, and so these
+    # totals, non-finite: no separate pass over the grid is needed
+    if not (np.isfinite(tot_s) and np.isfinite(tot_i)):
+        raise ValidationError("JSI holds a non-finite value")
     if tot_s <= 0.0 or tot_i <= 0.0:
         raise ValidationError("JSI has no weight; cannot form centroids")
     cs = float(np.sum(sig * omega_s) / tot_s)

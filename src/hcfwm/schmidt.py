@@ -1,13 +1,15 @@
 """Schmidt decomposition of a discretized joint spectral amplitude.
 
 The continuum decomposition F(omega_s, omega_i) = sum_n sqrt(c_n)
-S_n(omega_s) I_n(omega_i) is approximated by an SVD of the grid matrix
-weighted by sqrt(cell area), which makes the coefficients converge with
-grid refinement.  The Schmidt number K = 1 / sum c_n^2 counts effective
-modes: K = 1 for a factorable state, K > 1 for a correlated one; its
-inverse is the heralded-photon purity.  Where only K is needed, as at
-every sweep point, ``schmidt_number`` takes it from the Gram identity
-K = (tr G)^2 / ||G||_F^2, G = M M^H, without an SVD.
+S_n(omega_s) I_n(omega_i) is approximated by an SVD of the grid matrix.
+A JsaGrid is weighted by sqrt(cell area), which only makes the singular
+values s_n satisfy sum s_n^2 = 1; the coefficients c_n are renormalized
+to sum 1 either way, and K is scale-free.  The Schmidt number
+K = 1 / sum c_n^2 counts effective modes: K = 1 for a factorable state,
+K > 1 for a correlated one; its inverse is the heralded-photon purity.
+Where only K is needed, as at every sweep point, ``schmidt_number`` takes
+it from the Gram identity K = (tr G)^2 / ||G||_F^2, G = M M^H, without an
+SVD.
 
 Two variants matter in practice and are never interchanged silently:
 the complex-JSA decomposition uses the full amplitude including phase,
@@ -22,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import export
-from .errors import ValidationError, check_number
+from .errors import ValidationError
 from .jsa import JsaGrid
 
 TRUNCATION_RELATIVE = 1e-12
+MODES_CSV_COUNT = 8
 
 
 @dataclass(frozen=True)
@@ -49,16 +52,17 @@ class SchmidtResult:
         return int(self.coefficients.size)
 
 
-def _weighted_matrix(grid, flat_phase: bool, cell_area: float | None):
-    """The sqrt(cell area)-weighted amplitude matrix of a JsaGrid or a raw
-    grid array, and whether it is flat-phase; raises ValidationError on an
-    input no decomposition accepts."""
-    if cell_area is not None:
-        check_number("cell_area", cell_area, lo=0, lo_open=True)
+def _weighted_matrix(grid, flat_phase: bool):
+    """The amplitude matrix of a JsaGrid (weighted by sqrt(cell area)) or a
+    raw grid array, and whether it is flat-phase; raises ValidationError on
+    an input no decomposition accepts."""
     if isinstance(grid, JsaGrid):
-        matrix = np.abs(grid.values) if flat_phase else grid.values
         area = grid.cell_area
+        if not area > 0.0:  # an axis out of order, repeated or NaN
+            raise ValidationError(f"JsaGrid cell_area must be > 0, got {area}")
+        matrix = np.abs(grid.values) if flat_phase else grid.values
     else:
+        area = 1.0
         arr = np.asarray(grid)
         if arr.ndim != 2 or min(arr.shape) < 2:
             raise ValidationError("grid must be a 2-D array, at least 2x2")
@@ -73,21 +77,14 @@ def _weighted_matrix(grid, flat_phase: bool, cell_area: float | None):
                 raise ValidationError("a JSI grid must be non-negative")
             matrix = np.sqrt(arr)
             flat_phase = True
-        area = 1.0 if cell_area is None else float(cell_area)
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("grid contains non-finite values")
     if not np.any(matrix):
         raise ValidationError("degenerate input: grid is identically zero")
-    if area <= 0.0:
-        raise ValidationError("cell_area must be > 0")
     return np.asarray(matrix) * np.sqrt(area), bool(flat_phase)
 
 
-def schmidt_number(
-    grid,
-    flat_phase: bool = False,
-    cell_area: float | None = None,
-) -> float:
+def schmidt_number(grid, flat_phase: bool = False) -> float:
     """Schmidt number K of the same input as ``schmidt_decompose``, without
     an SVD.
 
@@ -97,18 +94,14 @@ def schmidt_number(
     shorter grid axis.  No coefficient is truncated, so K can differ from
     ``schmidt_decompose(...).K`` in the last digits.
     """
-    m, _ = _weighted_matrix(grid, flat_phase, cell_area)
+    m, _ = _weighted_matrix(grid, flat_phase)
     if m.shape[0] > m.shape[1]:
         m = m.T
     g = m @ m.conj().T
     return float(np.trace(g).real ** 2 / np.vdot(g, g).real)
 
 
-def schmidt_decompose(
-    grid,
-    flat_phase: bool = False,
-    cell_area: float | None = None,
-) -> SchmidtResult:
+def schmidt_decompose(grid, flat_phase: bool = False) -> SchmidtResult:
     """SVD-based Schmidt decomposition of a JsaGrid or a raw grid array.
 
     A JsaGrid brings its own cell area; flat_phase=True decomposes the
@@ -117,7 +110,7 @@ def schmidt_decompose(
     as a JSA.  Coefficients below 1e-12 of the leading one are truncated
     as SVD noise, then renormalized.
     """
-    weighted, flat_phase = _weighted_matrix(grid, flat_phase, cell_area)
+    weighted, flat_phase = _weighted_matrix(grid, flat_phase)
     u, s, vh = np.linalg.svd(weighted, full_matrices=False)
 
     c = s**2
@@ -147,12 +140,11 @@ def schmidt_to_json(result: SchmidtResult, path: str | None = None) -> str:
     return export.to_json(obj, path)
 
 
-def schmidt_modes_to_csv(
-    result: SchmidtResult, n_modes: int = 8, path: str | None = None
-) -> str:
-    """Leading Schmidt mode vectors as CSV columns (real part, then imag
-    when any mode is complex)."""
-    n = min(check_number("n_modes", n_modes, lo=1, integer=True), result.n_modes)
+def schmidt_modes_to_csv(result: SchmidtResult, path: str | None = None) -> str:
+    """The MODES_CSV_COUNT leading Schmidt mode vectors (fewer when the
+    decomposition has fewer) as CSV columns (real part, then imag when any
+    mode is complex)."""
+    n = min(MODES_CSV_COUNT, result.n_modes)
     sig = result.signal_modes[:, :n]
     idl = result.idler_modes[:, :n]
     complex_modes = np.iscomplexobj(sig) or np.iscomplexobj(idl)

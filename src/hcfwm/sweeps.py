@@ -26,13 +26,7 @@ import numpy as np
 
 from . import export
 from .config import RunConfig, required_section
-from .errors import (
-    HcfwmError,
-    NumericalError,
-    ValidationError,
-    check_number,
-    check_pair,
-)
+from .errors import HcfwmError, NumericalError, check_number, check_pair
 from .fibermodel import FiberModel, omega_from_lambda_nm
 from .gasmedia import GasState, make_gas
 from .jsa import (
@@ -277,33 +271,14 @@ def _sweep_points(cfg: RunConfig, fiber, pump, values, at, out_dir, stem):
     return tuple(points), tuple(gaps)
 
 
-def _check_axis(name: str, values) -> tuple[float, ...]:
-    values = tuple(
-        float(check_number(
-            f"{name} axis values", v, lo=0, lo_open=True, kind="numbers"
-        ))
-        for v in values
-    )
-    if not values:
-        raise ValidationError(f"{name} axis must not be empty")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValidationError(f"{name} axis must be strictly increasing")
-    return values
-
-
-def sweep_length(
-    cfg: RunConfig,
-    lengths=None,
-    out_dir: str | None = None,
-) -> SweepResult:
-    """JSA and Schmidt numbers for a series of fiber lengths.
+def sweep_length(cfg: RunConfig, out_dir: str | None = None) -> SweepResult:
+    """JSA and Schmidt numbers for the fiber lengths of
+    ``cfg.sweep_length``.
 
     The branch is pressure- and pump-determined, so it is solved once
     and shared by all lengths; points run in axis order.
     """
-    if lengths is None:
-        lengths = required_section(cfg, "sweep_length", "a length sweep").lengths_m
-    lengths = _check_axis("length_m", lengths)
+    lengths = required_section(cfg, "sweep_length", "a length sweep").lengths_m
     fiber = fiber_from_config(cfg)
     gas = gas_from_config(cfg)
     pump = pump_from_config(cfg)
@@ -315,12 +290,9 @@ def sweep_length(
     return SweepResult(param="length_m", unit="m", points=points, gaps=gaps)
 
 
-def sweep_pressure(
-    cfg: RunConfig,
-    pressures=None,
-    out_dir: str | None = None,
-) -> SweepResult:
-    """Branch, JSA, and centroids across a gas-pressure series.
+def sweep_pressure(cfg: RunConfig, out_dir: str | None = None) -> SweepResult:
+    """Branch, JSA, and centroids across the pressures of
+    ``cfg.sweep_pressure``.
 
     Branch selection is chained: each pressure takes the branch nearest
     the previous point's (omega_s, omega_i); the first point honors
@@ -328,11 +300,9 @@ def sweep_pressure(
     idler centroid frequency (THz = 10^12 rad/s) vs pressure (bar); it
     needs at least two successful points.
     """
-    if pressures is None:
-        pressures = required_section(
-            cfg, "sweep_pressure", "a pressure sweep"
-        ).pressures_bar
-    pressures = _check_axis("pressure_bar", pressures)
+    pressures = required_section(
+        cfg, "sweep_pressure", "a pressure sweep"
+    ).pressures_bar
     fiber = fiber_from_config(cfg)
     pump = pump_from_config(cfg)
     prev: tuple[float, float] | None = None

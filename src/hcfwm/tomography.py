@@ -8,8 +8,8 @@ ground-truth JSA grid, reconstructs the JSI by seed-power normalization,
 and fits the power-scaling laws (linear in seed, quadratic in pump) that
 identify the stimulated regime.
 
-Absolute gain is not modeled; a single arbitrary constant multiplies
-every slice and all comparisons are shape-based after normalization.
+Absolute gain is not modeled: a slice is P_pump^2 * N_seed * JSI in
+arbitrary units, and all comparisons are shape-based after normalization.
 The per-photon energy of the seed is evaluated once at the sweep center,
 so the simulated slice is strictly linear in the monitored seed power;
 across a 30 nm sweep near 1550 nm the neglected variation is below 1%.
@@ -73,11 +73,10 @@ class NoiseModel:
         return np.random.default_rng([*self.seed, index])
 
 
-def _check_scalars(pump_power_W, duty_cycle, gain) -> None:
+def _check_scalars(pump_power_W, duty_cycle) -> None:
     """The scalar inputs that a scan and its simulation share."""
     check_number("pump power pump_power_W", pump_power_W, lo=0, lo_open=True)
     check_number("duty cycle", duty_cycle, lo=0, lo_open=True, hi=1)
-    check_number("gain", gain, lo=0, lo_open=True)
 
 
 def _seed_photon_number(seed_power_W, duty_cycle, omega_i):
@@ -102,7 +101,6 @@ class SetScan:
     pump_power_W: float
     duty_cycle: float = 1.0
     noise: NoiseModel = field(default_factory=NoiseModel)
-    gain: float = 1.0
 
     def __post_init__(self):
         self.omega_i = np.asarray(self.omega_i, dtype=float)
@@ -111,6 +109,9 @@ class SetScan:
         self.seed_power_W = np.asarray(self.seed_power_W, dtype=float)
         if self.omega_i.ndim != 1 or self.omega_i.size < 1:
             raise ValidationError("seed sweep must be a non-empty 1-D axis")
+        if not (np.all(np.isfinite(self.omega_i))
+                and np.all(np.isfinite(self.omega_s))):
+            raise ValidationError("scan axes must be finite")
         steps = np.diff(self.omega_i)
         if self.omega_i.size > 1 and not (
             np.all(steps > 0.0) or np.all(steps < 0.0)
@@ -122,12 +123,14 @@ class SetScan:
             )
         if not np.all(np.isfinite(self.seed_power_W) & (self.seed_power_W > 0.0)):
             raise ValidationError("monitored seed powers must be finite and > 0 W")
-        _check_scalars(self.pump_power_W, self.duty_cycle, self.gain)
+        _check_scalars(self.pump_power_W, self.duty_cycle)
         if self.slices.shape != (self.omega_i.size, self.omega_s.size):
             raise ValidationError(
                 "slices must have shape (sweep steps, signal axis); got "
                 f"{self.slices.shape}"
             )
+        if not np.all(np.isfinite(self.slices)):
+            raise ValidationError("scan slices must be finite")
 
     @property
     def n_slices(self) -> int:
@@ -184,17 +187,16 @@ def simulate_set_scan(
     pump_power_W: float,
     seed_power_W,
     noise: NoiseModel | None = None,
-    gain: float = 1.0,
     duty_cycle: float = 1.0,
 ) -> SetScan:
     """Forward-simulate a seeded scan of the ground-truth JSI.
 
-    Each slice is gain * P_pump^2 * N_seed * JSI(omega_s, omega_i), with
+    Each slice is P_pump^2 * N_seed * JSI(omega_s, omega_i), with
     N_seed the seed photon number for that step.  Noise draws use one
     splittable stream per slice (``NoiseModel.rng_for_slice``), so each
     slice's noise is fixed by the noise seed and the slice index alone.
     """
-    _check_scalars(pump_power_W, duty_cycle, gain)
+    _check_scalars(pump_power_W, duty_cycle)
     seed_omega_i = np.atleast_1d(np.asarray(seed_omega_i, dtype=float))
     if seed_omega_i.size < 1:
         raise ValidationError("seed sweep must contain at least one step")
@@ -214,7 +216,7 @@ def simulate_set_scan(
 
     intensity = jsi(truth)
     n_seed = _seed_photon_number(powers, duty_cycle, seed_omega_i)
-    prefactor = gain * pump_power_W**2
+    prefactor = pump_power_W**2
 
     # linear interpolation of the JSI columns at every seed; a seed on an
     # axis point (w = 0, or w = 1 at the last point) gives its column exactly
@@ -241,16 +243,15 @@ def simulate_set_scan(
         pump_power_W=float(pump_power_W),
         duty_cycle=float(duty_cycle),
         noise=noise,
-        gain=float(gain),
     )
 
 
 def reconstruct_jsi(scan: SetScan) -> Reconstruction:
     """Divide each slice by its seed photon number and renormalize.
 
-    The arbitrary gain, the pump power, and the photon-energy constant
-    all cancel in the unit-sum normalization, so the reconstruction
-    depends only on the slice shapes and the monitored power profile.
+    The pump power and the photon-energy constant cancel in the unit-sum
+    normalization, so the reconstruction depends only on the slice shapes
+    and the monitored power profile.
     """
     if scan.n_slices < 2:
         raise ValidationError(
@@ -289,10 +290,11 @@ def power_scaling_check(
     seed_powers_W,
     pump_powers_W,
     noise: NoiseModel | None = None,
-    seed_omega_i=None,
     duty_cycle: float = 1.0,
 ) -> PowerScaling:
     """Fit log-log total counts vs seed and pump power.
+
+    Every scan seeds every (N // 32)-th point of the idler axis.
 
     Expected exponents are 1 (seed) and 2 (pump); deviations flag a
     broken stimulated-regime model.  The configured dark floor is
@@ -317,8 +319,7 @@ def power_scaling_check(
             )
     if noise is None:
         noise = NoiseModel()
-    if seed_omega_i is None:
-        seed_omega_i = truth.omega_i[:: max(1, truth.omega_i.size // 32)]
+    seed_omega_i = truth.omega_i[:: max(1, truth.omega_i.size // 32)]
 
     def total_counts(pump_W: float, seed_W: float, tag: int, idx: int):
         scan = simulate_set_scan(

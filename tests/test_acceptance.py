@@ -16,12 +16,13 @@ and the open question.  Everything else passes.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from hcfwm import cli, jsa, schmidt, sweeps, tomography
+from hcfwm import cli, config, jsa, schmidt, sweeps, tomography
 from hcfwm.fibermodel import omega_from_lambda_nm
 from hcfwm.phasematch import PhaseMatchBranch
 
@@ -279,10 +280,8 @@ def test_schmidt_matches_analytic_hermite_kernel():
     """Correlated-Gaussian kernel: coefficients to 1e-6, K to 1e-4."""
     mu = 0.5
     x = np.linspace(-15.0, 15.0, 512)
-    dx = x[1] - x[0]
     res = schmidt.schmidt_decompose(
-        mehler_kernel(x, mehler_rho(mu)).astype(complex),
-        cell_area=dx * dx,
+        mehler_kernel(x, mehler_rho(mu)).astype(complex)
     )
     n = min(res.n_modes, 11)
     c_err = float(
@@ -418,12 +417,12 @@ def test_invariant_grid_refinement(truth512, series_cfg):
 def test_invariant_thread_independence(tuning_cfg, truth512):
     """Runs are single-threaded, so the invariant is a same-seed rerun
     giving the same bytes and the same noisy slices."""
-    pressures = (3.0, 3.2, 3.4)
+    cfg = dataclasses.replace(
+        tuning_cfg,
+        sweep_pressure=config.SweepPressureConfig(pressures_bar=(3.0, 3.2, 3.4)),
+    )
     first, again = (
-        sweeps.summary_csv(
-            sweeps.sweep_pressure(tuning_cfg, pressures=pressures)
-        )
-        for _ in range(2)
+        sweeps.summary_csv(sweeps.sweep_pressure(cfg)) for _ in range(2)
     )
     *_, grid = truth512
     noise = tomography.NoiseModel(rel_sigma=0.02, dark_floor=1e-20, seed=3)

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from importlib.resources import files as resource_files
 
 import hcfwm
-from hcfwm import cli, config
+from hcfwm import cli, config, schmidt
 
 BASE = {
     "fiber": {},
@@ -504,6 +505,34 @@ def test_random_config_exits_cleanly_with_finite_artifacts(subcommand, edits):
 # ------------------------------------------------- recipes and gas data
 
 
+def _jsa_of_run(tmp_path, raw, label):
+    rc = cli.main(["jsa", "--config", write_cfg(tmp_path, raw, f"{label}.yaml"),
+                   "--out", str(tmp_path / "o"), "--label", label])
+    assert rc == 0
+    run_dir = tmp_path / "o" / "jsa" / label
+    with open(run_dir / "jsa.json") as fh:
+        doc = json.load(fh)
+    amplitude = np.asarray(doc["magnitude"]) * np.exp(
+        1j * np.asarray(doc["phase_rad"])
+    )
+    return doc, read_manifest(run_dir)["results"], schmidt.schmidt_number(amplitude)
+
+
+def test_jsa_with_a_sampled_pump(tmp_path):
+    """A modulated pump reaches the JSA as a sampled spectrum."""
+    recipe = resource_files("hcfwm").joinpath("recipes", "length_series.yaml")
+    raw = yaml.safe_load(recipe.read_text())
+    raw["grid"]["N"] = 64
+    _, _, k_plain = _jsa_of_run(tmp_path, raw, "plain")
+    raw["pump"]["modulation"] = {"depth": 0.3, "period_THz": 3.0}
+    doc, results, k_sampled = _jsa_of_run(tmp_path, raw, "sampled")
+    pump = doc["metadata"]["pump"]
+    assert pump["shape"] == "sampled" and pump["points"] == 4096
+    assert math.isfinite(results["centroid_signal_nm"])
+    assert math.isfinite(results["centroid_idler_nm"])
+    assert abs(k_sampled - k_plain) > 1e-3 * k_plain
+
+
 def test_bundled_recipe_listing():
     assert cli.bundled_recipes() == [
         "length_series", "map_t300", "map_t600", "tuning_ar", "tuning_xe",
@@ -596,6 +625,22 @@ def test_uncreatable_run_directory_exits_1(tmp_path, capsys):
     assert err == (
         f"error: cannot create run directory {out / 'dispersion' / 't'}: "
         "Not a directory\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "subcommand, fname",
+    [("dispersion", "bands.csv"), ("jsa", "jsa.json"), ("jsa", "config.yaml")],
+)
+def test_unwritable_artifact_exits_1(tmp_path, capsys, subcommand, fname):
+    """A directory where an artifact goes: one error line, no traceback."""
+    run_dir = tmp_path / "o" / subcommand / "t"
+    (run_dir / fname).mkdir(parents=True)
+    rc = cli.main([subcommand, "--config", write_cfg(tmp_path, BASE),
+                   "--out", str(tmp_path / "o"), "--label", "t"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {run_dir / fname}: Is a directory\n"
     )
 
 

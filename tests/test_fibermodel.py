@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 import scipy.constants
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
@@ -300,6 +302,43 @@ def test_delta_eff_check_leaves_values_alone(fiber, xenon):
         checked, fibermodel.delta_eff(fiber, xenon, lam, check=False)
     )
     assert fibermodel.delta_eff(fiber, xenon, 700.0) == checked[0]
+
+
+# the resonance solves of the thin walls that do not converge warn
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    log_t_nm=st.floats(math.log10(30.0), math.log10(60_000.0)),
+    r_eff_um=st.floats(3.0, 60.0),
+    species=st.sampled_from(["xenon", "argon", "vacuum"]),
+    pressure_bar=st.floats(0.1, 20.0),
+)
+def test_every_allowed_wavelength_has_its_band(
+    log_t_nm, r_eff_um, species, pressure_bar
+):
+    """Wherever in_band_mask holds, the band of that wavelength was built,
+    so require_bands needs no band-existence check of its own.  Probed on
+    a dense ladder over the window and just outside both edges of every
+    exclusion zone, where the band intervals are narrowest.  A thin wall
+    whose resonance solve does not converge has no bands to check."""
+    fiber = fibermodel.FiberModel(R_eff_um=r_eff_um, t_nm=10.0**log_t_nm)
+    gas = gasmedia.make_gas(species, pressure_bar)
+    try:
+        structure = fibermodel.band_structure(fiber, gas)
+    except ConvergenceError:
+        structure = None
+    assume(structure is not None)
+    lo, hi = structure.window_nm
+    res = np.asarray(structure.resonances_nm)
+    edge = fibermodel.EXCLUSION_FRACTION * (1.0 + 1e-12)
+    lam = np.concatenate((
+        np.linspace(lo, hi, 4001)[1:-1], res * (1.0 - edge), res * (1.0 + edge)
+    ))
+    ok = structure.in_band_mask(lam)
+    assert ok.any()
+    for j in np.unique(structure.band_index(lam[ok])).tolist():
+        assert fibermodel.roman(j) in structure.bands_by_label
+    structure.require_bands(lam[ok])
 
 
 def test_model_window_intersects_gas_and_silica(fiber, xenon, vacuum):

@@ -137,16 +137,6 @@ CALLS = {
         dict(fiber=fx.fiber, gas=fx.xenon, pump_range_nm=(1025.0, 1035.0),
              steps=2, detuning_window=(1e13, 4e14), grid_points=400),
     ),
-    "schmidt.schmidt_number": lambda fx: (
-        schmidt.schmidt_number, dict(grid=np.eye(4), cell_area=1.0)
-    ),
-    "schmidt.schmidt_decompose": lambda fx: (
-        schmidt.schmidt_decompose, dict(grid=np.eye(4), cell_area=1.0)
-    ),
-    "schmidt.schmidt_modes_to_csv": lambda fx: (
-        schmidt.schmidt_modes_to_csv,
-        dict(result=schmidt.schmidt_decompose(np.eye(4)), n_modes=2),
-    ),
     "tomography.NoiseModel": lambda fx: (
         tomography.NoiseModel, dict(rel_sigma=0.1, dark_floor=0.1, seed=(1,))
     ),
@@ -167,8 +157,7 @@ CALLS = {
     "tomography.power_scaling_check": lambda fx: (
         tomography.power_scaling_check,
         dict(truth=fx.grid, seed_powers_W=np.geomspace(1e-4, 1e-2, 5),
-             pump_powers_W=np.geomspace(1e-4, 1e-2, 5),
-             seed_omega_i=fx.grid.omega_i[:4]),
+             pump_powers_W=np.geomspace(1e-4, 1e-2, 5)),
     ),
     "sweeps.gas_from_config": lambda fx: (
         sweeps.gas_from_config, dict(cfg=fx.cfg, pressure_bar=3.4)
@@ -282,7 +271,7 @@ def test_walk_finds_the_entry_points():
         ("jsa.build_jsa", "L_m"),
         ("jsa.GaussianPump.from_fwhm", "fwhm_fs"),
         ("phasematch.density_map", "pump_range_nm"),
-        ("schmidt.schmidt_modes_to_csv", "n_modes"),
+        ("tomography.simulate_set_scan", "duty_cycle"),
         ("tomography.NoiseModel", "seed"),
     ]:
         assert pair in NUMERIC
@@ -345,12 +334,9 @@ def test_check_number_returns_the_value():
                                  L_m=1.0, n=64.5),
         lambda fx: phasematch.density_map(fx.fiber, fx.xenon, (1025.0, 1035.0),
                                           steps=2.5),
-        lambda fx: schmidt.schmidt_modes_to_csv(
-            schmidt.schmidt_decompose(np.eye(4)), n_modes=2.5
-        ),
         lambda fx: fibermodel.find_zdw(fx.fiber, fx.xenon, "I", grid_points=8.5),
     ],
-    ids=["mode_n", "n", "steps", "n_modes", "grid_points"],
+    ids=["mode_n", "n", "steps", "grid_points"],
 )
 def test_counts_are_not_truncated(fx, call):
     with pytest.raises(ValidationError, match="must be an integer, got"):
@@ -478,9 +464,3 @@ def test_pairs_of_the_wrong_length(fx, call, name, pair):
         call(fx, pair)
     assert str(err.value) == f"{name} must be a pair of numbers, got {pair!r}"
 
-
-@pytest.mark.parametrize("n_modes", [math.nan, math.inf, "3", True, 2.5])
-def test_modes_csv_count_is_checked(n_modes):
-    res = schmidt.schmidt_decompose(np.eye(4))
-    with pytest.raises(ValidationError, match="n_modes"):
-        schmidt.schmidt_modes_to_csv(res, n_modes=n_modes)

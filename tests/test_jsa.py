@@ -466,7 +466,7 @@ def test_non_finite_sizes_and_lengths_are_refused(fiber, xenon, pump, branch):
 
 
 def test_marginals_centroids_and_norm(grid128, branch):
-    m = jsa.marginals(grid128)
+    m = jsa.marginals(jsa.jsi(grid128), grid128.omega_s, grid128.omega_i)
     assert abs(m.centroid_lambda_s_nm - branch.lambda_s_nm) < 0.5
     assert abs(m.centroid_lambda_i_nm - branch.lambda_i_nm) < 0.5
     d_s = float(grid128.omega_s[1] - grid128.omega_s[0])
@@ -478,12 +478,28 @@ def test_marginals_centroids_and_norm(grid128, branch):
 def test_marginals_raw_grid_interface(grid128):
     intensity = jsa.jsi(grid128)
     m = jsa.marginals(intensity, grid128.omega_s, grid128.omega_i)
-    ref = jsa.marginals(grid128)
-    assert m.centroid_omega_s == ref.centroid_omega_s
-    with pytest.raises(ValidationError, match="axes"):
-        jsa.marginals(intensity)
+    sig = intensity.sum(axis=1)
+    assert m.centroid_omega_s == pytest.approx(
+        np.sum(sig * grid128.omega_s) / np.sum(sig), rel=1e-14
+    )
     with pytest.raises(ValidationError, match="shape"):
         jsa.marginals(intensity[:-1], grid128.omega_s, grid128.omega_i)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_marginals_refuse_non_finite_cells_and_axes(grid128, bad):
+    """One bad cell or axis entry would make both centroids NaN."""
+    intensity = jsa.jsi(grid128)
+    cell = intensity.copy()
+    cell[5, 9] = bad
+    with pytest.raises(ValidationError, match="non-finite value"):
+        jsa.marginals(cell, grid128.omega_s, grid128.omega_i)
+    for axis in ("omega_s", "omega_i"):
+        axes = {"omega_s": grid128.omega_s, "omega_i": grid128.omega_i}
+        axes[axis] = axes[axis].copy()
+        axes[axis][3] = bad
+        with pytest.raises(ValidationError, match="axes must be finite"):
+            jsa.marginals(intensity, **axes)
 
 
 def test_jsa_json_structure(grid128):

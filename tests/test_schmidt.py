@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from _oracles import (
 def _K_of(coefficients):
     """K of a diagonal JSA whose Schmidt coefficients are given."""
     amp = np.sqrt(np.asarray(coefficients, dtype=float)).astype(complex)
-    return schmidt.schmidt_decompose(np.diag(amp), cell_area=1.0).K
+    return schmidt.schmidt_decompose(np.diag(amp)).K
 
 
 def test_schmidt_number_closed_cases():
@@ -44,7 +45,7 @@ def test_factorable_product_is_single_mode():
     x = np.linspace(-4.0, 4.0, 64)
     f = np.exp(-(x**2) / 2.0 + 0.3j * x)
     g = np.exp(-(x**2) / 1.5 - 0.7j * x**2)
-    res = schmidt.schmidt_decompose(np.outer(f, g), cell_area=1.0)
+    res = schmidt.schmidt_decompose(np.outer(f, g))
     assert res.n_modes == 1
     assert abs(res.K - 1.0) < 1e-9
     assert not res.flat_phase
@@ -60,10 +61,8 @@ def test_correlated_gaussian_matches_mehler_spectrum(mu, span, n):
     spectrum c_n = (1 - lam) lam^n; the discretized SVD must hit it."""
     rho = mehler_rho(mu)
     x = np.linspace(-span, span, n)
-    dx = float(x[1] - x[0])
     kernel = mehler_kernel(x, rho)
-    res = schmidt.schmidt_decompose(kernel.astype(complex),
-                                    cell_area=dx * dx)
+    res = schmidt.schmidt_decompose(kernel.astype(complex))
     c_an = mehler_coefficients(mu, 10)
     assert np.max(np.abs(res.coefficients[:10] - c_an)) < 1e-9
     assert res.K == pytest.approx(mehler_K(mu), rel=1e-9)
@@ -73,9 +72,8 @@ def test_mehler_case_exact_quarter():
     """mu = 0.6 maps to rho = 1/3, lam = 1/9, so K = 1.25 exactly."""
     assert mehler_K(0.6) == pytest.approx(1.25, rel=1e-15)
     x = np.linspace(-12.0, 12.0, 384)
-    dx = float(x[1] - x[0])
     res = schmidt.schmidt_decompose(
-        mehler_kernel(x, mehler_rho(0.6)).astype(complex), cell_area=dx * dx
+        mehler_kernel(x, mehler_rho(0.6)).astype(complex)
     )
     assert res.K == pytest.approx(1.25, abs=1e-9)
 
@@ -97,10 +95,8 @@ def test_sinc_reference_schmidt_number(branch, pump):
 
 
 def test_transpose_invariance(grid128):
-    res = schmidt.schmidt_decompose(grid128.values,
-                                    cell_area=grid128.cell_area)
-    res_t = schmidt.schmidt_decompose(grid128.values.T,
-                                      cell_area=grid128.cell_area)
+    res = schmidt.schmidt_decompose(grid128.values)
+    res_t = schmidt.schmidt_decompose(grid128.values.T)
     assert abs(res.K - res_t.K) < 1e-12
     n = min(res.n_modes, res_t.n_modes)
     assert np.max(np.abs(res.coefficients[:n] - res_t.coefficients[:n])) < 1e-12
@@ -115,8 +111,7 @@ def test_separable_phase_leaves_spectrum_alone(grid128):
         1j * (3e-13 * om_s[:, None] + 2e-26 * om_i[None, :] ** 2)
     )
     base = schmidt.schmidt_decompose(grid128)
-    twisted = schmidt.schmidt_decompose(grid128.values * phase,
-                                        cell_area=grid128.cell_area)
+    twisted = schmidt.schmidt_decompose(grid128.values * phase)
     assert twisted.K == pytest.approx(base.K, rel=1e-9)
     n = min(base.n_modes, twisted.n_modes)
     assert np.max(np.abs(base.coefficients[:n] - twisted.coefficients[:n])) < 1e-9
@@ -156,31 +151,40 @@ def test_truncation_drops_svd_noise():
     f = np.exp(-(x**2))
     rng = np.random.default_rng(7)
     grid = np.outer(f, f) + 1e-20 * rng.standard_normal((48, 48))
-    res = schmidt.schmidt_decompose(grid.astype(complex), cell_area=1.0)
+    res = schmidt.schmidt_decompose(grid.astype(complex))
     assert res.n_modes == 1
     assert res.coefficients[0] == 1.0
 
 
 def test_decompose_validation(grid128):
     with pytest.raises(ValidationError, match="identically zero"):
-        schmidt.schmidt_decompose(np.zeros((8, 8)), cell_area=1.0)
+        schmidt.schmidt_decompose(np.zeros((8, 8)))
     bad = np.ones((8, 8)) * np.nan
     with pytest.raises(ValidationError, match="non-finite"):
-        schmidt.schmidt_decompose(bad, cell_area=1.0)
+        schmidt.schmidt_decompose(bad)
     with pytest.raises(ValidationError, match="non-negative"):
-        schmidt.schmidt_decompose(-np.ones((8, 8)), cell_area=1.0)
-    with pytest.raises(ValidationError, match="cell_area"):
-        schmidt.schmidt_decompose(np.ones((8, 8)), cell_area=0.0)
+        schmidt.schmidt_decompose(-np.ones((8, 8)))
     with pytest.raises(ValidationError, match="2-D"):
-        schmidt.schmidt_decompose(np.ones(8), cell_area=1.0)
+        schmidt.schmidt_decompose(np.ones(8))
+
+
+def test_jsa_grid_needs_a_positive_cell_area(grid128):
+    """A hand-built JsaGrid whose signal axis descends has a negative cell
+    area; weighting by its square root would give a NaN K."""
+    descending = dataclasses.replace(
+        grid128, omega_s=grid128.omega_s[::-1].copy(),
+        values=grid128.values[::-1].copy(),
+    )
+    for decompose in (schmidt.schmidt_decompose, schmidt.schmidt_number):
+        with pytest.raises(ValidationError, match="cell_area must be > 0"):
+            decompose(descending)
 
 
 def test_real_input_is_treated_as_jsi(grid128):
     """A real grid is an intensity: decomposing it must equal the
     flat-phase decomposition of the underlying amplitude."""
     intensity = jsa.jsi(grid128)
-    from_jsi = schmidt.schmidt_decompose(intensity,
-                                         cell_area=grid128.cell_area)
+    from_jsi = schmidt.schmidt_decompose(intensity)
     flat = schmidt.schmidt_decompose(grid128, flat_phase=True)
     assert from_jsi.flat_phase is True
     n = min(from_jsi.n_modes, flat.n_modes)
@@ -210,18 +214,14 @@ def test_gram_schmidt_number_matches_svd(fiber, xenon, pump, branch, L_m, mode):
 
 
 def test_gram_schmidt_number_of_raw_arrays(grid128):
-    """A raw JSI and a raw complex JSA with an explicit cell area, on
-    both the square grid and a non-square cut of it in either
-    orientation."""
-    area = grid128.cell_area
+    """A raw JSI and a raw complex JSA, on both the square grid and a
+    non-square cut of it in either orientation."""
     amplitude = np.asarray(grid128.values)
     for cut in (amplitude, amplitude[:, :100], amplitude[:100, :]):
         inputs = [(np.abs(cut) ** 2, False), (cut, False), (cut, True)]
         for arr, flat in inputs:
-            k_svd = schmidt.schmidt_decompose(
-                arr, flat_phase=flat, cell_area=area
-            ).K
-            k_gram = schmidt.schmidt_number(arr, flat_phase=flat, cell_area=area)
+            k_svd = schmidt.schmidt_decompose(arr, flat_phase=flat).K
+            k_gram = schmidt.schmidt_number(arr, flat_phase=flat)
             assert k_gram == pytest.approx(k_svd, rel=1e-9)
 
 
@@ -234,22 +234,21 @@ def test_gram_schmidt_number_closed_cases():
 
 
 @pytest.mark.parametrize(
-    "arr, area",
+    "arr",
     [
-        (np.ones(8), 1.0),
-        (np.ones((1, 8)), 1.0),
-        (np.full((8, 8), np.nan), 1.0),
-        (np.zeros((8, 8), dtype=complex), 1.0),
-        (np.ones((8, 8)), 0.0),
-        (-np.ones((8, 8)), 1.0),
+        np.ones(8),
+        np.ones((1, 8)),
+        np.full((8, 8), np.nan),
+        np.zeros((8, 8), dtype=complex),
+        -np.ones((8, 8)),
     ],
-    ids=["1-D", "one-row", "non-finite", "all-zero", "cell-area", "negative-jsi"],
+    ids=["1-D", "one-row", "non-finite", "all-zero", "negative-jsi"],
 )
-def test_gram_and_svd_refuse_the_same_inputs(arr, area):
+def test_gram_and_svd_refuse_the_same_inputs(arr):
     with pytest.raises(ValidationError) as by_svd:
-        schmidt.schmidt_decompose(arr, cell_area=area)
+        schmidt.schmidt_decompose(arr)
     with pytest.raises(ValidationError) as by_gram:
-        schmidt.schmidt_number(arr, cell_area=area)
+        schmidt.schmidt_number(arr)
     assert str(by_gram.value) == str(by_svd.value)
 
 
@@ -266,23 +265,20 @@ def test_schmidt_json_fields(grid128):
 
 
 def test_modes_csv_headers(grid128):
+    """The 8 leading modes, or every mode of a decomposition with fewer."""
     flat = schmidt.schmidt_decompose(grid128, flat_phase=True)
-    text = schmidt.schmidt_modes_to_csv(flat, n_modes=3)
+    assert flat.n_modes > 8
+    text = schmidt.schmidt_modes_to_csv(flat)
     lines = text.splitlines()
-    assert lines[0] == "S0,I0,S1,I1,S2,I2"
+    assert lines[0] == ",".join(f"S{m},I{m}" for m in range(8))
     assert len(lines) == 1 + grid128.omega_s.size
 
     full = schmidt.schmidt_decompose(grid128)
-    text_c = schmidt.schmidt_modes_to_csv(full, n_modes=2)
-    assert text_c.splitlines()[0] == (
-        "S0_re,S0_im,I0_re,I0_im,S1_re,S1_im,I1_re,I1_im"
+    text_c = schmidt.schmidt_modes_to_csv(full)
+    assert text_c.splitlines()[0] == ",".join(
+        f"S{m}_re,S{m}_im,I{m}_re,I{m}_im" for m in range(8)
     )
 
-
-@pytest.mark.parametrize("n_modes", [0, -1])
-def test_modes_csv_needs_one_mode(grid128, n_modes, tmp_path):
-    res = schmidt.schmidt_decompose(grid128, flat_phase=True)
-    path = tmp_path / "modes.csv"
-    with pytest.raises(ValidationError, match=f"n_modes must be >= 1, got {n_modes}"):
-        schmidt.schmidt_modes_to_csv(res, n_modes=n_modes, path=str(path))
-    assert not path.exists()
+    x = np.linspace(-3.0, 3.0, 16)
+    single = schmidt.schmidt_decompose(np.outer(np.exp(-x**2), np.exp(-x**2)))
+    assert schmidt.schmidt_modes_to_csv(single).splitlines()[0] == "S0,I0"

@@ -30,7 +30,9 @@ def make_cfg(**overrides):
 
 
 def test_length_sweep_shares_one_branch(tmp_path):
-    result = sweeps.sweep_length(make_cfg(), lengths=(0.4, 1.0))
+    result = sweeps.sweep_length(
+        make_cfg(sweep_length={"lengths_m": [0.4, 1.0]})
+    )
     assert result.param == "length_m" and result.unit == "m"
     assert result.fit is None and result.gaps == ()
     assert [p.value for p in result.points] == [0.4, 1.0]
@@ -45,7 +47,7 @@ def test_length_sweep_shares_one_branch(tmp_path):
 
 
 def test_single_length_point():
-    result = sweeps.sweep_length(make_cfg(), lengths=(0.5,))
+    result = sweeps.sweep_length(make_cfg(sweep_length={"lengths_m": [0.5]}))
     assert len(result.points) == 1
     assert result.points[0].value == 0.5
 
@@ -53,8 +55,8 @@ def test_single_length_point():
 def test_short_length_matches_double_gaussian_closure():
     """At short lengths the sinc is well inside the pump envelope and the
     amplitude-matched Gaussian closure for K holds to a few percent."""
-    cfg = make_cfg(grid={"N": 256})
-    result = sweeps.sweep_length(cfg, lengths=(0.1,))
+    cfg = make_cfg(grid={"N": 256}, sweep_length={"lengths_m": [0.1]})
+    result = sweeps.sweep_length(cfg)
     point = result.points[0]
     b = point.branch
     pump = sweeps.pump_from_config(cfg)
@@ -66,7 +68,7 @@ def test_short_length_matches_double_gaussian_closure():
 
 def test_length_artifacts_written(tmp_path):
     result = sweeps.sweep_length(
-        make_cfg(), lengths=(0.4, 1.0), out_dir=str(tmp_path)
+        make_cfg(sweep_length={"lengths_m": [0.4, 1.0]}), out_dir=str(tmp_path)
     )
     assert result.points[0].artifacts == {"jsi_csv": "jsi_L_0.4m.csv"}
     assert result.points[1].artifacts == {"jsi_csv": "jsi_L_1m.csv"}
@@ -85,8 +87,12 @@ def test_length_sweep_runs_no_svd(monkeypatch):
     monkeypatch.setattr(schmidt, "schmidt_decompose", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
     cfg = cli.resolve_config("length_series")
-    cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, N=64))
-    result = sweeps.sweep_length(cfg, lengths=(0.4, 1.0))
+    cfg = dataclasses.replace(
+        cfg,
+        grid=dataclasses.replace(cfg.grid, N=64),
+        sweep_length=config.SweepLengthConfig(lengths_m=(0.4, 1.0)),
+    )
+    result = sweeps.sweep_length(cfg)
     assert result.gaps == () and len(result.points) == 2
     for p in result.points:
         assert math.isfinite(p.K_flat) and p.K_flat >= 1.0
@@ -98,7 +104,8 @@ def test_length_sweep_runs_no_svd(monkeypatch):
 
 def test_pressure_sweep_fit(tmp_path):
     result = sweeps.sweep_pressure(
-        make_cfg(), pressures=(3.2, 3.3, 3.4, 3.5), out_dir=str(tmp_path)
+        make_cfg(sweep_pressure={"pressures_bar": [3.2, 3.3, 3.4, 3.5]}),
+        out_dir=str(tmp_path),
     )
     assert result.param == "pressure_bar" and result.unit == "bar"
     assert len(result.points) == 4 and result.gaps == ()
@@ -118,9 +125,10 @@ def test_pressure_sweep_records_gaps_and_still_fits():
     """A detuning window that excludes the lowest pressure's root turns
     that point into a gap without aborting the sweep."""
     cfg = make_cfg(
-        phasematch={"detuning_min_THz": 592.0, "detuning_max_THz": 640.0}
+        phasematch={"detuning_min_THz": 592.0, "detuning_max_THz": 640.0},
+        sweep_pressure={"pressures_bar": [3.0, 3.2, 3.4]},
     )
-    result = sweeps.sweep_pressure(cfg, pressures=(3.0, 3.2, 3.4))
+    result = sweeps.sweep_pressure(cfg)
     assert len(result.points) == 2
     assert len(result.gaps) == 1
     assert result.gaps[0].value == 3.0
@@ -131,7 +139,7 @@ def test_pressure_sweep_records_gaps_and_still_fits():
 def test_pressure_sweep_chains_to_the_nearest_branch(monkeypatch):
     """Each pressure takes the branch nearest the previous point's, even
     where another branch is more detuned."""
-    cfg = make_cfg()
+    cfg = make_cfg(sweep_pressure={"pressures_bar": [3.3, 3.4, 3.5]})
     fiber, pump = sweeps.fiber_from_config(cfg), sweeps.pump_from_config(cfg)
     real = sweeps.solve_branch(cfg, fiber, sweeps.gas_from_config(cfg), pump)
 
@@ -149,7 +157,7 @@ def test_pressure_sweep_chains_to_the_nearest_branch(monkeypatch):
         [detuned(1.02), detuned(1.001)],
     ])
     monkeypatch.setattr(sweeps, "solve_branches", lambda *args: next(calls))
-    result = sweeps.sweep_pressure(cfg, pressures=(3.3, 3.4, 3.5))
+    result = sweeps.sweep_pressure(cfg)
     assert result.gaps == ()
     assert [p.branch for p in result.points] == [
         detuned(1.0), detuned(1.0005), detuned(1.001)
@@ -158,41 +166,44 @@ def test_pressure_sweep_chains_to_the_nearest_branch(monkeypatch):
 
 def test_pressure_sweep_needs_two_points():
     cfg = make_cfg(
-        phasematch={"detuning_min_THz": 100.0, "detuning_max_THz": 200.0}
+        phasematch={"detuning_min_THz": 100.0, "detuning_max_THz": 200.0},
+        sweep_pressure={"pressures_bar": [3.0, 3.2]},
     )
     with pytest.raises(NumericalError, match="fewer than 2 successful"):
-        sweeps.sweep_pressure(cfg, pressures=(3.0, 3.2))
+        sweeps.sweep_pressure(cfg)
 
 
 def test_sweep_determinism_across_threads():
     """A rerun of the same sweep gives the same summary bytes."""
-    cfg = make_cfg()
-    pressures = (3.2, 3.4, 3.5)
-    first = sweeps.summary_csv(sweeps.sweep_pressure(cfg, pressures))
-    repeat = sweeps.summary_csv(sweeps.sweep_pressure(cfg, pressures))
+    cfg = make_cfg(sweep_pressure={"pressures_bar": [3.2, 3.4, 3.5]})
+    first = sweeps.summary_csv(sweeps.sweep_pressure(cfg))
+    repeat = sweeps.summary_csv(sweeps.sweep_pressure(cfg))
     assert first == repeat
 
 
 def test_axis_and_section_validation():
-    cfg = make_cfg()
-    with pytest.raises(ValidationError, match="must not be empty"):
-        sweeps.sweep_length(cfg, lengths=())
-    with pytest.raises(ValidationError, match="strictly increasing"):
-        sweeps.sweep_length(cfg, lengths=(0.4, 0.2))
-    with pytest.raises(ValidationError, match="> 0"):
-        sweeps.sweep_length(cfg, lengths=(-1.0,))
+    """The drivers take their axis from the config, which refuses every
+    axis they could not run; a missing section is named."""
     nan, inf = float("nan"), float("inf")
-    for lengths in ([nan], [0.5, inf]):
-        with pytest.raises(ValidationError, match="> 0"):
-            sweeps.sweep_length(cfg, lengths=lengths)
-    with pytest.raises(ValidationError, match="> 0"):
-        sweeps.sweep_pressure(cfg, pressures=[3.0, nan, 3.2])
-    not_numbers = "axis values must be numbers"
-    for lengths in (["a"], [None], [True], [0.5, "0.6"]):
-        with pytest.raises(ValidationError, match="length_m " + not_numbers):
-            sweeps.sweep_length(cfg, lengths=lengths)
-    with pytest.raises(ValidationError, match="pressure_bar " + not_numbers):
-        sweeps.sweep_pressure(cfg, pressures=[3.0, False])
+    for lengths, error in (
+        ([], "non-empty"),
+        ([0.4, 0.2], "strictly increasing"),
+        ([-1.0], "> 0"),
+        ([nan], "> 0"),
+        ([0.5, inf], "> 0"),
+        (["a"], "must be a number"),
+        ([None], "must be a number"),
+        ([True], "must be a number"),
+    ):
+        with pytest.raises(ValidationError, match=error) as err:
+            make_cfg(sweep_length={"lengths_m": lengths})
+        assert "sweep_length.lengths_m" in str(err.value)
+    for pressures, error in (([3.0, nan, 3.2], "> 0"),
+                             ([3.0, False], "must be a number")):
+        with pytest.raises(ValidationError, match=error) as err:
+            make_cfg(sweep_pressure={"pressures_bar": pressures})
+        assert "sweep_pressure.pressures_bar" in str(err.value)
+    cfg = make_cfg()
     with pytest.raises(ValidationError, match="'sweep_length'"):
         sweeps.sweep_length(cfg)
     with pytest.raises(ValidationError, match="'sweep_pressure'"):
@@ -268,7 +279,9 @@ def test_select_branch_priorities():
 
 
 def test_summary_csv_layout():
-    result = sweeps.sweep_length(make_cfg(), lengths=(0.4, 1.0))
+    result = sweeps.sweep_length(
+        make_cfg(sweep_length={"lengths_m": [0.4, 1.0]})
+    )
     text = sweeps.summary_csv(result)
     lines = text.splitlines()
     assert lines[0] == "param,value,K_flat,K_complex,theta_deg,idler_nm,signal_nm"
@@ -281,10 +294,12 @@ def test_summary_csv_layout():
 
 
 def test_fit_to_dict_keys():
-    length = sweeps.sweep_length(make_cfg(), lengths=(0.4,))
+    length = sweeps.sweep_length(make_cfg(sweep_length={"lengths_m": [0.4]}))
     d = sweeps.fit_to_dict(length)
     assert set(d) == {"param", "unit", "n_points", "gaps"}
-    pressure = sweeps.sweep_pressure(make_cfg(), pressures=(3.3, 3.4))
+    pressure = sweeps.sweep_pressure(
+        make_cfg(sweep_pressure={"pressures_bar": [3.3, 3.4]})
+    )
     d = sweeps.fit_to_dict(pressure)
     assert set(d) == {"param", "unit", "n_points", "gaps", "fit"}
     assert set(d["fit"]) == {
@@ -339,6 +354,7 @@ def test_schmidt_subcommand_and_length_sweep_read_the_same_keys(tmp_path):
         pump={"lambda_nm": 825.0},
         fiber_length_m=0.5,
         grid={"N": 96, "span": 2.5, "mode": "full"},
+        sweep_length={"lengths_m": [0.5]},
         phasematch={
             "grid_points": 1500,
             "detuning_min_THz": 300.0,
@@ -368,7 +384,7 @@ def test_schmidt_subcommand_and_length_sweep_read_the_same_keys(tmp_path):
                      "--label", "t"]) == 0
     with open(tmp_path / "schmidt" / "t" / "manifest.json") as fh:
         results = json.load(fh)["results"]
-    (point,) = sweeps.sweep_length(cfg, lengths=(0.5,)).points
+    (point,) = sweeps.sweep_length(cfg).points
 
     assert point.branch == seeded
     for flat, key in ((True, "K_flat"), (False, "K_complex")):

@@ -61,9 +61,7 @@ def test_reconstruction_removes_seed_power_profile(grid128):
 
 
 def test_schmidt_number_survives_the_roundtrip(grid128):
-    scan = tomography.simulate_set_scan(
-        grid128, grid128.omega_i, 2.0, 1e-3, gain=1e6
-    )
+    scan = tomography.simulate_set_scan(grid128, grid128.omega_i, 2.0, 1e-3)
     rec = tomography.reconstruct_jsi(scan)
     k_rec = schmidt.schmidt_decompose(rec.values).K
     k_truth = schmidt.schmidt_decompose(grid128, flat_phase=True).K
@@ -103,7 +101,7 @@ def test_seed_between_grid_columns_interpolates_linearly(grid128):
 
 @pytest.mark.parametrize(
     "noise",
-    [NoiseModel(), NoiseModel(rel_sigma=0.3, dark_floor=2.0, seed=(5,))],
+    [NoiseModel(), NoiseModel(rel_sigma=0.3, dark_floor=2e-9, seed=(5,))],
     ids=["noiseless", "noisy"],
 )
 def test_scan_equals_the_per_slice_reference(grid128, noise):
@@ -115,10 +113,8 @@ def test_scan_equals_the_per_slice_reference(grid128, noise):
         0.25 * axis[10] + 0.75 * axis[11], axis[0],
     ])
     powers = np.array([1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
-    scan = tomography.simulate_set_scan(
-        grid128, seeds, 2.0, powers, noise=noise, gain=1e9
-    )
-    scale = 1e9 * 2.0**2 * scan.seed_photon_number()
+    scan = tomography.simulate_set_scan(grid128, seeds, 2.0, powers, noise=noise)
+    scale = 2.0**2 * scan.seed_photon_number()
     assert np.array_equal(
         scan.slices,
         per_slice_set_scan(jsa.jsi(grid128), axis, seeds, scale, noise),
@@ -166,8 +162,27 @@ def test_scan_validation(grid128):
         SetScan(omega_i=axis, **good, duty_cycle=1.5)
     with pytest.raises(ValidationError, match="shape"):
         SetScan(omega_i=axis, **{**good, "slices": slices[:, :-1]})
-    with pytest.raises(ValidationError, match="gain"):
-        tomography.simulate_set_scan(grid128, axis, 1.0, 1e-3, gain=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_scan_refuses_non_finite_slices_and_axes(grid128, bad):
+    """A non-finite cell or axis entry would turn every reconstructed
+    cell into NaN; the scan refuses it when it is built."""
+    axis = grid128.omega_i[:4]
+    slices = np.ones((4, grid128.omega_s.size))
+    good = dict(
+        omega_i=axis, omega_s=grid128.omega_s, slices=slices,
+        seed_power_W=np.full(4, 1e-3), pump_power_W=1.0,
+    )
+    cell = slices.copy()
+    cell[2, 7] = bad
+    with pytest.raises(ValidationError, match="slices must be finite"):
+        SetScan(**{**good, "slices": cell})
+    for name in ("omega_s", "omega_i"):
+        entry = good[name].copy()
+        entry[1] = bad
+        with pytest.raises(ValidationError, match="axes must be finite"):
+            SetScan(**{**good, name: entry})
 
 
 def test_reconstruction_needs_two_slices(grid128):
@@ -200,8 +215,6 @@ def test_non_finite_noise_and_scan_inputs_are_refused(grid128):
                 NoiseModel(**{name: bad})
         with pytest.raises(ValidationError, match="pump_power_W"):
             tomography.simulate_set_scan(grid128, axis, bad, 1e-3)
-        with pytest.raises(ValidationError, match="gain"):
-            tomography.simulate_set_scan(grid128, axis, 1.0, 1e-3, gain=bad)
         with pytest.raises(ValidationError, match="seed powers"):
             tomography.simulate_set_scan(grid128, axis, 1.0, bad)
     with pytest.raises(RangeError, match="seed sweep"):
@@ -209,46 +222,45 @@ def test_non_finite_noise_and_scan_inputs_are_refused(grid128):
 
 
 def test_noise_is_reproducible_and_thread_invariant(grid128):
-    noise = NoiseModel(rel_sigma=0.01, dark_floor=2.0, seed=(42,))
+    noise = NoiseModel(rel_sigma=0.01, dark_floor=2e-9, seed=(42,))
     kwargs = dict(
         truth=grid128, seed_omega_i=grid128.omega_i[::8],
-        pump_power_W=1.0, seed_power_W=1e-3, noise=noise, gain=1e9,
+        pump_power_W=1.0, seed_power_W=1e-3, noise=noise,
     )
     first = tomography.simulate_set_scan(**kwargs)
     repeat = tomography.simulate_set_scan(**kwargs)
     assert np.array_equal(first.slices, repeat.slices)
     other = tomography.simulate_set_scan(
-        **{**kwargs, "noise": NoiseModel(0.01, 2.0, (43,))}
+        **{**kwargs, "noise": NoiseModel(0.01, 2e-9, (43,))}
     )
     assert not np.array_equal(first.slices, other.slices)
 
 
 def test_noise_clips_at_zero_before_dark_floor(grid128):
+    # counts peak near 8e-11 here, so the floors are sized to them
     axis = grid128.omega_i[::8]
     wild = tomography.simulate_set_scan(
         grid128, axis, 1.0, 1e-3,
-        noise=NoiseModel(rel_sigma=50.0, seed=(1,)), gain=1e9,
+        noise=NoiseModel(rel_sigma=50.0, seed=(1,)),
     )
     assert np.all(wild.slices >= 0.0)
     assert np.any(wild.slices == 0.0)  # clipped draws land exactly at zero
     dark = tomography.simulate_set_scan(
         grid128, axis, 1.0, 1e-3,
-        noise=NoiseModel(rel_sigma=50.0, dark_floor=3.5, seed=(1,)),
-        gain=1e9,
+        noise=NoiseModel(rel_sigma=50.0, dark_floor=3.5e-9, seed=(1,)),
     )
     # same draws, shifted by the constant floor
-    assert np.allclose(dark.slices, wild.slices + 3.5, rtol=0.0, atol=1e-9)
-    assert np.min(dark.slices) == pytest.approx(3.5, abs=1e-12)
+    assert np.allclose(dark.slices, wild.slices + 3.5e-9, rtol=0.0, atol=1e-18)
+    assert np.min(dark.slices) == pytest.approx(3.5e-9, abs=1e-21)
 
 
 def test_dark_floor_adds_exactly(grid128):
     axis = grid128.omega_i[::8]
-    clean = tomography.simulate_set_scan(grid128, axis, 1.0, 1e-3, gain=1e9)
+    clean = tomography.simulate_set_scan(grid128, axis, 1.0, 1e-3)
     dark = tomography.simulate_set_scan(
-        grid128, axis, 1.0, 1e-3,
-        noise=NoiseModel(dark_floor=7.25), gain=1e9,
+        grid128, axis, 1.0, 1e-3, noise=NoiseModel(dark_floor=7.25e-9),
     )
-    assert np.array_equal(dark.slices, clean.slices + 7.25)
+    assert np.array_equal(dark.slices, clean.slices + 7.25e-9)
 
 
 def test_reconstruction_error_tracks_noise_level(grid128):
@@ -260,7 +272,7 @@ def test_reconstruction_error_tracks_noise_level(grid128):
     for draw in range(100):
         scan = tomography.simulate_set_scan(
             grid128, grid128.omega_i, 1.0, 1e-3,
-            noise=NoiseModel(rel_sigma=0.01, seed=(1234, draw)), gain=1e9,
+            noise=NoiseModel(rel_sigma=0.01, seed=(1234, draw)),
         )
         rec = tomography.reconstruct_jsi(scan)
         errors.append(
