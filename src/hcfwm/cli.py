@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import datetime
 import os
 import sys
@@ -129,7 +130,7 @@ def resolve_config(value: str) -> RunConfig:
     )
 
 
-def _write_rows(path: str, header, rows) -> None:
+def _write_rows(header, rows, path: str) -> None:
     """The CLI's own tables; a function of its own so that a profile or
     trace times them apart from the library exporters."""
     export.to_csv(header, rows, path)
@@ -152,12 +153,16 @@ class _Run:
         self.artifacts.append({"file": fname, "description": description})
         print(f"wrote {os.path.join(self.run_dir, fname)}  ({description})")
 
+    def write(self, fname: str, description: str, writer, *args, **kwargs) -> None:
+        """``writer(*args, path=<run dir>/fname, **kwargs)``, then list it."""
+        writer(*args, path=self.path(fname), **kwargs)
+        self.add(fname, description)
+
     def wants(self, fmt: str) -> bool:
         return fmt in self.cfg.output.formats
 
     def finish(self) -> None:
-        dump_config(self.cfg, self.path("config.yaml"))
-        self.add("config.yaml", "resolved run configuration")
+        self.write("config.yaml", "resolved run configuration", dump_config, self.cfg)
         manifest = {
             "package": f"hcfwm {__version__}",
             "subcommand": self.subcommand,
@@ -185,8 +190,8 @@ def cmd_dispersion(run: _Run) -> None:
     fiber = sweeps_mod.fiber_from_config(cfg)
     gas = sweeps_mod.gas_from_config(cfg)
     structure = fibermodel.band_structure(fiber, gas)
-    _write_rows(
-        run.path("bands.csv"),
+    run.write(
+        "bands.csv", "transmission bands and anti-resonance edges", _write_rows,
         (
             "band",
             "index",
@@ -211,7 +216,6 @@ def cmd_dispersion(run: _Run) -> None:
             for b in structure.bands
         ],
     )
-    run.add("bands.csv", "transmission bands and anti-resonance edges")
 
     rows = []
     zdws = {}
@@ -224,20 +228,15 @@ def cmd_dispersion(run: _Run) -> None:
         rows += [(lam, band.label, *rest) for lam, *rest in table.tolist()]
         try:
             zdws[band.label] = fibermodel.find_zdw(fiber, gas, band)
-        except NumericalError:
-            zdws[band.label] = []
-    _write_rows(
-        run.path("dispersion.csv"),
-        ("lambda_nm", "band", "k_rad_m", "beta1_s_m", "beta2_s2_m"),
-        rows,
-    )
-    run.add("dispersion.csv", "wavevector and derivatives per band")
-    _write_rows(
-        run.path("zdw.csv"),
-        ("band", "zdw_nm"),
-        [(label, z) for label, zs in sorted(zdws.items()) for z in zs],
-    )
-    run.add("zdw.csv", "zero-dispersion wavelengths per band")
+        except NumericalError as exc:
+            warnings.warn(
+                f"no zero-dispersion wavelengths for band {band.label}: {exc}"
+            )
+    run.write("dispersion.csv", "wavevector and derivatives per band", _write_rows,
+              ("lambda_nm", "band", "k_rad_m", "beta1_s_m", "beta2_s2_m"), rows)
+    run.write("zdw.csv", "zero-dispersion wavelengths per band", _write_rows,
+              ("band", "zdw_nm"),
+              [(label, z) for label, zs in sorted(zdws.items()) for z in zs])
     run.results["bands"] = [b.label for b in structure.bands]
     run.results["resonances_nm"] = list(structure.resonances_nm)
     run.results["zdw_nm"] = zdws
@@ -254,8 +253,8 @@ def cmd_phasematch(run: _Run) -> None:
     pump = sweeps_mod.pump_from_config(cfg)
     branches = sweeps_mod.solve_branches(cfg, fiber, gas, pump)
     L = cfg.fiber_length_m
-    _write_rows(
-        run.path("branches.csv"),
+    run.write(
+        "branches.csv", "phase-matched branches at the pump", _write_rows,
         (
             "lambda_p_nm",
             "lambda_s_nm",
@@ -284,7 +283,6 @@ def cmd_phasematch(run: _Run) -> None:
             for b in branches
         ],
     )
-    run.add("branches.csv", "phase-matched branches at the pump")
     run.results["n_branches"] = len(branches)
     for b in branches:
         print(
@@ -301,21 +299,17 @@ def cmd_jsa(run: _Run) -> None:
     intensity = jsa.jsi(grid)
     marg = jsa.marginals(intensity, grid.omega_s, grid.omega_i)
     if run.wants("json"):
-        jsa.jsa_to_json(grid, run.path("jsa.json"))
-        run.add("jsa.json", "complex JSA grid with metadata")
+        run.write("jsa.json", "complex JSA grid with metadata", jsa.jsa_to_json, grid)
     if run.wants("csv"):
-        jsa.grid_to_csv(
-            grid.lambda_s_nm, grid.lambda_i_nm, intensity, run.path("jsi.csv")
-        )
-        run.add("jsi.csv", "joint spectral intensity grid")
-        _write_rows(
-            run.path("marginals.csv"),
+        run.write("jsi.csv", "joint spectral intensity grid", jsa.grid_to_csv,
+                  grid.lambda_s_nm, grid.lambda_i_nm, intensity)
+        run.write(
+            "marginals.csv", "signal and idler marginal spectra", _write_rows,
             ("lambda_s_nm", "signal", "lambda_i_nm", "idler"),
             np.column_stack(
                 (grid.lambda_s_nm, marg.signal, grid.lambda_i_nm, marg.idler)
             ),
         )
-        run.add("marginals.csv", "signal and idler marginal spectra")
     run.results["centroid_signal_nm"] = marg.centroid_lambda_s_nm
     run.results["centroid_idler_nm"] = marg.centroid_lambda_i_nm
     run.results["clipped_fraction"] = grid.clipped_fraction
@@ -332,13 +326,13 @@ def cmd_schmidt(run: _Run) -> None:
     flat = schmidt.schmidt_decompose(grid, flat_phase=True)
     cplx = schmidt.schmidt_decompose(grid, flat_phase=False)
     if run.wants("json"):
-        schmidt.schmidt_to_json(flat, run.path("schmidt_flat.json"))
-        run.add("schmidt_flat.json", "flat-phase Schmidt decomposition")
-        schmidt.schmidt_to_json(cplx, run.path("schmidt_complex.json"))
-        run.add("schmidt_complex.json", "complex-JSA Schmidt decomposition")
+        run.write("schmidt_flat.json", "flat-phase Schmidt decomposition",
+                  schmidt.schmidt_to_json, flat)
+        run.write("schmidt_complex.json", "complex-JSA Schmidt decomposition",
+                  schmidt.schmidt_to_json, cplx)
     if run.wants("csv"):
-        schmidt.schmidt_modes_to_csv(cplx, path=run.path("modes.csv"))
-        run.add("modes.csv", "leading Schmidt mode vectors")
+        run.write("modes.csv", "leading Schmidt mode vectors",
+                  schmidt.schmidt_modes_to_csv, cplx)
     run.results["K_flat"] = flat.K
     run.results["K_complex"] = cplx.K
     run.results["purity_flat"] = flat.purity
@@ -372,10 +366,10 @@ def cmd_set_sim(run: _Run) -> None:
     )
     rec = tomography.reconstruct_jsi(scan)
     if run.wants("csv"):
-        tomography.set_scan_to_csv(scan, run.path("scan.csv"))
-        run.add("scan.csv", "stimulated scan, one row per sample")
-        tomography.reconstruction_to_csv(rec, run.path("reconstruction.csv"))
-        run.add("reconstruction.csv", "seed-normalized JSI reconstruction")
+        run.write("scan.csv", "stimulated scan, one row per sample",
+                  tomography.set_scan_to_csv, scan)
+        run.write("reconstruction.csv", "seed-normalized JSI reconstruction",
+                  tomography.reconstruction_to_csv, rec)
     rec_marg = jsa.marginals(rec.values, rec.omega_s, rec.omega_i)
     run.results["reconstructed_idler_nm"] = rec_marg.centroid_lambda_i_nm
     run.results["reconstructed_signal_nm"] = rec_marg.centroid_lambda_s_nm
@@ -392,17 +386,8 @@ def cmd_set_sim(run: _Run) -> None:
             duty_cycle=ss.duty_cycle,
         )
         if run.wants("json"):
-            export.to_json(
-                {
-                    "seed_exponent": scaling.seed_exponent,
-                    "pump_exponent": scaling.pump_exponent,
-                    "r_squared_seed": scaling.r_squared_seed,
-                    "r_squared_pump": scaling.r_squared_pump,
-                },
-                run.path("power_scaling.json"),
-                indent=1,
-            )
-            run.add("power_scaling.json", "log-log power-law exponents")
+            run.write("power_scaling.json", "log-log power-law exponents",
+                      export.to_json, dataclasses.asdict(scaling), indent=1)
         run.results["seed_exponent"] = scaling.seed_exponent
         run.results["pump_exponent"] = scaling.pump_exponent
         print(
@@ -412,16 +397,16 @@ def cmd_set_sim(run: _Run) -> None:
 
 
 def _emit_sweep(run: _Run, result) -> None:
-    sweeps_mod.summary_csv(result, run.path("summary.csv"))
-    run.add("summary.csv", "per-point Schmidt numbers and centroids")
+    run.write("summary.csv", "per-point Schmidt numbers and centroids",
+              sweeps_mod.summary_csv, result)
+    # the drivers wrote the grids during the sweep; list them in order here
     for p in result.points:
         for fname in p.artifacts.values():
             run.add(fname, f"JSI grid at {result.param}={p.value:g}")
-    export.to_json(
-        sweeps_mod.fit_to_dict(result), run.path("sweep.json"), indent=1
-    )
-    run.add("sweep.json", "sweep fit, gaps, and point count")
-    run.results["sweep"] = sweeps_mod.fit_to_dict(result)
+    summary = sweeps_mod.fit_to_dict(result)
+    run.write("sweep.json", "sweep fit, gaps, and point count", export.to_json,
+              summary, indent=1)
+    run.results["sweep"] = summary
     for p in result.points:
         print(
             f"{result.param}={p.value:g}{result.unit}: K_flat={p.K_flat:.4f} "
@@ -454,8 +439,8 @@ def cmd_density_map(run: _Run) -> None:
     fiber = sweeps_mod.fiber_from_config(cfg)
     gas = sweeps_mod.gas_from_config(cfg)
     branches = sweeps_mod.density_records(cfg, fiber, gas)
-    phasematch.density_map_to_csv(branches, run.path("density.csv"))
-    run.add("density.csv", "phase-matched branches over the pump scan")
+    run.write("density.csv", "phase-matched branches over the pump scan",
+              phasematch.density_map_to_csv, branches)
     families: dict[tuple[str, str], list[float]] = {}
     for b in branches:
         families.setdefault(b.family, []).append(b.theta_deg)
@@ -467,8 +452,8 @@ def cmd_density_map(run: _Run) -> None:
         }
         for (s, i), thetas in sorted(families.items())
     }
-    export.to_json(fam_obj, run.path("families.json"), indent=1)
-    run.add("families.json", "branch families and their angle ranges")
+    run.write("families.json", "branch families and their angle ranges",
+              export.to_json, fam_obj, indent=1)
     run.results["n_records"] = len(branches)
     run.results["families"] = sorted(f"{s}+{i}" for s, i in families)
     print(

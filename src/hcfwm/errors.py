@@ -68,21 +68,20 @@ def check_number(
     hi=None,
     hi_open: bool = False,
     integer: bool = False,
-    kind: str | None = None,
 ):
     """``value`` if it is a finite real number inside the bounds (an open
     end excludes the bound itself), as an int when ``integer``; otherwise a
     ValidationError that names ``name``.
 
-    Booleans, strings and other non-numbers are refused as not being
-    ``kind`` (default "a number", or "an integer"), and so are NaN, +-inf
-    and, with ``integer``, a value with a fractional part.
+    Booleans, strings and other non-numbers are refused as not being "a
+    number" (or "an integer"), and so are NaN, +-inf and, with
+    ``integer``, a value with a fractional part.
     """
     # floats (numpy's too) skip the slower numbers.Real test
     if not isinstance(value, float) and (
         isinstance(value, bool) or not isinstance(value, numbers.Real)
     ):
-        kind = kind or ("an integer" if integer else "a number")
+        kind = "an integer" if integer else "a number"
         raise ValidationError(f"{name} must be {kind}, got {value!r}")
     finite = math.isfinite(value)
     if integer and not (finite and value == int(value)):

@@ -98,13 +98,34 @@ class GaussianPump:
         """Standard deviation of the intensity spectrum |A|^2."""
         return self.sigma / np.sqrt(2.0)
 
+    @property
+    def sizing_sigma(self) -> float:
+        """Field width that sizes a JSA grid."""
+        return self.sigma
+
+    def alpha(self, Omega):
+        """Energy conservation function at the frequency sum Omega, in
+        closed form exp(-(Omega - 2 omega_p0)^2 / (4 sigma^2)).  A function
+        of omega_s + omega_i only, so alpha is anti-diagonal on the grid."""
+        Om = np.asarray(Omega, dtype=float)
+        out = np.exp(-((Om - 2.0 * self.omega_p0) ** 2) / (4.0 * self.sigma**2))
+        return out.astype(complex)
+
+    def metadata(self) -> dict:
+        """The pump entry of jsa.json's metadata."""
+        return {
+            "shape": "gaussian",
+            "omega_p0_rad_s": self.omega_p0,
+            "sigma_rad_s": self.sigma,
+        }
+
 
 class SampledPump:
     """Pump given as complex amplitude samples on a uniform omega grid.
 
     The amplitude is rescaled to unit L2 norm and its autoconvolution is
-    precomputed once on the doubled axis; pump_alpha interpolates it
-    linearly and returns zero outside twice the sampled support.
+    precomputed once on the doubled axis; alpha interpolates it linearly
+    and returns zero outside twice the sampled support.
     """
 
     def __init__(self, omega, amplitude):
@@ -144,6 +165,30 @@ class SampledPump:
         mu = np.sum(w * self.omega) / np.sum(w)
         return float(np.sqrt(np.sum(w * (self.omega - mu) ** 2) / np.sum(w)))
 
+    @property
+    def sizing_sigma(self) -> float:
+        """Field width that sizes a JSA grid: sqrt(2) times the intensity
+        RMS, which reduces to the field sigma for a Gaussian."""
+        return np.sqrt(2.0) * self.rms_sigma
+
+    def alpha(self, Omega):
+        """Energy conservation function at the frequency sum Omega (see
+        GaussianPump.alpha): the autoconvolution, interpolated linearly."""
+        x = (np.asarray(Omega, dtype=float) - self._conv_start) / self._domega
+        re = np.interp(x, np.arange(self._conv.size), self._conv.real, left=0.0, right=0.0)
+        im = np.interp(x, np.arange(self._conv.size), self._conv.imag, left=0.0, right=0.0)
+        return re + 1j * im
+
+    def metadata(self) -> dict:
+        """The pump entry of jsa.json's metadata."""
+        return {
+            "shape": "sampled",
+            "omega_p0_rad_s": self.omega_p0,
+            "points": int(self.omega.size),
+            "omega_min_rad_s": float(self.omega[0]),
+            "omega_max_rad_s": float(self.omega[-1]),
+        }
+
     @classmethod
     def modulated_gaussian(
         cls,
@@ -173,26 +218,6 @@ class SampledPump:
             1.0 + depth * np.cos(2.0 * np.pi * (om - omega_p0) / period)
         )
         return cls(om, a.astype(complex))
-
-
-def pump_alpha(pump, Omega):
-    """Energy conservation function alpha at the frequency sum Omega.
-
-    Gaussian pumps use the closed form exp(-(Omega - 2 omega_p0)^2 /
-    (4 sigma^2)); sampled pumps interpolate their precomputed numerical
-    autoconvolution (zero outside support).  Depends on omega_s + omega_i
-    only, which is what makes alpha strictly anti-diagonal on the grid.
-    """
-    Om = np.asarray(Omega, dtype=float)
-    if isinstance(pump, GaussianPump):
-        out = np.exp(-((Om - 2.0 * pump.omega_p0) ** 2) / (4.0 * pump.sigma**2))
-        return out.astype(complex)
-    if isinstance(pump, SampledPump):
-        x = (Om - pump._conv_start) / pump._domega
-        re = np.interp(x, np.arange(pump._conv.size), pump._conv.real, left=0.0, right=0.0)
-        im = np.interp(x, np.arange(pump._conv.size), pump._conv.imag, left=0.0, right=0.0)
-        return re + 1j * im
-    raise ValidationError(f"unknown pump spectrum type {type(pump).__name__}")
 
 
 def _sinc(x):
@@ -247,7 +272,7 @@ class JsaGrid:
     values: np.ndarray  # complex, values[j, k] = F(omega_s[j], omega_i[k])
     fiber: FiberModel
     gas: GasState
-    pump: object
+    pump: GaussianPump | SampledPump
     branch: PhaseMatchBranch
     L_m: float
     mode: str
@@ -268,15 +293,6 @@ class JsaGrid:
         return lambda_nm_from_omega(self.omega_i)
 
 
-def _pump_sizing_sigma(pump) -> float:
-    if isinstance(pump, GaussianPump):
-        return pump.sigma
-    if isinstance(pump, SampledPump):
-        # sqrt(2) * intensity RMS reduces to the field sigma for a Gaussian
-        return np.sqrt(2.0) * pump.rms_sigma
-    raise ValidationError(f"unknown pump spectrum type {type(pump).__name__}")
-
-
 def build_jsa(
     fiber: FiberModel,
     gas: GasState,
@@ -291,9 +307,12 @@ def build_jsa(
     check_number("fiber length L_m", L_m, lo=0, lo_open=True)
     n = check_number("grid size n", n, lo=8, hi=MAX_GRID_N, integer=True)
     check_number("kappa_span", kappa_span, lo=0, lo_open=True)
+    if not isinstance(pump, (GaussianPump, SampledPump)):
+        raise ValidationError(f"unknown pump spectrum type {type(pump).__name__}")
 
-    sigma = _pump_sizing_sigma(pump)
-    half = kappa_span * max(np.sqrt(2.0) * sigma, np.sqrt(branch.dphi_width(L_m)))
+    half = kappa_span * max(
+        np.sqrt(2.0) * pump.sizing_sigma, np.sqrt(branch.dphi_width(L_m))
+    )
     offsets = np.linspace(-half, half, n)
     omega_s = branch.omega_s + offsets
     omega_i = branch.omega_i + offsets
@@ -325,7 +344,7 @@ def build_jsa(
         np.where(ok_i, omega_i, np.nan)[None, :],
         L_m, mode=mode, check=False,
     )
-    values = pump_alpha(pump, omega_s[:, None] + omega_i[None, :]) * phi
+    values = pump.alpha(omega_s[:, None] + omega_i[None, :]) * phi
     values[~mask] = 0.0
 
     if not np.all(np.isfinite(values)):
@@ -393,22 +412,6 @@ def marginals(intensity, omega_s, omega_i) -> Marginals:
     )
 
 
-def _pump_meta(pump) -> dict:
-    if isinstance(pump, GaussianPump):
-        return {
-            "shape": "gaussian",
-            "omega_p0_rad_s": pump.omega_p0,
-            "sigma_rad_s": pump.sigma,
-        }
-    return {
-        "shape": "sampled",
-        "omega_p0_rad_s": pump.omega_p0,
-        "points": int(pump.omega.size),
-        "omega_min_rad_s": float(pump.omega[0]),
-        "omega_max_rad_s": float(pump.omega[-1]),
-    }
-
-
 def jsa_to_json(grid: JsaGrid, path: str | None = None) -> str:
     """Self-describing JSON: axes, row-major magnitude and phase, metadata."""
     obj = {
@@ -429,7 +432,7 @@ def jsa_to_json(grid: JsaGrid, path: str | None = None) -> str:
                 "pressure_bar": grid.gas.pressure_bar,
                 "temperature_K": grid.gas.temperature_K,
             },
-            "pump": _pump_meta(grid.pump),
+            "pump": grid.pump.metadata(),
             "branch": {
                 "lambda_p_nm": grid.branch.lambda_p_nm,
                 "lambda_s_nm": grid.branch.lambda_s_nm,

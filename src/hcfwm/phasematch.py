@@ -39,8 +39,9 @@ the same solver settings, Kerr term included.  Each pump is scanned on its
 own detuning grid, but the brackets of all pumps are bisected in one loop,
 each at its own pump frequency, and beta1 comes from one
 dispersion_derivatives call for the whole map; so a map row is bit for bit
-what a single-pump solve gives.  A pump that fails (outside a band, a
-stalled bracket, no stencil room) is a gap.  density_map_to_csv writes the
+what a single-pump solve gives.  A pump that fails (outside a band, no
+room for the default detuning window at a window edge, a stalled
+bracket, no stencil room) is a gap.  density_map_to_csv writes the
 branches one row each.
 """
 
@@ -231,7 +232,8 @@ def _scan_pump(fiber, gas, structure, omega_p, window, pump_peak_power_W, grid_p
     """One pump's band label, detuning grid step, and the cells of its grid
     that hold a root, as rows (left end, right end, mismatch at the left
     end): a mismatch of 0 there is the root itself."""
-    band_p = structure.require_band(float(lambda_nm_from_omega(omega_p)))
+    lambda_p = float(lambda_nm_from_omega(omega_p))
+    band_p = structure.require_band(lambda_p)
     if window is None:
         win_lo, win_hi = structure.window_nm
         dw_lo = DEFAULT_DETUNING_MIN
@@ -239,12 +241,14 @@ def _scan_pump(fiber, gas, structure, omega_p, window, pump_peak_power_W, grid_p
             float(omega_from_lambda_nm(win_lo)) - omega_p,  # signal edge
             omega_p - float(omega_from_lambda_nm(win_hi)),  # idler edge
         ) * (1.0 - 1e-9)
+        if not dw_lo < dw_hi:
+            raise RangeError(
+                f"no detuning window for the pump at {lambda_p:.6g} nm: it is "
+                f"within {DEFAULT_DETUNING_MIN / (2e12 * np.pi):g} THz of an edge "
+                f"of the model window [{win_lo:.6g}, {win_hi:.6g}] nm"
+            )
     else:
         dw_lo, dw_hi = window
-    if not dw_lo < dw_hi:
-        raise ValidationError(
-            f"detuning window must satisfy 0 < min < max, got ({dw_lo}, {dw_hi})"
-        )
     dw = np.linspace(dw_lo, dw_hi, grid_points)
     ok = structure.in_band_mask(lambda_nm_from_omega(omega_p + dw))
     ok &= structure.in_band_mask(lambda_nm_from_omega(omega_p - dw))
@@ -304,9 +308,7 @@ def _solve_pumps(
 
     Each pump is scanned on its own detuning grid; then one bisection loop
     halves the brackets of all pumps together.  An error of a type in
-    ``gaps`` drops only its own pump.  Any other error ends the scan at its
-    pump and is raised once the pumps before it are finished, warnings
-    included, as a pump-by-pump loop would do.
+    ``gaps`` drops only its own pump.
     """
     check_number("pump_peak_power_W", pump_peak_power_W, lo=0)
     grid_points = check_number(
@@ -321,9 +323,13 @@ def _solve_pumps(
         detuning_window = tuple(map(
             float, check_pair("detuning window", detuning_window, lo=0, lo_open=True)
         ))
+        if not detuning_window[0] < detuning_window[1]:
+            raise ValidationError(
+                f"detuning window must satisfy 0 < min < max, got {detuning_window}"
+            )
     structure = fibermodel.band_structure(fiber, gas)
 
-    scans, pending = [], None
+    scans = []
     for omega_p in omegas_p:
         try:
             scans.append((omega_p, *_scan_pump(
@@ -332,9 +338,6 @@ def _solve_pumps(
             )))
         except gaps:
             continue
-        except HcfwmError as exc:
-            pending = exc
-            break
     pumps = [omega_p for omega_p, *_ in scans]
     # every pump's brackets in pump order, and in detuning order within a
     # pump; the brackets of pump k are bounds[k]:bounds[k + 1]
@@ -412,8 +415,6 @@ def _solve_pumps(
             ]
         except gaps:
             continue
-    if pending is not None:
-        raise pending
     return branches
 
 
@@ -430,9 +431,11 @@ def density_map(
     settings of ``solve_phase_matching``, and a map row is exactly what a
     single-pump solve gives: each pump is scanned on its own detuning grid,
     then one bisection loop halves the brackets of every pump at once.
-    Pumps that land outside a band, or whose solve fails numerically, are
-    gaps (no branches) rather than aborting the map.  ``steps`` times
-    ``grid_points`` is refused above MAX_MAP_POINTS before any scan.
+    Pumps that land outside a band, that sit so close to a model-window
+    edge that the default detuning window is empty, or whose solve fails
+    numerically, are gaps (no branches) rather than aborting the map.
+    ``steps`` times ``grid_points`` is refused above MAX_MAP_POINTS before
+    any scan.
     """
     lo, hi = map(float, check_pair("pump range", pump_range_nm, lo=0, lo_open=True))
     if not lo < hi:

@@ -20,13 +20,15 @@ Fits are reported in frequency (THz = 10^12 rad/s), not wavelength.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import export
 from .config import RunConfig, required_section
-from .errors import HcfwmError, NumericalError, check_number, check_pair
+from .errors import (
+    HcfwmError, NumericalError, ValidationError, check_number, check_pair,
+)
 from .fibermodel import FiberModel, omega_from_lambda_nm
 from .gasmedia import GasState, make_gas
 from .jsa import (
@@ -254,7 +256,18 @@ def _evaluate_point(cfg: RunConfig, fiber, pump, value, gas, branch, L_m,
 
 def _sweep_points(cfg: RunConfig, fiber, pump, values, at, out_dir, stem):
     """(points, gaps) over ``values`` in order.  ``at(value)`` gives the
-    gas, branch and length of a point; a point that fails is a gap."""
+    gas, branch and length of a point; a point that fails is a gap.  Two
+    values whose grid file names would coincide are refused up front."""
+    if out_dir is not None:
+        named: dict[str, float] = {}
+        for value in values:
+            fname = stem.format(value)
+            if fname in named:
+                raise ValidationError(
+                    f"sweep values {named[fname]!r} and {value!r} would both "
+                    f"write {fname}"
+                )
+            named[fname] = value
     points: list[SweepPoint] = []
     gaps: list[SweepGap] = []
     for value in values:
@@ -367,11 +380,5 @@ def fit_to_dict(result: SweepResult) -> dict:
         "gaps": [{"value": g.value, "reason": g.reason} for g in result.gaps],
     }
     if result.fit is not None:
-        obj["fit"] = {
-            "slope_THz_per_bar": result.fit.slope_THz_per_bar,
-            "intercept_THz": result.fit.intercept_THz,
-            "r_squared": result.fit.r_squared,
-            "span_THz": result.fit.span_THz,
-            "n_points": result.fit.n_points,
-        }
+        obj["fit"] = asdict(result.fit)
     return obj

@@ -137,11 +137,6 @@ class SetScan:
         return int(self.omega_i.size)
 
     @property
-    def omega_ref(self) -> float:
-        """Sweep-center frequency used for the photon-energy conversion."""
-        return float(0.5 * (self.omega_i[0] + self.omega_i[-1]))
-
-    @property
     def lambda_i_nm(self) -> np.ndarray:
         return lambda_nm_from_omega(self.omega_i)
 

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from importlib.resources import files as resource_files
 
 import hcfwm
-from hcfwm import cli, config, schmidt
+from hcfwm import cli, config, fibermodel, schmidt
+from hcfwm.errors import NumericalError
 
 BASE = {
     "fiber": {},
@@ -312,6 +313,94 @@ def test_unbounded_pressure_range_exits_1(axis, key, tmp_path, capsys):
     assert rc == 1
     assert f"config key 'sweep_pressure.{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _run_cli(tmp_path, subcommand, raw):
+    return cli.main(
+        [subcommand, "--config", write_cfg(tmp_path, raw),
+         "--out", str(tmp_path / "o"), "--label", "t"]
+    )
+
+
+def test_sweep_gap_is_printed_and_listed(tmp_path, capsys):
+    """A length whose JSA grid is almost all outside the bands is a gap of
+    the sweep, not a failure of the run."""
+    raw = copy.deepcopy(BASE)
+    raw["sweep_length"] = {"lengths_m": [0.0001, 1.0]}
+    assert _run_cli(tmp_path, "sweep-length", raw) == 0
+    out = capsys.readouterr().out
+    assert "length_m=0.0001m: gap (99.9% of the JSA grid" in out
+    run_dir = tmp_path / "o" / "sweep-length" / "t"
+    gaps = json.loads((run_dir / "sweep.json").read_text())["gaps"]
+    assert [g["value"] for g in gaps] == [0.0001]
+    assert gaps[0]["reason"].startswith("99.9% of the JSA grid")
+    assert sorted(p.name for p in run_dir.glob("jsi_*")) == ["jsi_L_1m.csv"]
+
+
+@pytest.mark.parametrize(
+    "subcommand, axis, fname",
+    [
+        ("sweep-length", {"sweep_length": {"lengths_m": [0.4000001, 0.4000002,
+                                                         0.4000003]}},
+         "jsi_L_0.4m.csv"),
+        ("sweep-pressure", {"sweep_pressure": {"start_bar": 3.4,
+                                               "stop_bar": 3.400002,
+                                               "step_bar": 1e-6}},
+         "jsi_P_3.4bar.csv"),
+    ],
+    ids=["length", "pressure"],
+)
+def test_sweep_values_sharing_a_grid_file_exit_1(
+    subcommand, axis, fname, tmp_path, capsys
+):
+    """File names keep 6 significant digits; two values that round to the
+    same name are refused before any grid is written."""
+    raw = copy.deepcopy(BASE)
+    raw.update(axis)
+    assert _run_cli(tmp_path, subcommand, raw) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep values ")
+    assert f"would both write {fname}" in err
+    assert not list((tmp_path / "o").rglob("jsi_*"))
+
+
+def test_failed_zdw_search_warns_and_drops_its_band(tmp_path, capsys,
+                                                     monkeypatch):
+    find_zdw = fibermodel.find_zdw
+
+    def failing(fiber, gas, band):
+        if band.label == "II":
+            raise NumericalError("no sign change to bracket")
+        return find_zdw(fiber, gas, band)
+
+    monkeypatch.setattr(fibermodel, "find_zdw", failing)
+    assert _run_cli(tmp_path, "dispersion", copy.deepcopy(BASE)) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: UserWarning: no zero-dispersion wavelengths for band II: "
+        "no sign change to bracket"
+    ]
+    run_dir = tmp_path / "o" / "dispersion" / "t"
+    bands = [row.split(",")[0] for row in
+             (run_dir / "zdw.csv").read_text().splitlines()[1:]]
+    assert "II" not in bands and "I" in bands and "III" in bands
+    assert "II" not in read_manifest(run_dir)["results"]["zdw_nm"]
+
+
+def test_edge_pumps(tmp_path, capsys):
+    """On the map_t600 fiber a pump above about 3038 nm has no default
+    detuning window: a map across it goes on, a single pump is refused
+    with one error line."""
+    raw = yaml.safe_load(
+        resource_files("hcfwm").joinpath("recipes", "map_t600.yaml").read_text()
+    )
+    raw["density_map"].update(pump_min_nm=2900.0, pump_max_nm=3100.0)
+    assert _run_cli(tmp_path, "density-map", raw) == 0
+    assert capsys.readouterr().err == ""
+    raw["pump"]["lambda_nm"] = 3100.0
+    assert _run_cli(tmp_path, "phasematch", raw) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no detuning window")
+    assert "pump at 3100 nm" in err[0] and "model window [250, 3200] nm" in err[0]
 
 
 @pytest.mark.parametrize(

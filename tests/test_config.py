@@ -90,6 +90,10 @@ def test_round_trip_with_pressure_range():
     assert axis[0] == 3.0 and axis[-1] == 3.65
     again = config.loads_config(config.dump_config(cfg))
     assert again == cfg
+    # a stop_bar between two steps ends the axis at the step below it
+    d["sweep_pressure"] = {"start_bar": 3.0, "stop_bar": 3.27, "step_bar": 0.1}
+    axis = config.config_from_dict(d).sweep_pressure.pressures_bar
+    assert axis == (3.0, 3.1, 3.2)
 
 
 def test_empty_config_message():

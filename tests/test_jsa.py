@@ -65,10 +65,10 @@ def test_gaussian_pump_rejects_non_finite(lambda_nm, fwhm_fs, key):
 
 
 def test_alpha_peaks_at_one_and_depends_on_sum_only(pump, grid128):
-    peak = jsa.pump_alpha(pump, 2.0 * pump.omega_p0)
+    peak = pump.alpha(2.0 * pump.omega_p0)
     assert complex(peak) == 1.0 + 0.0j
     om_s, om_i = grid128.omega_s, grid128.omega_i
-    alpha = jsa.pump_alpha(pump, om_s[:, None] + om_i[None, :])
+    alpha = pump.alpha(om_s[:, None] + om_i[None, :])
     # both axes share one offset grid, so swapping indices keeps the sum
     assert np.allclose(alpha, alpha.T, rtol=1e-12, atol=0.0)
     direct = np.exp(
@@ -83,8 +83,8 @@ def test_sampled_pump_matches_gaussian_closed_form(pump):
     amp = np.exp(-((om - pump.omega_p0) ** 2) / (2.0 * pump.sigma**2))
     sampled = SampledPump(om, amp.astype(complex))
     Om = 2.0 * pump.omega_p0 + np.linspace(-3.0, 3.0, 301) * pump.sigma
-    a_num = jsa.pump_alpha(sampled, Om)
-    a_ref = jsa.pump_alpha(pump, Om)
+    a_num = sampled.alpha(Om)
+    a_ref = pump.alpha(Om)
     rel = np.max(np.abs(a_num - a_ref) / np.abs(a_ref))
     assert rel <= 1e-6
 
@@ -97,7 +97,7 @@ def test_sampled_pump_centroid_and_rms(pump):
     assert sampled.rms_sigma == pytest.approx(pump.rms_sigma, rel=1e-4)
 
 
-def test_sampled_pump_validation():
+def test_sampled_pump_validation(fiber, xenon, branch):
     om = np.linspace(0.0, 1.0, 16)
     good = np.ones(16, dtype=complex)
     with pytest.raises(ValidationError, match=">= 4 points"):
@@ -115,7 +115,7 @@ def test_sampled_pump_validation():
     with pytest.raises(ValidationError, match="identically zero"):
         SampledPump(om, np.zeros(16, dtype=complex))
     with pytest.raises(ValidationError, match="unknown pump"):
-        jsa.pump_alpha(object(), 1.0)
+        jsa.build_jsa(fiber, xenon, object(), branch, L_m=1.0, n=16)
 
 
 def test_modulated_pump_structure(pump):
@@ -125,8 +125,8 @@ def test_modulated_pump_structure(pump):
     # symmetric modulation keeps the centroid at the carrier
     assert mod.omega_p0 == pytest.approx(pump.omega_p0, rel=1e-12)
     Om = 2.0 * pump.omega_p0 + np.linspace(-4.0, 4.0, 401) * pump.sigma
-    a_mod = np.abs(jsa.pump_alpha(mod, Om))
-    a_ref = np.abs(jsa.pump_alpha(pump, Om))
+    a_mod = np.abs(mod.alpha(Om))
+    a_ref = np.abs(pump.alpha(Om))
     assert np.max(np.abs(a_mod - a_ref)) > 0.01
     with pytest.raises(ValidationError, match="depth"):
         SampledPump.modulated_gaussian(pump.omega_p0, pump.sigma, 1.0, 3e12)
@@ -370,7 +370,7 @@ def test_full_mode_grid_matches_three_kappa_formula(fiber, xenon, pump,
     )
     ref = np.zeros(mask.shape, dtype=complex)
     ref[mask] = (
-        jsa.pump_alpha(pump, om_s + om_i)
+        pump.alpha(om_s + om_i)
         * three_kappa_phi(fiber, xenon, om_s, om_i, 1.0)
     )[mask]
     ref /= np.sqrt(np.sum(np.abs(ref) ** 2) * grid.cell_area)

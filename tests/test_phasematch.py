@@ -411,22 +411,39 @@ def test_density_map_failing_pump_is_a_gap(fiber, xenon, monkeypatch, fault):
     assert rows == _per_pump(fiber, xenon, pumps, solve)
 
 
-def test_density_map_abort_comes_after_earlier_pumps(fiber, xenon, monkeypatch):
-    """An error that is not a gap ends the map, but only once the pumps
-    before it are finished, close-root warnings included, as a pump-by-pump
-    loop would.  Here the 3199 nm pump leaves no room for the default
-    detuning window below the 3200 nm window edge."""
+def test_density_map_edge_pump_is_a_gap(fiber, xenon, monkeypatch):
+    """A pump so close to the model-window edge that the default detuning
+    window is empty is a gap: here the 3199 nm pump, 1 nm below the
+    3200 nm edge.  The pump before it keeps its branches and its
+    close-root warning, and a single-pump solve refuses the edge pump
+    with a RangeError that names it and the window."""
     near = (35.01e12, 35.05e12)
 
     def mismatch(fiber, gas, om_p, om_s, om_i, *args, **kw):
         return (om_s - om_p - near[0]) * (om_s - om_p - near[1]) * 1e-24
 
     monkeypatch.setattr(phasematch, "delta_k", mismatch)
+    pumps = [float(omega_from_lambda_nm(lam)) for lam in (3000.0, 3199.0)]
     with pytest.warns(UserWarning, match="closer than two grid cells"):
-        with pytest.raises(ValidationError, match="detuning window"):
-            phasematch.density_map(
-                fiber, xenon, (3000.0, 3199.0), 2, grid_points=101
-            )
+        rows = phasematch.density_map(
+            fiber, xenon, (3000.0, 3199.0), 2, grid_points=101
+        )
+    assert len(rows) == 2 and {b.omega_p for b in rows} == {pumps[0]}
+    window = r"pump at 3199 nm: .* model window \[250, 3200\] nm"
+    with pytest.raises(RangeError, match=window):
+        phasematch.solve_phase_matching(fiber, xenon, pumps[1], grid_points=101)
+
+
+def test_density_map_edge_pumps_are_gaps_on_map_t600():
+    """On the map_t600 fiber, pumps from 3038 nm up have no default
+    detuning window; a map that runs up to 3100 nm keeps every row a
+    single-pump solve gives, and the pumps past that edge are gaps."""
+    _, fiber, gas, _ = _map_recipe("map_t600")
+    pumps = omega_from_lambda_nm(np.linspace(1500.0, 3100.0, 41)).tolist()
+    rows = phasematch.density_map(fiber, gas, (1500.0, 3100.0), 41)
+    assert rows and rows == _per_pump(fiber, gas, pumps, {})
+    with pytest.raises(RangeError, match="3100 nm"):
+        phasematch.solve_phase_matching(fiber, gas, pumps[-1])
 
 
 def test_density_map_bisects_every_pump_in_one_loop(monkeypatch):
