@@ -137,7 +137,8 @@ def _write_rows(header, rows, path: str) -> None:
 
 
 class _Run:
-    """Collects artifacts and summary lines for one subcommand run."""
+    """The one writer of a run directory: each artifact, listed as it is
+    written, then config.yaml and manifest.json."""
 
     def __init__(self, cfg: RunConfig, subcommand: str, run_dir: str):
         self.cfg = cfg
@@ -149,17 +150,16 @@ class _Run:
     def path(self, fname: str) -> str:
         return os.path.join(self.run_dir, fname)
 
-    def add(self, fname: str, description: str) -> None:
-        self.artifacts.append({"file": fname, "description": description})
-        print(f"wrote {os.path.join(self.run_dir, fname)}  ({description})")
-
     def write(self, fname: str, description: str, writer, *args, **kwargs) -> None:
-        """``writer(*args, path=<run dir>/fname, **kwargs)``, then list it."""
+        """``writer(*args, path=<run dir>/fname, **kwargs)``, then list it;
+        a .csv or .json file whose format output.formats leaves out is
+        skipped."""
+        fmt = fname.rpartition(".")[2]
+        if fmt in ("csv", "json") and fmt not in self.cfg.output.formats:
+            return
         writer(*args, path=self.path(fname), **kwargs)
-        self.add(fname, description)
-
-    def wants(self, fmt: str) -> bool:
-        return fmt in self.cfg.output.formats
+        self.artifacts.append({"file": fname, "description": description})
+        print(f"wrote {self.path(fname)}  ({description})")
 
     def finish(self) -> None:
         self.write("config.yaml", "resolved run configuration", dump_config, self.cfg)
@@ -240,10 +240,10 @@ def cmd_dispersion(run: _Run) -> None:
     run.results["bands"] = [b.label for b in structure.bands]
     run.results["resonances_nm"] = list(structure.resonances_nm)
     run.results["zdw_nm"] = zdws
-    print(
-        f"{len(structure.bands)} bands; resonances at "
-        + ", ".join(f"{r:.1f} nm" for r in structure.resonances_nm)
-    )
+    n = len(structure.bands)
+    res = ", ".join(f"{r:.1f} nm" for r in structure.resonances_nm)
+    print(f"{n} band{'' if n == 1 else 's'}; "
+          + (f"resonances at {res}" if res else "no wall resonances"))
 
 
 def cmd_phasematch(run: _Run) -> None:
@@ -298,18 +298,16 @@ def cmd_jsa(run: _Run) -> None:
     grid = _point_grid(cfg)
     intensity = jsa.jsi(grid)
     marg = jsa.marginals(intensity, grid.omega_s, grid.omega_i)
-    if run.wants("json"):
-        run.write("jsa.json", "complex JSA grid with metadata", jsa.jsa_to_json, grid)
-    if run.wants("csv"):
-        run.write("jsi.csv", "joint spectral intensity grid", jsa.grid_to_csv,
-                  grid.lambda_s_nm, grid.lambda_i_nm, intensity)
-        run.write(
-            "marginals.csv", "signal and idler marginal spectra", _write_rows,
-            ("lambda_s_nm", "signal", "lambda_i_nm", "idler"),
-            np.column_stack(
-                (grid.lambda_s_nm, marg.signal, grid.lambda_i_nm, marg.idler)
-            ),
-        )
+    run.write("jsa.json", "complex JSA grid with metadata", jsa.jsa_to_json, grid)
+    run.write("jsi.csv", "joint spectral intensity grid", jsa.grid_to_csv,
+              grid.lambda_s_nm, grid.lambda_i_nm, intensity)
+    run.write(
+        "marginals.csv", "signal and idler marginal spectra", _write_rows,
+        ("lambda_s_nm", "signal", "lambda_i_nm", "idler"),
+        np.column_stack(
+            (grid.lambda_s_nm, marg.signal, grid.lambda_i_nm, marg.idler)
+        ),
+    )
     run.results["centroid_signal_nm"] = marg.centroid_lambda_s_nm
     run.results["centroid_idler_nm"] = marg.centroid_lambda_i_nm
     run.results["clipped_fraction"] = grid.clipped_fraction
@@ -325,14 +323,12 @@ def cmd_schmidt(run: _Run) -> None:
     grid = _point_grid(cfg)
     flat = schmidt.schmidt_decompose(grid, flat_phase=True)
     cplx = schmidt.schmidt_decompose(grid, flat_phase=False)
-    if run.wants("json"):
-        run.write("schmidt_flat.json", "flat-phase Schmidt decomposition",
-                  schmidt.schmidt_to_json, flat)
-        run.write("schmidt_complex.json", "complex-JSA Schmidt decomposition",
-                  schmidt.schmidt_to_json, cplx)
-    if run.wants("csv"):
-        run.write("modes.csv", "leading Schmidt mode vectors",
-                  schmidt.schmidt_modes_to_csv, cplx)
+    run.write("schmidt_flat.json", "flat-phase Schmidt decomposition",
+              schmidt.schmidt_to_json, flat)
+    run.write("schmidt_complex.json", "complex-JSA Schmidt decomposition",
+              schmidt.schmidt_to_json, cplx)
+    run.write("modes.csv", "leading Schmidt mode vectors",
+              schmidt.schmidt_modes_to_csv, cplx)
     run.results["K_flat"] = flat.K
     run.results["K_complex"] = cplx.K
     run.results["purity_flat"] = flat.purity
@@ -365,11 +361,10 @@ def cmd_set_sim(run: _Run) -> None:
         duty_cycle=ss.duty_cycle,
     )
     rec = tomography.reconstruct_jsi(scan)
-    if run.wants("csv"):
-        run.write("scan.csv", "stimulated scan, one row per sample",
-                  tomography.set_scan_to_csv, scan)
-        run.write("reconstruction.csv", "seed-normalized JSI reconstruction",
-                  tomography.reconstruction_to_csv, rec)
+    run.write("scan.csv", "stimulated scan, one row per sample",
+              tomography.set_scan_to_csv, scan)
+    run.write("reconstruction.csv", "seed-normalized JSI reconstruction",
+              tomography.reconstruction_to_csv, rec)
     rec_marg = jsa.marginals(rec.values, rec.omega_s, rec.omega_i)
     run.results["reconstructed_idler_nm"] = rec_marg.centroid_lambda_i_nm
     run.results["reconstructed_signal_nm"] = rec_marg.centroid_lambda_s_nm
@@ -385,9 +380,8 @@ def cmd_set_sim(run: _Run) -> None:
             noise=noise,
             duty_cycle=ss.duty_cycle,
         )
-        if run.wants("json"):
-            run.write("power_scaling.json", "log-log power-law exponents",
-                      export.to_json, dataclasses.asdict(scaling), indent=1)
+        run.write("power_scaling.json", "log-log power-law exponents",
+                  export.to_json, dataclasses.asdict(scaling), indent=1)
         run.results["seed_exponent"] = scaling.seed_exponent
         run.results["pump_exponent"] = scaling.pump_exponent
         print(
@@ -399,10 +393,6 @@ def cmd_set_sim(run: _Run) -> None:
 def _emit_sweep(run: _Run, result) -> None:
     run.write("summary.csv", "per-point Schmidt numbers and centroids",
               sweeps_mod.summary_csv, result)
-    # the drivers wrote the grids during the sweep; list them in order here
-    for p in result.points:
-        for fname in p.artifacts.values():
-            run.add(fname, f"JSI grid at {result.param}={p.value:g}")
     summary = sweeps_mod.fit_to_dict(result)
     run.write("sweep.json", "sweep fit, gaps, and point count", export.to_json,
               summary, indent=1)
@@ -418,12 +408,12 @@ def _emit_sweep(run: _Run, result) -> None:
 
 
 def cmd_sweep_length(run: _Run) -> None:
-    result = sweeps_mod.sweep_length(run.cfg, out_dir=run.run_dir)
+    result = sweeps_mod.sweep_length(run.cfg, write=run.write)
     _emit_sweep(run, result)
 
 
 def cmd_sweep_pressure(run: _Run) -> None:
-    result = sweeps_mod.sweep_pressure(run.cfg, out_dir=run.run_dir)
+    result = sweeps_mod.sweep_pressure(run.cfg, write=run.write)
     _emit_sweep(run, result)
     fit = result.fit
     print(
@@ -454,12 +444,13 @@ def cmd_density_map(run: _Run) -> None:
     }
     run.write("families.json", "branch families and their angle ranges",
               export.to_json, fam_obj, indent=1)
+    names = sorted(f"{s}+{i}" for s, i in families)
     run.results["n_records"] = len(branches)
-    run.results["families"] = sorted(f"{s}+{i}" for s, i in families)
+    run.results["families"] = names
     print(
         f"{len(branches)} phase-matched points in "
-        f"{len(families)} famil{'y' if len(families) == 1 else 'ies'}: "
-        + ", ".join(sorted(f"{s}+{i}" for s, i in families))
+        f"{len(names)} famil{'y' if len(names) == 1 else 'ies'}"
+        + (": " + ", ".join(names) if names else "")
     )
 
 
@@ -538,6 +529,8 @@ def main(argv=None) -> int:
         label = args.label or datetime.datetime.now(
             datetime.timezone.utc
         ).strftime("%Y%m%dT%H%M%SZ")
+        if label in (".", "..") or os.path.basename(label) != label:
+            raise ValidationError(f"--label must be one path component, got {label!r}")
         out_root = args.out or cfg.output.dir
         run_dir = os.path.join(out_root, args.subcommand, label)
         try:

@@ -308,7 +308,8 @@ def _solve_pumps(
 
     Each pump is scanned on its own detuning grid; then one bisection loop
     halves the brackets of all pumps together.  An error of a type in
-    ``gaps`` drops only its own pump.
+    ``gaps`` drops only its own pump, with a warning that names the pump
+    and the error.
     """
     check_number("pump_peak_power_W", pump_peak_power_W, lo=0)
     grid_points = check_number(
@@ -336,8 +337,8 @@ def _solve_pumps(
                 fiber, gas, structure, omega_p, detuning_window,
                 pump_peak_power_W, grid_points,
             )))
-        except gaps:
-            continue
+        except gaps as exc:
+            _warn_gap(omega_p, exc)
     pumps = [omega_p for omega_p, *_ in scans]
     # every pump's brackets in pump order, and in detuning order within a
     # pump; the brackets of pump k are bounds[k]:bounds[k + 1]
@@ -413,9 +414,14 @@ def _solve_pumps(
                     beta1_k[1:].reshape(-1, 2).tolist(), residuals[lo:hi].tolist(),
                 )
             ]
-        except gaps:
-            continue
+        except gaps as exc:
+            _warn_gap(omega_p, exc)
     return branches
+
+
+def _warn_gap(omega_p: float, exc: HcfwmError) -> None:
+    lambda_p = float(lambda_nm_from_omega(omega_p))
+    warnings.warn(f"pump at {lambda_p:.6g} nm is a gap: {exc}")
 
 
 def density_map(

@@ -15,11 +15,13 @@ Branch continuity across sweep points uses nearest-neighbor matching in
 (omega_s, omega_i) seeded by the previous point, which prevents
 branch-hopping artifacts in fitted slopes when several families coexist.
 Fits are reported in frequency (THz = 10^12 rad/s), not wavelength.
+
+A driver writes no file itself: given ``write`` (the signature of
+``cli._Run.write``), it hands each point's JSI grid to it as it goes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -87,7 +89,6 @@ class SweepPoint:
     signal_nm: float
     idler_omega: float
     signal_omega: float
-    artifacts: dict
 
 
 @dataclass(frozen=True)
@@ -226,20 +227,15 @@ def density_records(cfg: RunConfig, fiber, gas) -> list[PhaseMatchBranch]:
 
 
 def _evaluate_point(cfg: RunConfig, fiber, pump, value, gas, branch, L_m,
-                    out_dir, stem) -> SweepPoint:
+                    write, stem, param) -> SweepPoint:
     grid = build_grid(cfg, fiber, gas, pump, branch, L_m)
     k_flat = schmidt_number(grid, flat_phase=True)
     k_complex = schmidt_number(grid, flat_phase=False)
     intensity = jsi(grid)
     marg = marginals(intensity, grid.omega_s, grid.omega_i)
-    artifacts: dict = {}
-    if out_dir is not None:
-        fname = stem.format(value)
-        grid_to_csv(
-            grid.lambda_s_nm, grid.lambda_i_nm, intensity,
-            os.path.join(out_dir, fname),
-        )
-        artifacts["jsi_csv"] = fname
+    if write is not None:
+        write(stem.format(value), f"JSI grid at {param}={value:g}", grid_to_csv,
+              grid.lambda_s_nm, grid.lambda_i_nm, intensity)
     return SweepPoint(
         value=value,
         branch=branch,
@@ -250,15 +246,14 @@ def _evaluate_point(cfg: RunConfig, fiber, pump, value, gas, branch, L_m,
         signal_nm=marg.centroid_lambda_s_nm,
         idler_omega=marg.centroid_omega_i,
         signal_omega=marg.centroid_omega_s,
-        artifacts=artifacts,
     )
 
 
-def _sweep_points(cfg: RunConfig, fiber, pump, values, at, out_dir, stem):
+def _sweep_points(cfg: RunConfig, fiber, pump, values, at, write, stem, param):
     """(points, gaps) over ``values`` in order.  ``at(value)`` gives the
-    gas, branch and length of a point; a point that fails is a gap.  Two
-    values whose grid file names would coincide are refused up front."""
-    if out_dir is not None:
+    gas, branch and length of a point; a point that fails is a gap.  With
+    ``write``, values whose grid file names coincide are refused first."""
+    if write is not None:
         named: dict[str, float] = {}
         for value in values:
             fname = stem.format(value)
@@ -276,7 +271,7 @@ def _sweep_points(cfg: RunConfig, fiber, pump, values, at, out_dir, stem):
         try:
             points.append(
                 _evaluate_point(
-                    cfg, fiber, pump, value, *at(value), out_dir, stem
+                    cfg, fiber, pump, value, *at(value), write, stem, param
                 )
             )
         except HcfwmError as exc:
@@ -284,12 +279,13 @@ def _sweep_points(cfg: RunConfig, fiber, pump, values, at, out_dir, stem):
     return tuple(points), tuple(gaps)
 
 
-def sweep_length(cfg: RunConfig, out_dir: str | None = None) -> SweepResult:
+def sweep_length(cfg: RunConfig, write=None) -> SweepResult:
     """JSA and Schmidt numbers for the fiber lengths of
     ``cfg.sweep_length``.
 
     The branch is pressure- and pump-determined, so it is solved once
-    and shared by all lengths; points run in axis order.
+    and shared by all lengths; points run in axis order.  With ``write``,
+    each point's JSI goes to it as ``jsi_L_<length>m.csv``.
     """
     lengths = required_section(cfg, "sweep_length", "a length sweep").lengths_m
     fiber = fiber_from_config(cfg)
@@ -297,13 +293,13 @@ def sweep_length(cfg: RunConfig, out_dir: str | None = None) -> SweepResult:
     pump = pump_from_config(cfg)
     branch = solve_branch(cfg, fiber, gas, pump)
     points, gaps = _sweep_points(
-        cfg, fiber, pump, lengths, lambda L: (gas, branch, L), out_dir,
-        "jsi_L_{:g}m.csv",
+        cfg, fiber, pump, lengths, lambda L: (gas, branch, L), write,
+        "jsi_L_{:g}m.csv", "length_m",
     )
     return SweepResult(param="length_m", unit="m", points=points, gaps=gaps)
 
 
-def sweep_pressure(cfg: RunConfig, out_dir: str | None = None) -> SweepResult:
+def sweep_pressure(cfg: RunConfig, write=None) -> SweepResult:
     """Branch, JSA, and centroids across the pressures of
     ``cfg.sweep_pressure``.
 
@@ -311,7 +307,8 @@ def sweep_pressure(cfg: RunConfig, out_dir: str | None = None) -> SweepResult:
     the previous point's (omega_s, omega_i); the first point honors
     phasematch.seed_idler_nm when several families coexist.  The fit is
     idler centroid frequency (THz = 10^12 rad/s) vs pressure (bar); it
-    needs at least two successful points.
+    needs at least two successful points.  With ``write``, each point's
+    JSI goes to it as ``jsi_P_<pressure>bar.csv``.
     """
     pressures = required_section(
         cfg, "sweep_pressure", "a pressure sweep"
@@ -329,7 +326,8 @@ def sweep_pressure(cfg: RunConfig, out_dir: str | None = None) -> SweepResult:
         return gas, branch, cfg.fiber_length_m
 
     points, gaps = _sweep_points(
-        cfg, fiber, pump, pressures, at, out_dir, "jsi_P_{:g}bar.csv"
+        cfg, fiber, pump, pressures, at, write, "jsi_P_{:g}bar.csv",
+        "pressure_bar",
     )
     if len(points) < 2:
         raise NumericalError(

@@ -122,6 +122,42 @@ def test_subcommand_runs_and_manifests(subcommand, tmp_path, capsys):
     assert "wrote " + os.path.join(run_dir, "manifest.json") in captured.out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_output_formats_gate_every_subcommand(subcommand, fmt, tmp_path):
+    """output.formats: [csv] leaves no JSON file but the manifest, [json]
+    no CSV; the manifest lists exactly the files the run wrote."""
+    raw = copy.deepcopy(BASE)
+    raw.update(copy.deepcopy(EXTRAS[subcommand]))
+    raw["output"] = {"formats": [fmt]}
+    assert _run_cli(tmp_path, subcommand, raw) == 0
+    run_dir = tmp_path / "o" / subcommand / "t"
+    written = sorted(p.name for p in run_dir.iterdir())
+    listed = [a["file"] for a in read_manifest(run_dir)["artifacts"]]
+    assert sorted(listed + ["manifest.json"]) == written
+    left_out = {"csv": ".json", "json": ".csv"}[fmt]
+    assert {n for n in written if n.endswith(left_out)} <= {"manifest.json"}
+    expected = [n for n in EXPECTED_FILES[subcommand] if n.endswith("." + fmt)]
+    assert set(expected) <= set(written)
+
+
+@pytest.mark.parametrize("subcommand", ["sweep-length", "sweep-pressure"])
+def test_sweep_manifest_lists_each_grid_once_in_write_order(
+    subcommand, tmp_path, capsys
+):
+    raw = copy.deepcopy(BASE)
+    raw.update(copy.deepcopy(EXTRAS[subcommand]))
+    assert _run_cli(tmp_path, subcommand, raw) == 0
+    run_dir = tmp_path / "o" / subcommand / "t"
+    listed = [a["file"] for a in read_manifest(run_dir)["artifacts"]]
+    grids = [n for n in EXPECTED_FILES[subcommand] if n.startswith("jsi_")]
+    assert listed == grids + ["summary.csv", "sweep.json", "config.yaml"]
+    assert all((run_dir / n).is_file() for n in listed)
+    wrote = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert wrote == [str(run_dir / n) for n in listed + ["manifest.json"]]
+
+
 def test_same_label_reruns_are_byte_identical(tmp_path):
     cfg_path = write_cfg(tmp_path, copy.deepcopy(BASE))
     outs = [str(tmp_path / "a"), str(tmp_path / "b")]
@@ -388,19 +424,55 @@ def test_failed_zdw_search_warns_and_drops_its_band(tmp_path, capsys,
 
 def test_edge_pumps(tmp_path, capsys):
     """On the map_t600 fiber a pump above about 3038 nm has no default
-    detuning window: a map across it goes on, a single pump is refused
-    with one error line."""
+    detuning window: a map across it goes on with one warning line per
+    gap pump, a single pump is refused with one error line."""
     raw = yaml.safe_load(
         resource_files("hcfwm").joinpath("recipes", "map_t600.yaml").read_text()
     )
     raw["density_map"].update(pump_min_nm=2900.0, pump_max_nm=3100.0)
     assert _run_cli(tmp_path, "density-map", raw) == 0
-    assert capsys.readouterr().err == ""
+    out, err = capsys.readouterr()
+    assert "0 phase-matched points in 0 families\n" in out
+    assert [line.split(": it is ")[0] for line in err.splitlines()] == [
+        f"warning: UserWarning: pump at {lam} nm is a gap: no detuning "
+        f"window for the pump at {lam} nm"
+        for lam in range(3040, 3101, 4)
+    ]
     raw["pump"]["lambda_nm"] = 3100.0
     assert _run_cli(tmp_path, "phasematch", raw) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: no detuning window")
     assert "pump at 3100 nm" in err[0] and "model window [250, 3200] nm" in err[0]
+
+
+def test_bundled_map_names_its_one_gap_pump(tmp_path, capsys):
+    assert cli.main(["density-map", "--config", "map_t600",
+                     "--out", str(tmp_path), "--label", "t"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: UserWarning: pump at 1250 nm is a gap: 1250 nm lies within "
+        "0.5% of the wall resonance at 1252.89 nm where the tube model diverges"
+    ]
+
+
+def test_dispersion_without_wall_resonances(tmp_path, capsys):
+    raw = copy.deepcopy(BASE)
+    raw["gas"] = {"species": "xenon", "pressure_bar": 4.0}
+    raw["fiber"] = {"t_nm": 80.0}
+    assert _run_cli(tmp_path, "dispersion", raw) == 0
+    assert "\n1 band; no wall resonances\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "label", [".", "..", "a/b", "a/../../x", "x/", "/abs"]
+)
+def test_label_must_be_one_path_component(label, tmp_path, capsys):
+    rc = cli.main(["phasematch", "--config", "map_t300",
+                   "--out", str(tmp_path / "o"), "--label", label])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --label must be one path component, got {label!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,8 @@ def test_record_and_compare(tmp_path, capsys):
         )
     ]
     assert refused["files"] == {}
+    assert ok["artifacts"] == ["bands.csv", "dispersion.csv", "zdw.csv", "config.yaml"]
+    assert refused["artifacts"] is None
     assert identity.summary(rec) == "2 runs (1 exit 0, 1 exit 1), 5 files"
 
     # a rerun in fresh interpreters and work directories is identical
@@ -43,11 +45,15 @@ def test_record_and_compare(tmp_path, capsys):
     changed = copy.deepcopy(rec)
     runs = changed["runs"]
     runs["dispersion/map_t300/bundled"]["files"]["dispersion/run/zdw.csv"] = "0"
+    runs["dispersion/map_t300/bundled"]["artifacts"].reverse()
     runs["set-sim/map_t300/full"]["exit"] = 2
     runs["set-sim/map_t300/full"]["files"] = {"set-sim/run/scan.csv": "0"}
+    runs["set-sim/map_t300/full"]["artifacts"] = ["scan.csv"]
     assert identity.differences(rec, changed) == [
+        "dispersion/map_t300/bundled: artifact order differs",
         "dispersion/map_t300/bundled: dispersion/run/zdw.csv differs",
         "set-sim/map_t300/full: exit 1 -> 2",
+        "set-sim/map_t300/full: artifact list differs",
         "set-sim/map_t300/full: set-sim/run/scan.csv added",
     ]
 
@@ -57,4 +63,4 @@ def test_record_and_compare(tmp_path, capsys):
     assert identity.main(["compare", str(old), str(old)]) == 0
     assert capsys.readouterr().out.endswith("identical\n")
     assert identity.main(["compare", str(old), str(new)]) == 1
-    assert capsys.readouterr().out.endswith("3 difference(s)\n")
+    assert capsys.readouterr().out.endswith("5 difference(s)\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -406,7 +407,9 @@ def test_density_map_failing_pump_is_a_gap(fiber, xenon, monkeypatch, fault):
 
     with pytest.raises(NumericalError):
         phasematch.solve_phase_matching(fiber, xenon, bad, **solve)
-    rows = phasematch.density_map(fiber, xenon, (1020.0, 1040.0), 3, **solve)
+    with pytest.warns(UserWarning, match="^pump at 1030 nm is a gap: ") as caught:
+        rows = phasematch.density_map(fiber, xenon, (1020.0, 1040.0), 3, **solve)
+    assert len(caught) == 1
     assert {b.omega_p for b in rows} == {pumps[0], pumps[2]}
     assert rows == _per_pump(fiber, xenon, pumps, solve)
 
@@ -437,10 +440,17 @@ def test_density_map_edge_pump_is_a_gap(fiber, xenon, monkeypatch):
 def test_density_map_edge_pumps_are_gaps_on_map_t600():
     """On the map_t600 fiber, pumps from 3038 nm up have no default
     detuning window; a map that runs up to 3100 nm keeps every row a
-    single-pump solve gives, and the pumps past that edge are gaps."""
+    single-pump solve gives, and the pumps past that edge are gaps, each
+    named in one warning."""
     _, fiber, gas, _ = _map_recipe("map_t600")
     pumps = omega_from_lambda_nm(np.linspace(1500.0, 3100.0, 41)).tolist()
-    rows = phasematch.density_map(fiber, gas, (1500.0, 3100.0), 41)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = phasematch.density_map(fiber, gas, (1500.0, 3100.0), 41)
+    assert [str(w.message).split(": it is ")[0] for w in caught] == [
+        f"pump at {lam} nm is a gap: no detuning window for the pump at {lam} nm"
+        for lam in (3060, 3100)
+    ]
     assert rows and rows == _per_pump(fiber, gas, pumps, {})
     with pytest.raises(RangeError, match="3100 nm"):
         phasematch.solve_phase_matching(fiber, gas, pumps[-1])

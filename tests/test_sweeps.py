@@ -26,18 +26,41 @@ def make_cfg(**overrides):
     return config.config_from_dict(raw)
 
 
+class Recorder:
+    """A ``write`` for the drivers, with the signature of the command
+    line's run writer: it records each call and, given a directory,
+    writes the file there."""
+
+    def __init__(self, root=None):
+        self.root = root
+        self.calls = []
+
+    def __call__(self, fname, description, writer, *args, **kwargs):
+        self.calls.append((fname, description, writer))
+        if self.root is not None:
+            writer(*args, path=str(self.root / fname), **kwargs)
+
+    @property
+    def names(self):
+        return [fname for fname, *_ in self.calls]
+
+
 # -------------------------------------------------------- length sweeps
 
 
-def test_length_sweep_shares_one_branch(tmp_path):
+def test_length_sweep_shares_one_branch():
+    write = Recorder()
     result = sweeps.sweep_length(
-        make_cfg(sweep_length={"lengths_m": [0.4, 1.0]})
+        make_cfg(sweep_length={"lengths_m": [0.4, 1.0]}), write=write
     )
     assert result.param == "length_m" and result.unit == "m"
     assert result.fit is None and result.gaps == ()
     assert [p.value for p in result.points] == [0.4, 1.0]
     assert result.points[0].branch == result.points[1].branch
-    assert result.points[0].artifacts == {}
+    assert write.calls == [
+        ("jsi_L_0.4m.csv", "JSI grid at length_m=0.4", jsa.grid_to_csv),
+        ("jsi_L_1m.csv", "JSI grid at length_m=1", jsa.grid_to_csv),
+    ]
     assert result.points[0].K_flat == pytest.approx(K_FLAT_L04, rel=1e-9)
     assert result.points[1].K_flat == pytest.approx(K_FLAT_L10, rel=1e-9)
     assert result.points[0].K_flat > result.points[1].K_flat
@@ -67,13 +90,12 @@ def test_short_length_matches_double_gaussian_closure():
 
 
 def test_length_artifacts_written(tmp_path):
-    result = sweeps.sweep_length(
-        make_cfg(sweep_length={"lengths_m": [0.4, 1.0]}), out_dir=str(tmp_path)
+    write = Recorder(tmp_path)
+    sweeps.sweep_length(
+        make_cfg(sweep_length={"lengths_m": [0.4, 1.0]}), write=write
     )
-    assert result.points[0].artifacts == {"jsi_csv": "jsi_L_0.4m.csv"}
-    assert result.points[1].artifacts == {"jsi_csv": "jsi_L_1m.csv"}
-    for p in result.points:
-        assert os.path.exists(tmp_path / p.artifacts["jsi_csv"])
+    assert write.names == ["jsi_L_0.4m.csv", "jsi_L_1m.csv"]
+    assert sorted(os.listdir(tmp_path)) == write.names
 
 
 def test_length_sweep_runs_no_svd(monkeypatch):
@@ -103,9 +125,10 @@ def test_length_sweep_runs_no_svd(monkeypatch):
 
 
 def test_pressure_sweep_fit(tmp_path):
+    write = Recorder(tmp_path)
     result = sweeps.sweep_pressure(
         make_cfg(sweep_pressure={"pressures_bar": [3.2, 3.3, 3.4, 3.5]}),
-        out_dir=str(tmp_path),
+        write=write,
     )
     assert result.param == "pressure_bar" and result.unit == "bar"
     assert len(result.points) == 4 and result.gaps == ()
@@ -117,8 +140,8 @@ def test_pressure_sweep_fit(tmp_path):
     assert 15.0 < abs(fit.slope_THz_per_bar) < 35.0
     assert fit.r_squared > 0.99
     assert fit.span_THz > 0.0
-    assert result.points[0].artifacts == {"jsi_csv": "jsi_P_3.2bar.csv"}
-    assert os.path.exists(tmp_path / "jsi_P_3.2bar.csv")
+    assert write.names == [f"jsi_P_{p}bar.csv" for p in (3.2, 3.3, 3.4, 3.5)]
+    assert sorted(os.listdir(tmp_path)) == write.names
 
 
 def test_pressure_sweep_records_gaps_and_still_fits():

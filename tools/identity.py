@@ -4,9 +4,12 @@
 and once with ``grid.mode: full``, each run in a fresh interpreter and
 its own work directory.  For each run it stores the exit code, the
 sha256 of stdout and of stderr (with the work directory replaced by
-``<work>``) and the sha256 of every file the run wrote.  ``compare``
-prints every difference between two records and exits 1 if there is
-any::
+``<work>``), the sha256 of every file the run wrote, and the file names
+its ``manifest.json`` lists, in order.  ``compare`` prints every
+difference between two records and exits 1 if there is any; where a
+manifest lists the same files in another order, it says "artifact order
+differs", which accounts for the manifest and stdout lines that differ
+with it::
 
     python tools/identity.py record new.json
     python tools/identity.py record old.json --src old-checkout/src
@@ -79,18 +82,22 @@ def _run_one(src: str, subcommand: str, recipe: str, variant: str) -> dict:
              "--out", out, "--label", "run"],
             cwd=work, env=env, capture_output=True,
         )
-        files = {}
+        files, artifacts = {}, None
         for root, _, names in os.walk(out):
             for name in names:
                 path = os.path.join(root, name)
                 with open(path, "rb") as fh:
                     files[os.path.relpath(path, out)] = _sha256(fh.read())
+                if name == "manifest.json":
+                    with open(path, encoding="utf-8") as fh:
+                        artifacts = [a["file"] for a in json.load(fh)["artifacts"]]
         placeholder = work.encode()
         return {
             "exit": proc.returncode,
             "stdout": _sha256(proc.stdout.replace(placeholder, b"<work>")),
             "stderr": _sha256(proc.stderr.replace(placeholder, b"<work>")),
             "files": dict(sorted(files.items())),
+            "artifacts": artifacts,
         }
 
 
@@ -131,6 +138,10 @@ def differences(old: dict, new: dict) -> list[str]:
         if a["exit"] != b["exit"]:
             lines.append(f"{key}: exit {a['exit']} -> {b['exit']}")
         lines += [f"{key}: {s} differs" for s in ("stdout", "stderr") if a[s] != b[s]]
+        listed = a["artifacts"], b["artifacts"]
+        if listed[0] != listed[1]:
+            same = None not in listed and sorted(listed[0]) == sorted(listed[1])
+            lines.append(f"{key}: artifact {'order' if same else 'list'} differs")
         for name in sorted(a["files"].keys() | b["files"].keys()):
             if name not in b["files"]:
                 lines.append(f"{key}: {name} missing")
