@@ -25,8 +25,8 @@ alternative table.
 (glibc only; see `_keep_freed_memory`): freed heap pages stay mapped, so
 the numpy temporaries of each grid and each encoder chunk reuse them
 instead of faulting in fresh zero pages.  Inside `main`, a
-`sweep-pressure` run of 23 points at N = 256 took 111k minor page faults
-without it, 73k of them in the CSV encoder, and takes 2.9k with it.
+`sweep-pressure` run of 23 points at N = 256 took 77k minor page faults
+without it, 41k of them in the CSV encoder, and takes 2.7k with it.
 `import hcfwm` and the library functions leave the allocator alone.
 Every warning of a run is printed once to stderr as one line,
 `warning: <Category>: <message>`.
@@ -79,8 +79,8 @@ def _keep_freed_memory() -> None:
     fresh zero pages, one minor fault per 4 KiB.  Raising both thresholds
     (256 MiB to trim, 32 MiB to mmap) keeps those pages mapped for reuse.
     Both must be set: setting either one alone also switches off glibc's
-    dynamic thresholds and faults more than the default (276k instead of
-    119k for a fresh 23-point `sweep-pressure` process).  Where the C
+    dynamic thresholds and faults more than the default (265k instead of
+    77k for a fresh 23-point `sweep-pressure` process).  Where the C
     library has no mallopt, nothing changes.
     """
     try:
@@ -151,11 +151,19 @@ class _Run:
         return os.path.join(self.run_dir, fname)
 
     def write(self, fname: str, description: str, writer, *args, **kwargs) -> None:
-        """``writer(*args, path=<run dir>/fname, **kwargs)``, then list it;
-        a .csv or .json file whose format output.formats leaves out is
-        skipped."""
+        """``writer(*args, path=<run dir>/fname, **kwargs)``, then list it.
+        A .csv or .json file whose format output.formats leaves out is not
+        written, but its writer still runs without a path and refuses what
+        it would refuse in the file, so the exit code does not depend on
+        output.formats."""
         fmt = fname.rpartition(".")[2]
         if fmt in ("csv", "json") and fmt not in self.cfg.output.formats:
+            try:
+                writer(*args, path=None, **kwargs)
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"{fname}, which output.formats leaves out: {exc}"
+                ) from None
             return
         writer(*args, path=self.path(fname), **kwargs)
         self.artifacts.append({"file": fname, "description": description})

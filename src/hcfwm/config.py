@@ -533,8 +533,9 @@ def _printable_ascii(obj: Any) -> bool:
     return not isinstance(obj, str) or (obj.isascii() and obj.isprintable())
 
 
-def dump_config(cfg: RunConfig, path: str | None = None) -> str:
-    """The config as the YAML text of ``yaml.safe_dump``.
+def dump_config(cfg: RunConfig, path: str | None = None) -> str | None:
+    """The config as the YAML text of ``yaml.safe_dump``: written to
+    ``path`` when given, else returned.
 
     libyaml's ``CSafeDumper`` writes that text in a fraction of the time,
     except that it folds a long double-quoted scalar at other places than
@@ -547,4 +548,4 @@ def dump_config(cfg: RunConfig, path: str | None = None) -> str:
     if _printable_ascii(data):
         dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
     text = yaml.dump(data, Dumper=dumper, default_flow_style=False, sort_keys=True)
-    return export.save(text, path)
+    return export.save((text.encode(),), path)

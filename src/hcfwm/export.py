@@ -14,10 +14,18 @@ exactly the bytes json.dumps gives for its .tolist(): every number as its
 shortest round-trip repr.  The rest of the object, and all of an indented
 one, goes through json.
 
+Both writers hand ``save`` their text as a stream of encoded pieces, and
+``save`` writes each piece as it comes: an array is never held as text
+whole, so a grid artifact costs one chunk of working memory, not one
+file.  Given no path, ``save`` joins the pieces and every exporter
+returns the text; given a path, it writes the file, closes it and
+returns None.
+
 A non-finite number never reaches an artifact: both writers raise
-NumericalError (CLI exit 2) before anything is written.  A file that
-cannot be written raises ValidationError (CLI exit 1); ``save`` is the one
-place that opens an artifact for writing.
+NumericalError (CLI exit 2) before the file is opened, as does a string
+that reads like an array stub (ValueError).  A file that cannot be
+written raises ValidationError (CLI exit 1); ``save`` is the one place
+that opens an artifact for writing.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ import json
 import math
 import os
 import re
+from collections.abc import Iterable, Iterator
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -164,22 +174,23 @@ def _encode(values: np.ndarray, seps: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _table_text(table: np.ndarray, path: str | None) -> str:
-    """CSV body of a 2-D float64 table, after refusing a non-finite cell."""
+def _refuse_non_finite_table(table: np.ndarray, path: str | None) -> None:
     finite = np.isfinite(table)
     if not finite.all():
         row = int(np.flatnonzero(~finite.all(axis=1))[0])
         raise NumericalError(f"non-finite number on line {row + 2} of {_where(path)}")
+
+
+def _table_pieces(table: np.ndarray) -> Iterator[bytes]:
+    """CSV body of a finite 2-D float64 table, a chunk of rows at a time."""
     n_rows, n_cols = table.shape
     step = max(1, _CHUNK_CELLS // n_cols)
     seps = np.full((step, n_cols), 44 << 40, dtype=np.uint64)
     seps[:, -1] = 10 << 40
     seps = seps.ravel()
-    chunks = []
     for start in range(0, n_rows, step):
         cells = table[start : start + step].ravel()
-        chunks.append(_encode(cells, seps[: cells.size]).decode("ascii"))
-    return "".join(chunks)
+        yield _encode(cells, seps[: cells.size])
 
 
 # ------------------------------------------------ JSON float arrays
@@ -365,14 +376,15 @@ def _repr_encode(values: np.ndarray, seps: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _array_pieces(arr: np.ndarray) -> list[str]:
-    """json.dumps(arr.tolist()) of a finite 1-D or 2-D float64 array, in
-    pieces."""
+def _array_pieces(arr: np.ndarray) -> Iterator[bytes]:
+    """json.dumps(arr.tolist()) of a finite 1-D or 2-D float64 array, a
+    chunk at a time."""
     if arr.size == 0:
-        return [json.dumps(arr.tolist())]
+        yield json.dumps(arr.tolist()).encode()
+        return
     flat = arr.ravel()
     n_cols = arr.shape[-1]
-    pieces = ["[[" if arr.ndim == 2 else "["]
+    yield b"[[" if arr.ndim == 2 else b"["
     for start in range(0, flat.size, _REPR_CHUNK):
         cells = flat[start : start + _REPR_CHUNK]
         # ", " after a cell, "\x01" (for "], [") after a row, none at the end
@@ -380,25 +392,26 @@ def _array_pieces(arr: np.ndarray) -> list[str]:
         seps[(n_cols - 1 - start) % n_cols :: n_cols] = 1 << 48
         if start + cells.size == flat.size:
             seps[-1] = 0
-        text = _repr_encode(cells, seps).replace(b"\x01", b"], [")
-        pieces.append(text.decode("ascii"))
-    pieces.append("]]" if arr.ndim == 2 else "]")
-    return pieces
+        yield _repr_encode(cells, seps).replace(b"\x01", b"], [")
+    yield b"]]" if arr.ndim == 2 else b"]"
 
 
-def save(text: str, path: str | None) -> str:
-    """Write ``text`` to ``path`` when given, and return it.  A file that
-    cannot be written (a directory in its place, a full disk) raises
+def save(pieces: Iterable[bytes], path: str | None) -> str | None:
+    """Write ``pieces`` to ``path`` one by one as they come, close the file
+    and return None; with no path, return their text.  A file that cannot
+    be written (a directory in its place, a full disk) raises
     ValidationError naming it."""
-    if path is not None:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValidationError(
-                f"cannot write {path}: {exc.strerror}"
-            ) from None
-    return text
+    if path is None:
+        return b"".join(pieces).decode()
+    try:
+        with open(path, "wb") as fh:
+            for piece in pieces:
+                fh.write(piece)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write {path}: {exc.strerror}"
+        ) from None
+    return None
 
 
 def _where(path: str | None) -> str:
@@ -415,11 +428,11 @@ def _refuse_non_finite(text: str, first_line: int, path: str | None) -> None:
             raise NumericalError(f"non-finite number on line {line} of {_where(path)}")
 
 
-def to_csv(header, rows, path: str | None = None) -> str:
-    """CSV text of ``header`` (an iterable of cells) and ``rows`` (an
-    iterable of such rows, or a 2-D float64 ndarray), written to ``path``
-    when given."""
-    head = _line(header)
+def to_csv(header, rows, path: str | None = None) -> str | None:
+    """CSV of ``header`` (an iterable of cells) and ``rows`` (an iterable
+    of such rows, or a 2-D float64 ndarray): written to ``path`` when
+    given, else returned as text."""
+    head = _line(header) + "\n"
     _refuse_non_finite(head, 1, path)
     if (
         isinstance(rows, np.ndarray)
@@ -427,11 +440,13 @@ def to_csv(header, rows, path: str | None = None) -> str:
         and rows.dtype == np.float64
         and rows.shape[1] > 0
     ):
-        body = _table_text(rows, path)
+        _refuse_non_finite_table(rows, path)
+        body = _table_pieces(rows)
     else:
-        body = "".join([_line(row) + "\n" for row in rows])
-        _refuse_non_finite(body, 2, path)
-    return save(f"{head}\n{body}", path)
+        text = "".join([_line(row) + "\n" for row in rows])
+        _refuse_non_finite(text, 2, path)
+        body = (text.encode(),)
+    return save(chain((head.encode(),), body), path)
 
 
 def _stub_arrays(obj, arrays: list):
@@ -447,10 +462,20 @@ def _stub_arrays(obj, arrays: list):
     return obj
 
 
-def to_json(obj, path: str | None = None, indent: int | None = None) -> str:
-    """Key-sorted JSON text of ``obj``, written to ``path`` when given;
-    with ``indent``, the text ends in a newline.  Without ``indent``, a 1-D
-    or 2-D float64 ndarray in ``obj`` is written as its ``.tolist()``."""
+def _json_pieces(parts: list[str], arrays: list) -> Iterator[bytes]:
+    # every other part is the index of an array, in the order of the text
+    for i, part in enumerate(parts):
+        if i % 2:
+            yield from _array_pieces(arrays[int(part)])
+        else:
+            yield part.encode()
+
+
+def to_json(obj, path: str | None = None, indent: int | None = None) -> str | None:
+    """Key-sorted JSON of ``obj``: written to ``path`` when given, else
+    returned as text; with ``indent``, the text ends in a newline.  Without
+    ``indent``, a 1-D or 2-D float64 ndarray in ``obj`` is written as its
+    ``.tolist()``."""
     arrays = []
     if indent is None:
         obj = _stub_arrays(obj, arrays)
@@ -463,13 +488,9 @@ def to_json(obj, path: str | None = None, indent: int | None = None) -> str:
         raise non_finite from None
     if indent is not None:
         text += "\n"
-    elif arrays:
-        # every other piece is the index of an array, in the order of the text
-        parts = re.split(r'"\\u0000(\d+)"', text)
-        if len(parts) != 2 * len(arrays) + 1:
-            raise ValueError("a string in the object reads like an array stub")
-        pieces = []
-        for i, part in enumerate(parts):
-            pieces += _array_pieces(arrays[int(part)]) if i % 2 else [part]
-        text = "".join(pieces)
-    return save(text, path)
+    if not arrays:
+        return save((text.encode(),), path)
+    parts = re.split(r'"\\u0000(\d+)"', text)
+    if len(parts) != 2 * len(arrays) + 1:
+        raise ValueError("a string in the object reads like an array stub")
+    return save(_json_pieces(parts, arrays), path)

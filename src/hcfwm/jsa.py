@@ -59,6 +59,8 @@ DEFAULT_GRID_N = 512
 MAX_GRID_N = 4096
 DEFAULT_KAPPA_SPAN = 4.0
 CLIP_FATAL_FRACTION = 0.20
+# build_jsa evaluates the grid this many cells at a time, rounded to whole rows
+_BLOCK_CELLS = 32768
 
 _FOUR_LN2 = 4.0 * np.log(2.0)
 
@@ -338,13 +340,19 @@ def build_jsa(
             stacklevel=2,
         )
 
-    phi = phi_function(
-        fiber, gas, branch,
-        np.where(ok_s, omega_s, np.nan)[:, None],
-        np.where(ok_i, omega_i, np.nan)[None, :],
-        L_m, mode=mode, check=False,
-    )
-    values = pump.alpha(omega_s[:, None] + omega_i[None, :]) * phi
+    # alpha * phi a block of whole rows at a time: each cell gets the same
+    # bits as in one pass over the grid, and the temporaries stay small
+    in_s = np.where(ok_s, omega_s, np.nan)[:, None]
+    in_i = np.where(ok_i, omega_i, np.nan)[None, :]
+    values = np.empty((n, n), dtype=complex)
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        phi = phi_function(
+            fiber, gas, branch, in_s[rows], in_i, L_m, mode=mode, check=False
+        )
+        alpha = pump.alpha(omega_s[rows, None] + omega_i[None, :])
+        np.multiply(alpha, phi, out=values[rows])
     values[~mask] = 0.0
 
     if not np.all(np.isfinite(values)):
@@ -412,7 +420,7 @@ def marginals(intensity, omega_s, omega_i) -> Marginals:
     )
 
 
-def jsa_to_json(grid: JsaGrid, path: str | None = None) -> str:
+def jsa_to_json(grid: JsaGrid, path: str | None = None) -> str | None:
     """Self-describing JSON: axes, row-major magnitude and phase, metadata."""
     obj = {
         "omega_s_rad_s": grid.omega_s,
@@ -453,7 +461,7 @@ def jsa_to_json(grid: JsaGrid, path: str | None = None) -> str:
 
 def grid_to_csv(
     lambda_s_nm, lambda_i_nm, values, path: str | None = None
-) -> str:
+) -> str | None:
     """Real grid as CSV; first row holds idler wavelengths (nm), first
     column signal wavelengths (nm), corner cell 0."""
     lam_s = np.asarray(lambda_s_nm, dtype=float)
@@ -466,6 +474,6 @@ def grid_to_csv(
     )
 
 
-def jsi_to_csv(grid: JsaGrid, path: str | None = None) -> str:
+def jsi_to_csv(grid: JsaGrid, path: str | None = None) -> str | None:
     """JSI as CSV in the layout of grid_to_csv."""
     return grid_to_csv(grid.lambda_s_nm, grid.lambda_i_nm, jsi(grid), path)

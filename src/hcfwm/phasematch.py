@@ -451,7 +451,9 @@ def density_map(
     return _solve_pumps(fiber, gas, pumps, (RangeError, NumericalError), **solve)
 
 
-def density_map_to_csv(branches: list[PhaseMatchBranch], path=None) -> str:
+def density_map_to_csv(
+    branches: list[PhaseMatchBranch], path: str | None = None
+) -> str | None:
     """Serialize map branches; delta_omega_THz is angular frequency / 1e12."""
     return export.to_csv(
         DENSITY_CSV_HEADER,

@@ -120,17 +120,18 @@ def schmidt_decompose(grid, flat_phase: bool = False) -> SchmidtResult:
     c = c / np.sum(c)
     rank = int(np.count_nonzero(keep))
 
+    # copies, so that the result does not keep the full N x N factors alive
     return SchmidtResult(
         coefficients=c,
         K=float(1.0 / np.sum(c**2)),
         purity=float(np.sum(c**2)),
         flat_phase=bool(flat_phase),
-        signal_modes=u[:, :rank],
-        idler_modes=vh[:rank, :].T,
+        signal_modes=u[:, :rank].copy(),
+        idler_modes=vh[:rank, :].T.copy(),
     )
 
 
-def schmidt_to_json(result: SchmidtResult, path: str | None = None) -> str:
+def schmidt_to_json(result: SchmidtResult, path: str | None = None) -> str | None:
     obj = {
         "c": result.coefficients,
         "K": result.K,
@@ -140,7 +141,7 @@ def schmidt_to_json(result: SchmidtResult, path: str | None = None) -> str:
     return export.to_json(obj, path)
 
 
-def schmidt_modes_to_csv(result: SchmidtResult, path: str | None = None) -> str:
+def schmidt_modes_to_csv(result: SchmidtResult, path: str | None = None) -> str | None:
     """The MODES_CSV_COUNT leading Schmidt mode vectors (fewer when the
     decomposition has fewer) as CSV columns (real part, then imag when any
     mode is complex)."""

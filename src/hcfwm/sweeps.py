@@ -252,8 +252,9 @@ def _evaluate_point(cfg: RunConfig, fiber, pump, value, gas, branch, L_m,
 def _sweep_points(cfg: RunConfig, fiber, pump, values, at, write, stem, param):
     """(points, gaps) over ``values`` in order.  ``at(value)`` gives the
     gas, branch and length of a point; a point that fails is a gap.  With
-    ``write``, values whose grid file names coincide are refused first."""
-    if write is not None:
+    ``write``, and csv among ``cfg.output.formats`` so that the grids are
+    written, values whose grid file names coincide are refused first."""
+    if write is not None and "csv" in cfg.output.formats:
         named: dict[str, float] = {}
         for value in values:
             fname = stem.format(value)
@@ -356,7 +357,7 @@ def sweep_pressure(cfg: RunConfig, write=None) -> SweepResult:
     )
 
 
-def summary_csv(result: SweepResult, path: str | None = None) -> str:
+def summary_csv(result: SweepResult, path: str | None = None) -> str | None:
     """One row per successful sweep point, in axis order."""
     return export.to_csv(
         SUMMARY_CSV_HEADER,

@@ -347,7 +347,7 @@ def power_scaling_check(
     )
 
 
-def set_scan_to_csv(scan: SetScan, path: str | None = None) -> str:
+def set_scan_to_csv(scan: SetScan, path: str | None = None) -> str | None:
     """Long-format CSV, one row per (seed step, signal sample)."""
     n_steps, n_signal = scan.slices.shape
     table = np.column_stack((
@@ -359,6 +359,6 @@ def set_scan_to_csv(scan: SetScan, path: str | None = None) -> str:
     return export.to_csv(SET_CSV_HEADER.split(","), table, path)
 
 
-def reconstruction_to_csv(rec: Reconstruction, path: str | None = None) -> str:
+def reconstruction_to_csv(rec: Reconstruction, path: str | None = None) -> str | None:
     """Reconstructed JSI in the shared grid CSV layout."""
     return grid_to_csv(rec.lambda_s_nm, rec.lambda_i_nm, rec.values, path)

@@ -400,6 +400,19 @@ def test_sweep_values_sharing_a_grid_file_exit_1(
     assert not list((tmp_path / "o").rglob("jsi_*"))
 
 
+def test_sweep_values_sharing_a_grid_file_pass_without_csv(tmp_path, capsys):
+    """Without csv among output.formats no grid file is written, so values
+    whose grid files would share a name are no conflict."""
+    raw = copy.deepcopy(BASE)
+    raw["sweep_length"] = {"lengths_m": [0.4000001, 0.4000002]}
+    raw["output"] = {"formats": ["json"]}
+    assert _run_cli(tmp_path, "sweep-length", raw) == 0
+    run_dir = tmp_path / "o" / "sweep-length" / "t"
+    assert not list(run_dir.glob("*.csv"))
+    assert json.loads((run_dir / "sweep.json").read_text())["n_points"] == 2
+    assert "would both write" not in capsys.readouterr().err
+
+
 def test_failed_zdw_search_warns_and_drops_its_band(tmp_path, capsys,
                                                      monkeypatch):
     find_zdw = fibermodel.find_zdw
@@ -552,6 +565,30 @@ def test_extreme_config_exits_2_with_finite_artifacts(
     assert len(set(warned)) == len(warned)
     assert not [p for p in out.rglob("*") if p.is_file()
                 and _non_finite_in(str(p))]
+
+
+@pytest.mark.parametrize(
+    "formats", [["csv"], ["json"], ["csv", "json"]], ids=["csv", "json", "both"]
+)
+def test_exit_code_does_not_depend_on_output_formats(formats, tmp_path, capsys):
+    """A file that output.formats leaves out is not written, but what its
+    writer would refuse in it still stops the run."""
+    raw = copy.deepcopy(BASE)
+    raw["fiber"]["R_eff_um"] = 1e-300  # NaN in dispersion.csv
+    raw["output"] = {"formats": formats}
+    assert _run_cli(tmp_path, "dispersion", raw) == 2
+    failure = capsys.readouterr().err.splitlines()[-1]
+    if "csv" in formats:
+        assert failure == (
+            "numerical failure: non-finite number on line 2 of dispersion.csv"
+        )
+    else:
+        assert failure == (
+            "numerical failure: dispersion.csv, which output.formats leaves "
+            "out: non-finite number on line 2 of the artifact"
+        )
+    assert not list((tmp_path / "o").rglob("dispersion.csv"))
+    assert not list((tmp_path / "o").rglob("manifest.json"))
 
 
 # ------------------------------------------- random configs: no escapes
@@ -1000,8 +1037,8 @@ def _has_glibc_mallopt():
 def test_cli_keeps_freed_heap_pages(tmp_path):
     """main raises glibc's trim and mmap thresholds together, so repeated
     encodes of one grid reuse the freed pages of the last one instead of
-    faulting in fresh zero pages (about 13k faults with glibc's defaults,
-    34k with only the trim threshold raised)."""
+    faulting in fresh zero pages (about 5k faults with glibc's defaults,
+    33k with only the trim threshold raised)."""
     out = str(tmp_path / "out")
     proc = _fresh_python(
         "import resource, numpy\n"

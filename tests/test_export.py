@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from _oracles import csv_writer_text, tolist_jsa_json
-from hcfwm import cli, export, jsa, sweeps
+from hcfwm import cli, config, export, jsa, sweeps
 from hcfwm.errors import NumericalError
 
 EDGE_VALUES = [
@@ -54,10 +55,83 @@ def test_grid_exporter_matches_per_cell_writer(grid128, tmp_path):
     rows = [
         [x] + row.tolist() for x, row in zip(grid128.lambda_s_nm.tolist(), values)
     ]
-    path = tmp_path / "jsi.csv"
-    text = jsa.jsi_to_csv(grid128, str(path))
+    text = jsa.jsi_to_csv(grid128)
     assert text == csv_writer_text(header, rows)
+    path = tmp_path / "jsi.csv"
+    assert jsa.jsi_to_csv(grid128, str(path)) is None
     assert path.read_text() == text
+
+
+# ------------------------------------------------ streaming to a file
+
+_TABLE = np.random.default_rng(23).normal(size=(3000, 25)) * 1e-7  # 3 chunks
+_ARRAY = np.random.default_rng(29).normal(size=(91, 97))  # 2 chunks
+
+WRITERS = {
+    "csv-array": lambda path: export.to_csv(
+        [f"c{j}" for j in range(25)], _TABLE, path
+    ),
+    "csv-text": lambda path: export.to_csv(
+        ("band", "lo_nm", "hi_nm"),
+        [("I", 1e3 * k, 1e3 * k + 0.5) for k in range(200)],
+        path,
+    ),
+    "json-compact": lambda path: export.to_json(
+        {"grid": _ARRAY, "axis": _ARRAY[0], "meta": {"mode": "full"}}, path
+    ),
+    "json-indented": lambda path: export.to_json(
+        {"fit": {"slope": -1.5, "r_squared": 0.999}, "gaps": []}, path, indent=1
+    ),
+    "yaml": lambda path: config.dump_config(cli.resolve_config("map_t300"), path),
+}
+
+
+@pytest.mark.parametrize("form", WRITERS)
+def test_file_holds_the_text_returned_without_a_path(form, tmp_path):
+    write = WRITERS[form]
+    text = write(None)
+    path = tmp_path / "artifact"
+    assert write(str(path)) is None
+    assert path.read_bytes() == text.encode()
+
+
+def test_refused_stub_string_leaves_no_file(tmp_path):
+    path = tmp_path / "jsa.json"
+    with pytest.raises(ValueError, match="array stub"):
+        export.to_json({"a": np.ones(3), "b": "\x000"}, str(path))
+    assert not path.exists()
+
+
+@pytest.fixture(scope="module")
+def grid1024(fiber, xenon, pump, branch):
+    return jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=1024)
+
+
+def _traced_peak(write) -> int:
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_jsa_json_streams_to_its_file(grid1024, tmp_path):
+    """Only the magnitude and phase arrays and one chunk of text are held
+    at once, not the 46 MB file."""
+    path = tmp_path / "jsa.json"
+    peak = _traced_peak(lambda: jsa.jsa_to_json(grid1024, str(path)))
+    assert peak < 0.6 * path.stat().st_size
+
+
+def test_grid_csv_streams_to_its_file(grid1024, tmp_path):
+    """Only the table with its wavelength column and one chunk of text are
+    held at once, not the 16 MB file."""
+    lam_s, lam_i = grid1024.lambda_s_nm, grid1024.lambda_i_nm
+    values = jsa.jsi(grid1024)
+    path = tmp_path / "jsi.csv"
+    peak = _traced_peak(lambda: jsa.grid_to_csv(lam_s, lam_i, values, str(path)))
+    assert peak < 1.25 * path.stat().st_size
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -246,9 +320,10 @@ def test_json_layouts(tmp_path):
     obj = {"b": [1.5, -0.0], "a": {"z": 1, "y": "nan"}}
     compact = export.to_json(obj)
     assert compact == json.dumps(obj, sort_keys=True)
-    path = tmp_path / "manifest.json"
-    pretty = export.to_json(obj, str(path), indent=1)
+    pretty = export.to_json(obj, indent=1)
     assert pretty == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    path = tmp_path / "manifest.json"
+    assert export.to_json(obj, str(path), indent=1) is None
     assert path.read_text() == pretty
 
 

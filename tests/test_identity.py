@@ -1,6 +1,7 @@
 """Smoke test of tools/identity.py on two runs, one that exits 0 and one
-that exits 1.  No hashes are frozen here: SVD bits depend on the BLAS
-build, so only records made on one machine are compared."""
+that exits 1, and of its peak-RSS notes.  No hashes are frozen here: SVD
+bits depend on the BLAS build, so only records made on one machine are
+compared."""
 
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ def test_record_and_compare(tmp_path, capsys):
     assert refused["files"] == {}
     assert ok["artifacts"] == ["bands.csv", "dispersion.csv", "zdw.csv", "config.yaml"]
     assert refused["artifacts"] is None
+    assert ok["peak_rss_kb"] > 0 and refused["peak_rss_kb"] > 0
     assert identity.summary(rec) == "2 runs (1 exit 0, 1 exit 1), 5 files"
 
     # a rerun in fresh interpreters and work directories is identical
@@ -64,3 +66,21 @@ def test_record_and_compare(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("identical\n")
     assert identity.main(["compare", str(old), str(new)]) == 1
     assert capsys.readouterr().out.endswith("5 difference(s)\n")
+
+    # peak RSS is noted when it moves by more than 5%, and never differs
+    ok["peak_rss_kb"] = 20480
+    heavier = copy.deepcopy(rec)
+    heavier["runs"]["dispersion/map_t300/bundled"]["peak_rss_kb"] = 40960
+    heavier["runs"]["set-sim/map_t300/full"]["peak_rss_kb"] = int(
+        refused["peak_rss_kb"] * 1.04
+    )
+    old.write_text(json.dumps(rec))
+    new.write_text(json.dumps(heavier))
+    assert identity.differences(rec, heavier) == []
+    assert identity.rss_moves(rec, heavier) == [
+        "note: dispersion/map_t300/bundled: peak RSS 20.0 -> 40.0 MiB (+100%)"
+    ]
+    assert identity.main(["compare", str(old), str(new)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("note: dispersion/map_t300/bundled: peak RSS")
+    assert out.endswith("identical\n")

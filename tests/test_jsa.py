@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -408,6 +409,59 @@ def test_quasi_cw_pump_pins_the_antidiagonal(fiber, xenon, branch):
     assert var_u / var_v < 1e-2
     k = schmidt.schmidt_decompose(grid, flat_phase=True).K
     assert k > 10.0
+
+
+def _one_pass_values(fiber, gas, pump, grid):
+    """build_jsa's values for the axes of ``grid``, every cell of alpha and
+    phi evaluated in one pass over the whole grid."""
+    om_s, om_i = grid.omega_s, grid.omega_i
+    structure = fibermodel.band_structure(fiber, gas)
+    ok_s = structure.in_band_mask(fibermodel.lambda_nm_from_omega(om_s))
+    ok_i = structure.in_band_mask(fibermodel.lambda_nm_from_omega(om_i))
+    mask = np.outer(ok_s, ok_i)
+    if grid.mode == "full":
+        om_bar = 0.5 * (om_s[:, None] + om_i[None, :])
+        mask &= structure.in_band_mask(fibermodel.lambda_nm_from_omega(om_bar))
+    phi = jsa.phi_function(
+        fiber, gas, grid.branch,
+        np.where(ok_s, om_s, np.nan)[:, None],
+        np.where(ok_i, om_i, np.nan)[None, :],
+        grid.L_m, mode=grid.mode, check=False,
+    )
+    values = pump.alpha(om_s[:, None] + om_i[None, :]) * phi
+    values[~mask] = 0.0
+    values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell_area)
+    return values
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["gaussian", "sampled"])
+@pytest.mark.parametrize("mode", ["linearized", "full"])
+# 64 rows: fewer than one block; 300: blocks of 109 rows, the last one short
+@pytest.mark.parametrize("n", [64, 300])
+def test_blocked_build_matches_one_pass_bit_for_bit(fiber, xenon, pump, branch,
+                                                    n, mode, sampled):
+    if sampled:
+        pump = SampledPump.modulated_gaussian(
+            pump.omega_p0, pump.sigma, depth=0.3, period=3e12
+        )
+    grid = jsa.build_jsa(fiber, xenon, pump, branch, L_m=0.4, n=n, mode=mode)
+    assert (n > jsa._BLOCK_CELLS // n) == (n == 300)
+    expected = _one_pass_values(fiber, xenon, pump, grid)
+    assert grid.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["linearized", "full"])
+def test_build_jsa_working_memory(fiber, xenon, pump, branch, mode):
+    """Alpha and phi are built in row blocks: at N = 1024 the peak of
+    traced allocations stays near the grid itself and one |F|^2 pass."""
+    tracemalloc.start()
+    try:
+        grid = jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=1024,
+                             mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * grid.values.nbytes
 
 
 def test_schmidt_number_decreases_with_length(fiber, xenon, pump, branch,

@@ -5,11 +5,14 @@ and once with ``grid.mode: full``, each run in a fresh interpreter and
 its own work directory.  For each run it stores the exit code, the
 sha256 of stdout and of stderr (with the work directory replaced by
 ``<work>``), the sha256 of every file the run wrote, and the file names
-its ``manifest.json`` lists, in order.  ``compare`` prints every
-difference between two records and exits 1 if there is any; where a
-manifest lists the same files in another order, it says "artifact order
-differs", which accounts for the manifest and stdout lines that differ
-with it::
+its ``manifest.json`` lists, in order.  It also stores the run's peak
+resident set size, read from ``os.wait4`` on the child.  ``compare``
+prints every difference between two records and exits 1 if there is any;
+where a manifest lists the same files in another order, it says
+"artifact order differs", which accounts for the manifest and stdout
+lines that differ with it.  It also lists, as notes, the runs whose peak
+RSS moved by more than 5%; memory is not part of byte identity and never
+fails the comparison::
 
     python tools/identity.py record new.json
     python tools/identity.py record old.json --src old-checkout/src
@@ -46,6 +49,8 @@ SUBCOMMANDS = (
     "sweep-length", "sweep-pressure", "density-map",
 )
 VARIANTS = ("bundled", "full")
+# peak RSS moves beyond this fraction are noted by compare
+RSS_NOTE_FRACTION = 0.05
 
 
 def all_runs(src: str) -> list[tuple[str, str, str]]:
@@ -77,11 +82,19 @@ def _run_one(src: str, subcommand: str, recipe: str, variant: str) -> dict:
             with open(config, "w", encoding="utf-8") as fh:
                 yaml.safe_dump(raw, fh, sort_keys=True)
         out = os.path.join(work, "out")
-        proc = subprocess.run(
-            [sys.executable, "-m", "hcfwm.cli", subcommand, "--config", config,
-             "--out", out, "--label", "run"],
-            cwd=work, env=env, capture_output=True,
-        )
+        with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "hcfwm.cli", subcommand, "--config",
+                 config, "--out", out, "--label", "run"],
+                cwd=work, env=env, stdout=stdout, stderr=stderr,
+            )
+            # wait4 rather than proc.wait: it also gives the child's usage
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            streams = []
+            for fh in (stdout, stderr):
+                fh.seek(0)
+                streams.append(fh.read())
         files, artifacts = {}, None
         for root, _, names in os.walk(out):
             for name in names:
@@ -94,10 +107,11 @@ def _run_one(src: str, subcommand: str, recipe: str, variant: str) -> dict:
         placeholder = work.encode()
         return {
             "exit": proc.returncode,
-            "stdout": _sha256(proc.stdout.replace(placeholder, b"<work>")),
-            "stderr": _sha256(proc.stderr.replace(placeholder, b"<work>")),
+            "stdout": _sha256(streams[0].replace(placeholder, b"<work>")),
+            "stderr": _sha256(streams[1].replace(placeholder, b"<work>")),
             "files": dict(sorted(files.items())),
             "artifacts": artifacts,
+            "peak_rss_kb": usage.ru_maxrss,  # KiB on Linux
         }
 
 
@@ -149,6 +163,21 @@ def differences(old: dict, new: dict) -> list[str]:
                 lines.append(f"{key}: {name} added")
             elif a["files"][name] != b["files"][name]:
                 lines.append(f"{key}: {name} differs")
+    return lines
+
+
+def rss_moves(old: dict, new: dict) -> list[str]:
+    """One note per run in both records whose peak RSS moved by more than
+    RSS_NOTE_FRACTION; a record without peak RSS gives none."""
+    lines = []
+    for key in sorted(old["runs"].keys() & new["runs"].keys()):
+        a = old["runs"][key].get("peak_rss_kb")
+        b = new["runs"][key].get("peak_rss_kb")
+        if a and b and abs(b - a) > RSS_NOTE_FRACTION * a:
+            lines.append(
+                f"note: {key}: peak RSS {a / 1024:.1f} -> {b / 1024:.1f} MiB "
+                f"({b / a - 1:+.0%})"
+            )
     return lines
 
 
@@ -210,7 +239,7 @@ def main(argv=None) -> int:
         if old[field] != new[field]:
             print(f"note: {field} {old[field]} -> {new[field]}; SVD bits may differ")
     lines = differences(old, new)
-    for line in lines:
+    for line in lines + rss_moves(old, new):
         print(line)
     print(f"old: {summary(old)}\nnew: {summary(new)}")
     print(f"{len(lines)} difference(s)" if lines else "identical")
