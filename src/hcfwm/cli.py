@@ -15,11 +15,10 @@ is accepted (it must be >= 1) and ignored: hcfwm starts no threads of its
 own.  numpy's OpenBLAS does, one per CPU unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS says otherwise: its workers exist from `import numpy` on
 and sleep until a BLAS or LAPACK call (the Schmidt SVDs, the sweeps'
-Schmidt numbers, the power-law fits) wakes them; on a small matrix,
-waking them costs milliseconds, more than the arithmetic.  The thread
-count is left to the caller's environment.  The bundled gas data can be
-replaced by pointing the HCFWM_GAS_DATA environment variable at an
-alternative table.
+Schmidt numbers) wakes them; on a small matrix, waking them costs
+milliseconds, more than the arithmetic.  The thread count is left to the
+caller's environment.  The bundled gas data can be replaced by pointing
+the HCFWM_GAS_DATA environment variable at an alternative table.
 
 `main` also sets the C allocator's policy for the process it runs in
 (glibc only; see `_keep_freed_memory`): freed heap pages stay mapped, so
@@ -355,11 +354,7 @@ def cmd_set_sim(run: _Run) -> None:
         float(fibermodel.omega_from_lambda_nm(ss.seed_min_nm)),
         ss.steps,
     )
-    noise = tomography.NoiseModel(
-        rel_sigma=ss.noise.rel_sigma,
-        dark_floor=ss.noise.dark_floor,
-        seed=ss.noise.seed,
-    )
+    noise = tomography.NoiseModel(**dataclasses.asdict(ss.noise))
     scan = tomography.simulate_set_scan(
         grid,
         seed_axis,

@@ -62,8 +62,6 @@ CLIP_FATAL_FRACTION = 0.20
 # build_jsa evaluates the grid this many cells at a time, rounded to whole rows
 _BLOCK_CELLS = 32768
 
-_FOUR_LN2 = 4.0 * np.log(2.0)
-
 
 @dataclass(frozen=True)
 class GaussianPump:
@@ -397,6 +395,8 @@ def marginals(intensity, omega_s, omega_i) -> Marginals:
     omega_i = np.asarray(omega_i, dtype=float)
     if intensity.shape != (omega_s.size, omega_i.size):
         raise ValidationError("JSI shape does not match the axes")
+    if min(omega_s.size, omega_i.size) < 2:
+        raise ValidationError("JSI axes need at least 2 points")
     if not (np.all(np.isfinite(omega_s)) and np.all(np.isfinite(omega_i))):
         raise ValidationError("JSI axes must be finite")
     d_s = float(omega_s[1] - omega_s[0])

@@ -44,6 +44,7 @@ from .jsa import (
 )
 from .phasematch import PhaseMatchBranch, density_map, solve_phase_matching
 from .schmidt import schmidt_number
+from .tomography import line_fit
 
 __all__ = [
     "SweepPoint",
@@ -337,13 +338,10 @@ def sweep_pressure(cfg: RunConfig, write=None) -> SweepResult:
         )
     pr = np.array([p.value for p in points])
     nu = np.array([p.idler_omega for p in points]) / 1e12
-    slope, intercept = np.polyfit(pr, nu, 1)
-    resid = nu - (slope * pr + intercept)
-    ss_tot = float(np.sum((nu - nu.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 1.0
+    slope, intercept, r2 = line_fit(pr, nu)
     fit = PressureFit(
-        slope_THz_per_bar=float(slope),
-        intercept_THz=float(intercept),
+        slope_THz_per_bar=slope,
+        intercept_THz=intercept,
         r_squared=r2,
         span_THz=float(nu.max() - nu.min()),
         n_points=len(points),

@@ -17,7 +17,7 @@ across a 30 nm sweep near 1550 nm the neglected variation is below 1%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "simulate_set_scan",
     "reconstruct_jsi",
     "power_scaling_check",
+    "line_fit",
     "set_scan_to_csv",
     "reconstruction_to_csv",
 ]
@@ -100,7 +101,6 @@ class SetScan:
     seed_power_W: np.ndarray
     pump_power_W: float
     duty_cycle: float = 1.0
-    noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
         self.omega_i = np.asarray(self.omega_i, dtype=float)
@@ -237,7 +237,6 @@ def simulate_set_scan(
         seed_power_W=powers,
         pump_power_W=float(pump_power_W),
         duty_cycle=float(duty_cycle),
-        noise=noise,
     )
 
 
@@ -270,14 +269,21 @@ def reconstruct_jsi(scan: SetScan) -> Reconstruction:
     )
 
 
-def _loglog_fit(powers: np.ndarray, totals: np.ndarray) -> tuple[float, float]:
-    x = np.log(powers)
-    y = np.log(totals)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 1.0
-    return float(slope), r2
+def line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line y = slope * x + intercept: (slope, intercept, r²).
+
+    Closed form on centred data in elementwise sums, so no BLAS or LAPACK
+    routine runs; r² is 1 for a flat y.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    dx, dy = x - x.mean(), y - y.mean()
+    ss_x, ss_tot = float(np.sum(dx * dx)), float(np.sum(dy * dy))
+    if not ss_x > 0.0:
+        raise ValidationError("a line fit needs at least 2 distinct x values")
+    slope = float(np.sum(dx * dy)) / ss_x
+    ss_res = float(np.sum((dy - slope * dx) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    return slope, float(y.mean() - slope * x.mean()), r2
 
 
 def power_scaling_check(
@@ -322,11 +328,7 @@ def power_scaling_check(
             seed_omega_i,
             pump_W,
             seed_W,
-            noise=NoiseModel(
-                rel_sigma=noise.rel_sigma,
-                dark_floor=noise.dark_floor,
-                seed=(*noise.seed, tag, idx),
-            ),
+            noise=replace(noise, seed=(*noise.seed, tag, idx)),
             duty_cycle=duty_cycle,
         )
         return float(np.sum(scan.slices - noise.dark_floor))
@@ -337,8 +339,8 @@ def power_scaling_check(
     pump_totals = np.array(
         [total_counts(p, 1.0, 1, i) for i, p in enumerate(pump_powers)]
     )
-    seed_exp, r2_seed = _loglog_fit(seed_powers, seed_totals)
-    pump_exp, r2_pump = _loglog_fit(pump_powers, pump_totals)
+    seed_exp, _, r2_seed = line_fit(np.log(seed_powers), np.log(seed_totals))
+    pump_exp, _, r2_pump = line_fit(np.log(pump_powers), np.log(pump_totals))
     return PowerScaling(
         seed_exponent=seed_exp,
         pump_exponent=pump_exp,

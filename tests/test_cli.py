@@ -1002,19 +1002,26 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
 
 def test_design_map_runs_without_lapack(tmp_path):
     """The HE11 mode parameter is a literal, so the design-map subcommands
-    make no BLAS or LAPACK call: each runs with numpy's linear algebra
-    replaced by stubs that raise."""
+    make no LAPACK call, and the tuning-slope and power-law fits are
+    closed forms: `set-sim` and `sweep-pressure` make none either.  Each
+    run passes with numpy's linear algebra replaced by stubs that raise.
+    numpy.polyfit holds its own reference to lstsq, so it is stubbed by
+    name as well."""
     out = str(tmp_path / "out")
+    runs = [("dispersion", "map_t300"), ("phasematch", "map_t300"),
+            ("density-map", "map_t300"), ("set-sim", "length_series"),
+            ("sweep-pressure", "tuning_xe")]
     proc = _fresh_python(
         "import numpy\n"
         "def stub(*args, **kwargs):\n"
         "    raise AssertionError('linear algebra called')\n"
         "for name in ('eigvalsh', 'eigh', 'svd', 'lstsq'):\n"
         "    setattr(numpy.linalg, name, stub)\n"
+        "numpy.polyfit = stub\n"
         "from hcfwm import cli\n"
-        "for sub in ('dispersion', 'phasematch', 'density-map'):\n"
-        f"    code = cli.main([sub, '--config', 'map_t300', '--out', {out!r}, "
-        "'--label', 't'])\n"
+        f"for sub, recipe in {runs!r}:\n"
+        "    code = cli.main([sub, '--config', recipe, '--out', "
+        f"{out!r}, '--label', 't'])\n"
         "    assert code == 0, (sub, code)\n"
         "print('ok')",
         tmp_path,

@@ -9,6 +9,10 @@ import copy
 import importlib.util
 import json
 import pathlib
+import sys
+
+import numpy as np
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNS = [("dispersion", "map_t300", "bundled"), ("set-sim", "map_t300", "full")]
@@ -84,3 +88,17 @@ def test_record_and_compare(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("note: dispersion/map_t300/bundled: peak RSS")
     assert out.endswith("identical\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc")
+def test_peak_rss_is_the_runs_own():
+    """A run's peak RSS does not grow with the recorder's: Linux carries
+    the pre-exec high-water mark into ru_maxrss, but not into VmHWM."""
+    identity = _identity()
+    run = [RUNS[0]]
+    key = "/".join(RUNS[0])
+    before = identity.record(str(ROOT / "src"), run)["runs"][key]["peak_rss_kb"]
+    ballast = np.ones(100 * 2**20 // 8)  # about 100 MB, every page touched
+    after = identity.record(str(ROOT / "src"), run)["runs"][key]["peak_rss_kb"]
+    del ballast
+    assert after == pytest.approx(before, rel=0.05)

@@ -538,6 +538,9 @@ def test_marginals_raw_grid_interface(grid128):
     )
     with pytest.raises(ValidationError, match="shape"):
         jsa.marginals(intensity[:-1], grid128.omega_s, grid128.omega_i)
+    w = grid128.omega_s[:1]
+    with pytest.raises(ValidationError, match="JSI axes need at least 2 points"):
+        jsa.marginals(np.ones((1, 1)), w, w)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

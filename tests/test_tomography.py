@@ -329,6 +329,45 @@ def test_power_scaling_needs_distinct_powers(grid128):
         tomography.power_scaling_check(grid128, five, repeated)
 
 
+def _polyfit_line(x, y):
+    """The least-squares line by numpy's LAPACK fit, with the same r²."""
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_tot = np.sum((y - y.mean()) ** 2)
+    ss_res = np.sum((y - (slope * x + intercept)) ** 2)
+    return slope, intercept, 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+
+
+@pytest.mark.parametrize("case", ["noisy", "exact", "two points", "log-log"])
+def test_line_fit_matches_polyfit(case):
+    x = np.linspace(2.8, 3.9, 23)
+    y = 1.9e3 - 5.3 * x
+    if case == "noisy":
+        y = y + np.random.default_rng(5).normal(0.0, 0.4, x.size)
+    elif case == "two points":
+        x, y = x[[0, -1]], y[[0, -1]]
+    elif case == "log-log":
+        x = np.log(np.geomspace(1e-4, 1e-2, 7))
+        y = 2.0 * x - 41.0
+    slope, intercept, r2 = tomography.line_fit(x, y)
+    want = _polyfit_line(x, y)
+    assert slope == pytest.approx(want[0], rel=1e-12)
+    assert intercept == pytest.approx(want[1], rel=1e-12)
+    assert r2 == pytest.approx(want[2], rel=1e-12)
+    if case != "noisy":
+        assert r2 == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert 0.9 < r2 < 1.0
+
+
+def test_line_fit_flat_and_degenerate_inputs():
+    slope, intercept, r2 = tomography.line_fit([1.0, 2.0, 4.0], [3.0, 3.0, 3.0])
+    assert (slope, intercept, r2) == (0.0, 3.0, 1.0)
+    with pytest.raises(ValidationError, match="2 distinct x values"):
+        tomography.line_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValidationError, match="2 distinct x values"):
+        tomography.line_fit([1.0, np.nan], [1.0, 2.0])
+
+
 # ----------------------------------------------------------------- IO
 
 

@@ -6,7 +6,10 @@ its own work directory.  For each run it stores the exit code, the
 sha256 of stdout and of stderr (with the work directory replaced by
 ``<work>``), the sha256 of every file the run wrote, and the file names
 its ``manifest.json`` lists, in order.  It also stores the run's peak
-resident set size, read from ``os.wait4`` on the child.  ``compare``
+resident set size: the ``VmHWM`` of the CLI process, which the child
+reads at exit.  ``ru_maxrss`` would not do, because Linux carries the
+high-water mark from before ``exec`` into it, so every small run would
+report the recorder's own size.  ``compare``
 prints every difference between two records and exits 1 if there is any;
 where a manifest lists the same files in another order, it says
 "artifact order differs", which accounts for the manifest and stdout
@@ -51,6 +54,24 @@ SUBCOMMANDS = (
 VARIANTS = ("bundled", "full")
 # peak RSS moves beyond this fraction are noted by compare
 RSS_NOTE_FRACTION = 0.05
+# Runs `python -m hcfwm.cli` and, at exit, writes the process's VmHWM (the
+# peak RSS of this process image alone, in KiB) to the file named by
+# {peak!r}; without /proc, it writes nothing.
+_CHILD = """\
+import atexit, runpy
+
+def _peak():
+    try:
+        with open('/proc/self/status') as fh:
+            hwm = [line.split()[1] for line in fh if line.startswith('VmHWM:')]
+    except OSError:
+        return
+    with open({peak!r}, 'w') as fh:
+        fh.write(''.join(hwm))
+
+atexit.register(_peak)
+runpy.run_module('hcfwm.cli', run_name='__main__', alter_sys=True)
+"""
 
 
 def all_runs(src: str) -> list[tuple[str, str, str]]:
@@ -82,15 +103,13 @@ def _run_one(src: str, subcommand: str, recipe: str, variant: str) -> dict:
             with open(config, "w", encoding="utf-8") as fh:
                 yaml.safe_dump(raw, fh, sort_keys=True)
         out = os.path.join(work, "out")
+        peak = os.path.join(work, "peak_rss_kb")
         with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "hcfwm.cli", subcommand, "--config",
-                 config, "--out", out, "--label", "run"],
+            proc = subprocess.run(
+                [sys.executable, "-c", _CHILD.format(peak=peak), subcommand,
+                 "--config", config, "--out", out, "--label", "run"],
                 cwd=work, env=env, stdout=stdout, stderr=stderr,
             )
-            # wait4 rather than proc.wait: it also gives the child's usage
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
             streams = []
             for fh in (stdout, stderr):
                 fh.seek(0)
@@ -104,6 +123,11 @@ def _run_one(src: str, subcommand: str, recipe: str, variant: str) -> dict:
                 if name == "manifest.json":
                     with open(path, encoding="utf-8") as fh:
                         artifacts = [a["file"] for a in json.load(fh)["artifacts"]]
+        try:
+            with open(peak, encoding="utf-8") as fh:
+                peak_rss_kb = int(fh.read())
+        except (OSError, ValueError):  # no /proc: no peak
+            peak_rss_kb = None
         placeholder = work.encode()
         return {
             "exit": proc.returncode,
@@ -111,7 +135,7 @@ def _run_one(src: str, subcommand: str, recipe: str, variant: str) -> dict:
             "stderr": _sha256(streams[1].replace(placeholder, b"<work>")),
             "files": dict(sorted(files.items())),
             "artifacts": artifacts,
-            "peak_rss_kb": usage.ru_maxrss,  # KiB on Linux
+            "peak_rss_kb": peak_rss_kb,
         }
 
 
