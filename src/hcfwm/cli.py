@@ -400,14 +400,15 @@ def _emit_sweep(run: _Run, result) -> None:
     run.write("sweep.json", "sweep fit, gaps, and point count", export.to_json,
               summary, indent=1)
     run.results["sweep"] = summary
+    text = sweeps_mod.value_text
     for p in result.points:
         print(
-            f"{result.param}={p.value:g}{result.unit}: K_flat={p.K_flat:.4f} "
+            f"{result.param}={text(p.value)}{result.unit}: K_flat={p.K_flat:.4f} "
             f"K_complex={p.K_complex:.4f} theta={p.theta_deg:.2f} deg "
             f"idler={p.idler_nm:.2f} nm"
         )
     for g in result.gaps:
-        print(f"{result.param}={g.value:g}{result.unit}: gap ({g.reason})")
+        print(f"{result.param}={text(g.value)}{result.unit}: gap ({g.reason})")
 
 
 def cmd_sweep_length(run: _Run) -> None:

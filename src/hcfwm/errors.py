@@ -6,7 +6,11 @@ Two top-level families, matching the two CLI exit codes:
   honor as stated (bad config keys, out-of-window wavelengths, evaluation
   inside a resonance exclusion zone, over-clipped grids).
 * NumericalError (exit 2): the inputs were legal but a numerical procedure
-  failed (root bracketing, fixed-point iteration, derivative stencils).
+  failed (root bracketing, fixed-point iteration, derivative stencils, a
+  JSA grid that came out non-finite or zero).
+
+A scan point (a density-map pump, a sweep point) whose physics raises one
+of ``GAP_ERRORS`` is a gap; any other error fails the whole run.
 
 Every scalar numeric argument of the library passes ``check_number``, the
 one input boundary, and every (first, second) pair ``check_pair``; only
@@ -43,7 +47,7 @@ class DivergenceZoneError(RangeError):
         self.lambda_j_nm = lambda_j_nm
 
 
-class ClippedGridError(ValidationError):
+class ClippedGridError(RangeError):
     """Joint spectral grid lost too large a fraction to band-edge clipping."""
 
 
@@ -57,6 +61,9 @@ class ConvergenceError(NumericalError):
 
 class StencilError(NumericalError):
     """Finite-difference stencil could not be placed inside a valid band."""
+
+
+GAP_ERRORS = (RangeError, NumericalError)
 
 
 def check_number(

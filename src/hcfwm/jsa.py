@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import export, fibermodel
-from .errors import ClippedGridError, ValidationError, check_number
+from .errors import ClippedGridError, NumericalError, ValidationError, check_number
 from .fibermodel import FiberModel, lambda_nm_from_omega
 from .gasmedia import GasState
 from .phasematch import PhaseMatchBranch, delta_k
@@ -354,11 +354,11 @@ def build_jsa(
     values[~mask] = 0.0
 
     if not np.all(np.isfinite(values)):
-        raise ValidationError("JSA grid contains non-finite values")
+        raise NumericalError("JSA grid contains non-finite values")
     cell = float((omega_s[1] - omega_s[0]) * (omega_i[1] - omega_i[0]))
     norm2 = np.sum(np.abs(values) ** 2) * cell
     if norm2 <= 0.0:
-        raise ValidationError("JSA grid is identically zero")
+        raise NumericalError("JSA grid is identically zero")
     values /= np.sqrt(norm2)
 
     return JsaGrid(

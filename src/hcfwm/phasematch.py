@@ -39,10 +39,10 @@ the same solver settings, Kerr term included.  Each pump is scanned on its
 own detuning grid, but the brackets of all pumps are bisected in one loop,
 each at its own pump frequency, and beta1 comes from one
 dispersion_derivatives call for the whole map; so a map row is bit for bit
-what a single-pump solve gives.  A pump that fails (outside a band, no
-room for the default detuning window at a window edge, a stalled
-bracket, no stencil room) is a gap.  density_map_to_csv writes the
-branches one row each.
+what a single-pump solve gives.  A pump that fails with one of
+``errors.GAP_ERRORS`` (outside a band, no room for the default detuning
+window at a window edge, a stalled bracket, no stencil room) is a gap.
+density_map_to_csv writes the branches one row each.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ import numpy as np
 
 from . import export, fibermodel
 from .errors import (
+    GAP_ERRORS,
     HcfwmError,
     NumericalError,
     RangeError,
@@ -448,7 +449,7 @@ def density_map(
         raise ValidationError(f"bad pump range ({lo}, {hi}) nm")
     steps = check_number("steps", steps, lo=2, hi=MAX_PUMP_STEPS, integer=True)
     pumps = omega_from_lambda_nm(np.linspace(lo, hi, steps)).tolist()
-    return _solve_pumps(fiber, gas, pumps, (RangeError, NumericalError), **solve)
+    return _solve_pumps(fiber, gas, pumps, GAP_ERRORS, **solve)
 
 
 def density_map_to_csv(

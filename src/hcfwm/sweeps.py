@@ -7,9 +7,11 @@ command line and the drivers alike: the ``*_from_config`` functions,
 
 Each driver re-solves the phase-matching branch where the parameter
 changes it, evaluates the JSA and its Schmidt numbers per point, and
-aggregates centroids and angles into one summary table.  Per-point
-failures are recorded as gaps and the sweep continues; a pressure sweep
-additionally fits the idler centroid frequency against pressure.
+aggregates centroids and angles into one summary table; a pressure sweep
+additionally fits the idler centroid frequency against pressure.  What
+every point shares is built before the first point.  A point whose
+physics raises one of ``errors.GAP_ERRORS`` is a gap and the sweep goes
+on; any other error, or a JSI file that cannot be written, fails the run.
 
 Branch continuity across sweep points uses nearest-neighbor matching in
 (omega_s, omega_i) seeded by the previous point, which prevents
@@ -17,20 +19,19 @@ branch-hopping artifacts in fitted slopes when several families coexist.
 Fits are reported in frequency (THz = 10^12 rad/s), not wavelength.
 
 A driver writes no file itself: given ``write`` (the signature of
-``cli._Run.write``), it hands each point's JSI grid to it as it goes.
+``cli._Run.write``), it hands each point's JSI grid to it as it goes,
+named by ``value_text``, which gives distinct values distinct names.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import export
 from .config import RunConfig, required_section
-from .errors import (
-    HcfwmError, NumericalError, ValidationError, check_number, check_pair,
-)
+from .errors import GAP_ERRORS, NumericalError, check_number, check_pair
 from .fibermodel import FiberModel, omega_from_lambda_nm
 from .gasmedia import GasState, make_gas
 from .jsa import (
@@ -64,6 +65,7 @@ __all__ = [
     "sweep_pressure",
     "summary_csv",
     "fit_to_dict",
+    "value_text",
 ]
 
 SUMMARY_CSV_HEADER = (
@@ -135,11 +137,9 @@ def fiber_from_config(cfg: RunConfig) -> FiberModel:
     )
 
 
-def gas_from_config(cfg: RunConfig, pressure_bar: float | None = None) -> GasState:
+def gas_from_config(cfg: RunConfig) -> GasState:
     return make_gas(
-        cfg.gas.species,
-        cfg.gas.pressure_bar if pressure_bar is None else pressure_bar,
-        temperature_K=cfg.gas.temperature_K,
+        cfg.gas.species, cfg.gas.pressure_bar, temperature_K=cfg.gas.temperature_K
     )
 
 
@@ -227,58 +227,44 @@ def density_records(cfg: RunConfig, fiber, gas) -> list[PhaseMatchBranch]:
     )
 
 
-def _evaluate_point(cfg: RunConfig, fiber, pump, value, gas, branch, L_m,
-                    write, stem, param) -> SweepPoint:
-    grid = build_grid(cfg, fiber, gas, pump, branch, L_m)
-    k_flat = schmidt_number(grid, flat_phase=True)
-    k_complex = schmidt_number(grid, flat_phase=False)
-    intensity = jsi(grid)
-    marg = marginals(intensity, grid.omega_s, grid.omega_i)
+def value_text(value: float) -> str:
+    """A sweep value as its grid file and its lines name it: ``{:g}`` where
+    that reads back as the value, else ``repr``, so no two values collide."""
+    value = float(check_number("sweep value", value, lo=0, lo_open=True))
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
+def _sweep_point(
+    value: float, at, write, stem: str, param: str
+) -> SweepPoint | SweepGap:
+    """The SweepPoint at ``value``, whose branch and grid ``at(value)``
+    gives, with its JSI handed to ``write``; a SweepGap if its physics
+    raises one of GAP_ERRORS.  The grid is freed before the next is built."""
+    try:
+        branch, grid = at(value)
+        k_flat = schmidt_number(grid, flat_phase=True)
+        k_complex = schmidt_number(grid, flat_phase=False)
+        intensity = jsi(grid)
+        marg = marginals(intensity, grid.omega_s, grid.omega_i)
+    except GAP_ERRORS as exc:
+        return SweepGap(value=value, reason=str(exc))
     if write is not None:
-        write(stem.format(value), f"JSI grid at {param}={value:g}", grid_to_csv,
+        text = value_text(value)
+        write(stem.format(text), f"JSI grid at {param}={text}", grid_to_csv,
               grid.lambda_s_nm, grid.lambda_i_nm, intensity)
     return SweepPoint(
-        value=value,
-        branch=branch,
-        K_flat=k_flat,
-        K_complex=k_complex,
+        value=value, branch=branch, K_flat=k_flat, K_complex=k_complex,
         theta_deg=branch.theta_deg,
-        idler_nm=marg.centroid_lambda_i_nm,
-        signal_nm=marg.centroid_lambda_s_nm,
-        idler_omega=marg.centroid_omega_i,
-        signal_omega=marg.centroid_omega_s,
+        idler_nm=marg.centroid_lambda_i_nm, signal_nm=marg.centroid_lambda_s_nm,
+        idler_omega=marg.centroid_omega_i, signal_omega=marg.centroid_omega_s,
     )
 
 
-def _sweep_points(cfg: RunConfig, fiber, pump, values, at, write, stem, param):
-    """(points, gaps) over ``values`` in order.  ``at(value)`` gives the
-    gas, branch and length of a point; a point that fails is a gap.  With
-    ``write``, and csv among ``cfg.output.formats`` so that the grids are
-    written, values whose grid file names coincide are refused first."""
-    if write is not None and "csv" in cfg.output.formats:
-        named: dict[str, float] = {}
-        for value in values:
-            fname = stem.format(value)
-            if fname in named:
-                raise ValidationError(
-                    f"sweep values {named[fname]!r} and {value!r} would both "
-                    f"write {fname}"
-                )
-            named[fname] = value
-    points: list[SweepPoint] = []
-    gaps: list[SweepGap] = []
-    for value in values:
-        # each point's grid is freed in _evaluate_point, before the next
-        # one is built
-        try:
-            points.append(
-                _evaluate_point(
-                    cfg, fiber, pump, value, *at(value), write, stem, param
-                )
-            )
-        except HcfwmError as exc:
-            gaps.append(SweepGap(value=value, reason=str(exc)))
-    return tuple(points), tuple(gaps)
+def _split(outcomes) -> tuple[tuple[SweepPoint, ...], tuple[SweepGap, ...]]:
+    """(points, gaps) of ``_sweep_point``'s outcomes, in axis order."""
+    points = tuple(o for o in outcomes if isinstance(o, SweepPoint))
+    return points, tuple(o for o in outcomes if isinstance(o, SweepGap))
 
 
 def sweep_length(cfg: RunConfig, write=None) -> SweepResult:
@@ -294,10 +280,13 @@ def sweep_length(cfg: RunConfig, write=None) -> SweepResult:
     gas = gas_from_config(cfg)
     pump = pump_from_config(cfg)
     branch = solve_branch(cfg, fiber, gas, pump)
-    points, gaps = _sweep_points(
-        cfg, fiber, pump, lengths, lambda L: (gas, branch, L), write,
-        "jsi_L_{:g}m.csv", "length_m",
-    )
+
+    def at(L: float):
+        return branch, build_grid(cfg, fiber, gas, pump, branch, L)
+
+    points, gaps = _split([
+        _sweep_point(L, at, write, "jsi_L_{}m.csv", "length_m") for L in lengths
+    ])
     return SweepResult(param="length_m", unit="m", points=points, gaps=gaps)
 
 
@@ -316,21 +305,22 @@ def sweep_pressure(cfg: RunConfig, write=None) -> SweepResult:
         cfg, "sweep_pressure", "a pressure sweep"
     ).pressures_bar
     fiber = fiber_from_config(cfg)
+    gas = gas_from_config(cfg)
     pump = pump_from_config(cfg)
     prev: tuple[float, float] | None = None
 
     def at(P: float):
         nonlocal prev
-        gas = gas_from_config(cfg, pressure_bar=P)
-        branch = solve_branch(cfg, fiber, gas, pump, prev)
+        gas_P = replace(gas, pressure_bar=P)
+        branch = solve_branch(cfg, fiber, gas_P, pump, prev)
         # chaining follows the selected branch even if its JSA fails
         prev = (branch.omega_s, branch.omega_i)
-        return gas, branch, cfg.fiber_length_m
+        return branch, build_grid(cfg, fiber, gas_P, pump, branch, cfg.fiber_length_m)
 
-    points, gaps = _sweep_points(
-        cfg, fiber, pump, pressures, at, write, "jsi_P_{:g}bar.csv",
-        "pressure_bar",
-    )
+    points, gaps = _split([
+        _sweep_point(P, at, write, "jsi_P_{}bar.csv", "pressure_bar")
+        for P in pressures
+    ])
     if len(points) < 2:
         raise NumericalError(
             "pressure sweep produced fewer than 2 successful points "

@@ -160,16 +160,15 @@ def test_sweep_manifest_lists_each_grid_once_in_write_order(
 
 def test_same_label_reruns_are_byte_identical(tmp_path):
     cfg_path = write_cfg(tmp_path, copy.deepcopy(BASE))
-    outs = [str(tmp_path / "a"), str(tmp_path / "b")]
+    outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         rc = cli.main(
-            ["jsa", "--config", cfg_path, "--out", out, "--label", "same"]
+            ["jsa", "--config", cfg_path, "--out", str(out), "--label", "same"]
         )
         assert rc == 0
     for fname in ("jsi.csv", "jsa.json", "marginals.csv", "config.yaml",
                   "manifest.json"):
-        paths = [os.path.join(out, "jsa", "same", fname) for out in outs]
-        blobs = [open(p, "rb").read() for p in paths]
+        blobs = [(out / "jsa" / "same" / fname).read_bytes() for out in outs]
         assert blobs[0] == blobs[1], f"{fname} differs between reruns"
 
 
@@ -179,16 +178,15 @@ def test_thread_count_does_not_change_output(tmp_path):
     cfg_path = write_cfg(tmp_path, raw)
     blobs = {}
     for threads in (1, 4):
-        out = str(tmp_path / f"out{threads}")
+        out = tmp_path / f"out{threads}"
         rc = cli.main(
-            ["sweep-pressure", "--config", cfg_path, "--out", out,
+            ["sweep-pressure", "--config", cfg_path, "--out", str(out),
              "--label", "t", "--threads", str(threads)]
         )
         assert rc == 0
-        run_dir = os.path.join(out, "sweep-pressure", "t")
+        run_dir = out / "sweep-pressure" / "t"
         blobs[threads] = tuple(
-            open(os.path.join(run_dir, f), "rb").read()
-            for f in ("summary.csv", "sweep.json")
+            (run_dir / f).read_bytes() for f in ("summary.csv", "sweep.json")
         )
     assert blobs[1] == blobs[4]
 
@@ -371,46 +369,69 @@ def test_sweep_gap_is_printed_and_listed(tmp_path, capsys):
     assert [g["value"] for g in gaps] == [0.0001]
     assert gaps[0]["reason"].startswith("99.9% of the JSA grid")
     assert sorted(p.name for p in run_dir.glob("jsi_*")) == ["jsi_L_1m.csv"]
+    # artifacts carry relative names only
+    assert str(tmp_path) not in (run_dir / "sweep.json").read_text()
 
 
 @pytest.mark.parametrize(
-    "subcommand, axis, fname",
+    "subcommand, axis, texts",
     [
         ("sweep-length", {"sweep_length": {"lengths_m": [0.4000001, 0.4000002,
-                                                         0.4000003]}},
-         "jsi_L_0.4m.csv"),
-        ("sweep-pressure", {"sweep_pressure": {"start_bar": 3.4,
-                                               "stop_bar": 3.400002,
-                                               "step_bar": 1e-6}},
-         "jsi_P_3.4bar.csv"),
+                                                         1.0]}},
+         ["0.4000001", "0.4000002", "1"]),
+        ("sweep-pressure", {"sweep_pressure": {"pressures_bar": [
+            2.85, 3.4000001, 3.4000002]}},
+         ["2.85", "3.4000001", "3.4000002"]),
     ],
     ids=["length", "pressure"],
 )
-def test_sweep_values_sharing_a_grid_file_exit_1(
-    subcommand, axis, fname, tmp_path, capsys
+def test_sweep_values_sharing_6_digits_get_a_file_each(
+    subcommand, axis, texts, tmp_path, capsys
 ):
-    """File names keep 6 significant digits; two values that round to the
-    same name are refused before any grid is written."""
+    """A point's value is named with {:g} where that reads back as the
+    value and with repr otherwise, in its file name, its manifest entry
+    and its stdout line alike, so distinct values never share a file."""
     raw = copy.deepcopy(BASE)
     raw.update(axis)
-    assert _run_cli(tmp_path, subcommand, raw) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: sweep values ")
-    assert f"would both write {fname}" in err
-    assert not list((tmp_path / "o").rglob("jsi_*"))
+    assert _run_cli(tmp_path, subcommand, raw) == 0
+    param, unit, tag = {
+        "sweep-length": ("length_m", "m", "L"),
+        "sweep-pressure": ("pressure_bar", "bar", "P"),
+    }[subcommand]
+    run_dir = tmp_path / "o" / subcommand / "t"
+    names = [f"jsi_{tag}_{t}{unit}.csv" for t in texts]
+    assert sorted(p.name for p in run_dir.glob("jsi_*")) == names
+    grids = [a for a in read_manifest(run_dir)["artifacts"]
+             if a["file"].startswith("jsi_")]
+    assert grids == [
+        {"file": n, "description": f"JSI grid at {param}={t}"}
+        for n, t in zip(names, texts)
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    points = [line.partition(": K_flat=")[0] for line in lines if "K_flat=" in line]
+    assert points == [f"{param}={t}{unit}" for t in texts]
 
 
-def test_sweep_values_sharing_a_grid_file_pass_without_csv(tmp_path, capsys):
-    """Without csv among output.formats no grid file is written, so values
-    whose grid files would share a name are no conflict."""
-    raw = copy.deepcopy(BASE)
-    raw["sweep_length"] = {"lengths_m": [0.4000001, 0.4000002]}
-    raw["output"] = {"formats": ["json"]}
-    assert _run_cli(tmp_path, "sweep-length", raw) == 0
-    run_dir = tmp_path / "o" / "sweep-length" / "t"
-    assert not list(run_dir.glob("*.csv"))
-    assert json.loads((run_dir / "sweep.json").read_text())["n_points"] == 2
-    assert "would both write" not in capsys.readouterr().err
+@pytest.mark.parametrize("species", ["krypton", "silica", "table"])
+def test_sweep_pressure_fails_on_a_bad_gas_as_sweep_length_does(
+    species, tmp_path, monkeypatch, capsys
+):
+    """The gas every point shares is built once, before the first point:
+    an unknown species, a wall material or an unreadable gas table fails
+    the run with the error line sweep-length prints, not as one gap per
+    pressure."""
+    if species == "table":
+        monkeypatch.setenv("HCFWM_GAS_DATA", str(tmp_path / "missing.yaml"))
+    errs = []
+    for subcommand in ("sweep-length", "sweep-pressure"):
+        raw = copy.deepcopy(BASE)
+        raw.update(copy.deepcopy(EXTRAS[subcommand]))
+        if species != "table":
+            raw["gas"] = {"species": species}
+        assert _run_cli(tmp_path, subcommand, raw) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: ") and errs[0].count("\n") == 1
 
 
 def test_failed_zdw_search_warns_and_drops_its_band(tmp_path, capsys,
@@ -828,18 +849,22 @@ def test_uncreatable_run_directory_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "subcommand, fname",
-    [("dispersion", "bands.csv"), ("jsa", "jsa.json"), ("jsa", "config.yaml")],
+    [("dispersion", "bands.csv"), ("jsa", "jsa.json"), ("jsa", "config.yaml"),
+     ("sweep-length", "jsi_L_0.6m.csv")],
 )
 def test_unwritable_artifact_exits_1(tmp_path, capsys, subcommand, fname):
-    """A directory where an artifact goes: one error line, no traceback."""
+    """A directory where an artifact goes: one error line, no traceback,
+    no manifest.  A sweep's grid file is no exception: the run fails, not
+    the point."""
+    raw = copy.deepcopy(BASE)
+    raw.update(copy.deepcopy(EXTRAS[subcommand]))
     run_dir = tmp_path / "o" / subcommand / "t"
     (run_dir / fname).mkdir(parents=True)
-    rc = cli.main([subcommand, "--config", write_cfg(tmp_path, BASE),
-                   "--out", str(tmp_path / "o"), "--label", "t"])
-    assert rc == 1
+    assert _run_cli(tmp_path, subcommand, raw) == 1
     assert capsys.readouterr().err == (
         f"error: cannot write {run_dir / fname}: Is a directory\n"
     )
+    assert not (run_dir / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("subcommand", ["set-sim", "dispersion"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hcfwm import fibermodel, jsa, phasematch, schmidt
-from hcfwm.errors import ClippedGridError, ValidationError
+from hcfwm.errors import ClippedGridError, NumericalError, ValidationError
 from hcfwm.fibermodel import omega_from_lambda_nm
 from hcfwm.jsa import GaussianPump, SampledPump
 from hcfwm.phasematch import PhaseMatchBranch
@@ -486,6 +486,22 @@ def test_clipping_warns_then_fails(fiber, xenon, pump, branch):
     with pytest.raises(ClippedGridError, match="outside the transmission"):
         jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=32,
                       kappa_span=150.0)
+
+
+@pytest.mark.parametrize(
+    "fill, error", [(np.nan, "non-finite values"), (0.0, "identically zero")]
+)
+def test_failed_grid_is_a_numerical_error(fiber, xenon, pump, branch, fill, error):
+    """A grid computed from legal inputs that comes out non-finite or zero
+    is a numerical failure (exit 2, a gap of a sweep), not bad input."""
+
+    class FilledPump(jsa.GaussianPump):
+        def alpha(self, omega_sum):
+            return np.full(np.shape(omega_sum), fill)
+
+    bad = FilledPump(omega_p0=pump.omega_p0, sigma=pump.sigma)
+    with pytest.raises(NumericalError, match=error):
+        jsa.build_jsa(fiber, xenon, bad, branch, L_m=1.0, n=16)
 
 
 def test_build_jsa_validation(fiber, xenon, pump, branch):

@@ -321,9 +321,10 @@ def test_density_map_gaps_over_divergence_zone(fiber, xenon):
     """Pumps inside a resonance exclusion zone drop out as gaps; the map
     itself must not abort."""
     lam2 = fibermodel.band_structure(fiber, xenon).resonances_nm[1]
-    records = phasematch.density_map(
-        fiber, xenon, pump_range_nm=(660.0, 672.0), steps=7, grid_points=1200
-    )
+    with pytest.warns(UserWarning, match="is a gap: .* wall resonance"):
+        records = phasematch.density_map(
+            fiber, xenon, pump_range_nm=(660.0, 672.0), steps=7, grid_points=1200
+        )
     pumps_seen = {r.lambda_p_nm for r in records}
     zone = (lam2 * 0.995, lam2 * 1.005)
     assert all(not zone[0] <= p <= zone[1] for p in pumps_seen)
@@ -358,6 +359,8 @@ def _per_pump(fiber, gas, pumps, solve):
     return branches
 
 
+# map_t600 has a gap pump at 1250 nm, which _per_pump skips as well
+@pytest.mark.filterwarnings("ignore:pump at .* is a gap:UserWarning")
 @pytest.mark.parametrize("name", ["map_t300", "map_t600"])
 @pytest.mark.parametrize("kerr", [False, True], ids=["P0", "P2e4-window"])
 def test_density_map_rows_equal_single_pump_solves(name, kerr):
@@ -427,7 +430,8 @@ def test_density_map_edge_pump_is_a_gap(fiber, xenon, monkeypatch):
 
     monkeypatch.setattr(phasematch, "delta_k", mismatch)
     pumps = [float(omega_from_lambda_nm(lam)) for lam in (3000.0, 3199.0)]
-    with pytest.warns(UserWarning, match="closer than two grid cells"):
+    with pytest.warns(UserWarning, match="closer than two grid cells"), \
+            pytest.warns(UserWarning, match="^pump at 3199 nm is a gap: "):
         rows = phasematch.density_map(
             fiber, xenon, (3000.0, 3199.0), 2, grid_points=101
         )
@@ -468,7 +472,8 @@ def test_density_map_bisects_every_pump_in_one_loop(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(fibermodel, name, counted)
-    assert sweeps.density_records(cfg, fiber, gas)
+    with pytest.warns(UserWarning, match="pump at 1250 nm is a gap"):
+        assert sweeps.density_records(cfg, fiber, gas)
     assert calls["reduced_kappa"] <= (
         len(pumps) + 200 + calls["dispersion_derivatives"]
     ), calls

@@ -10,8 +10,16 @@ import os
 import numpy as np
 import pytest
 
-from hcfwm import cli, config, jsa, phasematch, schmidt, sweeps
-from hcfwm.errors import NumericalError, ValidationError
+from hcfwm import cli, config, gasmedia, jsa, phasematch, schmidt, sweeps
+from hcfwm.errors import (
+    ClippedGridError,
+    ConvergenceError,
+    DivergenceZoneError,
+    NumericalError,
+    RangeError,
+    StencilError,
+    ValidationError,
+)
 from hcfwm.fibermodel import omega_from_lambda_nm
 from hcfwm.jsa import GaussianPump, SampledPump
 from hcfwm.phasematch import PhaseMatchBranch
@@ -119,6 +127,39 @@ def test_length_sweep_runs_no_svd(monkeypatch):
     for p in result.points:
         assert math.isfinite(p.K_flat) and p.K_flat >= 1.0
         assert math.isfinite(p.K_complex) and p.K_complex >= 1.0
+
+
+@pytest.mark.parametrize(
+    "error, gap",
+    [
+        pytest.param(RangeError("boom"), True, id="RangeError"),
+        pytest.param(DivergenceZoneError("boom", 1252.9), True,
+                     id="DivergenceZoneError"),
+        pytest.param(ClippedGridError("boom"), True, id="ClippedGridError"),
+        pytest.param(ConvergenceError("boom"), True, id="ConvergenceError"),
+        pytest.param(StencilError("boom"), True, id="StencilError"),
+        pytest.param(ValidationError("boom"), False, id="ValidationError"),
+    ],
+)
+def test_gap_rule(monkeypatch, error, gap):
+    """A point whose grid raises one of errors.GAP_ERRORS is a gap and the
+    sweep goes on; any other error fails the sweep."""
+    build_grid = sweeps.build_grid
+
+    def failing(cfg, fiber, gas, pump, branch, L_m):
+        if L_m == 0.6:
+            raise error
+        return build_grid(cfg, fiber, gas, pump, branch, L_m)
+
+    monkeypatch.setattr(sweeps, "build_grid", failing)
+    cfg = make_cfg(grid={"N": 32}, sweep_length={"lengths_m": [0.4, 0.6, 0.8]})
+    if not gap:
+        with pytest.raises(ValidationError, match="boom"):
+            sweeps.sweep_length(cfg)
+        return
+    result = sweeps.sweep_length(cfg)
+    assert [p.value for p in result.points] == [0.4, 0.8]
+    assert result.gaps == (sweeps.SweepGap(value=0.6, reason="boom"),)
 
 
 # ------------------------------------------------------ pressure sweeps
@@ -361,8 +402,9 @@ def test_fiber_and_gas_from_config():
     assert (fiber.R_eff_um, fiber.t_nm) == (21.3, 641.2)
     gas = sweeps.gas_from_config(cfg)
     assert gas.species == "argon" and gas.pressure_bar == 19.0
-    override = sweeps.gas_from_config(cfg, pressure_bar=2.5)
-    assert override.pressure_bar == 2.5
+    # a pressure sweep's points share the config's gas at their pressures
+    override = dataclasses.replace(gas, pressure_bar=2.5)
+    assert override == gasmedia.make_gas("argon", 2.5)
 
 
 def test_schmidt_subcommand_and_length_sweep_read_the_same_keys(tmp_path):
