@@ -152,13 +152,14 @@ class _Run:
     def write(self, fname: str, description: str, writer, *args, **kwargs) -> None:
         """``writer(*args, path=<run dir>/fname, **kwargs)``, then list it.
         A .csv or .json file whose format output.formats leaves out is not
-        written, but its writer still runs without a path and refuses what
-        it would refuse in the file, so the exit code does not depend on
+        written, but its writer still runs its checks on
+        ``export.CHECK_ONLY``, encoding nothing, and refuses what it would
+        refuse in the file, so the exit code does not depend on
         output.formats."""
         fmt = fname.rpartition(".")[2]
         if fmt in ("csv", "json") and fmt not in self.cfg.output.formats:
             try:
-                writer(*args, path=None, **kwargs)
+                writer(*args, path=export.CHECK_ONLY, **kwargs)
             except NumericalError as exc:
                 raise NumericalError(
                     f"{fname}, which output.formats leaves out: {exc}"

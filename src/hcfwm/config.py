@@ -91,6 +91,16 @@ def _positive(path: str, value: Any) -> float:
     return _number(path, value, lo=0, lo_open=True)
 
 
+def _thz(path: str, value: Any) -> float:
+    """A positive angular frequency in 10^12 rad/s, finite in rad/s too."""
+    thz = _positive(path, value)
+    if not math.isfinite(thz * 1e12):
+        raise ValidationError(
+            f"config key '{path}' must stay finite in rad/s (x 1e12), got {thz}"
+        )
+    return thz
+
+
 def _nonnegative(path: str, value: Any) -> float:
     return _number(path, value, lo=0)
 
@@ -269,14 +279,14 @@ class GasConfig:
 @dataclass(frozen=True)
 class ModulationConfig:
     depth: float = _key(0.0, _interval(0, 1, "[)"))
-    period_THz: float = _key(1.0, _positive)
+    period_THz: float = _key(1.0, _thz)
 
 
 @dataclass(frozen=True)
 class PumpConfig:
     lambda_nm: float = _key(1030.0, _positive)
     pulse_fwhm_fs: float | None = _key(280.0, _optional(_positive))
-    sigma_THz: float | None = _key(None, _optional(_positive))
+    sigma_THz: float | None = _key(None, _optional(_thz))
     modulation: ModulationConfig | None = _section(ModulationConfig, True)
 
     @staticmethod
@@ -305,8 +315,8 @@ class GridConfig:
 class PhasematchConfig:
     grid_points: int = _key(DEFAULT_GRID_POINTS, _integer(16, MAX_GRID_POINTS))
     pump_peak_power_W: float = _key(0.0, _nonnegative)
-    detuning_min_THz: float | None = _key(None, _optional(_positive))
-    detuning_max_THz: float | None = _key(None, _optional(_positive))
+    detuning_min_THz: float | None = _key(None, _optional(_thz))
+    detuning_max_THz: float | None = _key(None, _optional(_thz))
     seed_idler_nm: float | None = _key(None, _optional(_positive))
 
     @staticmethod

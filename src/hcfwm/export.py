@@ -19,7 +19,8 @@ Both writers hand ``save`` their text as a stream of encoded pieces, and
 whole, so a grid artifact costs one chunk of working memory, not one
 file.  Given no path, ``save`` joins the pieces and every exporter
 returns the text; given a path, it writes the file, closes it and
-returns None.
+returns None; given ``CHECK_ONLY``, it drops the pieces unread, so an
+exporter runs its checks and encodes nothing.
 
 A non-finite number never reaches an artifact: both writers raise
 NumericalError (CLI exit 2) before the file is opened, as does a string
@@ -41,6 +42,10 @@ from itertools import chain
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+
+# The path that checks an artifact without writing it.  A NUL can be in
+# no file name, so no real path equals it.
+CHECK_ONLY = "\0check only"
 
 # a whole cell reading nan, inf or -inf
 _NON_FINITE_CELL = re.compile(r"(?:^|,)-?(?:nan|inf)(?=,|$)", re.M)
@@ -398,11 +403,13 @@ def _array_pieces(arr: np.ndarray) -> Iterator[bytes]:
 
 def save(pieces: Iterable[bytes], path: str | None) -> str | None:
     """Write ``pieces`` to ``path`` one by one as they come, close the file
-    and return None; with no path, return their text.  A file that cannot
-    be written (a directory in its place, a full disk) raises
-    ValidationError naming it."""
+    and return None; with no path, return their text; with ``CHECK_ONLY``,
+    return None and leave them unread.  A file that cannot be written (a
+    directory in its place, a full disk) raises ValidationError naming it."""
     if path is None:
         return b"".join(pieces).decode()
+    if path == CHECK_ONLY:
+        return None
     try:
         with open(path, "wb") as fh:
             for piece in pieces:
@@ -415,7 +422,7 @@ def save(pieces: Iterable[bytes], path: str | None) -> str | None:
 
 
 def _where(path: str | None) -> str:
-    return "the artifact" if path is None else os.path.basename(path)
+    return "the artifact" if path in (None, CHECK_ONLY) else os.path.basename(path)
 
 
 def _refuse_non_finite(text: str, first_line: int, path: str | None) -> None:

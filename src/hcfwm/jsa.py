@@ -22,14 +22,6 @@ solved at; its first-order Taylor expansion reproduces delta_k_lin, so
 both modes agree near the branch center and differ only where dispersion
 curvature matters.
 
-Pump spectra come in two flavors: an analytic Gaussian (closed-form
-autoconvolution of width sqrt(2) sigma centered at 2 omega_p0) and a
-sampled complex spectrum (numerical autoconvolution on its uniform grid,
-zero outside twice the sampled support).  Sampled amplitudes are
-normalized to unit L2 norm at construction, under which the Gaussian
-closed form and the sampled autoconvolution of the same Gaussian agree
-pointwise with unit peak.
-
 Grids are square (N x N), centered on the branch, with half-width
 kappa_span * max(sqrt(2) sigma, sqrt(dphi width at L)) per axis.  Signal
 and idler points outside their transmission band enter phi as NaN, so no
@@ -42,6 +34,7 @@ into this normalization).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -65,14 +58,28 @@ _BLOCK_CELLS = 32768
 
 @dataclass(frozen=True)
 class GaussianPump:
-    """Transform-limited Gaussian pump: A(omega) ~ exp(-(omega-omega_p0)^2 / (2 sigma^2))."""
+    """Gaussian pump, optionally with a sinusoidal spectral modulation,
+
+        A(omega) ~ g(omega) * (1 + depth cos(k (omega - omega_p0))),
+        g(omega) = exp(-(omega - omega_p0)^2 / (2 sigma^2)),  k = 2 pi / period.
+
+    depth = 0, the default, is the transform-limited Gaussian and needs no
+    period.  The modulation is an empirical stand-in for a pump carrying
+    residual self-phase modulation structure; depth and period are
+    calibration knobs, not measured quantities.
+    """
 
     omega_p0: float
     sigma: float  # rad/s, field-amplitude standard deviation
+    depth: float = 0.0
+    period: float | None = None  # rad/s, set when depth > 0
 
     def __post_init__(self):
         check_number("omega_p0", self.omega_p0, lo=0, lo_open=True)
         check_number("sigma", self.sigma, lo=0, lo_open=True)
+        check_number("modulation depth", self.depth, lo=0, hi=1, hi_open=True)
+        if self.depth or self.period is not None:
+            check_number("modulation period", self.period, lo=0, lo_open=True)
 
     @classmethod
     def from_fwhm(cls, lambda_nm: float, fwhm_fs: float) -> "GaussianPump":
@@ -93,131 +100,60 @@ class GaussianPump:
     def fwhm_fs(self) -> float:
         return 2.0 * np.sqrt(np.log(2.0)) / self.sigma * 1e15
 
-    @property
-    def rms_sigma(self) -> float:
-        """Standard deviation of the intensity spectrum |A|^2."""
-        return self.sigma / np.sqrt(2.0)
+    def _ripple(self) -> tuple[float, float, float, float]:
+        """(d, h^2, q, norm) with d the depth, h = k sigma / 2, q = exp(-h^2)
+        and norm = 1 + 2 d q + (d^2 / 2)(1 + q^4), the squared L2 norm of A
+        over that of g.  h is capped at 40, where q and h^2 q are 0 already."""
+        h = min(math.pi * float(self.sigma) / float(self.period), 40.0)
+        q = math.exp(-h * h)
+        d = self.depth
+        return d, h * h, q, 1.0 + 2.0 * d * q + 0.5 * d * d * (1.0 + q**4)
 
     @property
     def sizing_sigma(self) -> float:
-        """Field width that sizes a JSA grid."""
-        return self.sigma
+        """Field width that sizes a JSA grid: sqrt(2) times the RMS width of
+        the intensity spectrum |A|^2, which is sigma for depth 0."""
+        if not self.depth:
+            return self.sigma
+        d, h2, q, norm = self._ripple()
+        # the second moment of |A|^2 over that of g^2, sigma^2 / 2
+        m2 = (
+            1.0 + 2.0 * d * q * (1.0 - 2.0 * h2)
+            + 0.5 * d * d * (1.0 + q**4 * (1.0 - 8.0 * h2))
+        )
+        return self.sigma * math.sqrt(m2 / norm)
 
     def alpha(self, Omega):
-        """Energy conservation function at the frequency sum Omega, in
-        closed form exp(-(Omega - 2 omega_p0)^2 / (4 sigma^2)).  A function
-        of omega_s + omega_i only, so alpha is anti-diagonal on the grid."""
-        Om = np.asarray(Omega, dtype=float)
-        out = np.exp(-((Om - 2.0 * self.omega_p0) ** 2) / (4.0 * self.sigma**2))
+        """Energy conservation function at the frequency sum Omega: the
+        autoconvolution [A * A](Omega) of A at unit L2 norm, in closed form
+        with x = Omega - 2 omega_p0,
+
+            exp(-x^2 / (4 sigma^2))
+            * [1 + 2 d q cos(k x / 2) + (d^2 / 2)(cos(k x) + q^4)] / norm,
+
+        q and norm as in ``_ripple``; exp(-x^2 / (4 sigma^2)) alone for
+        depth 0.  Its peak alpha(2 omega_p0) is 1.  A function of
+        omega_s + omega_i only, so alpha is anti-diagonal on the grid."""
+        x = np.asarray(Omega, dtype=float) - 2.0 * self.omega_p0
+        out = np.exp(-(x**2) / (4.0 * self.sigma**2))
+        if self.depth:
+            d, _, q, norm = self._ripple()
+            c = np.cos(math.pi / self.period * x)  # cos(k x / 2)
+            # cos(k x) = 2 c^2 - 1
+            out *= (1.0 + 2.0 * d * q * c + d * d * (c * c - 0.5 + 0.5 * q**4)) / norm
         return out.astype(complex)
 
     def metadata(self) -> dict:
         """The pump entry of jsa.json's metadata."""
-        return {
+        meta = {
             "shape": "gaussian",
             "omega_p0_rad_s": self.omega_p0,
             "sigma_rad_s": self.sigma,
         }
-
-
-class SampledPump:
-    """Pump given as complex amplitude samples on a uniform omega grid.
-
-    The amplitude is rescaled to unit L2 norm and its autoconvolution is
-    precomputed once on the doubled axis; alpha interpolates it linearly
-    and returns zero outside twice the sampled support.
-    """
-
-    def __init__(self, omega, amplitude):
-        omega = np.asarray(omega, dtype=float)
-        amplitude = np.asarray(amplitude, dtype=complex)
-        if omega.ndim != 1 or omega.size < 4:
-            raise ValidationError("sampled pump needs a 1-D axis of >= 4 points")
-        if amplitude.shape != omega.shape:
-            raise ValidationError("omega axis and amplitude must have equal length")
-        d = np.diff(omega)
-        if np.any(d <= 0.0):
-            raise ValidationError("sampled pump axis must be strictly increasing")
-        if np.max(d) - np.min(d) > 1e-9 * np.mean(d):
-            raise ValidationError("sampled pump axis must be uniformly spaced")
-        if not np.all(np.isfinite(amplitude)):
-            raise ValidationError("sampled pump amplitude must be finite")
-        norm2 = np.sum(np.abs(amplitude) ** 2) * d[0]
-        if norm2 <= 0.0:
-            raise ValidationError("sampled pump amplitude is identically zero")
-        self.omega = omega
-        self.amplitude = amplitude / np.sqrt(norm2)
-        self._domega = float(d[0])
-        # autoconvolution on the doubled axis 2*omega[0] .. 2*omega[-1]
-        self._conv = np.convolve(self.amplitude, self.amplitude) * self._domega
-        self._conv_start = 2.0 * float(omega[0])
-
-    @property
-    def omega_p0(self) -> float:
-        """Intensity-weighted spectral centroid."""
-        w = np.abs(self.amplitude) ** 2
-        return float(np.sum(w * self.omega) / np.sum(w))
-
-    @property
-    def rms_sigma(self) -> float:
-        """Standard deviation of the intensity spectrum |A|^2."""
-        w = np.abs(self.amplitude) ** 2
-        mu = np.sum(w * self.omega) / np.sum(w)
-        return float(np.sqrt(np.sum(w * (self.omega - mu) ** 2) / np.sum(w)))
-
-    @property
-    def sizing_sigma(self) -> float:
-        """Field width that sizes a JSA grid: sqrt(2) times the intensity
-        RMS, which reduces to the field sigma for a Gaussian."""
-        return np.sqrt(2.0) * self.rms_sigma
-
-    def alpha(self, Omega):
-        """Energy conservation function at the frequency sum Omega (see
-        GaussianPump.alpha): the autoconvolution, interpolated linearly."""
-        x = (np.asarray(Omega, dtype=float) - self._conv_start) / self._domega
-        re = np.interp(x, np.arange(self._conv.size), self._conv.real, left=0.0, right=0.0)
-        im = np.interp(x, np.arange(self._conv.size), self._conv.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
-    def metadata(self) -> dict:
-        """The pump entry of jsa.json's metadata."""
-        return {
-            "shape": "sampled",
-            "omega_p0_rad_s": self.omega_p0,
-            "points": int(self.omega.size),
-            "omega_min_rad_s": float(self.omega[0]),
-            "omega_max_rad_s": float(self.omega[-1]),
-        }
-
-    @classmethod
-    def modulated_gaussian(
-        cls,
-        omega_p0: float,
-        sigma: float,
-        depth: float,
-        period: float,
-    ) -> "SampledPump":
-        """Gaussian envelope times a sinusoidal spectral modulation,
-
-        A(omega) = exp(-(omega-omega_p0)^2/(2 sigma^2))
-                   * (1 + depth cos(2 pi (omega-omega_p0)/period)),
-
-        sampled at 4096 points over omega_p0 +- 8 sigma.
-
-        An empirical stand-in for a pump carrying residual self-phase
-        modulation structure; depth and period are calibration knobs, not
-        measured quantities.
-        """
-        for name, value in (
-            ("omega_p0", omega_p0), ("sigma", sigma), ("period", period),
-        ):
-            check_number(name, value, lo=0, lo_open=True)
-        check_number("modulation depth", depth, lo=0, hi=1, hi_open=True)
-        om = omega_p0 + np.linspace(-8.0 * sigma, 8.0 * sigma, 4096)
-        a = np.exp(-((om - omega_p0) ** 2) / (2.0 * sigma**2)) * (
-            1.0 + depth * np.cos(2.0 * np.pi * (om - omega_p0) / period)
-        )
-        return cls(om, a.astype(complex))
+        if self.depth:
+            meta["modulation_depth"] = self.depth
+            meta["modulation_period_rad_s"] = self.period
+        return meta
 
 
 def _sinc(x):
@@ -272,7 +208,7 @@ class JsaGrid:
     values: np.ndarray  # complex, values[j, k] = F(omega_s[j], omega_i[k])
     fiber: FiberModel
     gas: GasState
-    pump: GaussianPump | SampledPump
+    pump: GaussianPump
     branch: PhaseMatchBranch
     L_m: float
     mode: str
@@ -296,7 +232,7 @@ class JsaGrid:
 def build_jsa(
     fiber: FiberModel,
     gas: GasState,
-    pump,
+    pump: GaussianPump,
     branch: PhaseMatchBranch,
     L_m: float,
     n: int = DEFAULT_GRID_N,
@@ -307,7 +243,7 @@ def build_jsa(
     check_number("fiber length L_m", L_m, lo=0, lo_open=True)
     n = check_number("grid size n", n, lo=8, hi=MAX_GRID_N, integer=True)
     check_number("kappa_span", kappa_span, lo=0, lo_open=True)
-    if not isinstance(pump, (GaussianPump, SampledPump)):
+    if not isinstance(pump, GaussianPump):
         raise ValidationError(f"unknown pump spectrum type {type(pump).__name__}")
 
     half = kappa_span * max(

@@ -37,7 +37,6 @@ from .gasmedia import GasState, make_gas
 from .jsa import (
     GaussianPump,
     JsaGrid,
-    SampledPump,
     build_jsa,
     grid_to_csv,
     jsi,
@@ -143,21 +142,17 @@ def gas_from_config(cfg: RunConfig) -> GasState:
     )
 
 
-def pump_from_config(cfg: RunConfig):
-    """Gaussian pump from the config width; sampled when modulated."""
-    if cfg.pump.pulse_fwhm_fs is not None:
-        base = GaussianPump.from_fwhm(cfg.pump.lambda_nm, cfg.pump.pulse_fwhm_fs)
+def pump_from_config(cfg: RunConfig) -> GaussianPump:
+    """Gaussian pump from the config width, modulated as the config says."""
+    p, mod = cfg.pump, cfg.pump.modulation
+    if p.pulse_fwhm_fs is not None:
+        pump = GaussianPump.from_fwhm(p.lambda_nm, p.pulse_fwhm_fs)
     else:
-        base = GaussianPump(
-            omega_p0=float(omega_from_lambda_nm(cfg.pump.lambda_nm)),
-            sigma=cfg.pump.sigma_THz * 1e12,
-        )
-    mod = cfg.pump.modulation
-    if mod is not None and mod.depth > 0.0:
-        return SampledPump.modulated_gaussian(
-            base.omega_p0, base.sigma, mod.depth, mod.period_THz * 1e12
-        )
-    return base
+        omega_p0 = float(omega_from_lambda_nm(p.lambda_nm))
+        pump = GaussianPump(omega_p0, sigma=p.sigma_THz * 1e12)
+    if mod is None:
+        return pump
+    return replace(pump, depth=mod.depth, period=mod.period_THz * 1e12)
 
 
 def select_branch(

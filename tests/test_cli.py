@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from importlib.resources import files as resource_files
 
 import hcfwm
-from hcfwm import cli, config, fibermodel, schmidt
+from hcfwm import cli, config, export, fibermodel, schmidt
 from hcfwm.errors import NumericalError
 
 BASE = {
@@ -349,6 +349,35 @@ def test_unbounded_pressure_range_exits_1(axis, key, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "path, section, keys",
+    [
+        ("pump.sigma_THz", "pump", {"sigma_THz": 1e300}),
+        ("pump.modulation.period_THz", "pump",
+         {"modulation": {"depth": 0.3, "period_THz": 1e300}}),
+        ("phasematch.detuning_max_THz", "phasematch",
+         {"detuning_min_THz": 1.0, "detuning_max_THz": 1e300}),
+    ],
+    ids=["sigma", "period", "detuning"],
+)
+def test_frequency_that_overflows_in_rad_s_exits_1(
+    path, section, keys, tmp_path, capsys
+):
+    """A _THz key is checked where the physics takes it, in rad/s."""
+    raw = copy.deepcopy(BASE)
+    raw[section].update(keys)
+    rc = cli.main(
+        ["jsa", "--config", write_cfg(tmp_path, raw),
+         "--out", str(tmp_path / "o"), "--label", "t"]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: config key '{path}' must stay finite in rad/s (x 1e12), "
+        "got 1e+300\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def _run_cli(tmp_path, subcommand, raw):
     return cli.main(
         [subcommand, "--config", write_cfg(tmp_path, raw),
@@ -612,6 +641,24 @@ def test_exit_code_does_not_depend_on_output_formats(formats, tmp_path, capsys):
     assert not list((tmp_path / "o").rglob("manifest.json"))
 
 
+def test_left_out_formats_are_checked_not_encoded(tmp_path, monkeypatch):
+    """Without csv in output.formats, a sweep's JSI grids are checked for
+    non-finite numbers but never encoded as text."""
+    encoded = []
+    encode = export._encode
+    monkeypatch.setattr(
+        export, "_encode", lambda *args: encoded.append(1) or encode(*args)
+    )
+    raw = copy.deepcopy(BASE)
+    raw.update(copy.deepcopy(EXTRAS["sweep-length"]))
+    raw["output"] = {"formats": ["json"]}
+    assert _run_cli(tmp_path, "sweep-length", raw) == 0
+    assert encoded == []
+    assert sorted(p.name for p in (tmp_path / "o").rglob("*.*")) == [
+        "config.yaml", "manifest.json", "sweep.json"
+    ]
+
+
 # ------------------------------------------- random configs: no escapes
 
 _MAP_T300 = yaml.safe_load(
@@ -737,19 +784,25 @@ def _jsa_of_run(tmp_path, raw, label):
     return doc, read_manifest(run_dir)["results"], schmidt.schmidt_number(amplitude)
 
 
-def test_jsa_with_a_sampled_pump(tmp_path):
-    """A modulated pump reaches the JSA as a sampled spectrum."""
+def test_jsa_with_a_modulated_pump(tmp_path):
+    """A modulated pump reaches the JSA, and jsa.json names its depth and
+    period."""
     recipe = resource_files("hcfwm").joinpath("recipes", "length_series.yaml")
     raw = yaml.safe_load(recipe.read_text())
     raw["grid"]["N"] = 64
-    _, _, k_plain = _jsa_of_run(tmp_path, raw, "plain")
+    plain_doc, _, k_plain = _jsa_of_run(tmp_path, raw, "plain")
     raw["pump"]["modulation"] = {"depth": 0.3, "period_THz": 3.0}
-    doc, results, k_sampled = _jsa_of_run(tmp_path, raw, "sampled")
+    doc, results, k_modulated = _jsa_of_run(tmp_path, raw, "modulated")
     pump = doc["metadata"]["pump"]
-    assert pump["shape"] == "sampled" and pump["points"] == 4096
+    assert pump == {
+        **plain_doc["metadata"]["pump"],
+        "modulation_depth": 0.3,
+        "modulation_period_rad_s": 3e12,
+    }
+    assert pump["shape"] == "gaussian"
     assert math.isfinite(results["centroid_signal_nm"])
     assert math.isfinite(results["centroid_idler_nm"])
-    assert abs(k_sampled - k_plain) > 1e-3 * k_plain
+    assert abs(k_modulated - k_plain) > 1e-3 * k_plain
 
 
 def test_bundled_recipe_listing():

@@ -29,7 +29,7 @@ def _identity():
 
 def test_record_and_compare(tmp_path, capsys):
     identity = _identity()
-    assert len(identity.all_runs(str(ROOT / "src"))) == 80
+    assert len(identity.all_runs(str(ROOT / "src"))) == 120
     rec = identity.record(str(ROOT / "src"), RUNS)
     ok = rec["runs"]["dispersion/map_t300/bundled"]
     refused = rec["runs"]["set-sim/map_t300/full"]

@@ -89,14 +89,11 @@ CALLS = {
         gasmedia.make_gas, dict(species="xenon", pressure_bar=3.4)
     ),
     "jsa.GaussianPump": lambda fx: (
-        jsa.GaussianPump, dict(omega_p0=1.8e15, sigma=1e13)
+        jsa.GaussianPump,
+        dict(omega_p0=1.8e15, sigma=1e13, depth=0.3, period=3e12),
     ),
     "jsa.GaussianPump.from_fwhm": lambda fx: (
         jsa.GaussianPump.from_fwhm, dict(lambda_nm=1030.0, fwhm_fs=280.0)
-    ),
-    "jsa.SampledPump.modulated_gaussian": lambda fx: (
-        jsa.SampledPump.modulated_gaussian,
-        dict(omega_p0=1.8e15, sigma=1e13, depth=0.3, period=3e12),
     ),
     "jsa.phi_function": lambda fx: (
         jsa.phi_function,
@@ -179,7 +176,7 @@ ACCEPTED = {
     ("gasmedia.SellmeierModel", "n2_per_bar_m2W"): {"0"},
     ("gasmedia.GasState", "pressure_bar"): {"0"},
     ("gasmedia.make_gas", "pressure_bar"): {"0"},
-    ("jsa.SampledPump.modulated_gaussian", "depth"): {"0"},
+    ("jsa.GaussianPump", "depth"): {"0"},
     ("phasematch.theta_deg_from_beta1", "beta1_p"): {"0", "-1"},
     ("phasematch.theta_deg_from_beta1", "beta1_s"): {"0", "-1"},
     ("phasematch.theta_deg_from_beta1", "beta1_i"): {"0", "-1"},

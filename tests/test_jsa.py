@@ -8,11 +8,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hcfwm import fibermodel, jsa, phasematch, schmidt
+from hcfwm import config, fibermodel, jsa, phasematch, schmidt, sweeps
 from hcfwm.errors import ClippedGridError, NumericalError, ValidationError
 from hcfwm.fibermodel import omega_from_lambda_nm
-from hcfwm.jsa import GaussianPump, SampledPump
+from hcfwm.jsa import GaussianPump
 from hcfwm.phasematch import PhaseMatchBranch
 
 from _oracles import three_kappa_phi
@@ -32,7 +34,7 @@ K_FLAT_L10 = 1.1242763465605132
 def test_pump_sigma_golden(pump):
     assert pump.sigma == pytest.approx(PUMP_SIGMA_280FS, rel=1e-12)
     assert pump.fwhm_fs == pytest.approx(REF_FWHM_FS, rel=1e-12)
-    assert pump.rms_sigma == pytest.approx(pump.sigma / np.sqrt(2.0), rel=1e-14)
+    assert pump.sizing_sigma == pump.sigma
     assert pump.omega_p0 == pytest.approx(
         float(omega_from_lambda_nm(REF_LAMBDA_P_NM)), rel=1e-14
     )
@@ -79,60 +81,118 @@ def test_alpha_peaks_at_one_and_depends_on_sum_only(pump, grid128):
     assert alpha[7, 101] == pytest.approx(direct, rel=1e-12)
 
 
-def test_sampled_pump_matches_gaussian_closed_form(pump):
-    om = pump.omega_p0 + np.linspace(-6.0, 6.0, 8192) * pump.sigma
-    amp = np.exp(-((om - pump.omega_p0) ** 2) / (2.0 * pump.sigma**2))
-    sampled = SampledPump(om, amp.astype(complex))
-    Om = 2.0 * pump.omega_p0 + np.linspace(-3.0, 3.0, 301) * pump.sigma
-    a_num = sampled.alpha(Om)
-    a_ref = pump.alpha(Om)
-    rel = np.max(np.abs(a_num - a_ref) / np.abs(a_ref))
-    assert rel <= 1e-6
+def _modulated_amplitude(s, sigma, depth, period):
+    """A at the offset s = omega - omega_p0, unnormalized."""
+    return np.exp(-(s**2) / (2.0 * sigma**2)) * (
+        1.0 + depth * np.cos(2.0 * np.pi * s / period)
+    )
 
 
-def test_sampled_pump_centroid_and_rms(pump):
-    om = pump.omega_p0 + np.linspace(-8.0, 8.0, 4096) * pump.sigma
-    amp = np.exp(-((om - pump.omega_p0) ** 2) / (2.0 * pump.sigma**2))
-    sampled = SampledPump(om, amp.astype(complex))
-    assert sampled.omega_p0 == pytest.approx(pump.omega_p0, rel=1e-12)
-    assert sampled.rms_sigma == pytest.approx(pump.rms_sigma, rel=1e-4)
+def _quadrature_alpha(x, sigma, depth, period, nodes=4001):
+    """int A(u) A(Omega - u) du / int A^2 du at x = Omega - 2 omega_p0, by
+    the trapezoid rule over +-12 sigma about u = Omega / 2, where the
+    integrand is smooth and falls below 1e-60."""
+    t = np.linspace(-12.0, 12.0, nodes) * sigma
+    s = 0.5 * x[:, None] + t
+    conv = np.sum(
+        _modulated_amplitude(s, sigma, depth, period)
+        * _modulated_amplitude(x[:, None] - s, sigma, depth, period),
+        axis=1,
+    )
+    return conv / np.sum(_modulated_amplitude(t, sigma, depth, period) ** 2)
 
 
-def test_sampled_pump_validation(fiber, xenon, branch):
-    om = np.linspace(0.0, 1.0, 16)
-    good = np.ones(16, dtype=complex)
-    with pytest.raises(ValidationError, match=">= 4 points"):
-        SampledPump(om[:3], good[:3])
-    with pytest.raises(ValidationError, match="equal length"):
-        SampledPump(om, good[:-1])
-    with pytest.raises(ValidationError, match="strictly increasing"):
-        SampledPump(om[::-1], good)
-    bad_axis = om.copy()
-    bad_axis[8] += 0.01
-    with pytest.raises(ValidationError, match="uniformly spaced"):
-        SampledPump(bad_axis, good)
-    with pytest.raises(ValidationError, match="finite"):
-        SampledPump(om, good * np.nan)
-    with pytest.raises(ValidationError, match="identically zero"):
-        SampledPump(om, np.zeros(16, dtype=complex))
-    with pytest.raises(ValidationError, match="unknown pump"):
-        jsa.build_jsa(fiber, xenon, object(), branch, L_m=1.0, n=16)
+def _quadrature_sizing(sigma, depth, period, nodes=4001):
+    """sqrt(2) times the RMS width of |A|^2, by the same rule."""
+    t = np.linspace(-12.0, 12.0, nodes) * sigma
+    w = _modulated_amplitude(t, sigma, depth, period) ** 2
+    return float(np.sqrt(2.0 * np.sum(w * t * t) / np.sum(w)))
+
+
+@pytest.mark.parametrize("depth", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("period", [1e12, 3e12, 1e13, 1e14, 1e16])
+def test_modulated_alpha_matches_quadrature(pump, depth, period):
+    """The closed-form autoconvolution and grid width against quadrature.
+    Measured: alpha within 4.0e-13 of its unit peak (depth 0.9, period
+    1e12 rad/s, where both sides take cosines of phases up to 300 rad) and
+    within 1.8e-14 for depth 0; sizing_sigma within 2e-16 relative."""
+    mod = GaussianPump(pump.omega_p0, pump.sigma, depth=depth, period=period)
+    x = np.linspace(-8.0, 8.0, 801) * pump.sigma
+    expected = _quadrature_alpha(x, pump.sigma, depth, period)
+    assert np.max(np.abs(mod.alpha(2.0 * pump.omega_p0 + x) - expected)) < 1e-12
+    assert mod.sizing_sigma == pytest.approx(
+        _quadrature_sizing(pump.sigma, depth, period), rel=1e-14
+    )
+
+
+def test_depth_zero_is_the_plain_gaussian_bit_for_bit(pump, grid128, monkeypatch):
+    """Every recipe runs at depth 0: alpha, sizing_sigma and metadata keep
+    the plain Gaussian's bits, and no cosine is taken."""
+    Om = grid128.omega_s[:, None] + grid128.omega_i[None, :]
+    plain = np.exp(
+        -((Om - 2.0 * pump.omega_p0) ** 2) / (4.0 * pump.sigma**2)
+    ).astype(complex)
+
+    def no_cosine(*args, **kwargs):
+        raise AssertionError("a cosine was taken at depth 0")
+
+    monkeypatch.setattr(np, "cos", no_cosine)
+    for flat in (pump, GaussianPump(pump.omega_p0, pump.sigma, 0.0, 3e12)):
+        assert flat.alpha(Om).tobytes() == plain.tobytes()
+        assert flat.sizing_sigma == pump.sigma
+        assert flat.metadata() == {
+            "shape": "gaussian",
+            "omega_p0_rad_s": pump.omega_p0,
+            "sigma_rad_s": pump.sigma,
+        }
 
 
 def test_modulated_pump_structure(pump):
-    mod = SampledPump.modulated_gaussian(
-        pump.omega_p0, pump.sigma, depth=0.3, period=3e12
-    )
-    # symmetric modulation keeps the centroid at the carrier
-    assert mod.omega_p0 == pytest.approx(pump.omega_p0, rel=1e-12)
+    mod = GaussianPump(pump.omega_p0, pump.sigma, depth=0.3, period=3e12)
+    assert complex(mod.alpha(2.0 * pump.omega_p0)) == pytest.approx(1.0, abs=1e-15)
     Om = 2.0 * pump.omega_p0 + np.linspace(-4.0, 4.0, 401) * pump.sigma
     a_mod = np.abs(mod.alpha(Om))
     a_ref = np.abs(pump.alpha(Om))
     assert np.max(np.abs(a_mod - a_ref)) > 0.01
+    assert mod.metadata() == {
+        "shape": "gaussian",
+        "omega_p0_rad_s": pump.omega_p0,
+        "sigma_rad_s": pump.sigma,
+        "modulation_depth": 0.3,
+        "modulation_period_rad_s": 3e12,
+    }
     with pytest.raises(ValidationError, match="depth"):
-        SampledPump.modulated_gaussian(pump.omega_p0, pump.sigma, 1.0, 3e12)
+        GaussianPump(pump.omega_p0, pump.sigma, 1.0, 3e12)
     with pytest.raises(ValidationError, match="period"):
-        SampledPump.modulated_gaussian(pump.omega_p0, pump.sigma, 0.3, 0.0)
+        GaussianPump(pump.omega_p0, pump.sigma, 0.3, 0.0)
+    with pytest.raises(ValidationError, match="period must be a number, got None"):
+        GaussianPump(pump.omega_p0, pump.sigma, 0.3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    depth=st.floats(0.0, 1.0, exclude_max=True),
+    period_THz=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+)
+def test_any_modulation_gives_a_finite_alpha_or_a_validation_error(
+    grid128, depth, period_THz
+):
+    """From the config on: a finite alpha and grid width with no warning,
+    or a ValidationError (a period_THz whose rad/s value overflows)."""
+    raw = {"fiber": {}, "gas": {}, "pump": {
+        "modulation": {"depth": depth, "period_THz": period_THz}
+    }}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            pump = sweeps.pump_from_config(config.config_from_dict(raw))
+        except ValidationError:
+            assert not np.isfinite(period_THz * 1e12)
+            return
+        alpha = pump.alpha(grid128.omega_s[:, None] + grid128.omega_i[None, :])
+        width = pump.sizing_sigma
+    assert np.all(np.isfinite(alpha)) and np.all(np.abs(alpha) <= 1.0 + 1e-12)
+    assert 0.0 < width < np.inf
 
 
 # ------------------------------------------- phase matching function phi
@@ -434,16 +494,14 @@ def _one_pass_values(fiber, gas, pump, grid):
     return values
 
 
-@pytest.mark.parametrize("sampled", [False, True], ids=["gaussian", "sampled"])
+@pytest.mark.parametrize("modulated", [False, True], ids=["gaussian", "modulated"])
 @pytest.mark.parametrize("mode", ["linearized", "full"])
 # 64 rows: fewer than one block; 300: blocks of 109 rows, the last one short
 @pytest.mark.parametrize("n", [64, 300])
 def test_blocked_build_matches_one_pass_bit_for_bit(fiber, xenon, pump, branch,
-                                                    n, mode, sampled):
-    if sampled:
-        pump = SampledPump.modulated_gaussian(
-            pump.omega_p0, pump.sigma, depth=0.3, period=3e12
-        )
+                                                    n, mode, modulated):
+    if modulated:
+        pump = GaussianPump(pump.omega_p0, pump.sigma, depth=0.3, period=3e12)
     grid = jsa.build_jsa(fiber, xenon, pump, branch, L_m=0.4, n=n, mode=mode)
     assert (n > jsa._BLOCK_CELLS // n) == (n == 300)
     expected = _one_pass_values(fiber, xenon, pump, grid)
@@ -514,6 +572,8 @@ def test_build_jsa_validation(fiber, xenon, pump, branch):
     with pytest.raises(ValidationError, match="mode"):
         jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=16,
                       mode="exact")
+    with pytest.raises(ValidationError, match="unknown pump"):
+        jsa.build_jsa(fiber, xenon, object(), branch, L_m=1.0, n=16)
 
 
 def test_non_finite_sizes_and_lengths_are_refused(fiber, xenon, pump, branch):

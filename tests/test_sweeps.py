@@ -21,7 +21,7 @@ from hcfwm.errors import (
     ValidationError,
 )
 from hcfwm.fibermodel import omega_from_lambda_nm
-from hcfwm.jsa import GaussianPump, SampledPump
+from hcfwm.jsa import GaussianPump
 from hcfwm.phasematch import PhaseMatchBranch
 
 from _oracles import double_gaussian_K
@@ -386,11 +386,12 @@ def test_pump_from_config_variants():
     modulated = sweeps.pump_from_config(
         make_cfg(pump={"modulation": {"depth": 0.2, "period_THz": 3.0}})
     )
-    assert isinstance(modulated, SampledPump)
+    assert (modulated.depth, modulated.period) == (0.2, 3e12)
+    assert (modulated.omega_p0, modulated.sigma) == (plain.omega_p0, plain.sigma)
     flat_mod = sweeps.pump_from_config(
         make_cfg(pump={"modulation": {"depth": 0.0}})
     )
-    assert isinstance(flat_mod, GaussianPump)
+    assert flat_mod.depth == 0.0 and flat_mod.metadata() == plain.metadata()
 
 
 def test_fiber_and_gas_from_config():

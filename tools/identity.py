@@ -1,8 +1,9 @@
 """Byte-identity check of the command line on the bundled recipes.
 
-``record`` runs every subcommand on every bundled recipe, once as bundled
-and once with ``grid.mode: full``, each run in a fresh interpreter and
-its own work directory.  For each run it stores the exit code, the
+``record`` runs every subcommand on every bundled recipe in each variant
+of ``VARIANTS`` (as bundled, with ``grid.mode: full``, and with a
+modulated pump), each run in a fresh interpreter and its own work
+directory.  For each run it stores the exit code, the
 sha256 of stdout and of stderr (with the work directory replaced by
 ``<work>``), the sha256 of every file the run wrote, and the file names
 its ``manifest.json`` lists, in order.  It also stores the run's peak
@@ -51,7 +52,12 @@ SUBCOMMANDS = (
     "dispersion", "phasematch", "jsa", "schmidt", "set-sim",
     "sweep-length", "sweep-pressure", "density-map",
 )
-VARIANTS = ("bundled", "full")
+# variant -> config keys it sets over the recipe's
+VARIANTS = {
+    "bundled": {},
+    "full": {"grid": {"mode": "full"}},
+    "modulated": {"pump": {"modulation": {"depth": 0.3, "period_THz": 3.0}}},
+}
 # peak RSS moves beyond this fraction are noted by compare
 RSS_NOTE_FRACTION = 0.05
 # Runs `python -m hcfwm.cli` and, at exit, writes the process's VmHWM (the
@@ -85,6 +91,15 @@ def all_runs(src: str) -> list[tuple[str, str, str]]:
     return [(s, r, v) for s in SUBCOMMANDS for r in recipes for v in VARIANTS]
 
 
+def _set_keys(raw: dict, keys: dict) -> None:
+    """Set the nested ``keys`` in ``raw``, keeping its other keys."""
+    for key, value in keys.items():
+        if isinstance(value, dict):
+            _set_keys(raw.setdefault(key, {}), value)
+        else:
+            raw[key] = value
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -94,12 +109,12 @@ def _run_one(src: str, subcommand: str, recipe: str, variant: str) -> dict:
     env["PYTHONPATH"] = src
     with tempfile.TemporaryDirectory() as work:
         config = recipe
-        if variant == "full":
+        if VARIANTS[variant]:
             path = os.path.join(src, "hcfwm", "recipes", f"{recipe}.yaml")
             with open(path, encoding="utf-8") as fh:
                 raw = yaml.safe_load(fh)
-            raw.setdefault("grid", {})["mode"] = "full"
-            config = os.path.join(work, "config-full.yaml")
+            _set_keys(raw, VARIANTS[variant])
+            config = os.path.join(work, f"config-{variant}.yaml")
             with open(config, "w", encoding="utf-8") as fh:
                 yaml.safe_dump(raw, fh, sort_keys=True)
         out = os.path.join(work, "out")
