@@ -10,7 +10,9 @@ physics), 2 a numerical failure (non-convergence, no fittable sweep,
 float overflow, or a NaN or inf that an artifact would have held).
 
 Output files never embed wall-clock times or absolute paths, so a rerun
-with the same config and the same --label is byte-identical.  --threads
+with the same config and the same --label is byte-identical at one BLAS
+thread count: the last digits of schmidt_complex.json (and at times the
+last ulp of K_complex) differ between 1 and 2 OpenBLAS threads.  --threads
 is accepted (it must be >= 1) and ignored: hcfwm starts no threads of its
 own.  numpy's OpenBLAS does, one per CPU unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS says otherwise: its workers exist from `import numpy` on
@@ -49,6 +51,7 @@ from . import __version__, export, fibermodel, jsa, phasematch, schmidt
 from . import sweeps as sweeps_mod
 from . import tomography
 from .config import (
+    KNOWN_FORMATS,
     RunConfig,
     config_to_dict,
     dump_config,
@@ -157,7 +160,7 @@ class _Run:
         refuse in the file, so the exit code does not depend on
         output.formats."""
         fmt = fname.rpartition(".")[2]
-        if fmt in ("csv", "json") and fmt not in self.cfg.output.formats:
+        if fmt in KNOWN_FORMATS and fmt not in self.cfg.output.formats:
             try:
                 writer(*args, path=export.CHECK_ONLY, **kwargs)
             except NumericalError as exc:
@@ -394,7 +397,11 @@ def cmd_set_sim(run: _Run) -> None:
         )
 
 
-def _emit_sweep(run: _Run, result) -> None:
+def cmd_sweep(run: _Run) -> None:
+    """sweep-length and sweep-pressure: the driver of the subcommand's name,
+    looked up when the run starts, then its summary, points, gaps and fit."""
+    driver = getattr(sweeps_mod, run.subcommand.replace("-", "_"))
+    result = driver(run.cfg, write=run.write)
     run.write("summary.csv", "per-point Schmidt numbers and centroids",
               sweeps_mod.summary_csv, result)
     summary = sweeps_mod.fit_to_dict(result)
@@ -410,22 +417,13 @@ def _emit_sweep(run: _Run, result) -> None:
         )
     for g in result.gaps:
         print(f"{result.param}={text(g.value)}{result.unit}: gap ({g.reason})")
-
-
-def cmd_sweep_length(run: _Run) -> None:
-    result = sweeps_mod.sweep_length(run.cfg, write=run.write)
-    _emit_sweep(run, result)
-
-
-def cmd_sweep_pressure(run: _Run) -> None:
-    result = sweeps_mod.sweep_pressure(run.cfg, write=run.write)
-    _emit_sweep(run, result)
     fit = result.fit
-    print(
-        f"fitted idler sensitivity: {fit.slope_THz_per_bar:.2f} THz/bar "
-        f"(|slope| {abs(fit.slope_THz_per_bar):.2f}, r^2 {fit.r_squared:.4f}, "
-        f"span {fit.span_THz:.2f} THz over {fit.n_points} points)"
-    )
+    if fit is not None:
+        print(
+            f"fitted idler sensitivity: {fit.slope_THz_per_bar:.2f} THz/bar "
+            f"(|slope| {abs(fit.slope_THz_per_bar):.2f}, r^2 {fit.r_squared:.4f}, "
+            f"span {fit.span_THz:.2f} THz over {fit.n_points} points)"
+        )
 
 
 def cmd_density_map(run: _Run) -> None:
@@ -468,10 +466,8 @@ _COMMANDS = {
     "jsa": (cmd_jsa, "joint spectral amplitude and marginals"),
     "schmidt": (cmd_schmidt, "Schmidt decomposition of the JSA"),
     "set-sim": (cmd_set_sim, "stimulated-emission tomography simulation"),
-    "sweep-length": (cmd_sweep_length, "JSA and Schmidt numbers vs fiber length"),
-    "sweep-pressure": (
-        cmd_sweep_pressure, "branch tuning and Schmidt numbers vs gas pressure"
-    ),
+    "sweep-length": (cmd_sweep, "JSA and Schmidt numbers vs fiber length"),
+    "sweep-pressure": (cmd_sweep, "branch tuning and Schmidt numbers vs gas pressure"),
     "density-map": (
         cmd_density_map, "branch families over a pump-wavelength scan"
     ),

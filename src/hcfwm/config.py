@@ -28,7 +28,8 @@ from . import export
 from .errors import ValidationError, check_number
 from .fibermodel import MAX_MODE_N
 from .gasmedia import _load_yaml
-from .jsa import DEFAULT_GRID_N, DEFAULT_KAPPA_SPAN, MAX_GRID_N
+from .jsa import DEFAULT_GRID_N, DEFAULT_KAPPA_SPAN, MAX_GRID_N, MAX_PUMP_SIGMA
+from .jsa import GaussianPump
 from .phasematch import (
     DEFAULT_GRID_POINTS,
     MAX_GRID_POINTS,
@@ -302,6 +303,22 @@ class PumpConfig:
             raw["pulse_fwhm_fs"] = None
         elif fwhm is None:
             raw.pop("pulse_fwhm_fs", None)
+
+    @staticmethod
+    def _after(cfg: "PumpConfig", path: str) -> None:
+        """The width must give a field sigma that GaussianPump accepts."""
+        if not cfg.sigma_rad_s() <= MAX_PUMP_SIGMA:
+            key = "pulse_fwhm_fs" if cfg.sigma_THz is None else "sigma_THz"
+            raise ValidationError(
+                f"config key '{path}.{key}' gives a pump sigma above "
+                f"{MAX_PUMP_SIGMA:g} rad/s, got {getattr(cfg, key)}"
+            )
+
+    def sigma_rad_s(self) -> float:
+        """The field sigma of the pump, from whichever width is set."""
+        if self.sigma_THz is None:
+            return GaussianPump.sigma_from_fwhm(self.pulse_fwhm_fs)
+        return self.sigma_THz * 1e12
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ of ``GAP_ERRORS`` is a gap; any other error fails the whole run.
 
 Every scalar numeric argument of the library passes ``check_number``, the
 one input boundary, and every (first, second) pair ``check_pair``; only
-the config layer turns numeric strings into numbers before them.
+the config layer and the gas table turn numeric strings into numbers.
 """
 
 from __future__ import annotations

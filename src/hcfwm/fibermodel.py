@@ -17,10 +17,12 @@ the wall resonances
 
 which split the spectrum into transmission bands, labeled with Roman
 numerals from the long-wavelength side: band I lies above lambda_1, band II
-between lambda_2 and lambda_1, and so on.  Labels are assigned from the full
-resonance list, so clipping to a narrower window never renumbers bands.
+between lambda_2 and lambda_1, and so on.  Labels are the orders j
+themselves, so clipping to a narrower window never renumbers bands.
 Evaluation is refused inside an exclusion zone of +-0.5% of lambda_j around
-every resonance, where the tube model has no quantitative meaning.
+every resonance, where the tube model has no quantitative meaning.  Only
+the resonances whose zones reach the window are solved, and a band is
+listed only where some wavelength may be evaluated.
 
 All dispersion arithmetic runs on reduced quantities: the reduced index
 ``delta_eff = n_eff - 1`` (a few 1e-4 in magnitude) and the reduced
@@ -59,12 +61,16 @@ EXCLUSION_FRACTION = 0.005
 # A mode order of 1000 makes the Bessel-zero eigensolve 2064 x 2064
 # (34 MB); without a cap, mode_n = 1000000 asks for a 29 TiB matrix.
 MAX_MODE_N = 1000
+# A 100 um wall has about 1,400 resonances that reach the vacuum window, to
+# solve at about 0.2 ms each; without a cap, t_nm = 1e12 asks for 1e10.
+MAX_T_NM = 1e5
 
 # relative omega steps for the dispersion stencils; the second-difference
 # step is wider because beta2 of these fibers is ~1e-28 s^2/m and a 1e-5
 # step would push the difference below double-precision cancellation noise
 BETA1_REL_STEP = 1e-5
 BETA2_REL_STEP = 1e-4
+ZDW_GRID_POINTS = 400  # omega points of find_zdw's beta2 scan over a band
 
 _ROMAN = (
     (1000, "M"), (900, "CM"), (500, "D"), (400, "CD"), (100, "C"),
@@ -132,6 +138,7 @@ class FiberModel:
     def __post_init__(self):
         check_number("R_eff_um", self.R_eff_um, lo=0, lo_open=True)
         check_number("t_nm", self.t_nm, lo=0, lo_open=True)
+        check_number("t_nm", self.t_nm, hi=MAX_T_NM)
         for name, cap in (("mode_m", None), ("mode_n", MAX_MODE_N)):
             # stored as an int, so mode_n = 1.0 indexes and prints as 1
             n = check_number(name, getattr(self, name), lo=1, hi=cap, integer=True)
@@ -174,40 +181,34 @@ class Band:
 
 @dataclass(frozen=True)
 class BandStructure:
-    """Resonances and bands of one (fiber, gas) pair over a window."""
+    """Resonances and bands of one (fiber, gas) pair over a window; the
+    resonances run from lambda_{first_j} down."""
 
     fiber: FiberModel
     gas: GasState
     window_nm: tuple[float, float]
-    resonances_nm: tuple[float, ...]  # descending: lambda_1 > lambda_2 > ...
+    resonances_nm: tuple[float, ...]  # descending: lambda_j > lambda_{j+1} > ...
     bands: tuple[Band, ...]
-
-    @cached_property
-    def _res_array(self) -> np.ndarray:
-        return np.asarray(self.resonances_nm, dtype=float)
+    first_j: int = 1
 
     @cached_property
     def bands_by_label(self) -> dict[str, Band]:
         return {b.label: b for b in self.bands}
 
     def band_index(self, lambda_nm) -> np.ndarray:
-        """1-based band index j for each wavelength (band I is j = 1)."""
+        """Band index j for each wavelength of the window (band I is j = 1):
+        first_j plus the number of solved resonances above it."""
         lam = np.atleast_1d(np.asarray(lambda_nm, dtype=float))
-        res = self._res_array
-        if res.size == 0:
-            return np.ones(lam.shape, dtype=int)
-        # count resonances above lambda; arrays negated so searchsorted
-        # sees ascending order
-        return 1 + np.searchsorted(-res, -lam, side="left")
+        # arrays negated so searchsorted sees ascending order
+        res = np.asarray(self.resonances_nm, dtype=float)
+        return self.first_j + np.searchsorted(-res, -lam, side="left")
 
     def in_band_mask(self, lambda_nm) -> np.ndarray:
-        """True where evaluation is allowed: inside the window and clear of
-        every resonance exclusion zone."""
+        """True where evaluation is allowed: in a band's usable interval."""
         lam = np.atleast_1d(np.asarray(lambda_nm, dtype=float))
-        lo, hi = self.window_nm
-        ok = (lam > lo) & (lam < hi)
-        for lj in self.resonances_nm:
-            ok &= np.abs(lam - lj) > EXCLUSION_FRACTION * lj
+        ok = np.zeros(lam.shape, dtype=bool)
+        for b in self.bands:
+            ok |= (lam > b.usable_lo_nm) & (lam < b.usable_hi_nm)
         return ok
 
     def require_band(self, lambda_nm: float) -> Band:
@@ -230,12 +231,11 @@ class BandStructure:
                 f"{lam:.6g} nm outside the model window [{lo:.6g}, {hi:.6g}] nm "
                 f"for {self.gas.species} at {self.gas.pressure_bar:g} bar"
             )
-        # inside the window, so inside an exclusion zone: a wavelength of
-        # the window clear of every zone lies in (lambda_j, lambda_{j-1}),
-        # and band_structure builds band j wherever that interval meets
-        # the window
+        # inside the window but in no band's usable interval, so within a
+        # zone, whose edges are those of Band.usable_*
         for lj in self.resonances_nm:
-            if abs(lam - lj) <= EXCLUSION_FRACTION * lj:
+            zone = (lj * (1.0 - EXCLUSION_FRACTION), lj * (1.0 + EXCLUSION_FRACTION))
+            if zone[0] <= lam <= zone[1]:
                 raise DivergenceZoneError(
                     f"{lam:.6g} nm lies within {100 * EXCLUSION_FRACTION:.1f}% of the "
                     f"wall resonance at {lj:.6g} nm where the tube model diverges",
@@ -255,18 +255,22 @@ def model_window_nm(fiber: FiberModel, gas: GasState) -> tuple[float, float]:
     return (lo, hi)
 
 
+def _wall_index(gas: GasState, lam_nm):
+    """sqrt(n_si^2 - n_gas^2) at lam_nm.  It falls with the wavelength for
+    the bundled gases, whose indices fall more slowly than silica's."""
+    si = gasmedia.get_model("silica")
+    n_si2 = 1.0 + si.n_squared_minus_one(lam_nm, check=False)
+    dg = gasmedia.delta_gas(gas, lam_nm, check=False)
+    return np.sqrt(n_si2 - (1.0 + dg) ** 2)
+
+
 def _solve_resonance(fiber: FiberModel, gas: GasState, j: int) -> float:
     """Fixed-point solve of lambda_j = (2t/j) sqrt(n_si^2 - n_gas^2)."""
     t_um = fiber.t_nm * 1e-3
     # seed with fixed indices n_si = 1.45, n_gas = 1
     lam_um = (2.0 * t_um / j) * np.sqrt(1.45**2 - 1.0)
-    si = gasmedia.get_model("silica")
     for _ in range(100):
-        lam_nm = lam_um * 1e3
-        n_si2 = 1.0 + si.n_squared_minus_one(lam_nm, check=False)
-        dg = gasmedia.delta_gas(gas, lam_nm, check=False)
-        n_gas2 = (1.0 + dg) ** 2
-        nxt = (2.0 * t_um / j) * np.sqrt(n_si2 - n_gas2)
+        nxt = (2.0 * t_um / j) * _wall_index(gas, lam_um * 1e3)
         if abs(nxt - lam_um) < 1e-12:  # 1e-9 nm in um
             return float(nxt * 1e3)
         lam_um = nxt
@@ -278,45 +282,48 @@ def _solve_resonance(fiber: FiberModel, gas: GasState, j: int) -> float:
 
 @lru_cache(maxsize=64)
 def band_structure(fiber: FiberModel, gas: GasState) -> BandStructure:
-    """Bands over the full joint validity window (cached)."""
+    """Bands over the full joint validity window (cached).
+
+    G(x) = 2t sqrt(n_si^2 - n_gas^2) falls in x, so lambda_j < x exactly
+    when j > G(x) / x.  That picks the resonances below
+    c = hi / (1 - EXCLUSION_FRACTION), whose zones can reach the window,
+    down to a floor past its lower edge (170 nm keeps the Sellmeier sums
+    clear of their UV poles).
+    """
     window = model_window_nm(fiber, gas)
     lo, hi = window
-    # solve resonances down past the window edge so exclusion zones of
-    # just-outside resonances still apply; 170 nm keeps the Sellmeier sums
-    # clear of their UV poles during iteration
-    floor = max(170.0, 0.8 * lo)
-    resonances: list[float] = []
-    j = 1
-    while j <= 200:
-        lam_j = _solve_resonance(fiber, gas, j)
-        if lam_j < floor:
-            break
-        resonances.append(lam_j)
-        j += 1
-    res = tuple(resonances)
+
+    def order(x: float) -> int:
+        with np.errstate(invalid="ignore"):
+            g = 2.0 * fiber.t_nm * _wall_index(gas, x) / x
+        if not np.isfinite(g):
+            raise RangeError(
+                f"no wall resonances: n_si^2 - n_gas^2 is not positive at "
+                f"{x:.6g} nm for {gas.species} at {gas.pressure_bar:g} bar"
+            )
+        return int(g)
+
+    first = order(hi / (1.0 - EXCLUSION_FRACTION)) + 1
+    last = order(max(170.0, 0.8 * lo))
+    res = tuple(_solve_resonance(fiber, gas, j) for j in range(first, last + 1))
 
     bands: list[Band] = []
-    # band j spans (lambda_j, lambda_{j-1}); lambda_0 = +inf
-    uppers = (np.inf,) + res
-    lowers = res + (0.0,)
-    for idx, (res_lo, res_hi) in enumerate(zip(lowers, uppers), start=1):
-        b_lo = max(lo, res_lo)
-        b_hi = min(hi, res_hi if np.isfinite(res_hi) else hi)
-        if b_lo >= b_hi:
-            continue
-        bands.append(
-            Band(
-                label=roman(idx),
-                index=idx,
-                lo_nm=b_lo,
-                hi_nm=b_hi,
-                res_lo_nm=res_lo if res_lo > 0.0 else None,
-                res_hi_nm=res_hi if np.isfinite(res_hi) else None,
-            )
+    # band j spans (lambda_j, lambda_{j-1}); lambda_{first - 1} lies above c
+    edges = (np.inf,) + res + (0.0,)
+    for idx, (res_hi, res_lo) in enumerate(zip(edges, edges[1:]), start=first):
+        band = Band(
+            label=roman(idx),
+            index=idx,
+            lo_nm=max(lo, res_lo),
+            hi_nm=min(hi, res_hi),
+            res_lo_nm=res_lo if res_lo > 0.0 else None,
+            res_hi_nm=res_hi if np.isfinite(res_hi) else None,
         )
+        if band.usable_lo_nm < band.usable_hi_nm:
+            bands.append(band)
     return BandStructure(
         fiber=fiber, gas=gas, window_nm=window,
-        resonances_nm=res, bands=tuple(bands),
+        resonances_nm=res, bands=tuple(bands), first_j=first,
     )
 
 
@@ -332,15 +339,15 @@ def delta_eff(
     strut term whose cot diverges at the wall resonances.
     """
     lam = np.asarray(lambda_nm, dtype=float)
-    if check:
+    if check:  # also holds lam inside the gas and silica windows
         band_structure(fiber, gas).require_bands(lam)
-    dg = gasmedia.delta_gas(gas, lam, check=check)
+    dg = gasmedia.delta_gas(gas, lam, check=False)
     n_gas = 1.0 + dg
     u = fiber.u
     k0 = 2.0 * np.pi / (lam * 1e-9)
     R = fiber.R_eff_um * 1e-6
     si = gasmedia.get_model("silica")
-    n_si2 = 1.0 + si.n_squared_minus_one(lam, check=check)
+    n_si2 = 1.0 + si.n_squared_minus_one(lam, check=False)
     eps = n_si2 / n_gas**2
     psi = k0 * (fiber.t_nm * 1e-9) * np.sqrt(n_si2 - n_gas**2)
     return dg - u**2 / (2.0 * k0**2 * n_gas * R**2) - (
@@ -483,18 +490,14 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=1e-13, maxiter=100) -> float:
     )
 
 
-def find_zdw(
-    fiber: FiberModel,
-    gas: GasState,
-    band: Band | str,
-    grid_points: int = 400,
-) -> list[float]:
+def find_zdw(fiber: FiberModel, gas: GasState, band: Band | str) -> list[float]:
     """Zero-dispersion wavelengths (beta2 = 0) inside one band, in nm.
 
-    Scans beta2 on a uniform omega grid over the band interior (staying
-    clear of exclusion zones and leaving stencil margin), brackets sign
-    changes, and polishes each with a Brent root solve.  Returns wavelengths
-    in ascending order; empty list if beta2 does not cross zero.
+    Scans beta2 on a uniform omega grid of ZDW_GRID_POINTS over the band
+    interior (staying clear of exclusion zones and leaving stencil margin),
+    brackets sign changes, and polishes each with a Brent root solve.
+    Returns wavelengths in ascending order; empty list if beta2 does not
+    cross zero.
 
     beta2 comes from a finite-difference stencil on kappa, and within about
     1e-8 (relative) of the root its sign is rounding noise, so the model
@@ -503,7 +506,6 @@ def find_zdw(
     points on every run; a different root finder would land elsewhere in
     the noise band.
     """
-    grid_points = check_number("grid_points", grid_points, lo=8, integer=True)
     structure = band_structure(fiber, gas)
     if isinstance(band, str):
         try:
@@ -515,19 +517,17 @@ def find_zdw(
 
     # interior margins: exclusion zone is 0.5%, stencil reach is 2e-4, so
     # 0.6% against resonance edges and 0.1% against window edges is safe
-    lo = band.usable_lo_nm * (1.001 if band.res_lo_nm is None else 1.0)
+    lo, hi = band.lo_nm * 1.001, band.hi_nm * 0.999
     if band.res_lo_nm is not None:
-        lo = band.res_lo_nm * (1.0 + EXCLUSION_FRACTION + 1e-3)
-    hi = band.usable_hi_nm * (0.999 if band.res_hi_nm is None else 1.0)
+        lo = max(band.lo_nm, band.res_lo_nm * (1.0 + EXCLUSION_FRACTION + 1e-3))
     if band.res_hi_nm is not None:
-        hi = band.res_hi_nm * (1.0 - EXCLUSION_FRACTION - 1e-3)
-    lo, hi = max(lo, band.lo_nm), min(hi, band.hi_nm)
+        hi = min(band.hi_nm, band.res_hi_nm * (1.0 - EXCLUSION_FRACTION - 1e-3))
     if not lo < hi:
         return []
 
     om = np.linspace(
         float(omega_from_lambda_nm(hi)), float(omega_from_lambda_nm(lo)),
-        grid_points,
+        ZDW_GRID_POINTS,
     )
     b2 = _beta2_on_grid(fiber, gas, om)
 

@@ -52,6 +52,9 @@ DEFAULT_GRID_N = 512
 MAX_GRID_N = 4096
 DEFAULT_KAPPA_SPAN = 4.0
 CLIP_FATAL_FRACTION = 0.20
+# alpha squares sigma, which overflows above about 1.3e154 rad/s; a pump
+# this wide is flat over any grid already
+MAX_PUMP_SIGMA = 1e150
 # build_jsa evaluates the grid this many cells at a time, rounded to whole rows
 _BLOCK_CELLS = 32768
 
@@ -77,24 +80,28 @@ class GaussianPump:
     def __post_init__(self):
         check_number("omega_p0", self.omega_p0, lo=0, lo_open=True)
         check_number("sigma", self.sigma, lo=0, lo_open=True)
+        check_number("sigma", self.sigma, hi=MAX_PUMP_SIGMA)
         check_number("modulation depth", self.depth, lo=0, hi=1, hi_open=True)
         if self.depth or self.period is not None:
             check_number("modulation period", self.period, lo=0, lo_open=True)
 
     @classmethod
     def from_fwhm(cls, lambda_nm: float, fwhm_fs: float) -> "GaussianPump":
-        """Pump from center wavelength and intensity FWHM duration.
-
-        Transform-limited Gaussian assumption: FWHM_t * FWHM_omega = 4 ln 2,
-        so the field sigma is 2 sqrt(ln 2) / FWHM_t.
-        """
+        """Pump from center wavelength and intensity FWHM duration."""
         check_number("lambda_nm", lambda_nm, lo=0, lo_open=True)
-        check_number("fwhm_fs", fwhm_fs, lo=0, lo_open=True)
-        sigma = 2.0 * np.sqrt(np.log(2.0)) / (fwhm_fs * 1e-15)
         return cls(
             omega_p0=float(fibermodel.omega_from_lambda_nm(lambda_nm)),
-            sigma=sigma,
+            sigma=cls.sigma_from_fwhm(fwhm_fs),
         )
+
+    @staticmethod
+    def sigma_from_fwhm(fwhm_fs: float) -> float:
+        """Field sigma in rad/s of a transform-limited Gaussian pulse:
+        FWHM_t * FWHM_omega = 4 ln 2, so sigma = 2 sqrt(ln 2) / FWHM_t, and
+        inf where that overflows."""
+        check_number("fwhm_fs", fwhm_fs, lo=0, lo_open=True)
+        with np.errstate(over="ignore"):
+            return 2.0 * np.sqrt(np.log(2.0)) / (fwhm_fs * 1e-15)
 
     @property
     def fwhm_fs(self) -> float:
@@ -199,8 +206,21 @@ def phi_function(
     return _sinc(x) * np.exp(1j * x)
 
 
+class FrequencyAxes:
+    """Signal and idler axes omega_s and omega_i (rad/s), with their vacuum
+    wavelengths; the base of every grid record."""
+
+    @property
+    def lambda_s_nm(self) -> np.ndarray:
+        return lambda_nm_from_omega(self.omega_s)
+
+    @property
+    def lambda_i_nm(self) -> np.ndarray:
+        return lambda_nm_from_omega(self.omega_i)
+
+
 @dataclass(eq=False)
-class JsaGrid:
+class JsaGrid(FrequencyAxes):
     """Discretized JSA with its construction metadata."""
 
     omega_s: np.ndarray
@@ -219,14 +239,6 @@ class JsaGrid:
         return float(
             (self.omega_s[1] - self.omega_s[0]) * (self.omega_i[1] - self.omega_i[0])
         )
-
-    @property
-    def lambda_s_nm(self) -> np.ndarray:
-        return lambda_nm_from_omega(self.omega_s)
-
-    @property
-    def lambda_i_nm(self) -> np.ndarray:
-        return lambda_nm_from_omega(self.omega_i)
 
 
 def build_jsa(
@@ -291,17 +303,16 @@ def build_jsa(
 
     if not np.all(np.isfinite(values)):
         raise NumericalError("JSA grid contains non-finite values")
-    cell = float((omega_s[1] - omega_s[0]) * (omega_i[1] - omega_i[0]))
-    norm2 = np.sum(np.abs(values) ** 2) * cell
-    if norm2 <= 0.0:
-        raise NumericalError("JSA grid is identically zero")
-    values /= np.sqrt(norm2)
-
-    return JsaGrid(
+    grid = JsaGrid(
         omega_s=omega_s, omega_i=omega_i, values=values,
         fiber=fiber, gas=gas, pump=pump, branch=branch,
         L_m=float(L_m), mode=mode, clipped_fraction=clipped,
     )
+    norm2 = np.sum(np.abs(values) ** 2) * grid.cell_area
+    if norm2 <= 0.0:
+        raise NumericalError("JSA grid is identically zero")
+    values /= np.sqrt(norm2)
+    return grid
 
 
 def jsi(grid: JsaGrid) -> np.ndarray:

@@ -60,23 +60,18 @@ def _weighted_matrix(grid, flat_phase: bool):
         area = grid.cell_area
         if not area > 0.0:  # an axis out of order, repeated or NaN
             raise ValidationError(f"JsaGrid cell_area must be > 0, got {area}")
-        matrix = np.abs(grid.values) if flat_phase else grid.values
+        a = grid.values
     else:
         area = 1.0
-        arr = np.asarray(grid)
-        if arr.ndim != 2 or min(arr.shape) < 2:
+        a = np.asarray(grid)
+        if a.ndim != 2 or min(a.shape) < 2:
             raise ValidationError("grid must be a 2-D array, at least 2x2")
-        if np.iscomplexobj(arr):
-            if flat_phase:
-                matrix = np.abs(arr)
-            else:
-                matrix = arr
-        else:
+        if not np.iscomplexobj(a):
             # a real grid is a JSI: amplitude is its square root
-            if np.any(arr < 0.0):
+            if np.any(a < 0.0):
                 raise ValidationError("a JSI grid must be non-negative")
-            matrix = np.sqrt(arr)
-            flat_phase = True
+            a, flat_phase = np.sqrt(a), True
+    matrix = np.abs(a) if flat_phase else a
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("grid contains non-finite values")
     if not np.any(matrix):

@@ -145,11 +145,7 @@ def gas_from_config(cfg: RunConfig) -> GasState:
 def pump_from_config(cfg: RunConfig) -> GaussianPump:
     """Gaussian pump from the config width, modulated as the config says."""
     p, mod = cfg.pump, cfg.pump.modulation
-    if p.pulse_fwhm_fs is not None:
-        pump = GaussianPump.from_fwhm(p.lambda_nm, p.pulse_fwhm_fs)
-    else:
-        omega_p0 = float(omega_from_lambda_nm(p.lambda_nm))
-        pump = GaussianPump(omega_p0, sigma=p.sigma_THz * 1e12)
+    pump = GaussianPump(float(omega_from_lambda_nm(p.lambda_nm)), p.sigma_rad_s())
     if mod is None:
         return pump
     return replace(pump, depth=mod.depth, period=mod.period_THz * 1e12)

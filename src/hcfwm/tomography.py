@@ -23,8 +23,7 @@ import numpy as np
 
 from . import export
 from .errors import RangeError, ValidationError, check_number
-from .fibermodel import lambda_nm_from_omega
-from .jsa import MAX_GRID_N, JsaGrid, grid_to_csv, jsi
+from .jsa import MAX_GRID_N, FrequencyAxes, JsaGrid, grid_to_csv, jsi
 
 # reduced Planck constant h / (2 pi) in J s, from the exact SI h = 6.62607015e-34
 hbar = 1.0545718176461565e-34
@@ -87,7 +86,7 @@ def _seed_photon_number(seed_power_W, duty_cycle, omega_i):
 
 
 @dataclass
-class SetScan:
+class SetScan(FrequencyAxes):
     """One stimulated-emission scan: swept seed, recorded signal spectra.
 
     slices[k, j] is the recorded signal intensity at omega_s[j] with the
@@ -136,34 +135,18 @@ class SetScan:
     def n_slices(self) -> int:
         return int(self.omega_i.size)
 
-    @property
-    def lambda_i_nm(self) -> np.ndarray:
-        return lambda_nm_from_omega(self.omega_i)
-
-    @property
-    def lambda_s_nm(self) -> np.ndarray:
-        return lambda_nm_from_omega(self.omega_s)
-
     def seed_photon_number(self) -> np.ndarray:
         """Per-step seed photon number derived from the monitored power."""
         return _seed_photon_number(self.seed_power_W, self.duty_cycle, self.omega_i)
 
 
 @dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(FrequencyAxes):
     """Seed-normalized, unit-sum JSI on the scan's axes."""
 
     omega_s: np.ndarray
     omega_i: np.ndarray
     values: np.ndarray  # values[j, k] on (omega_s[j], omega_i[k]); sums to 1
-
-    @property
-    def lambda_s_nm(self) -> np.ndarray:
-        return lambda_nm_from_omega(self.omega_s)
-
-    @property
-    def lambda_i_nm(self) -> np.ndarray:
-        return lambda_nm_from_omega(self.omega_i)
 
 
 @dataclass(frozen=True)

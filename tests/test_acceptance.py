@@ -417,8 +417,10 @@ def test_invariant_grid_refinement(truth512, series_cfg):
 
 
 def test_invariant_thread_independence(tuning_cfg, truth512):
-    """Runs are single-threaded, so the invariant is a same-seed rerun
-    giving the same bytes and the same noisy slices."""
+    """hcfwm starts no threads of its own, so the invariant is a same-seed
+    rerun giving the same bytes and the same noisy slices.  OpenBLAS's
+    threads are another matter: test_cli's
+    test_schmidt_bytes_across_blas_thread_counts says what they move."""
     cfg = dataclasses.replace(
         tuning_cfg,
         sweep_pressure=config.SweepPressureConfig(pressures_bar=(3.0, 3.2, 3.4)),

@@ -378,6 +378,32 @@ def test_frequency_that_overflows_in_rad_s_exits_1(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ({"pulse_fwhm_fs": 1e-300},
+         "config key 'pump.pulse_fwhm_fs' gives a pump sigma above 1e+150 "
+         "rad/s, got 1e-300"),
+        ({"sigma_THz": 1e148},
+         "config key 'pump.sigma_THz' gives a pump sigma above 1e+150 rad/s, "
+         "got 1e+148"),
+    ],
+    ids=["fwhm", "sigma"],
+)
+def test_pump_width_beyond_the_sigma_cap_exits_1(keys, message, tmp_path, capsys):
+    """A width whose field sigma GaussianPump would refuse, or would not
+    even reach as a number, names its config key; no warning comes first."""
+    raw = copy.deepcopy(BASE)
+    raw["pump"].update(keys)
+    rc = cli.main(
+        ["jsa", "--config", write_cfg(tmp_path, raw),
+         "--out", str(tmp_path / "o"), "--label", "t"]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _run_cli(tmp_path, subcommand, raw):
     return cli.main(
         [subcommand, "--config", write_cfg(tmp_path, raw),
@@ -523,6 +549,28 @@ def test_dispersion_without_wall_resonances(tmp_path, capsys):
     raw["fiber"] = {"t_nm": 80.0}
     assert _run_cli(tmp_path, "dispersion", raw) == 0
     assert "\n1 band; no wall resonances\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "fiber, gas, bands",
+    [
+        ({"t_nm": 100.0}, {"species": "xenon", "pressure_bar": 1.0}, ["I"]),
+        # band III of this wall would lie wholly inside the exclusion zone
+        # of the 251 nm resonance
+        ({"t_nm": 222.8, "R_eff_um": 20.0},
+         {"species": "xenon", "pressure_bar": 1.0}, ["I", "II"]),
+    ],
+    ids=["thin-wall", "band-inside-a-zone"],
+)
+def test_dispersion_of_walls_that_failed(fiber, gas, bands, tmp_path, capsys):
+    """Resonances are solved only where their zones reach the window, and a
+    band only where evaluation is allowed: no warning, no error."""
+    raw = copy.deepcopy(BASE)
+    raw["fiber"], raw["gas"] = fiber, gas
+    assert _run_cli(tmp_path, "dispersion", raw) == 0
+    assert capsys.readouterr().err == ""
+    manifest = read_manifest(tmp_path / "o" / "dispersion" / "t")
+    assert manifest["results"]["bands"] == bands
 
 
 @pytest.mark.parametrize(
@@ -989,6 +1037,41 @@ def _fresh_python(code, cwd):
         [sys.executable, "-c", code], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=120,
     )
+
+
+def test_schmidt_bytes_across_blas_thread_counts(tmp_path):
+    """The byte-identical rerun holds at one BLAS thread count.  LAPACK's
+    complex SVD (zgesdd) splits its work among the OpenBLAS threads, so the
+    last digits of schmidt_complex.json, and on some recipes the last ulp
+    of K_complex in manifest.json, depend on OPENBLAS_NUM_THREADS; every
+    other artifact of the run does not.  So those two files are compared
+    through K_complex, to 1e-12, and the rest byte for byte."""
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads_{threads}"
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hcfwm.cli", "schmidt", "--config",
+             "length_series", "--out", "o", "--label", "run"],
+            cwd=cwd, capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=_PKG_ROOT, OPENBLAS_NUM_THREADS=threads),
+        )
+        run_dir = cwd / "o" / "schmidt" / "run"
+        files = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+        runs.append((proc.returncode, proc.stdout, proc.stderr, files))
+    (rc1, out1, err1, files1), (rc2, out2, err2, files2) = runs
+    assert rc1 == rc2 == 0, err1 + err2
+    assert (out1, err1) == (out2, err2)
+    assert sorted(files1) == sorted(files2)
+    for name in set(files1) - {"schmidt_complex.json", "manifest.json"}:
+        assert files1[name] == files2[name], name
+    k1, k2 = (
+        json.loads(files["manifest.json"])["results"]["K_complex"]
+        for files in (files1, files2)
+    )
+    assert k2 == pytest.approx(k1, rel=1e-12)
+    for files, k in ((files1, k1), (files2, k2)):
+        assert json.loads(files["schmidt_complex.json"])["K"] == k
 
 
 @pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "csv"])

@@ -44,6 +44,8 @@ def test_record_and_compare(tmp_path, capsys):
     assert refused["artifacts"] is None
     assert ok["peak_rss_kb"] > 0 and refused["peak_rss_kb"] > 0
     assert identity.summary(rec) == "2 runs (1 exit 0, 1 exit 1), 5 files"
+    threads = rec["blas_threads"]
+    assert threads is None or threads >= 1
 
     # a rerun in fresh interpreters and work directories is identical
     assert identity.differences(rec, identity.record(str(ROOT / "src"), RUNS)) == []
@@ -70,6 +72,20 @@ def test_record_and_compare(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("identical\n")
     assert identity.main(["compare", str(old), str(new)]) == 1
     assert capsys.readouterr().out.endswith("5 difference(s)\n")
+
+    # another BLAS thread count is a note, not a difference; so is a
+    # record made before the count was recorded
+    for other in [n for n in ((threads or 1) + 1, None) if n != threads]:
+        elsewhere = copy.deepcopy(rec)
+        if other is None:
+            del elsewhere["blas_threads"]
+        else:
+            elsewhere["blas_threads"] = other
+        new.write_text(json.dumps(elsewhere))
+        assert identity.main(["compare", str(old), str(new)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"note: blas_threads {threads} -> {other}; ")
+        assert out.endswith("identical\n")
 
     # peak RSS is noted when it moves by more than 5%, and never differs
     ok["peak_rss_kb"] = 20480

@@ -78,9 +78,6 @@ CALLS = {
     "fibermodel.BandStructure.require_band": lambda fx: (
         fx.structure.require_band, dict(lambda_nm=1030.0)
     ),
-    "fibermodel.find_zdw": lambda fx: (
-        fibermodel.find_zdw, dict(fiber=fx.fiber, gas=fx.xenon, band="I")
-    ),
     "gasmedia.SellmeierModel": lambda fx: (gasmedia.SellmeierModel, _SELLMEIER),
     "gasmedia.GasState": lambda fx: (
         gasmedia.GasState, dict(model=fx.xenon.model, pressure_bar=3.4)
@@ -94,6 +91,9 @@ CALLS = {
     ),
     "jsa.GaussianPump.from_fwhm": lambda fx: (
         jsa.GaussianPump.from_fwhm, dict(lambda_nm=1030.0, fwhm_fs=280.0)
+    ),
+    "jsa.GaussianPump.sigma_from_fwhm": lambda fx: (
+        jsa.GaussianPump.sigma_from_fwhm, dict(fwhm_fs=280.0)
     ),
     "jsa.phi_function": lambda fx: (
         jsa.phi_function,
@@ -327,7 +327,8 @@ def test_check_number_returns_the_value():
                                  L_m=1.0, n=64.5),
         lambda fx: phasematch.density_map(fx.fiber, fx.xenon, (1025.0, 1035.0),
                                           steps=2.5),
-        lambda fx: fibermodel.find_zdw(fx.fiber, fx.xenon, "I", grid_points=8.5),
+        lambda fx: phasematch.solve_phase_matching(
+            fx.fiber, fx.xenon, fx.branch.omega_p, grid_points=400.5),
     ],
     ids=["mode_n", "n", "steps", "grid_points"],
 )
@@ -340,9 +341,11 @@ def test_integral_floats_count_as_integers(fx):
     fiber = fibermodel.FiberModel(22.0, 630.0, mode_m=1.0, mode_n=1.0)
     assert (fiber.mode_m, fiber.mode_n) == (1, 1) and fiber.mode_label == "HE11"
     assert fiber == fx.fiber
-    assert fibermodel.find_zdw(fx.fiber, fx.xenon, "I", grid_points=400.0) == (
-        fibermodel.find_zdw(fx.fiber, fx.xenon, "I")
-    )
+    grids = [
+        jsa.build_jsa(fx.fiber, fx.xenon, fx.pump, fx.branch, L_m=1.0, n=n)
+        for n in (16.0, 16)
+    ]
+    np.testing.assert_array_equal(grids[0].values, grids[1].values)
 
 
 def test_size_caps_live_in_the_library(fx):
@@ -357,6 +360,8 @@ def test_size_caps_live_in_the_library(fx):
     for error, call in [
         ("mode_n must be <= 1000", lambda: fibermodel.FiberModel(
             22.0, 630.0, mode_n=fibermodel.MAX_MODE_N + 1)),
+        ("t_nm must be finite and <= 100000.0", lambda: fibermodel.FiberModel(
+            22.0, 2.0 * fibermodel.MAX_T_NM)),
         ("grid size n must be <= 4096", lambda: jsa.build_jsa(
             fx.fiber, fx.xenon, fx.pump, fx.branch, L_m=1.0,
             n=jsa.MAX_GRID_N + 1)),
@@ -385,10 +390,19 @@ def test_size_caps_live_in_the_library(fx):
         assert peak < 1e6, (error, peak)
 
 
-@pytest.mark.parametrize("points", [0, -1, 7, True])
-def test_find_zdw_refuses_small_scans(fx, points):
-    with pytest.raises(ValidationError, match="grid_points"):
-        fibermodel.find_zdw(fx.fiber, fx.xenon, "I", grid_points=points)
+def test_pump_sigma_is_capped_where_alpha_squares_it(fx):
+    """A sigma whose square overflows is refused when the pump is built,
+    not as an OverflowError in alpha; a duration so short that its sigma
+    overflows is refused too, with no warning first."""
+    with pytest.raises(ValidationError) as err:
+        jsa.GaussianPump(1e15, 1e160)
+    assert str(err.value) == "sigma must be finite and <= 1e+150, got 1e+160"
+    with pytest.raises(ValidationError) as err:
+        jsa.GaussianPump.from_fwhm(1030.0, 1e-300)
+    assert str(err.value) == "sigma must be finite and > 0, got inf"
+    widest = jsa.GaussianPump(1e15, jsa.MAX_PUMP_SIGMA)
+    assert widest.alpha(2e15) == 1.0
+    assert np.isinf(jsa.GaussianPump.sigma_from_fwhm(1e-300))
 
 
 @pytest.mark.parametrize(

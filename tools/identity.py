@@ -27,9 +27,12 @@ fails the comparison::
 directory, records it and this checkout (or compares with a given
 record), with the same interpreter.
 
-SVD bits depend on the BLAS build, so a record also stores the numpy
-version and the BLAS name; ``compare`` notes when they differ, and
-hashes are never checked in.  Runs do not see ``HCFWM_GAS_DATA``.
+SVD bits depend on the BLAS build and on its thread count (the complex
+SVD of ``schmidt`` gives other last digits at 1 and 2 OpenBLAS threads),
+so a record also stores the numpy version, the BLAS name and the
+recorder's OpenBLAS thread count, which its runs inherit through the
+environment; ``compare`` notes when they differ, and hashes are never
+checked in.  Runs do not see ``HCFWM_GAS_DATA``.
 """
 
 from __future__ import annotations
@@ -164,6 +167,30 @@ def _blas_name() -> str:
     return f"{blas.get('name')} {blas.get('version')}"
 
 
+def _blas_threads() -> int | None:
+    """Thread count of the OpenBLAS that numpy loaded, or None if none is
+    found."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.dirname(numpy.__file__) + ".libs"
+    for lib in glob.glob(os.path.join(libs, "*blas*")):
+        handle = ctypes.CDLL(lib)
+        for sym in (
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+
 def record(src: str, runs=None) -> dict:
     """Run ``runs`` (default ``all_runs(src)``) against the package in
     ``src`` and return the record."""
@@ -173,6 +200,7 @@ def record(src: str, runs=None) -> dict:
     return {
         "numpy": np.__version__,
         "blas": _blas_name(),
+        "blas_threads": _blas_threads(),
         "runs": {
             "/".join(run): _run_one(src, *run)
             for run in (all_runs(src) if runs is None else runs)
@@ -274,9 +302,10 @@ def main(argv=None) -> int:
         old, new = map(_load, args.records)
     else:
         parser.error("compare takes OLD NEW, or --against REV and at most NEW")
-    for field in ("numpy", "blas"):
-        if old[field] != new[field]:
-            print(f"note: {field} {old[field]} -> {new[field]}; SVD bits may differ")
+    for field in ("numpy", "blas", "blas_threads"):
+        if old.get(field) != new.get(field):
+            print(f"note: {field} {old.get(field)} -> {new.get(field)}; "
+                  "SVD bits may differ")
     lines = differences(old, new)
     for line in lines + rss_moves(old, new):
         print(line)
