@@ -232,7 +232,14 @@ def cmd_dispersion(run: _Run) -> None:
     zdws = {}
     for band in structure.bands:
         lo, hi = band.usable_lo_nm, band.usable_hi_nm
-        margin = 1e-3 * (hi - lo)
+        # twice the narrowest stencil's reach from each edge: every stencil fits
+        margin = max(1e-3 * (hi - lo), 2.0 * fibermodel.MIN_STENCIL_REACH * hi)
+        if not lo + margin < hi - margin:
+            warnings.warn(
+                f"band {band.label} is too narrow to sample: its usable "
+                f"[{lo:.6g}, {hi:.6g}] nm leaves no room for a dispersion stencil"
+            )
+            continue
         grid = np.linspace(lo + margin, hi - margin, _DISPERSION_SAMPLES_PER_BAND)
         pt = fibermodel.dispersion_derivatives(fiber, gas, grid)
         table = np.column_stack((pt.lambda_nm, pt.k, pt.beta1, pt.beta2))
@@ -428,7 +435,6 @@ def cmd_sweep(run: _Run) -> None:
 
 def cmd_density_map(run: _Run) -> None:
     cfg = run.cfg
-    required_section(cfg, "density_map", "the density-map subcommand")
     fiber = sweeps_mod.fiber_from_config(cfg)
     gas = sweeps_mod.gas_from_config(cfg)
     branches = sweeps_mod.density_records(cfg, fiber, gas)

@@ -37,28 +37,6 @@ from .phasematch import (
     MAX_PUMP_STEPS,
 )
 
-__all__ = [
-    "FiberConfig",
-    "GasConfig",
-    "ModulationConfig",
-    "PumpConfig",
-    "GridConfig",
-    "PhasematchConfig",
-    "NoiseConfig",
-    "SetSimConfig",
-    "SweepLengthConfig",
-    "SweepPressureConfig",
-    "DensityMapConfig",
-    "OutputConfig",
-    "RunConfig",
-    "required_section",
-    "config_from_dict",
-    "config_to_dict",
-    "load_config",
-    "loads_config",
-    "dump_config",
-]
-
 REQUIRED_SECTIONS = ("fiber", "gas", "pump")
 KNOWN_FORMATS = ("csv", "json")
 SANITY_MAX_BAR = 20.0  # upper end of the gas-model sanity range (0, 20] bar

@@ -5,8 +5,9 @@ ended by "\\n".  A text cell is written as it is, a number as "%.9g".
 The rows come in one of two forms, with the same text from either:
 - an iterable of rows, each an iterable of cells, formatted cell by
   cell: the form for tables that hold text;
-- a 2-D float64 ndarray, one table row per array row: numpy encodes it,
-  about 32k cells at a time, into the bytes that "%.9g" gives.
+- a 2-D float64 ndarray, or a tuple of them with equal row counts laid
+  side by side, one table row per array row: numpy encodes it, about 32k
+  cells at a time, into the bytes that "%.9g" gives.
 JSON: keys sorted; compact for grids and decompositions, indent=1 plus a
 trailing newline for summaries and manifests.  In compact JSON, each 1-D
 or 2-D float64 ndarray is encoded by numpy, 8,192 cells at a time, into
@@ -179,22 +180,23 @@ def _encode(values: np.ndarray, seps: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _refuse_non_finite_table(table: np.ndarray, path: str | None) -> None:
-    finite = np.isfinite(table)
+def _refuse_non_finite_table(blocks: tuple, path: str | None) -> None:
+    finite = np.logical_and.reduce([np.isfinite(b).all(axis=1) for b in blocks])
     if not finite.all():
-        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        row = int(np.argmin(finite))
         raise NumericalError(f"non-finite number on line {row + 2} of {_where(path)}")
 
 
-def _table_pieces(table: np.ndarray) -> Iterator[bytes]:
-    """CSV body of a finite 2-D float64 table, a chunk of rows at a time."""
-    n_rows, n_cols = table.shape
+def _table_pieces(blocks: tuple) -> Iterator[bytes]:
+    """CSV body of a finite table, given as 2-D float64 column blocks laid
+    side by side, a chunk of rows at a time; no block is copied whole."""
+    n_rows, n_cols = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
     step = max(1, _CHUNK_CELLS // n_cols)
     seps = np.full((step, n_cols), 44 << 40, dtype=np.uint64)
     seps[:, -1] = 10 << 40
     seps = seps.ravel()
     for start in range(0, n_rows, step):
-        cells = table[start : start + step].ravel()
+        cells = np.hstack([b[start : start + step] for b in blocks]).ravel()
         yield _encode(cells, seps[: cells.size])
 
 
@@ -437,18 +439,17 @@ def _refuse_non_finite(text: str, first_line: int, path: str | None) -> None:
 
 def to_csv(header, rows, path: str | None = None) -> str | None:
     """CSV of ``header`` (an iterable of cells) and ``rows`` (an iterable
-    of such rows, or a 2-D float64 ndarray): written to ``path`` when
-    given, else returned as text."""
+    of such rows, or a 2-D float64 ndarray, or a tuple of them to lay side
+    by side): written to ``path`` when given, else returned as text."""
     head = _line(header) + "\n"
     _refuse_non_finite(head, 1, path)
-    if (
-        isinstance(rows, np.ndarray)
-        and rows.ndim == 2
-        and rows.dtype == np.float64
-        and rows.shape[1] > 0
-    ):
-        _refuse_non_finite_table(rows, path)
-        body = _table_pieces(rows)
+    blocks = rows if isinstance(rows, tuple) else (rows,)
+    if all(
+        isinstance(b, np.ndarray) and b.ndim == 2 and b.dtype == np.float64
+        for b in blocks
+    ) and sum(b.shape[1] for b in blocks) > 0:
+        _refuse_non_finite_table(blocks, path)
+        body = _table_pieces(blocks)
     else:
         text = "".join([_line(row) + "\n" for row in rows])
         _refuse_non_finite(text, 2, path)

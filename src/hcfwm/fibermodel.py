@@ -70,6 +70,10 @@ MAX_T_NM = 1e5
 # step would push the difference below double-precision cancellation noise
 BETA1_REL_STEP = 1e-5
 BETA2_REL_STEP = 1e-4
+# a stencil that leaves its band is halved up to STENCIL_HALVINGS times, so
+# the narrowest beta2 stencil reaches this far (relative) in omega
+STENCIL_HALVINGS = 3
+MIN_STENCIL_REACH = BETA2_REL_STEP * 0.5**STENCIL_HALVINGS
 ZDW_GRID_POINTS = 400  # omega points of find_zdw's beta2 scan over a band
 
 _ROMAN = (
@@ -393,8 +397,8 @@ def dispersion_derivatives(
     lam = lam0.ravel()
     om0 = omega_from_lambda_nm(lam)
 
-    # row a of h1 and h2 halves the steps a times; pts is (5, 4, lam.size)
-    halving = 0.5 ** np.arange(4.0)[:, None]
+    # row a of h1 and h2 halves the steps a times; pts is (5, rows, lam.size)
+    halving = 0.5 ** np.arange(STENCIL_HALVINGS + 1.0)[:, None]
     h1, h2 = BETA1_REL_STEP * om0 * halving, BETA2_REL_STEP * om0 * halving
     pts = om0 + np.array([-h2, -h1, np.zeros_like(h1), h1, h2])
     fits = np.all(structure.in_band_mask(lambda_nm_from_omega(pts)), axis=0)
@@ -403,7 +407,7 @@ def dispersion_derivatives(
         raise StencilError(
             f"no room for a dispersion stencil at {lam[np.argmin(room)]:.6g} nm; "
             f"a band edge or resonance exclusion zone is closer than "
-            f"{BETA2_REL_STEP / 8:.1e} (relative) in omega"
+            f"{MIN_STENCIL_REACH:.1e} (relative) in omega"
         )
     first, cols = np.argmax(fits, axis=0), np.arange(lam.size)
     h1, h2, pts = h1[first, cols], h2[first, cols], pts[:, first, cols]
@@ -490,7 +494,7 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=1e-13, maxiter=100) -> float:
     )
 
 
-def find_zdw(fiber: FiberModel, gas: GasState, band: Band | str) -> list[float]:
+def find_zdw(fiber: FiberModel, gas: GasState, band: Band) -> list[float]:
     """Zero-dispersion wavelengths (beta2 = 0) inside one band, in nm.
 
     Scans beta2 on a uniform omega grid of ZDW_GRID_POINTS over the band
@@ -506,15 +510,6 @@ def find_zdw(fiber: FiberModel, gas: GasState, band: Band | str) -> list[float]:
     points on every run; a different root finder would land elsewhere in
     the noise band.
     """
-    structure = band_structure(fiber, gas)
-    if isinstance(band, str):
-        try:
-            band = structure.bands_by_label[band]
-        except KeyError:
-            raise ValidationError(
-                f"no band {band!r}; have {sorted(structure.bands_by_label)}"
-            ) from None
-
     # interior margins: exclusion zone is 0.5%, stencil reach is 2e-4, so
     # 0.6% against resonance edges and 0.1% against window edges is safe
     lo, hi = band.lo_nm * 1.001, band.hi_nm * 0.999

@@ -28,7 +28,7 @@ n2           m^2/W (per-species tabulated as m^2/(W bar))
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 
@@ -36,16 +36,6 @@ import numpy as np
 import yaml
 
 from .errors import RangeError, ValidationError, check_number
-
-_REQUIRED_KEYS = {
-    "B",
-    "C_um2",
-    "lambda_min_nm",
-    "lambda_max_nm",
-    "P0_bar",
-    "T0_K",
-    "n2_per_bar_m2W",
-}
 
 # silica is wall material, not a filling medium
 _NOT_A_GAS = {"silica"}
@@ -106,6 +96,10 @@ class SellmeierModel:
         for b, c in zip(self.B, self.C_um2):
             s += b * lam_um2 / (lam_um2 - c)
         return s
+
+
+# the keys of a gas-table entry, in field order
+_REQUIRED_KEYS = tuple(f.name for f in fields(SellmeierModel) if f.name != "species")
 
 
 @dataclass(frozen=True)
@@ -181,15 +175,16 @@ def _load_table(path: str | None) -> dict[str, SellmeierModel]:
     for species, entry in raw.items():
         if not isinstance(entry, dict):
             raise ValidationError(f"gas data for {species!r} is not a mapping")
-        missing = _REQUIRED_KEYS - set(entry)
+        missing = set(_REQUIRED_KEYS).difference(entry)
         if missing:
             raise ValidationError(
                 f"gas data for {species!r} is missing keys: {sorted(missing)}"
             )
-        extra = set(entry) - _REQUIRED_KEYS
+        extra = set(entry).difference(_REQUIRED_KEYS)
         if extra:
+            # YAML keys may mix types (1 and 'x'), which do not compare
             raise ValidationError(
-                f"gas data for {species!r} has unknown keys: {sorted(extra)}"
+                f"gas data for {species!r} has unknown keys: {sorted(extra, key=str)}"
             )
         table[species] = SellmeierModel(
             species=species,

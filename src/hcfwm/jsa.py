@@ -163,10 +163,6 @@ class GaussianPump:
         return meta
 
 
-def _sinc(x):
-    return np.sinc(np.asarray(x) / np.pi)
-
-
 def phi_function(
     fiber: FiberModel | None,
     gas: GasState | None,
@@ -203,7 +199,7 @@ def phi_function(
     else:
         raise ValidationError(f"mode must be 'linearized' or 'full', got {mode!r}")
     x = dk * L_m / 2.0
-    return _sinc(x) * np.exp(1j * x)
+    return np.sinc(x / np.pi) * np.exp(1j * x)
 
 
 class FrequencyAxes:
@@ -416,9 +412,7 @@ def grid_to_csv(
     values = np.asarray(values, dtype=float)
     if values.shape != (lam_s.size, lam_i.size):
         raise ValidationError("grid shape does not match the wavelength axes")
-    return export.to_csv(
-        ["0"] + lam_i.tolist(), np.column_stack((lam_s, values)), path
-    )
+    return export.to_csv(["0"] + lam_i.tolist(), (lam_s[:, None], values), path)
 
 
 def jsi_to_csv(grid: JsaGrid, path: str | None = None) -> str | None:

@@ -85,36 +85,6 @@ MAX_MAP_POINTS = 10**8
 DEFAULT_DETUNING_MIN = 2.0 * np.pi * 5e12
 
 DENSITY_CSV_HEADER = ("lambda_p_nm", "delta_omega_THz", "theta_deg", "band_s", "band_i")
-_BETA1 = ("beta1_p", "beta1_s", "beta1_i")
-
-
-def theta_deg_from_beta1(beta1_p: float, beta1_s: float, beta1_i: float) -> float:
-    """Stripe angle in degrees, in (-90, 90].
-
-    The beta1_p = beta1_i limit is a vertical stripe, returned as +90
-    rather than a division error; the doubly degenerate case (all three
-    group delays equal) has no defined orientation and returns 0.
-    """
-    for name, value in zip(_BETA1, (beta1_p, beta1_s, beta1_i)):
-        check_number(name, value)
-    num = beta1_p - beta1_s
-    den = beta1_p - beta1_i
-    if den == 0.0:
-        return 90.0 if num != 0.0 else 0.0
-    return float(np.degrees(-np.arctan(num / den)))
-
-
-def dphi_width_from_beta1(
-    beta1_p: float, beta1_s: float, beta1_i: float, L_m: float = 1.0
-) -> float:
-    """Phase-matching width |1 / (2 L^2 (b1p-b1s)(b1p-b1i))| in (rad/s)^2."""
-    for name, value in zip(_BETA1, (beta1_p, beta1_s, beta1_i)):
-        check_number(name, value)
-    check_number("L_m", L_m, lo=0, lo_open=True)
-    num = (beta1_p - beta1_s) * (beta1_p - beta1_i)
-    if num == 0.0:
-        return np.inf
-    return abs(1.0 / (2.0 * L_m**2 * num))
 
 
 @dataclass(frozen=True)
@@ -135,7 +105,8 @@ class PhaseMatchBranch:
     pump_peak_power_W: float = 0.0
 
     def __post_init__(self):
-        for name in ("omega_p", "omega_s", "omega_i", *_BETA1, "residual_rad_m"):
+        for name in ("omega_p", "omega_s", "omega_i", "beta1_p", "beta1_s",
+                     "beta1_i", "residual_rad_m"):
             check_number(name, getattr(self, name))
         check_number("pump_peak_power_W", self.pump_peak_power_W, lo=0)
         if not (self.omega_s >= self.omega_p >= self.omega_i > 0.0):
@@ -165,10 +136,25 @@ class PhaseMatchBranch:
 
     @property
     def theta_deg(self) -> float:
-        return theta_deg_from_beta1(self.beta1_p, self.beta1_s, self.beta1_i)
+        """Stripe angle in degrees, in (-90, 90].
+
+        The beta1_p = beta1_i limit is a vertical stripe, returned as +90
+        rather than a division error; the doubly degenerate case (all three
+        group delays equal) has no defined orientation and returns 0.
+        """
+        num = self.beta1_p - self.beta1_s
+        den = self.beta1_p - self.beta1_i
+        if den == 0.0:
+            return 90.0 if num != 0.0 else 0.0
+        return float(np.degrees(-np.arctan(num / den)))
 
     def dphi_width(self, L_m: float = 1.0) -> float:
-        return dphi_width_from_beta1(self.beta1_p, self.beta1_s, self.beta1_i, L_m)
+        """Phase-matching width |1 / (2 L^2 (b1p-b1s)(b1p-b1i))| in (rad/s)^2."""
+        check_number("L_m", L_m, lo=0, lo_open=True)
+        num = (self.beta1_p - self.beta1_s) * (self.beta1_p - self.beta1_i)
+        if num == 0.0:
+            return np.inf
+        return abs(1.0 / (2.0 * L_m**2 * num))
 
 
 def kerr_gamma(fiber: FiberModel, gas: GasState, omega_p):

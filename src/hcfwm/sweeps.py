@@ -46,27 +46,6 @@ from .phasematch import PhaseMatchBranch, density_map, solve_phase_matching
 from .schmidt import schmidt_number
 from .tomography import line_fit
 
-__all__ = [
-    "SweepPoint",
-    "SweepGap",
-    "PressureFit",
-    "SweepResult",
-    "fiber_from_config",
-    "gas_from_config",
-    "pump_from_config",
-    "select_branch",
-    "solve_settings",
-    "solve_branches",
-    "solve_branch",
-    "build_grid",
-    "density_records",
-    "sweep_length",
-    "sweep_pressure",
-    "summary_csv",
-    "fit_to_dict",
-    "value_text",
-]
-
 SUMMARY_CSV_HEADER = (
     "param",
     "value",
@@ -128,27 +107,20 @@ class SweepResult:
 
 
 def fiber_from_config(cfg: RunConfig) -> FiberModel:
-    return FiberModel(
-        R_eff_um=cfg.fiber.R_eff_um,
-        t_nm=cfg.fiber.t_nm,
-        mode_m=cfg.fiber.mode_m,
-        mode_n=cfg.fiber.mode_n,
-    )
+    return FiberModel(**asdict(cfg.fiber))
 
 
 def gas_from_config(cfg: RunConfig) -> GasState:
-    return make_gas(
-        cfg.gas.species, cfg.gas.pressure_bar, temperature_K=cfg.gas.temperature_K
-    )
+    return make_gas(**asdict(cfg.gas))
 
 
 def pump_from_config(cfg: RunConfig) -> GaussianPump:
     """Gaussian pump from the config width, modulated as the config says."""
     p, mod = cfg.pump, cfg.pump.modulation
-    pump = GaussianPump(float(omega_from_lambda_nm(p.lambda_nm)), p.sigma_rad_s())
-    if mod is None:
-        return pump
-    return replace(pump, depth=mod.depth, period=mod.period_THz * 1e12)
+    ripple = () if mod is None else (mod.depth, mod.period_THz * 1e12)
+    return GaussianPump(
+        float(omega_from_lambda_nm(p.lambda_nm)), p.sigma_rad_s(), *ripple
+    )
 
 
 def select_branch(
@@ -211,7 +183,7 @@ def build_grid(cfg: RunConfig, fiber, gas, pump, branch, L_m: float) -> JsaGrid:
 def density_records(cfg: RunConfig, fiber, gas) -> list[PhaseMatchBranch]:
     """The branches of every pump of ``cfg.density_map``'s scan, solved
     under ``cfg.phasematch`` as ``solve_branches`` solves one pump."""
-    dm = cfg.density_map
+    dm = required_section(cfg, "density_map", "the density-map subcommand")
     return density_map(
         fiber, gas, (dm.pump_min_nm, dm.pump_max_nm), dm.pump_steps,
         **solve_settings(cfg),

@@ -28,19 +28,6 @@ from .jsa import MAX_GRID_N, FrequencyAxes, JsaGrid, grid_to_csv, jsi
 # reduced Planck constant h / (2 pi) in J s, from the exact SI h = 6.62607015e-34
 hbar = 1.0545718176461565e-34
 
-__all__ = [
-    "NoiseModel",
-    "SetScan",
-    "Reconstruction",
-    "PowerScaling",
-    "simulate_set_scan",
-    "reconstruct_jsi",
-    "power_scaling_check",
-    "line_fit",
-    "set_scan_to_csv",
-    "reconstruction_to_csv",
-]
-
 SET_CSV_HEADER = "seed_lambda_nm,signal_lambda_nm,counts,seed_power_W"
 
 

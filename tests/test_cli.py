@@ -574,6 +574,39 @@ def test_dispersion_of_walls_that_failed(fiber, gas, bands, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "t_nm, narrow",
+    [
+        # band X is usable only on [250, 250.586] nm: 1e-3 of its width
+        # put the first sample inside the reach of its stencil
+        (1006.49, []),
+        # band XCIV is usable only on [363.562, 363.569] nm
+        (15689.77, ["XCIV"]),
+    ],
+    ids=["narrow-band", "too-narrow-band"],
+)
+def test_dispersion_samples_only_where_a_stencil_fits(t_nm, narrow, tmp_path,
+                                                      capsys):
+    """Samples keep twice the narrowest stencil's reach from the band
+    edges; a band too narrow for that is named in one warning line and
+    gets no samples and no ZDW search, and the run goes on."""
+    raw = copy.deepcopy(BASE)
+    raw["fiber"] = {"t_nm": t_nm, "R_eff_um": 20.0}
+    raw["gas"] = {"species": "xenon", "pressure_bar": 1.0}
+    assert _run_cli(tmp_path, "dispersion", raw) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: UserWarning: band {label} is too narrow to sample: its "
+        f"usable [363.562, 363.569] nm leaves no room for a dispersion stencil"
+        for label in narrow
+    ]
+    run_dir = tmp_path / "o" / "dispersion" / "t"
+    results = read_manifest(run_dir)["results"]
+    sampled = {row.split(",")[1] for row in
+               (run_dir / "dispersion.csv").read_text().splitlines()[1:]}
+    assert sorted(sampled) == sorted(set(results["bands"]) - set(narrow))
+    assert sorted(results["zdw_nm"]) == sorted(sampled)
+
+
+@pytest.mark.parametrize(
     "label", [".", "..", "a/b", "a/../../x", "x/", "/abs"]
 )
 def test_label_must_be_one_path_component(label, tmp_path, capsys):
@@ -1036,6 +1069,42 @@ def _fresh_python(code, cwd):
     return subprocess.run(
         [sys.executable, "-c", code], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=120,
+    )
+
+
+# the benchmark's directory, whose tracer wraps hcfwm functions by name
+_PERFBENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
+)
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    """Every function the benchmark's tracer lists still exists and is
+    replaced by its wrapper, and a traced sweep records spans of the
+    driver, the grid builder and the grid writer: the command line and the
+    sweeps must reach them through module attributes, not a copy held
+    before the tracer was installed."""
+    proc = _fresh_python(
+        "import json, sys\n"
+        f"sys.path.insert(0, {_PERFBENCH!r})\n"
+        "import hcfwm.cli\n"
+        "from tracer import LAYER_FUNCTIONS, WRITER_FUNCTIONS, Tracer\n"
+        "tracer = Tracer('op')\n"
+        "tracer.install()\n"
+        "bare = [f'{m}.{fn}' for table in (LAYER_FUNCTIONS, WRITER_FUNCTIONS)\n"
+        "        for m, fns in table.items() for fn in fns\n"
+        "        if not hasattr(getattr(sys.modules['hcfwm.' + m], fn),\n"
+        "                       '__wrapped__')]\n"
+        "rc = hcfwm.cli.main(['sweep-length', '--config', 'length_series',\n"
+        "                     '--out', 'o', '--label', 't'])\n"
+        "print(json.dumps([bare, rc, sorted({s.name for s in tracer.spans})]))\n",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    bare, rc, names = json.loads(proc.stdout.splitlines()[-1])
+    assert bare == [] and rc == 0
+    assert {"sweeps.sweep_length", "jsa.build_jsa", "writers.grid_to_csv"} <= set(
+        names
     )
 
 

@@ -213,6 +213,12 @@ argon:
     )
     with pytest.raises(ValidationError, match="unknown keys"):
         gasmedia.load_gas_data(extra)
+    mixed = _write_table(
+        tmp_path, _ARGON + "  1: 2.0\n  typo_key: 1.0\n", name="mixed.yaml"
+    )
+    with pytest.raises(ValidationError) as err:
+        gasmedia.load_gas_data(mixed)
+    assert str(err.value) == "gas data for 'argon' has unknown keys: [1, 'typo_key']"
     empty = _write_table(tmp_path, "", name="empty.yaml")
     with pytest.raises(ValidationError, match="map species"):
         gasmedia.load_gas_data(empty)
@@ -242,6 +248,10 @@ argon:
          "gas data for 'argon': B must be a list of numbers, got 5.496879532e-05"),
         ("C_um2: [1.098756208e-02,", "C_um2: [x,",
          "gas data for 'argon': C_um2[0] must be a number, got 'x'"),
+        # of two bad values, the first in SellmeierModel's field order is
+        # named, whatever the string hashing
+        ("P0_bar: 1.01325\n  T0_K: 273.15", "P0_bar: abc\n  T0_K: xyz",
+         "gas data for 'argon': P0_bar must be a number, got 'abc'"),
     ],
 )
 def test_data_values_must_be_numbers(tmp_path, old, new, error):

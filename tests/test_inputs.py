@@ -105,14 +105,6 @@ CALLS = {
         dict(fiber=fx.fiber, gas=fx.xenon, pump=fx.pump, branch=fx.branch,
              L_m=1.0, n=16),
     ),
-    "phasematch.theta_deg_from_beta1": lambda fx: (
-        phasematch.theta_deg_from_beta1,
-        dict(beta1_p=1.0, beta1_s=2.0, beta1_i=3.0),
-    ),
-    "phasematch.dphi_width_from_beta1": lambda fx: (
-        phasematch.dphi_width_from_beta1,
-        dict(beta1_p=1.0, beta1_s=2.0, beta1_i=3.0, L_m=1.0),
-    ),
     "phasematch.PhaseMatchBranch": lambda fx: (
         phasematch.PhaseMatchBranch, _BRANCH
     ),
@@ -177,12 +169,6 @@ ACCEPTED = {
     ("gasmedia.GasState", "pressure_bar"): {"0"},
     ("gasmedia.make_gas", "pressure_bar"): {"0"},
     ("jsa.GaussianPump", "depth"): {"0"},
-    ("phasematch.theta_deg_from_beta1", "beta1_p"): {"0", "-1"},
-    ("phasematch.theta_deg_from_beta1", "beta1_s"): {"0", "-1"},
-    ("phasematch.theta_deg_from_beta1", "beta1_i"): {"0", "-1"},
-    ("phasematch.dphi_width_from_beta1", "beta1_p"): {"0", "-1"},
-    ("phasematch.dphi_width_from_beta1", "beta1_s"): {"0", "-1"},
-    ("phasematch.dphi_width_from_beta1", "beta1_i"): {"0", "-1"},
     ("phasematch.PhaseMatchBranch", "beta1_p"): {"0", "-1"},
     ("phasematch.PhaseMatchBranch", "beta1_s"): {"0", "-1"},
     ("phasematch.PhaseMatchBranch", "beta1_i"): {"0", "-1"},
@@ -264,6 +250,8 @@ def test_walk_finds_the_entry_points():
         ("jsa.build_jsa", "L_m"),
         ("jsa.GaussianPump.from_fwhm", "fwhm_fs"),
         ("phasematch.density_map", "pump_range_nm"),
+        ("phasematch.PhaseMatchBranch", "beta1_s"),
+        ("phasematch.PhaseMatchBranch.dphi_width", "L_m"),
         ("tomography.simulate_set_scan", "duty_cycle"),
         ("tomography.NoiseModel", "seed"),
     ]:

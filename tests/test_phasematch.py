@@ -28,20 +28,28 @@ BRANCH_THETA_DEG = 7.813388786021953
 KERR_GAMMA_1030 = 1.2549145470592952e-4
 
 
+def _branch_with_beta1(beta1_p, beta1_s, beta1_i):
+    return phasematch.PhaseMatchBranch(
+        omega_p=2.0, omega_s=3.0, omega_i=1.0, band_p="I", band_s="I",
+        band_i="I", beta1_p=beta1_p, beta1_s=beta1_s, beta1_i=beta1_i,
+        residual_rad_m=0.0,
+    )
+
+
 def test_theta_angle_limits():
-    assert phasematch.theta_deg_from_beta1(1.0, 2.0, 1.0) == 90.0
-    assert phasematch.theta_deg_from_beta1(1.0, 1.0, 1.0) == 0.0
-    assert phasematch.theta_deg_from_beta1(1.0, 1.0, 2.0) == 0.0
+    assert _branch_with_beta1(1.0, 2.0, 1.0).theta_deg == 90.0
+    assert _branch_with_beta1(1.0, 1.0, 1.0).theta_deg == 0.0
+    assert _branch_with_beta1(1.0, 1.0, 2.0).theta_deg == 0.0
     # generic case: tan(theta) = -(b1p-b1s)/(b1p-b1i)
-    theta = phasematch.theta_deg_from_beta1(3.0, 2.0, 1.0)
+    theta = _branch_with_beta1(3.0, 2.0, 1.0).theta_deg
     assert theta == pytest.approx(np.degrees(-np.arctan(0.5)), rel=1e-14)
 
 
 def test_dphi_width_limits_and_scaling():
-    assert phasematch.dphi_width_from_beta1(1.0, 1.0, 2.0) == np.inf
-    assert phasematch.dphi_width_from_beta1(1.0, 2.0, 1.0) == np.inf
-    w1 = phasematch.dphi_width_from_beta1(3.0, 2.0, 1.0, L_m=1.0)
-    w2 = phasematch.dphi_width_from_beta1(3.0, 2.0, 1.0, L_m=2.0)
+    assert _branch_with_beta1(1.0, 1.0, 2.0).dphi_width() == np.inf
+    assert _branch_with_beta1(1.0, 2.0, 1.0).dphi_width() == np.inf
+    w1 = _branch_with_beta1(3.0, 2.0, 1.0).dphi_width(L_m=1.0)
+    w2 = _branch_with_beta1(3.0, 2.0, 1.0).dphi_width(L_m=2.0)
     assert w2 == w1 / 4.0
 
 

@@ -272,6 +272,10 @@ def test_axis_and_section_validation():
         sweeps.sweep_length(cfg)
     with pytest.raises(ValidationError, match="'sweep_pressure'"):
         sweeps.sweep_pressure(cfg)
+    with pytest.raises(ValidationError, match="'density_map'"):
+        sweeps.density_records(
+            cfg, sweeps.fiber_from_config(cfg), sweeps.gas_from_config(cfg)
+        )
 
 
 # --------------------------------------------------------- density maps
