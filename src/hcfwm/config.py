@@ -25,7 +25,7 @@ from typing import Any, Callable
 import yaml
 
 from . import export
-from .errors import ValidationError, check_number
+from .errors import ValidationError, check_number, shown
 from .fibermodel import MAX_MODE_N
 from .gasmedia import _load_yaml
 from .jsa import DEFAULT_GRID_N, DEFAULT_KAPPA_SPAN, MAX_GRID_N, MAX_PUMP_SIGMA
@@ -99,12 +99,14 @@ def _interval(lo: int, hi: int, ends: str) -> _Check:
 
 
 def _text(noun: str, show_value: bool = True) -> _Check:
-    """A non-empty string."""
+    """A non-empty string without a NUL, which no file name can hold."""
 
     def check(path: str, value: Any) -> str:
+        if isinstance(value, str) and "\0" in value:
+            raise ValidationError(f"config key '{path}' must not hold a NUL character")
         if isinstance(value, str) and value:
             return value
-        got = f", got {value!r}" if show_value else ""
+        got = f", got {shown(value)}" if show_value else ""
         raise ValidationError(f"config key '{path}' must be {noun}{got}")
 
     return check
@@ -116,7 +118,7 @@ def _choice(*options: str) -> _Check:
             raise ValidationError(
                 f"config key '{path}' must be "
                 + " or ".join(repr(o) for o in options)
-                + f", got {value!r}"
+                + f", got {shown(value)}"
             )
         return value
 
@@ -152,7 +154,7 @@ def _formats(path: str, value: Any) -> tuple[str, ...]:
     for fmt in value:
         if fmt not in KNOWN_FORMATS:
             raise ValidationError(
-                f"config key '{path}' allows only {KNOWN_FORMATS}, got {fmt!r}"
+                f"config key '{path}' allows only {KNOWN_FORMATS}, got {shown(fmt)}"
             )
     return tuple(value)
 
@@ -213,7 +215,7 @@ def _parse(cls: type, raw: Any, path: str) -> Any:
         raw = {}
     if not isinstance(raw, dict):
         raise ValidationError(
-            f"config section '{path}' must be a mapping, got {raw!r}"
+            f"config section '{path}' must be a mapping, got {shown(raw)}"
         )
     raw = dict(raw)
     prefix = f"{path}." if path else ""

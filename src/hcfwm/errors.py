@@ -14,13 +14,15 @@ of ``GAP_ERRORS`` is a gap; any other error fails the whole run.
 
 Every scalar numeric argument of the library passes ``check_number``, the
 one input boundary, and every (first, second) pair ``check_pair``; only
-the config layer and the gas table turn numeric strings into numbers.
+the config layer and the gas table turn numeric strings into numbers.  A
+message that echoes a caller's value shows it through ``shown``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 
 
 class HcfwmError(Exception):
@@ -65,6 +67,19 @@ class StencilError(NumericalError):
 
 GAP_ERRORS = (RangeError, NumericalError)
 
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel, _BRIEF.maxstring, _BRIEF.maxother = 3, 80, 80
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message: exact for a value within
+    _BRIEF's limits (3 levels, 6 items a container, 80 characters a
+    string), and never over 200 characters, however deep or large."""
+    text = _BRIEF.repr(value)
+    if "..." not in text:  # nothing was cut; repr keeps a mapping's order
+        text = repr(value)
+    return text if len(text) <= 200 else text[:197] + "..."
+
 
 def check_number(
     name: str,
@@ -89,7 +104,7 @@ def check_number(
         isinstance(value, bool) or not isinstance(value, numbers.Real)
     ):
         kind = "an integer" if integer else "a number"
-        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+        raise ValidationError(f"{name} must be {kind}, got {shown(value)}")
     finite = math.isfinite(value)
     if integer and not (finite and value == int(value)):
         raise ValidationError(f"{name} must be an integer, got {value}")
@@ -117,7 +132,7 @@ def check_pair(name: str, value, ends=("min", "max"), **bounds) -> tuple:
     ``"<name> <end>"``; a ValidationError that names ``name`` if ``value``
     is not a pair."""
     if isinstance(value, str) or not hasattr(value, "__len__") or len(value) != 2:
-        raise ValidationError(f"{name} must be a pair of numbers, got {value!r}")
+        raise ValidationError(f"{name} must be a pair of numbers, got {shown(value)}")
     return tuple(
         check_number(f"{name} {end}", v, **bounds) for end, v in zip(ends, value)
     )

@@ -188,7 +188,6 @@ class BandStructure:
     """Resonances and bands of one (fiber, gas) pair over a window; the
     resonances run from lambda_{first_j} down."""
 
-    fiber: FiberModel
     gas: GasState
     window_nm: tuple[float, float]
     resonances_nm: tuple[float, ...]  # descending: lambda_j > lambda_{j+1} > ...
@@ -326,8 +325,7 @@ def band_structure(fiber: FiberModel, gas: GasState) -> BandStructure:
         if band.usable_lo_nm < band.usable_hi_nm:
             bands.append(band)
     return BandStructure(
-        fiber=fiber, gas=gas, window_nm=window,
-        resonances_nm=res, bands=tuple(bands), first_j=first,
+        gas=gas, window_nm=window, resonances_nm=res, bands=tuple(bands), first_j=first
     )
 
 
@@ -372,7 +370,6 @@ class DispersionPoint:
     """Local dispersion at one wavelength, or per element of an array."""
 
     lambda_nm: float
-    omega: float
     k: float        # rad/m
     beta1: float    # s/m, inverse group velocity
     beta2: float    # s^2/m
@@ -415,10 +412,8 @@ def dispersion_derivatives(
     kap = reduced_kappa(fiber, gas, pts, check=False)
     k = om0 / _C + kap[2]
     beta1 = 1.0 / _C + (kap[3] - kap[1]) / (2.0 * h1)
-    # float_power is libm pow per element, as float ** 2 is; h2**2 on an
-    # array is h2 * h2, which can differ from it in the last bit
-    beta2 = (kap[4] - 2.0 * kap[2] + kap[0]) / np.float_power(h2, 2)
-    fields = (lam, om0, k, beta1, beta2)
+    beta2 = (kap[4] - 2.0 * kap[2] + kap[0]) / h2**2
+    fields = (lam, k, beta1, beta2)
     if lam0.ndim == 0:
         return DispersionPoint(*(float(f[0]) for f in fields))
     return DispersionPoint(*(f.reshape(lam0.shape) for f in fields))

@@ -35,7 +35,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .errors import RangeError, ValidationError, check_number
+from .errors import RangeError, ValidationError, check_number, shown
 
 # silica is wall material, not a filling medium
 _NOT_A_GAS = {"silica"}
@@ -200,14 +200,14 @@ def _table_value(species, key, value):
     where = f"gas data for {species!r}: {key}"
     if key in ("B", "C_um2"):
         if not isinstance(value, list):
-            raise ValidationError(f"{where} must be a list of numbers, got {value!r}")
+            raise ValidationError(f"{where} must be a list of numbers, got {shown(value)}")
         return tuple(
             _table_value(species, f"{key}[{i}]", v) for i, v in enumerate(value)
         )
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"{where} must be a number, got {value!r}") from None
+        raise ValidationError(f"{where} must be a number, got {shown(value)}") from None
 
 
 def load_gas_data(path: str | None = None) -> dict[str, SellmeierModel]:

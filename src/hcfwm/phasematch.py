@@ -239,7 +239,6 @@ def _scan_pump(fiber, gas, structure, omega_p, window, pump_peak_power_W, grid_p
     dw = np.linspace(dw_lo, dw_hi, grid_points)
     ok = structure.in_band_mask(lambda_nm_from_omega(omega_p + dw))
     ok &= structure.in_band_mask(lambda_nm_from_omega(omega_p - dw))
-    ok &= omega_p - dw > 0.0
     dk = np.full(dw.shape, np.nan)
     dk[ok] = delta_k(
         fiber, gas, omega_p, omega_p + dw[ok], omega_p - dw[ok],

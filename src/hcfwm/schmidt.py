@@ -2,9 +2,9 @@
 
 The continuum decomposition F(omega_s, omega_i) = sum_n sqrt(c_n)
 S_n(omega_s) I_n(omega_i) is approximated by an SVD of the grid matrix.
-A JsaGrid is weighted by sqrt(cell area), which only makes the singular
-values s_n satisfy sum s_n^2 = 1; the coefficients c_n are renormalized
-to sum 1 either way, and K is scale-free.  The Schmidt number
+The SVD runs on the amplitude values as they are: the coefficients c_n
+are normalized to sum 1 and K is scale-free, so a cell-area weight would
+change neither.  The Schmidt number
 K = 1 / sum c_n^2 counts effective modes: K = 1 for a factorable state,
 K > 1 for a correlated one; its inverse is the heralded-photon purity.
 Where only K is needed, as at every sweep point, ``schmidt_number`` takes
@@ -37,7 +37,7 @@ class SchmidtResult:
 
     coefficients are descending and sum to 1; signal_modes[:, n] and
     idler_modes[:, n] are the discrete orthonormal mode vectors on the
-    grid axes, with weighted_grid = sum_n s_n S_n outer I_n.
+    grid axes, with amplitude matrix = sum_n s_n S_n outer I_n.
     """
 
     coefficients: np.ndarray
@@ -52,17 +52,13 @@ class SchmidtResult:
         return int(self.coefficients.size)
 
 
-def _weighted_matrix(grid, flat_phase: bool):
-    """The amplitude matrix of a JsaGrid (weighted by sqrt(cell area)) or a
-    raw grid array, and whether it is flat-phase; raises ValidationError on
-    an input no decomposition accepts."""
+def _amplitude_matrix(grid, flat_phase: bool):
+    """The amplitude matrix of a JsaGrid or a raw grid array, unscaled (for
+    a complex input, its own values, not a copy), and whether it is
+    flat-phase; raises ValidationError on an input no decomposition accepts."""
     if isinstance(grid, JsaGrid):
-        area = grid.cell_area
-        if not area > 0.0:  # an axis out of order, repeated or NaN
-            raise ValidationError(f"JsaGrid cell_area must be > 0, got {area}")
         a = grid.values
     else:
-        area = 1.0
         a = np.asarray(grid)
         if a.ndim != 2 or min(a.shape) < 2:
             raise ValidationError("grid must be a 2-D array, at least 2x2")
@@ -76,20 +72,20 @@ def _weighted_matrix(grid, flat_phase: bool):
         raise ValidationError("grid contains non-finite values")
     if not np.any(matrix):
         raise ValidationError("degenerate input: grid is identically zero")
-    return np.asarray(matrix) * np.sqrt(area), bool(flat_phase)
+    return matrix, bool(flat_phase)
 
 
 def schmidt_number(grid, flat_phase: bool = False) -> float:
     """Schmidt number K of the same input as ``schmidt_decompose``, without
     an SVD.
 
-    With G = M M^H for the weighted matrix M, the Schmidt coefficients are
+    With G = M M^H for the amplitude matrix M, the Schmidt coefficients are
     the eigenvalues of G / tr G, so K = 1 / Tr rho_s^2 = (tr G)^2 / ||G||_F^2
     (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).  G is formed on the
     shorter grid axis.  No coefficient is truncated, so K can differ from
     ``schmidt_decompose(...).K`` in the last digits.
     """
-    m, _ = _weighted_matrix(grid, flat_phase)
+    m, _ = _amplitude_matrix(grid, flat_phase)
     if m.shape[0] > m.shape[1]:
         m = m.T
     g = m @ m.conj().T
@@ -99,21 +95,17 @@ def schmidt_number(grid, flat_phase: bool = False) -> float:
 def schmidt_decompose(grid, flat_phase: bool = False) -> SchmidtResult:
     """SVD-based Schmidt decomposition of a JsaGrid or a raw grid array.
 
-    A JsaGrid brings its own cell area; flat_phase=True decomposes the
-    magnitude |F| instead of F.  A raw real array is interpreted as a JSI
-    (decomposed as sqrt(JSI), necessarily flat-phase); a raw complex array
-    as a JSA.  Coefficients below 1e-12 of the leading one are truncated
-    as SVD noise, then renormalized.
+    flat_phase=True decomposes the magnitude |F| instead of F.  A raw real
+    array is interpreted as a JSI (decomposed as sqrt(JSI), necessarily
+    flat-phase); a raw complex array as a JSA.  Coefficients below 1e-12
+    of the leading one are truncated as SVD noise; the rest sum to 1.
     """
-    weighted, flat_phase = _weighted_matrix(grid, flat_phase)
-    u, s, vh = np.linalg.svd(weighted, full_matrices=False)
+    matrix, flat_phase = _amplitude_matrix(grid, flat_phase)
+    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
 
     c = s**2
-    c = c / np.sum(c)
-    keep = c >= TRUNCATION_RELATIVE * c[0]
-    c = c[keep]
-    c = c / np.sum(c)
-    rank = int(np.count_nonzero(keep))
+    rank = int(np.count_nonzero(c >= TRUNCATION_RELATIVE * c[0]))
+    c = c[:rank] / np.sum(c[:rank])
 
     # copies, so that the result does not keep the full N x N factors alive
     return SchmidtResult(

@@ -69,7 +69,6 @@ class SweepPoint:
     idler_nm: float
     signal_nm: float
     idler_omega: float
-    signal_omega: float
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,7 @@ def _sweep_point(
         value=value, branch=branch, K_flat=k_flat, K_complex=k_complex,
         theta_deg=branch.theta_deg,
         idler_nm=marg.centroid_lambda_i_nm, signal_nm=marg.centroid_lambda_s_nm,
-        idler_omega=marg.centroid_omega_i, signal_omega=marg.centroid_omega_s,
+        idler_omega=marg.centroid_omega_i,
     )
 
 

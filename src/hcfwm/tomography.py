@@ -60,12 +60,6 @@ class NoiseModel:
         return np.random.default_rng([*self.seed, index])
 
 
-def _check_scalars(pump_power_W, duty_cycle) -> None:
-    """The scalar inputs that a scan and its simulation share."""
-    check_number("pump power pump_power_W", pump_power_W, lo=0, lo_open=True)
-    check_number("duty cycle", duty_cycle, lo=0, lo_open=True, hi=1)
-
-
 def _seed_photon_number(seed_power_W, duty_cycle, omega_i):
     """Per-step seed photon number at the sweep-center photon energy."""
     omega_ref = float(0.5 * (omega_i[0] + omega_i[-1]))
@@ -85,7 +79,6 @@ class SetScan(FrequencyAxes):
     omega_s: np.ndarray
     slices: np.ndarray
     seed_power_W: np.ndarray
-    pump_power_W: float
     duty_cycle: float = 1.0
 
     def __post_init__(self):
@@ -109,7 +102,7 @@ class SetScan(FrequencyAxes):
             )
         if not np.all(np.isfinite(self.seed_power_W) & (self.seed_power_W > 0.0)):
             raise ValidationError("monitored seed powers must be finite and > 0 W")
-        _check_scalars(self.pump_power_W, self.duty_cycle)
+        check_number("duty cycle", self.duty_cycle, lo=0, lo_open=True, hi=1)
         if self.slices.shape != (self.omega_i.size, self.omega_s.size):
             raise ValidationError(
                 "slices must have shape (sweep steps, signal axis); got "
@@ -161,7 +154,8 @@ def simulate_set_scan(
     splittable stream per slice (``NoiseModel.rng_for_slice``), so each
     slice's noise is fixed by the noise seed and the slice index alone.
     """
-    _check_scalars(pump_power_W, duty_cycle)
+    check_number("pump power pump_power_W", pump_power_W, lo=0, lo_open=True)
+    check_number("duty cycle", duty_cycle, lo=0, lo_open=True, hi=1)
     seed_omega_i = np.atleast_1d(np.asarray(seed_omega_i, dtype=float))
     if seed_omega_i.size < 1:
         raise ValidationError("seed sweep must contain at least one step")
@@ -205,7 +199,6 @@ def simulate_set_scan(
         omega_s=truth.omega_s.copy(),
         slices=slices,
         seed_power_W=powers,
-        pump_power_W=float(pump_power_W),
         duty_cycle=float(duty_cycle),
     )
 

@@ -967,6 +967,48 @@ def test_unreadable_config_exits_1(tmp_path, capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# two configs whose bad value is deep or huge; each loads from under 11 kB
+DEEP_LIST = "fiber: {}\ngas: {}\npump: {}\nfiber_length_m: " + "[" * 5000 + "]" * 5000
+# six levels of aliases, each a list of 10 of the level below: 10^6 numbers
+ALIAS_CHAIN = "\n".join(
+    ["a0: &a0 [1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5]"]
+    + [f"a{i}: &a{i} [{', '.join([f'*a{i - 1}'] * 10)}]" for i in range(1, 6)]
+    + ["fiber: {R_eff_um: *a5}", "gas: {}", "pump: {}"]
+)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [(DEEP_LIST, "fiber_length_m"), (ALIAS_CHAIN, "fiber.R_eff_um")],
+    ids=["deep-list", "alias-chain"],
+)
+def test_error_echoes_a_huge_value_briefly(tmp_path, capsys, text, key):
+    """A value of any depth or size is echoed within fixed limits: one
+    short error line, no RecursionError and no megabytes of text."""
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(text + "\n")
+    rc = cli.main(["dispersion", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "o"), "--label", "t"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: config key '{key}' must be a number, got [[[")
+    assert err.count("\n") == 1 and len(err.encode()) < 500
+
+
+def test_output_dir_with_a_nul_exits_1(tmp_path, capsys, monkeypatch):
+    """No file name can hold a NUL, so output.dir refuses one at load."""
+    monkeypatch.chdir(tmp_path)
+    raw = copy.deepcopy(BASE)
+    raw["output"] = {"dir": "a\0b"}
+    cfg_path = write_cfg(tmp_path, raw)
+    rc = cli.main(["dispersion", "--config", cfg_path, "--label", "t"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: config key 'output.dir' must not hold a NUL character\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+
 def test_uncreatable_run_directory_exits_1(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

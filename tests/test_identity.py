@@ -13,6 +13,9 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
+
+from hcfwm import cli, config
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RUNS = [("dispersion", "map_t300", "bundled"), ("set-sim", "map_t300", "full")]
@@ -118,3 +121,18 @@ def test_peak_rss_is_the_runs_own():
     after = identity.record(str(ROOT / "src"), run)["runs"][key]["peak_rss_kb"]
     del ballast
     assert after == pytest.approx(before, rel=0.05)
+
+
+def test_runs_cover_every_subcommand_and_variant():
+    """Every subcommand of the command line is recorded, and every variant
+    loads on every bundled recipe, so no run exits 1 for its override."""
+    identity = _identity()
+    assert identity.SUBCOMMANDS == cli.SUBCOMMANDS
+    recipes = sorted((ROOT / "src" / "hcfwm" / "recipes").glob("*.yaml"))
+    assert recipes
+    for recipe in recipes:
+        for variant, keys in identity.VARIANTS.items():
+            raw = yaml.safe_load(recipe.read_text())
+            identity._set_keys(raw, keys)
+            # the parse is strict: a key it does not know is refused
+            assert isinstance(config.config_from_dict(raw), config.RunConfig)

@@ -30,7 +30,7 @@ from hcfwm import (
     sweeps,
     tomography,
 )
-from hcfwm.errors import ValidationError, check_number
+from hcfwm.errors import ValidationError, check_number, shown
 
 MODULES = (fibermodel, gasmedia, jsa, phasematch, schmidt, tomography, sweeps)
 
@@ -136,7 +136,7 @@ CALLS = {
         tomography.SetScan,
         dict(omega_i=fx.grid.omega_i[:4], omega_s=fx.grid.omega_s,
              slices=np.ones((4, fx.grid.omega_s.size)),
-             seed_power_W=np.full(4, 1e-3), pump_power_W=1.0),
+             seed_power_W=np.full(4, 1e-3)),
     ),
     "tomography.simulate_set_scan": lambda fx: (
         tomography.simulate_set_scan,
@@ -460,3 +460,23 @@ def test_pairs_of_the_wrong_length(fx, call, name, pair):
         call(fx, pair)
     assert str(err.value) == f"{name} must be a pair of numbers, got {pair!r}"
 
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, "ab", "a...b", None, True, (1,), [1.0, 2.0, "x" * 70],
+     {"b": 1, "a": [2, {"d": 3, "c": 4}]}],
+)
+def test_shown_keeps_a_short_value_exact(value):
+    """Within the limits an error message echoes repr itself, a mapping in
+    its own order included."""
+    assert shown(value) == repr(value)
+
+
+def test_shown_bounds_any_value():
+    deep = []
+    for _ in range(10_000):
+        deep = [deep]
+    wide = [["x" * 1000] * 1000] * 1000
+    for value in (deep, wide, "x" * 10**6, {i: i for i in range(1000)}):
+        assert len(shown(value)) <= 200

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,16 +169,51 @@ def test_decompose_validation(grid128):
         schmidt.schmidt_decompose(np.ones(8))
 
 
-def test_jsa_grid_needs_a_positive_cell_area(grid128):
+def test_descending_axis_gives_the_same_K(grid128):
     """A hand-built JsaGrid whose signal axis descends has a negative cell
-    area; weighting by its square root would give a NaN K."""
+    area; no cell area enters K, and reversing the rows of the amplitude
+    matrix leaves its singular values alone."""
     descending = dataclasses.replace(
         grid128, omega_s=grid128.omega_s[::-1].copy(),
         values=grid128.values[::-1].copy(),
     )
-    for decompose in (schmidt.schmidt_decompose, schmidt.schmidt_number):
-        with pytest.raises(ValidationError, match="cell_area must be > 0"):
-            decompose(descending)
+    for flat_phase in (True, False):
+        for K in (
+            lambda g: schmidt.schmidt_number(g, flat_phase),
+            lambda g: schmidt.schmidt_decompose(g, flat_phase).K,
+        ):
+            assert K(descending) == pytest.approx(K(grid128), rel=1e-12)
+
+
+@pytest.mark.parametrize("flat_phase", [True, False], ids=["flat", "complex"])
+def test_decomposition_reads_only_the_amplitudes(grid128, flat_phase):
+    """A JsaGrid and its bare values array give the same bits: nothing of
+    the grid but its amplitudes enters the decomposition."""
+    got = schmidt.schmidt_decompose(grid128, flat_phase)
+    raw = schmidt.schmidt_decompose(grid128.values, flat_phase)
+    assert np.array_equal(got.coefficients, raw.coefficients)
+    assert got.K == raw.K
+    assert np.array_equal(got.signal_modes, raw.signal_modes)
+    assert np.array_equal(got.idler_modes, raw.idler_modes)
+    assert schmidt.schmidt_number(grid128, flat_phase) == schmidt.schmidt_number(
+        grid128.values, flat_phase
+    )
+
+
+def test_complex_schmidt_holds_no_copy_of_the_grid(fiber, xenon, pump, branch):
+    """At N = 512 a complex decomposition holds the SVD factors, and the
+    Gram K the conjugate and the Gram matrix, but neither a copy of the
+    grid: the traced peak stays under 2.5 grids."""
+    grid = jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=512)
+    size = grid.values.nbytes
+    for call in (schmidt.schmidt_number, schmidt.schmidt_decompose):
+        tracemalloc.start()
+        try:
+            call(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * size, (call.__name__, peak / size)
 
 
 def test_real_input_is_treated_as_jsi(grid128):

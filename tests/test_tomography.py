@@ -147,7 +147,7 @@ def test_scan_validation(grid128):
     slices = np.ones((4, grid128.omega_s.size))
     good = dict(
         omega_s=grid128.omega_s, slices=slices,
-        seed_power_W=np.full(4, 1e-3), pump_power_W=1.0,
+        seed_power_W=np.full(4, 1e-3),
     )
     with pytest.raises(ValidationError, match="monotone"):
         SetScan(omega_i=axis[[0, 2, 1, 3]], **good)
@@ -155,8 +155,6 @@ def test_scan_validation(grid128):
         SetScan(omega_i=axis, **{**good, "seed_power_W": np.full(3, 1e-3)})
     with pytest.raises(ValidationError, match="> 0 W"):
         SetScan(omega_i=axis, **{**good, "seed_power_W": np.zeros(4)})
-    with pytest.raises(ValidationError, match="pump power"):
-        SetScan(omega_i=axis, **{**good, "pump_power_W": 0.0})
     with pytest.raises(ValidationError, match="duty"):
         SetScan(omega_i=axis, **good, duty_cycle=1.5)
     with pytest.raises(ValidationError, match="shape"):
@@ -171,7 +169,7 @@ def test_scan_refuses_non_finite_slices_and_axes(grid128, bad):
     slices = np.ones((4, grid128.omega_s.size))
     good = dict(
         omega_i=axis, omega_s=grid128.omega_s, slices=slices,
-        seed_power_W=np.full(4, 1e-3), pump_power_W=1.0,
+        seed_power_W=np.full(4, 1e-3),
     )
     cell = slices.copy()
     cell[2, 7] = bad
