@@ -97,7 +97,8 @@ def check_number(
 
     Booleans, strings and other non-numbers are refused as not being "a
     number" (or "an integer"), and so are NaN, +-inf and, with
-    ``integer``, a value with a fractional part.
+    ``integer``, a value with a fractional part.  An int beyond the float
+    range is refused as not finite.
     """
     # floats (numpy's too) skip the slower numbers.Real test
     if not isinstance(value, float) and (
@@ -105,7 +106,10 @@ def check_number(
     ):
         kind = "an integer" if integer else "a number"
         raise ValidationError(f"{name} must be {kind}, got {shown(value)}")
-    finite = math.isfinite(value)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int that no float holds
+        raise ValidationError(f"{name} must be finite, got {shown(value)}") from None
     if integer and not (finite and value == int(value)):
         raise ValidationError(f"{name} must be an integer, got {value}")
     low = lo is None or (value > lo if lo_open else value >= lo)

@@ -138,11 +138,20 @@ def _load_yaml(text: str):
 
     A parse error is raised by the pure-Python ``SafeLoader``, whose message
     quotes the source line and a caret under the fault; libyaml's does not.
+    A scalar that parses but whose value cannot be built (an integer of
+    more digits than ``int`` converts, a date like 2020-13-45) raises a
+    YAMLError too, not the ValueError of the constructor.
     """
     try:
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError:
-        return yaml.load(text, Loader=yaml.SafeLoader)
+        try:
+            return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except yaml.YAMLError:
+            return yaml.load(text, Loader=yaml.SafeLoader)
+    except ValueError as exc:
+        # the advice after ';' (sys.set_int_max_str_digits) is not the user's
+        raise yaml.YAMLError(
+            f"a value cannot be constructed: {str(exc).split(';')[0]}"
+        ) from None
 
 
 @lru_cache(maxsize=8)

@@ -9,12 +9,13 @@ K = 1 / sum c_n^2 counts effective modes: K = 1 for a factorable state,
 K > 1 for a correlated one; its inverse is the heralded-photon purity.
 Where only K is needed, as at every sweep point, ``schmidt_number`` takes
 it from the Gram identity K = (tr G)^2 / ||G||_F^2, G = M M^H, without an
-SVD.
+SVD and without forming G.
 
 Two variants matter in practice and are never interchanged silently:
 the complex-JSA decomposition uses the full amplitude including phase,
 while the flat-phase variant decomposes sqrt(JSI) = |F|, which is what a
-phase-insensitive intensity measurement constrains.
+phase-insensitive intensity measurement constrains.  No output reads the
+flat-phase modes, so that SVD computes the singular values only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import export
 from .errors import ValidationError
-from .jsa import JsaGrid
+from .jsa import _BLOCK_CELLS, JsaGrid
 
 TRUNCATION_RELATIVE = 1e-12
 MODES_CSV_COUNT = 8
@@ -35,9 +36,11 @@ MODES_CSV_COUNT = 8
 class SchmidtResult:
     """Coefficients, mode count, and Schmidt modes of one decomposition.
 
-    coefficients are descending and sum to 1; signal_modes[:, n] and
-    idler_modes[:, n] are the discrete orthonormal mode vectors on the
-    grid axes, with amplitude matrix = sum_n s_n S_n outer I_n.
+    coefficients are descending and sum to 1.  For a complex
+    decomposition, signal_modes[:, n] and idler_modes[:, n] are the discrete
+    orthonormal mode vectors on the grid axes, with amplitude matrix =
+    sum_n s_n S_n outer I_n.  A flat-phase result carries no modes: its
+    mode arrays are empty, N x 0 and M x 0, for an N x M grid.
     """
 
     coefficients: np.ndarray
@@ -81,15 +84,26 @@ def schmidt_number(grid, flat_phase: bool = False) -> float:
 
     With G = M M^H for the amplitude matrix M, the Schmidt coefficients are
     the eigenvalues of G / tr G, so K = 1 / Tr rho_s^2 = (tr G)^2 / ||G||_F^2
-    (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).  G is formed on the
-    shorter grid axis.  No coefficient is truncated, so K can differ from
+    (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).  tr G is the squared
+    norm of M.  ||G||_F^2 is summed over blocks of whole rows of M, about
+    _BLOCK_CELLS cells each, M oriented so that its rows run along the
+    shorter grid axis: a block is conj(G[rows, start:]) =
+    conj(M[rows]) M[start:]^T, and as |G_jk| = |G_kj| its cells right of
+    the diagonal count twice.  So neither G nor a conjugate copy of M is
+    formed.  No coefficient is truncated, so K can differ from
     ``schmidt_decompose(...).K`` in the last digits.
     """
     m, _ = _amplitude_matrix(grid, flat_phase)
+    trace = np.vdot(m, m).real
     if m.shape[0] > m.shape[1]:
         m = m.T
-    g = m @ m.conj().T
-    return float(np.trace(g).real ** 2 / np.vdot(g, g).real)
+    step = max(1, _BLOCK_CELLS // m.shape[1])
+    frobenius = 0.0
+    for start in range(0, m.shape[0], step):
+        block = np.conj(m[start:start + step]) @ m[start:].T
+        diagonal = block[:, :block.shape[0]]
+        frobenius += 2.0 * np.vdot(block, block).real - np.vdot(diagonal, diagonal).real
+    return float(trace**2 / frobenius)
 
 
 def schmidt_decompose(grid, flat_phase: bool = False) -> SchmidtResult:
@@ -98,10 +112,16 @@ def schmidt_decompose(grid, flat_phase: bool = False) -> SchmidtResult:
     flat_phase=True decomposes the magnitude |F| instead of F.  A raw real
     array is interpreted as a JSI (decomposed as sqrt(JSI), necessarily
     flat-phase); a raw complex array as a JSA.  Coefficients below 1e-12
-    of the leading one are truncated as SVD noise; the rest sum to 1.
+    of the leading one are truncated as SVD noise; the rest sum to 1.  A
+    flat-phase decomposition computes the singular values only and returns
+    empty mode arrays.
     """
     matrix, flat_phase = _amplitude_matrix(grid, flat_phase)
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    if flat_phase:
+        s = np.linalg.svd(matrix, compute_uv=False)
+        u, vh = np.empty((matrix.shape[0], 0)), np.empty((0, matrix.shape[1]))
+    else:
+        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
 
     c = s**2
     rank = int(np.count_nonzero(c >= TRUNCATION_RELATIVE * c[0]))
@@ -129,20 +149,17 @@ def schmidt_to_json(result: SchmidtResult, path: str | None = None) -> str | Non
 
 
 def schmidt_modes_to_csv(result: SchmidtResult, path: str | None = None) -> str | None:
-    """The MODES_CSV_COUNT leading Schmidt mode vectors (fewer when the
-    decomposition has fewer) as CSV columns (real part, then imag when any
-    mode is complex)."""
+    """The MODES_CSV_COUNT leading Schmidt mode vectors of a complex
+    decomposition (fewer when it has fewer) as CSV columns, real part then
+    imaginary; a flat-phase result, which carries no modes, is refused."""
+    if result.flat_phase:
+        raise ValidationError("a flat-phase Schmidt result carries no modes")
     n = min(MODES_CSV_COUNT, result.n_modes)
     sig = result.signal_modes[:, :n]
     idl = result.idler_modes[:, :n]
-    complex_modes = np.iscomplexobj(sig) or np.iscomplexobj(idl)
     header = []
     cols = []
     for m in range(n):
-        if complex_modes:
-            header += [f"S{m}_re", f"S{m}_im", f"I{m}_re", f"I{m}_im"]
-            cols += [sig[:, m].real, np.imag(sig[:, m]), idl[:, m].real, np.imag(idl[:, m])]
-        else:
-            header += [f"S{m}", f"I{m}"]
-            cols += [sig[:, m].real, idl[:, m].real]
+        header += [f"S{m}_re", f"S{m}_im", f"I{m}_re", f"I{m}_im"]
+        cols += [sig[:, m].real, sig[:, m].imag, idl[:, m].real, idl[:, m].imag]
     return export.to_csv(header, np.column_stack(cols), path)

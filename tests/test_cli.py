@@ -285,6 +285,35 @@ def test_non_finite_config_value_exits_1(section, key, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "subcommand, path",
+    [
+        ("phasematch", "fiber_length_m"),
+        ("jsa", "grid.N"),
+        ("sweep-length", "sweep_length.lengths_m[1]"),
+    ],
+)
+def test_integer_beyond_the_float_range_exits_1(subcommand, path, tmp_path, capsys):
+    """An integer that no float holds is refused as not finite, by name,
+    not converted into an OverflowError."""
+    raw = copy.deepcopy(BASE)
+    raw.update(copy.deepcopy(EXTRAS[subcommand]))
+    if path == "grid.N":
+        raw["grid"]["N"] = 10**400
+    elif path == "fiber_length_m":
+        raw["fiber_length_m"] = 10**400
+    else:
+        raw["sweep_length"]["lengths_m"][1] = 10**400
+    rc = cli.main(
+        [subcommand, "--config", write_cfg(tmp_path, raw),
+         "--out", str(tmp_path / "o"), "--label", "t"]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err == f"error: config key '{path}' must be finite, got 1{'0' * 17}...{'0' * 19}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "path, value",
     [
         ("gas.pressure_bar", "abc"),
@@ -929,17 +958,31 @@ def test_non_numeric_gas_data_exits_1(tmp_path, monkeypatch, capsys):
     assert "'xenon': P0_bar must be a number, got 'abc'" in capsys.readouterr().err
 
 
+# an integer of more digits than int() converts from text (4300 by default)
+_HUGE_INTEGER = "1" + "0" * 5000
+_HUGE_INTEGER_ERROR = (
+    "is not valid YAML: a value cannot be constructed: Exceeds the limit "
+    "(4300 digits) for integer string conversion: value has 5001 digits\n"
+)
+
+
 def test_unreadable_gas_data_exits_1(tmp_path, monkeypatch, capsys):
     missing = tmp_path / "missing.yaml"
     broken = tmp_path / "broken.yaml"
     broken.write_text("xenon: {B: [1.0\n  C_um2: : [")
     utf16 = tmp_path / "utf16.yaml"
     utf16.write_bytes(b"\xff\xfe")
+    long_int = tmp_path / "long_int.yaml"
+    long_int.write_text(re.sub(
+        r"P0_bar: \S+", f"P0_bar: {_HUGE_INTEGER}",
+        resource_files("hcfwm").joinpath("data/gases.yaml").read_text(),
+    ))
     cfg_path = write_cfg(tmp_path, copy.deepcopy(BASE))
     for table_path, error in [
         (missing, f"cannot read gas data file {missing}: No such file"),
         (broken, f"gas data file {broken} is not valid YAML"),
         (utf16, f"cannot read gas data file {utf16}: 'utf-8' codec can't decode"),
+        (long_int, f"gas data file {long_int} {_HUGE_INTEGER_ERROR}"),
     ]:
         monkeypatch.setenv("HCFWM_GAS_DATA", str(table_path))
         rc = cli.main(["dispersion", "--config", cfg_path,
@@ -955,9 +998,15 @@ def test_unreadable_config_exits_1(tmp_path, capsys):
     folder.mkdir()
     utf16 = tmp_path / "utf16.yaml"
     utf16.write_bytes(b"\xff\xfe")  # a UTF-16 byte-order mark
+    top_level = tmp_path / "top_level.yaml"
+    top_level.write_text(f"fiber: {{}}\ngas: {{}}\npump: {{}}\nfiber_length_m: {_HUGE_INTEGER}\n")
+    in_a_list = tmp_path / "in_a_list.yaml"
+    in_a_list.write_text(f"fiber: {{}}\nsweep_length: {{lengths_m: [0.3, {_HUGE_INTEGER}]}}\n")
     for cfg_path, error in [
         (folder, f"cannot read config file {folder}: [Errno 21] Is a directory"),
         (utf16, f"cannot read config file {utf16}: 'utf-8' codec can't decode"),
+        (top_level, f"config {top_level} {_HUGE_INTEGER_ERROR}"),
+        (in_a_list, f"config {in_a_list} {_HUGE_INTEGER_ERROR}"),
     ]:
         rc = cli.main(["dispersion", "--config", str(cfg_path),
                        "--out", str(tmp_path / "o"), "--label", "t"])
@@ -1150,26 +1199,32 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     )
 
 
+def _run_at_blas_threads(tmp_path, subcommand, threads):
+    """Exit code, stdout, stderr and {name: bytes} of a run of `subcommand`
+    on length_series at OPENBLAS_NUM_THREADS=`threads`."""
+    cwd = tmp_path / f"{subcommand}_threads_{threads}"
+    cwd.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcfwm.cli", subcommand, "--config",
+         "length_series", "--out", "o", "--label", "run"],
+        cwd=cwd, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=_PKG_ROOT, OPENBLAS_NUM_THREADS=threads),
+    )
+    run_dir = cwd / "o" / subcommand / "run"
+    files = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
 def test_schmidt_bytes_across_blas_thread_counts(tmp_path):
     """The byte-identical rerun holds at one BLAS thread count.  LAPACK's
     complex SVD (zgesdd) splits its work among the OpenBLAS threads, so the
     last digits of schmidt_complex.json, and on some recipes the last ulp
     of K_complex in manifest.json, depend on OPENBLAS_NUM_THREADS; every
     other artifact of the run does not.  So those two files are compared
-    through K_complex, to 1e-12, and the rest byte for byte."""
-    runs = []
-    for threads in ("1", "2"):
-        cwd = tmp_path / f"threads_{threads}"
-        cwd.mkdir()
-        proc = subprocess.run(
-            [sys.executable, "-m", "hcfwm.cli", "schmidt", "--config",
-             "length_series", "--out", "o", "--label", "run"],
-            cwd=cwd, capture_output=True, text=True, timeout=300,
-            env=dict(os.environ, PYTHONPATH=_PKG_ROOT, OPENBLAS_NUM_THREADS=threads),
-        )
-        run_dir = cwd / "o" / "schmidt" / "run"
-        files = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
-        runs.append((proc.returncode, proc.stdout, proc.stderr, files))
+    through K_complex, to 1e-12, and the rest byte for byte.  A length
+    sweep, whose K comes from one zgemm per block of rows, is byte-identical
+    in every file."""
+    runs = [_run_at_blas_threads(tmp_path, "schmidt", t) for t in ("1", "2")]
     (rc1, out1, err1, files1), (rc2, out2, err2, files2) = runs
     assert rc1 == rc2 == 0, err1 + err2
     assert (out1, err1) == (out2, err2)
@@ -1183,6 +1238,13 @@ def test_schmidt_bytes_across_blas_thread_counts(tmp_path):
     assert k2 == pytest.approx(k1, rel=1e-12)
     for files, k in ((files1, k1), (files2, k2)):
         assert json.loads(files["schmidt_complex.json"])["K"] == k
+
+    one, two = (_run_at_blas_threads(tmp_path, "sweep-length", t) for t in ("1", "2"))
+    assert one[0] == 0, one[2]
+    assert one[:3] == two[:3]
+    assert sorted(one[3]) == sorted(two[3])
+    for name in one[3]:
+        assert one[3][name] == two[3][name], name
 
 
 @pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "csv"])

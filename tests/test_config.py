@@ -326,6 +326,28 @@ def test_yaml_loader_reads_bundled_files_as_safe_load(monkeypatch, libyaml):
         )
 
 
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+@pytest.mark.parametrize(
+    "scalar, detail",
+    [
+        ("1" + "0" * 5000, "Exceeds the limit (4300 digits) for integer string "
+                           "conversion: value has 5001 digits"),
+        ("2020-13-45", "month must be in 1..12"),
+    ],
+    ids=["long-integer", "bad-date"],
+)
+def test_unconstructible_scalar_is_invalid_yaml(monkeypatch, libyaml, scalar, detail):
+    """A scalar that parses but whose value cannot be built is reported as
+    invalid YAML, without the interpreter's advice to raise its limit."""
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    with pytest.raises(ValidationError) as exc:
+        config.loads_config(f"fiber_length_m: [1, {scalar}]", origin="c.yaml")
+    assert str(exc.value) == (
+        f"config c.yaml is not valid YAML: a value cannot be constructed: {detail}"
+    )
+
+
 def test_invalid_yaml_message_quotes_the_source(tmp_path, monkeypatch):
     """libyaml's parse errors drop the source line and the caret; the
     messages keep them, for config files and gas tables alike."""

@@ -291,6 +291,8 @@ def test_every_numeric_parameter_is_checked(fx, qualname, param):
         (9, dict(lo=1, hi=8, integer=True), "n must be <= 8, got 9"),
         (None, dict(integer=True), "n must be an integer, got None"),
         (math.nan, dict(), "n must be finite, got nan"),
+        (-(10**400), dict(), f"n must be finite, got -{'1' + '0' * 16}...{'0' * 19}"),
+        (10**400, dict(lo=1, integer=True), f"n must be finite, got {'1' + '0' * 17}...{'0' * 19}"),
     ],
 )
 def test_check_number_messages(value, bounds, error):

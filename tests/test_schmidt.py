@@ -127,13 +127,24 @@ def test_flat_and_complex_variants_differ(grid128):
 
 
 def test_modes_are_orthonormal(grid128):
-    for flat in (False, True):
-        res = schmidt.schmidt_decompose(grid128, flat_phase=flat)
-        n = res.n_modes
-        gram_s = res.signal_modes.conj().T @ res.signal_modes
-        gram_i = res.idler_modes.conj().T @ res.idler_modes
-        assert np.max(np.abs(gram_s - np.eye(n))) < 1e-8
-        assert np.max(np.abs(gram_i - np.eye(n))) < 1e-8
+    res = schmidt.schmidt_decompose(grid128)
+    n = res.n_modes
+    gram_s = res.signal_modes.conj().T @ res.signal_modes
+    gram_i = res.idler_modes.conj().T @ res.idler_modes
+    assert np.max(np.abs(gram_s - np.eye(n))) < 1e-8
+    assert np.max(np.abs(gram_i - np.eye(n))) < 1e-8
+
+
+def test_flat_result_carries_empty_modes(grid128):
+    """The flat-phase SVD computes singular values only; its mode arrays
+    stay arrays, one row per grid point and no column."""
+    amplitude = grid128.values[:, :100]
+    for arr, flat in ((grid128, True), (amplitude, True), (np.abs(amplitude) ** 2, False)):
+        res = schmidt.schmidt_decompose(arr, flat_phase=flat)
+        assert res.flat_phase is True
+        assert res.n_modes > 8
+        assert res.signal_modes.shape == (128, 0)
+        assert res.idler_modes.shape == (128 if arr is grid128 else 100, 0)
 
 
 def test_spectrum_invariants(grid128):
@@ -200,20 +211,34 @@ def test_decomposition_reads_only_the_amplitudes(grid128, flat_phase):
     )
 
 
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_complex_schmidt_holds_no_copy_of_the_grid(fiber, xenon, pump, branch):
-    """At N = 512 a complex decomposition holds the SVD factors, and the
-    Gram K the conjugate and the Gram matrix, but neither a copy of the
-    grid: the traced peak stays under 2.5 grids."""
+    """At N = 512 a complex decomposition holds the SVD factors but no copy
+    of the grid: its traced peak stays under 2.5 grids.  The Gram K holds
+    a block of rows of the grid's conjugate and of conj(G), but neither G
+    nor a conjugate copy of the grid: its peak stays under half a grid."""
     grid = jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=512)
     size = grid.values.nbytes
-    for call in (schmidt.schmidt_number, schmidt.schmidt_decompose):
-        tracemalloc.start()
-        try:
-            call(grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * size, (call.__name__, peak / size)
+    for call, bound in ((schmidt.schmidt_number, 0.5), (schmidt.schmidt_decompose, 2.5)):
+        peak = _traced_peak(call, grid)
+        assert peak <= bound * size, (call.__name__, peak / size)
+
+
+def test_flat_schmidt_holds_no_singular_vectors(fiber, xenon, pump, branch):
+    """At N = 512 the flat-phase decomposition holds |F|, half a complex
+    grid, and the singular values, but neither singular-vector matrix:
+    its traced peak stays under 0.75 of a complex grid."""
+    grid = jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=512)
+    peak = _traced_peak(schmidt.schmidt_decompose, grid, True)
+    assert peak <= 0.75 * grid.values.nbytes, peak / grid.values.nbytes
 
 
 def test_real_input_is_treated_as_jsi(grid128):
@@ -261,6 +286,26 @@ def test_gram_schmidt_number_of_raw_arrays(grid128):
             assert k_gram == pytest.approx(k_svd, rel=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(300, 700), (700, 300)], ids=["wide", "tall"])
+def test_gram_schmidt_number_sums_every_row_block(shape):
+    """The Gram K sums ||conj(G)||_F^2 over blocks of rows of the shorter
+    axis; here that axis is no whole number of blocks, so a dropped or
+    doubled last block would move K."""
+    rows, cols = sorted(shape)
+    step = jsa._BLOCK_CELLS // cols
+    assert rows > step and rows % step != 0
+    rng = np.random.default_rng(5)
+    x = np.linspace(-3.0, 3.0, max(shape))
+    envelope = np.exp(-(x[:shape[0], None] - x[None, :shape[1]]) ** 2)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    amplitude = envelope * (1.0 + 0.3 * noise)
+    inputs = [(amplitude, False), (amplitude, True), (np.abs(amplitude) ** 2, False)]
+    for arr, flat in inputs:
+        k_svd = schmidt.schmidt_decompose(arr, flat_phase=flat).K
+        k_gram = schmidt.schmidt_number(arr, flat_phase=flat)
+        assert k_gram == pytest.approx(k_svd, rel=1e-9)
+
+
 def test_gram_schmidt_number_closed_cases():
     amp = np.sqrt((1.0 - 0.5) * 0.5 ** np.arange(60)).astype(complex)
     assert schmidt.schmidt_number(np.diag(amp)) == pytest.approx(3.0, abs=1e-9)
@@ -301,20 +346,24 @@ def test_schmidt_json_fields(grid128):
 
 
 def test_modes_csv_headers(grid128):
-    """The 8 leading modes, or every mode of a decomposition with fewer."""
-    flat = schmidt.schmidt_decompose(grid128, flat_phase=True)
-    assert flat.n_modes > 8
-    text = schmidt.schmidt_modes_to_csv(flat)
-    lines = text.splitlines()
-    assert lines[0] == ",".join(f"S{m},I{m}" for m in range(8))
-    assert len(lines) == 1 + grid128.omega_s.size
-
+    """The 8 leading modes of a complex decomposition, or every mode of one
+    with fewer; a flat-phase result carries no modes and is refused."""
     full = schmidt.schmidt_decompose(grid128)
-    text_c = schmidt.schmidt_modes_to_csv(full)
-    assert text_c.splitlines()[0] == ",".join(
+    assert full.n_modes > 8
+    lines = schmidt.schmidt_modes_to_csv(full).splitlines()
+    assert lines[0] == ",".join(
         f"S{m}_re,S{m}_im,I{m}_re,I{m}_im" for m in range(8)
     )
+    assert len(lines) == 1 + grid128.omega_s.size
 
     x = np.linspace(-3.0, 3.0, 16)
-    single = schmidt.schmidt_decompose(np.outer(np.exp(-x**2), np.exp(-x**2)))
-    assert schmidt.schmidt_modes_to_csv(single).splitlines()[0] == "S0,I0"
+    g = np.exp(-x**2)
+    single = schmidt.schmidt_decompose(np.outer(g, g * np.exp(0.5j * x)))
+    assert single.n_modes == 1
+    assert schmidt.schmidt_modes_to_csv(single).splitlines()[0] == (
+        "S0_re,S0_im,I0_re,I0_im"
+    )
+
+    flat = schmidt.schmidt_decompose(grid128, flat_phase=True)
+    with pytest.raises(ValidationError, match="flat-phase .* carries no modes"):
+        schmidt.schmidt_modes_to_csv(flat)
