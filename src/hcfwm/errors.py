@@ -67,14 +67,23 @@ class StencilError(NumericalError):
 
 GAP_ERRORS = (RangeError, NumericalError)
 
-_BRIEF = reprlib.Repr()
+
+class _Brief(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # past sys.get_int_max_str_digits: no decimal repr
+            return "-" * (x < 0) + f"<{x.bit_length()}-bit int...>"
+
+
+_BRIEF = _Brief()
 _BRIEF.maxlevel, _BRIEF.maxstring, _BRIEF.maxother = 3, 80, 80
 
 
 def shown(value) -> str:
-    """``repr(value)`` for an error message: exact for a value within
-    _BRIEF's limits (3 levels, 6 items a container, 80 characters a
-    string), and never over 200 characters, however deep or large."""
+    """``repr(value)`` for an error message: exact within _BRIEF's limits
+    (3 levels, 6 items a container, 80 characters a string, 40 an int),
+    and never over 200 characters, however deep or large."""
     text = _BRIEF.repr(value)
     if "..." not in text:  # nothing was cut; repr keeps a mapping's order
         text = repr(value)

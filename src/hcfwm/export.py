@@ -9,11 +9,12 @@ The rows come in one of two forms, with the same text from either:
   side by side, one table row per array row: numpy encodes it, about 32k
   cells at a time, into the bytes that "%.9g" gives.
 JSON: keys sorted; compact for grids and decompositions, indent=1 plus a
-trailing newline for summaries and manifests.  In compact JSON, each 1-D
+trailing newline for summaries and manifests.  Compact JSON takes a
+mapping with string keys and writes it key by key: a value that is a 1-D
 or 2-D float64 ndarray is encoded by numpy, 8,192 cells at a time, into
-exactly the bytes json.dumps gives for its .tolist(): every number as its
-shortest round-trip repr.  The rest of the object, and all of an indented
-one, goes through json.
+exactly the bytes json.dumps gives for its .tolist(), every number as its
+shortest round-trip repr; any other value, and all of an indented
+object, goes through json.
 
 Both writers hand ``save`` their text as a stream of encoded pieces, and
 ``save`` writes each piece as it comes: an array is never held as text
@@ -24,10 +25,11 @@ returns None; given ``CHECK_ONLY``, it drops the pieces unread, so an
 exporter runs its checks and encodes nothing.
 
 A non-finite number never reaches an artifact: both writers raise
-NumericalError (CLI exit 2) before the file is opened, as does a string
-that reads like an array stub (ValueError).  A file that cannot be
-written raises ValidationError (CLI exit 1); ``save`` is the one place
-that opens an artifact for writing.
+NumericalError (CLI exit 2) before the file is opened.  They check
+numbers as numbers: an array by numpy, a number in a text row as it is
+formatted, anything else by json; a text cell is written as given.  A
+file that cannot be written raises ValidationError (CLI exit 1); ``save``
+is the one place that opens an artifact for writing.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import chain
@@ -48,12 +49,19 @@ from .errors import NumericalError, ValidationError
 # no file name, so no real path equals it.
 CHECK_ONLY = "\0check only"
 
-# a whole cell reading nan, inf or -inf
-_NON_FINITE_CELL = re.compile(r"(?:^|,)-?(?:nan|inf)(?=,|$)", re.M)
 
-
-def _line(cells) -> str:
-    return ",".join([c if isinstance(c, str) else "%.9g" % c for c in cells])
+def _line(cells, number: int, path: str | None) -> str:
+    """CSV line ``number`` of a file; a NaN or infinite number raises."""
+    text = []
+    for c in cells:
+        if not isinstance(c, str):
+            if not math.isfinite(c):
+                raise NumericalError(
+                    f"non-finite number on line {number} of {_where(path)}"
+                )
+            c = "%.9g" % c
+        text.append(c)
+    return ",".join(text)
 
 
 # An array table is encoded this many cells at a time (rounded to whole
@@ -417,9 +425,7 @@ def save(pieces: Iterable[bytes], path: str | None) -> str | None:
             for piece in pieces:
                 fh.write(piece)
     except OSError as exc:
-        raise ValidationError(
-            f"cannot write {path}: {exc.strerror}"
-        ) from None
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
     return None
 
 
@@ -427,22 +433,11 @@ def _where(path: str | None) -> str:
     return "the artifact" if path in (None, CHECK_ONLY) else os.path.basename(path)
 
 
-def _refuse_non_finite(text: str, first_line: int, path: str | None) -> None:
-    # a finite "%.9g" number holds neither "n" nor "i": the substring test
-    # spares the exact search on all-numeric text
-    if "n" in text or "i" in text:
-        bad = _NON_FINITE_CELL.search(text)
-        if bad:
-            line = first_line + text.count("\n", 0, bad.start())
-            raise NumericalError(f"non-finite number on line {line} of {_where(path)}")
-
-
 def to_csv(header, rows, path: str | None = None) -> str | None:
     """CSV of ``header`` (an iterable of cells) and ``rows`` (an iterable
     of such rows, or a 2-D float64 ndarray, or a tuple of them to lay side
     by side): written to ``path`` when given, else returned as text."""
-    head = _line(header) + "\n"
-    _refuse_non_finite(head, 1, path)
+    head = _line(header, 1, path) + "\n"
     blocks = rows if isinstance(rows, tuple) else (rows,)
     if all(
         isinstance(b, np.ndarray) and b.ndim == 2 and b.dtype == np.float64
@@ -451,54 +446,40 @@ def to_csv(header, rows, path: str | None = None) -> str | None:
         _refuse_non_finite_table(blocks, path)
         body = _table_pieces(blocks)
     else:
-        text = "".join([_line(row) + "\n" for row in rows])
-        _refuse_non_finite(text, 2, path)
+        text = "".join([_line(row, i, path) + "\n" for i, row in enumerate(rows, 2)])
         body = (text.encode(),)
     return save(chain((head.encode(),), body), path)
-
-
-def _stub_arrays(obj, arrays: list):
-    """``obj`` with each 1-D or 2-D float64 ndarray in its dicts and lists
-    moved to ``arrays`` and replaced by the string "\\0" + its index."""
-    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2):
-        arrays.append(obj)
-        return f"\0{len(arrays) - 1}"
-    if isinstance(obj, dict):
-        return {k: _stub_arrays(v, arrays) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stub_arrays(v, arrays) for v in obj]
-    return obj
-
-
-def _json_pieces(parts: list[str], arrays: list) -> Iterator[bytes]:
-    # every other part is the index of an array, in the order of the text
-    for i, part in enumerate(parts):
-        if i % 2:
-            yield from _array_pieces(arrays[int(part)])
-        else:
-            yield part.encode()
 
 
 def to_json(obj, path: str | None = None, indent: int | None = None) -> str | None:
     """Key-sorted JSON of ``obj``: written to ``path`` when given, else
     returned as text; with ``indent``, the text ends in a newline.  Without
-    ``indent``, a 1-D or 2-D float64 ndarray in ``obj`` is written as its
-    ``.tolist()``."""
-    arrays = []
-    if indent is None:
-        obj = _stub_arrays(obj, arrays)
+    ``indent``, ``obj`` must be a dict with string keys (else TypeError),
+    and a value of it that is a 1-D or 2-D float64 ndarray is written as
+    its ``.tolist()``; json refuses an array anywhere else."""
     non_finite = NumericalError(f"non-finite number in {_where(path)}")
-    if not all(np.isfinite(arr).all() for arr in arrays):
-        raise non_finite
-    try:
-        text = json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
-    except ValueError:
-        raise non_finite from None
     if indent is not None:
-        text += "\n"
-    if not arrays:
-        return save((text.encode(),), path)
-    parts = re.split(r'"\\u0000(\d+)"', text)
-    if len(parts) != 2 * len(arrays) + 1:
-        raise ValueError("a string in the object reads like an array stub")
-    return save(_json_pieces(parts, arrays), path)
+        try:
+            text = json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+        except ValueError:
+            raise non_finite from None
+        return save(((text + "\n").encode(),), path)
+    if not isinstance(obj, dict) or not all(isinstance(k, str) for k in obj):
+        raise TypeError("compact JSON takes a dict with string keys")
+    # all is checked before save opens the file; arrays encode as it writes
+    parts = []
+    for i, key in enumerate(sorted(obj)):
+        value = obj[key]
+        parts.append([b", " * (i > 0) + json.dumps(key).encode() + b": "])
+        array = isinstance(value, np.ndarray) and value.dtype == np.float64
+        if array and value.ndim in (1, 2):
+            if not np.isfinite(value).all():
+                raise non_finite
+            parts.append(_array_pieces(value))
+        else:
+            try:
+                text = json.dumps(value, sort_keys=True, allow_nan=False)
+            except ValueError:
+                raise non_finite from None
+            parts.append([text.encode()])
+    return save(chain([b"{"], *parts, [b"}"]), path)

@@ -88,9 +88,9 @@ class SetScan(FrequencyAxes):
         self.seed_power_W = np.asarray(self.seed_power_W, dtype=float)
         if self.omega_i.ndim != 1 or self.omega_i.size < 1:
             raise ValidationError("seed sweep must be a non-empty 1-D axis")
-        if not (np.all(np.isfinite(self.omega_i))
-                and np.all(np.isfinite(self.omega_s))):
-            raise ValidationError("scan axes must be finite")
+        for axis in (self.omega_i, self.omega_s):  # NaN fails both tests
+            if not np.all((axis > 0.0) & (axis < np.inf)):
+                raise ValidationError("scan axes must be finite and > 0 rad/s")
         steps = np.diff(self.omega_i)
         if self.omega_i.size > 1 and not (
             np.all(steps > 0.0) or np.all(steps < 0.0)
@@ -215,8 +215,8 @@ def reconstruct_jsi(scan: SetScan) -> Reconstruction:
             f"reconstruction needs at least 2 slices, got {scan.n_slices}"
         )
     n_seed = scan.seed_photon_number()
-    if np.any(n_seed <= 0.0):
-        raise ValidationError("monitored seed powers must be > 0 W")
+    if np.any(n_seed <= 0.0):  # a seed power near 5e-324 W underflows to 0
+        raise ValidationError("seed photon numbers must be > 0")
     normalized = scan.slices / n_seed[:, None]
     omega_i = scan.omega_i
     if omega_i[0] > omega_i[-1]:

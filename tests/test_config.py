@@ -111,6 +111,14 @@ def test_missing_section_listed_by_name():
         config.config_from_dict({"fiber": {}, "pump": {}})
 
 
+def test_null_section_parses_as_empty():
+    """A section key with no value (YAML null) is present and empty: a
+    required one takes its defaults, an optional one is built from them."""
+    cfg = config.loads_config("fiber:\ngas:\npump:\nset_sim:\n")
+    assert cfg == config.config_from_dict({**MINIMAL, "set_sim": {}})
+    assert cfg.set_sim is not None
+
+
 def test_unknown_keys_use_full_dotted_paths():
     d = {"fiber": {"t_um": 0.63}, "gas": {}, "pump": {}}
     with pytest.raises(ValidationError, match="'fiber.t_um'"):

@@ -95,13 +95,6 @@ def test_file_holds_the_text_returned_without_a_path(form, tmp_path):
     assert path.read_bytes() == text.encode()
 
 
-def test_refused_stub_string_leaves_no_file(tmp_path):
-    path = tmp_path / "jsa.json"
-    with pytest.raises(ValueError, match="array stub"):
-        export.to_json({"a": np.ones(3), "b": "\x000"}, str(path))
-    assert not path.exists()
-
-
 @pytest.fixture(scope="module")
 def grid1024(fiber, xenon, pump, branch):
     return jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=1024)
@@ -207,6 +200,8 @@ def test_csv_refuses_non_finite_in_numeric_rows(bad, row, tmp_path):
 def test_csv_text_cells_are_not_numbers():
     text = export.to_csv(("param", "info"), [("length_m", "inflated nano")])
     assert text == "param,info\nlength_m,inflated nano\n"
+    # only numbers are checked: a text cell is written as given
+    assert export.to_csv(("nan", "b"), [("inf", 1.5)]) == "nan,b\ninf,1.5\n"
 
 
 # ------------------------------------------------ 2-D float64 tables
@@ -376,8 +371,8 @@ def test_json_edge_values():
     )
     near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1e308)])
     assert_json_alike(np.concatenate([near, -near]))
-    assert export.to_json(np.array([-0.0, 3.0, 0.1, 1e16, 1e-5, 5e-324])) == (
-        "[-0.0, 3.0, 0.1, 1e+16, 1e-05, 5e-324]"
+    assert export.to_json({"a": np.array([-0.0, 3.0, 0.1, 1e16, 1e-5, 5e-324])}) == (
+        '{"a": [-0.0, 3.0, 0.1, 1e+16, 1e-05, 5e-324]}'
     )
 
 
@@ -395,23 +390,43 @@ def test_json_edge_values():
 @example(np.ones((1, 1)))
 def test_json_array_property(arr):
     assert_json_alike(arr)
-    assert export.to_json([arr, (arr,)]) == json.dumps([arr.tolist(), [arr.tolist()]])
 
 
 def test_json_arrays_only_without_indent():
-    """Arrays at any depth of lists, tuples and dicts; with indent, and for
-    other arrays, the json path as before."""
+    """json refuses every array of an indented object, and without
+    indent every array that is not 1-D or 2-D float64."""
     arr = np.linspace(-1.0, 2.0, 7)
-    obj = {"b": [arr, {"z": arr[::2], "y": 1}], "a": (arr.reshape(7, 1),), "s": "x"}
-    plain = {"b": [arr.tolist(), {"z": arr[::2].tolist(), "y": 1}],
-             "a": [arr.reshape(7, 1).tolist()], "s": "x"}
-    assert export.to_json(obj) == json.dumps(plain, sort_keys=True)
     with pytest.raises(TypeError):
         export.to_json({"a": arr}, indent=1)
     with pytest.raises(TypeError):
         export.to_json({"a": np.arange(3)})
-    with pytest.raises(ValueError, match="array stub"):
-        export.to_json({"a": arr, "b": "\x000"})
+
+
+@pytest.mark.parametrize("first", range(6))
+def test_json_mixed_values_at_every_sorted_position(first):
+    """Arrays and other values sit before, between and after each other
+    in key order; the text is json.dumps of the .tolist() form."""
+    arr = np.linspace(-1.0, 2.0, 7)
+    values = [arr, {"z": [1, "s"], "y": None}, arr.reshape(7, 1), "x", 2.5, arr[:0]]
+    obj = {f"k{(first + i) % len(values)}": v for i, v in enumerate(values)}
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in obj.items()}
+    assert export.to_json(obj) == json.dumps(plain, sort_keys=True)
+    assert export.to_json({}) == "{}"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [np.ones(3), [np.ones(3)], {1: np.ones(3)}, {"a": [np.ones(3)]},
+     {"a": {"b": np.ones(3)}}],
+    ids=["bare-array", "list", "int-key", "array-in-list", "array-in-dict"],
+)
+def test_json_refuses_other_shapes_and_leaves_no_file(obj, tmp_path):
+    """Compact JSON takes a dict with string keys whose arrays are its
+    values; any other shape is a TypeError before the file is opened."""
+    path = tmp_path / "jsa.json"
+    with pytest.raises(TypeError):
+        export.to_json(obj, str(path))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("mode", ["linearized", "full"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from importlib.resources import files as resource_files
 
 import numpy as np
 import pytest
@@ -409,6 +410,42 @@ def test_model_window_intersects_gas_and_silica(fiber, xenon, vacuum):
     assert fibermodel.model_window_nm(fiber, vacuum) == (210.0, 3710.0)
 
 
+_OTHER_GASES = """
+far_ir:  # a window that misses silica's
+  B: [1.0e-4]
+  C_um2: [1.0e-2]
+  lambda_min_nm: 4000.0
+  lambda_max_nm: 5000.0
+  P0_bar: 1.0
+  T0_K: 293.15
+  n2_per_bar_m2W: 0.0
+denser_than_silica:  # n^2 = 3 at 1 bar and 293.15 K
+  B: [2.0]
+  C_um2: [0.0]
+  lambda_min_nm: 250.0
+  lambda_max_nm: 3200.0
+  P0_bar: 1.0
+  T0_K: 293.15
+  n2_per_bar_m2W: 0.0
+"""
+
+
+def test_gas_tables_the_tube_model_cannot_use(fiber, tmp_path, monkeypatch):
+    """A gas whose window misses silica's has no joint window, and one
+    whose index exceeds silica's leaves the wall no resonance."""
+    bundled = resource_files("hcfwm").joinpath("data/gases.yaml").read_text()
+    path = tmp_path / "gases.yaml"
+    path.write_text(bundled + _OTHER_GASES)
+    monkeypatch.setenv("HCFWM_GAS_DATA", str(path))
+    far = gasmedia.make_gas("far_ir", 1.0)
+    with pytest.raises(ValidationError) as err:
+        fibermodel.model_window_nm(fiber, far)
+    assert str(err.value) == "empty joint validity window for far_ir and silica"
+    dense = gasmedia.make_gas("denser_than_silica", 1.0)
+    with pytest.raises(RangeError, match="^no wall resonances: n_si\\^2 - n_gas\\^2"):
+        fibermodel.band_structure(fiber, dense)
+
+
 def test_mode_parameter_bessel_zeros():
     he11 = fibermodel.FiberModel(R_eff_um=22.0, t_nm=630.0)
     assert he11.u == pytest.approx(2.404825557695773, rel=1e-12)
@@ -541,6 +578,11 @@ def test_brentq_port_is_step_exact():
                 assert fibermodel._brentq(f, a, b, xtol, rtol, maxiter) == want
             cases += 1
     assert cases > 1000
+    # a root at either end of the bracket is that end, as in scipy, also
+    # where the other end has the same sign as the root's side
+    for f, a, b in ((lambda x: x - 1.0, 1.0, 3.0), (lambda x: 1.0 - x, -2.0, 1.0),
+                    (lambda x: 1.0 - x, 1.0, 3.0), (lambda x: x - 1.0, -2.0, 1.0)):
+        assert fibermodel._brentq(f, a, b) == brentq(f, a, b) == 1.0
 
 
 def test_brentq_port_needs_a_sign_change():

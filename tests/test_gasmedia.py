@@ -219,6 +219,10 @@ argon:
     with pytest.raises(ValidationError) as err:
         gasmedia.load_gas_data(mixed)
     assert str(err.value) == "gas data for 'argon' has unknown keys: [1, 'typo_key']"
+    scalar = _write_table(tmp_path, "argon: 5\n", name="scalar.yaml")
+    with pytest.raises(ValidationError) as err:
+        gasmedia.load_gas_data(scalar)
+    assert str(err.value) == "gas data for 'argon' is not a mapping"
     empty = _write_table(tmp_path, "", name="empty.yaml")
     with pytest.raises(ValidationError, match="map species"):
         gasmedia.load_gas_data(empty)

@@ -293,6 +293,13 @@ def test_every_numeric_parameter_is_checked(fx, qualname, param):
         (math.nan, dict(), "n must be finite, got nan"),
         (-(10**400), dict(), f"n must be finite, got -{'1' + '0' * 16}...{'0' * 19}"),
         (10**400, dict(lo=1, integer=True), f"n must be finite, got {'1' + '0' * 17}...{'0' * 19}"),
+        # no decimal repr past sys.get_int_max_str_digits: shown by its size
+        pytest.param(10**5000, dict(), "n must be finite, got <16610-bit int...>",
+                     id="int-of-5001-digits"),
+        pytest.param([10**5000], dict(), "n must be a number, got [<16610-bit int...>]",
+                     id="list-of-an-int-of-5001-digits"),
+        pytest.param(-(10**5000), dict(), "n must be finite, got -<16610-bit int...>",
+                     id="negative-int-of-5001-digits"),
     ],
 )
 def test_check_number_messages(value, bounds, error):

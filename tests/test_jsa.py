@@ -617,6 +617,8 @@ def test_marginals_raw_grid_interface(grid128):
     w = grid128.omega_s[:1]
     with pytest.raises(ValidationError, match="JSI axes need at least 2 points"):
         jsa.marginals(np.ones((1, 1)), w, w)
+    with pytest.raises(ValidationError, match="JSI has no weight"):
+        jsa.marginals(np.zeros_like(intensity), grid128.omega_s, grid128.omega_i)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -159,6 +159,10 @@ def test_scan_validation(grid128):
         SetScan(omega_i=axis, **good, duty_cycle=1.5)
     with pytest.raises(ValidationError, match="shape"):
         SetScan(omega_i=axis, **{**good, "slices": slices[:, :-1]})
+    with pytest.raises(ValidationError, match="non-empty 1-D axis"):
+        SetScan(omega_i=[], **{**good, "slices": slices[:0], "seed_power_W": []})
+    with pytest.raises(ValidationError, match="at least one step"):
+        tomography.simulate_set_scan(grid128, [], 1.0, 1e-3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -180,6 +184,37 @@ def test_scan_refuses_non_finite_slices_and_axes(grid128, bad):
         entry[1] = bad
         with pytest.raises(ValidationError, match="axes must be finite"):
             SetScan(**{**good, name: entry})
+
+
+@pytest.mark.parametrize(
+    "name, axis", [("omega_i", [-2e15, -1e15]), ("omega_i", [-1e15, 1e15]),
+                   ("omega_s", "negated")],
+)
+def test_scan_refuses_non_positive_frequencies(grid128, name, axis):
+    """Every frequency of the library is > 0 rad/s; a scan axis at or
+    below 0 is refused when the scan is built, not later as a seed power
+    or count problem."""
+    good = dict(
+        omega_i=grid128.omega_i[:2], omega_s=grid128.omega_s,
+        slices=np.ones((2, grid128.omega_s.size)), seed_power_W=np.full(2, 1e-3),
+    )
+    axis = -good[name] if axis == "negated" else np.array(axis)
+    with pytest.raises(ValidationError, match="axes must be finite and > 0 rad/s"):
+        SetScan(**{**good, name: axis})
+
+
+def test_reconstruction_refuses_what_it_cannot_normalize(grid128):
+    """A scan without counts, and one whose seed photon numbers are 0:
+    half of a 5e-324 W seed underflows to 0 photons."""
+    good = dict(
+        omega_i=grid128.omega_i[:4], omega_s=grid128.omega_s,
+        slices=np.ones((4, grid128.omega_s.size)), seed_power_W=np.full(4, 1e-3),
+    )
+    with pytest.raises(ValidationError, match="no counts"):
+        tomography.reconstruct_jsi(SetScan(**{**good, "slices": 0.0 * good["slices"]}))
+    tiny = SetScan(**{**good, "seed_power_W": np.full(4, 5e-324)}, duty_cycle=0.5)
+    with pytest.raises(ValidationError, match="seed photon numbers must be > 0"):
+        tomography.reconstruct_jsi(tiny)
 
 
 def test_reconstruction_needs_two_slices(grid128):
