@@ -12,14 +12,18 @@ float overflow, or a NaN or inf that an artifact would have held).
 Output files never embed wall-clock times or absolute paths, so a rerun
 with the same config and the same --label is byte-identical at one BLAS
 thread count: the last digits of schmidt_complex.json (and at times the
-last ulp of K_complex) differ between 1 and 2 OpenBLAS threads.  --threads
-is accepted (it must be >= 1) and ignored: hcfwm starts no threads of its
-own.  numpy's OpenBLAS does, one per CPU unless OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS says otherwise: its workers exist from `import numpy` on
-and sleep until a BLAS or LAPACK call (the Schmidt SVDs, the sweeps'
-Schmidt numbers) wakes them; on a small matrix, waking them costs
-milliseconds, more than the arithmetic.  The thread count is left to the
-caller's environment.  The bundled gas data can be replaced by pointing
+last ulp of K_complex), which come from LAPACK's values-only complex SVD,
+differ between 1 and 2 OpenBLAS threads.  modes.csv does not: its 8 modes
+come from a short subspace iteration and carry a fixed phase (<r, S_n>
+real and positive for the ramp r_j = j + 1), not LAPACK's, and its bytes
+were the same at 1 and 2 threads on every bundled recipe in both grid
+modes.  --threads is accepted (it must be >= 1) and ignored: hcfwm
+starts no threads of its own.  numpy's OpenBLAS does, one per CPU unless
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS says otherwise: its workers
+exist from `import numpy` on and sleep until a BLAS or LAPACK call (the
+Schmidt SVDs, the sweeps' Schmidt numbers) wakes them; on a small
+matrix, waking them costs milliseconds, more than the arithmetic.  The
+thread count is left to the caller's environment.  The bundled gas data can be replaced by pointing
 the HCFWM_GAS_DATA environment variable at an alternative table.
 
 `main` also sets the C allocator's policy for the process it runs in

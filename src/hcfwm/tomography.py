@@ -214,7 +214,15 @@ def reconstruct_jsi(scan: SetScan) -> Reconstruction:
         raise ValidationError(
             f"reconstruction needs at least 2 slices, got {scan.n_slices}"
         )
-    n_seed = scan.seed_photon_number()
+    # on a seed axis near 1e-300 rad/s, hbar * omega_ref underflows to 0 or
+    # to a subnormal, and the photon numbers are infinite
+    with np.errstate(divide="ignore", over="ignore"):
+        n_seed = scan.seed_photon_number()
+    if not np.all(np.isfinite(n_seed)):
+        raise ValidationError(
+            "seed photon numbers must be finite; the seed axis is too close "
+            "to 0 rad/s"
+        )
     if np.any(n_seed <= 0.0):  # a seed power near 5e-324 W underflows to 0
         raise ValidationError("seed photon numbers must be > 0")
     normalized = scan.slices / n_seed[:, None]

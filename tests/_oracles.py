@@ -14,7 +14,8 @@ slices became one array expression.  ``csv_writer_text`` is the
 per-cell CSV writer the exporters used before ``hcfwm.export``, kept as
 the byte-for-byte reference of the artifact format; ``tolist_jsa_json`` is
 ``jsa.json`` as ``json.dumps`` wrote it from ``.tolist()`` lists, before
-``hcfwm.export`` encoded float arrays itself.
+``hcfwm.export`` encoded float arrays itself.  ``svd_mode_errors``
+measures the Schmidt modes of a result against a full ``np.linalg.svd``.
 """
 
 from __future__ import annotations
@@ -261,3 +262,22 @@ def tolist_jsa_json(grid, metadata: dict) -> str:
         },
         sort_keys=True,
     )
+
+
+def svd_mode_errors(matrix, result) -> tuple[float, float, float]:
+    """Worst errors of the modes a complex ``schmidt_decompose`` result
+    holds, against a full SVD M = U S V^H of its amplitude matrix: the
+    residual ||M v_n - s_n S_n|| / s_n with v_n = conj(I_n); 1 - |<S_n,
+    U[:, n]>| and 1 - |<I_n, V^H[n]>|; and |arg <r, S_n>| for the
+    ramp r_j = j + 1 of the phase rule."""
+    u_ref, s, vh_ref = np.linalg.svd(matrix, full_matrices=False)
+    sig, idl = result.signal_modes, result.idler_modes
+    k = sig.shape[1]
+    residual = np.linalg.norm(matrix @ np.conj(idl) - sig * s[:k], axis=0) / s[:k]
+    overlap = np.minimum(
+        np.abs(np.sum(np.conj(u_ref[:, :k]) * sig, axis=0)),
+        np.abs(np.sum(np.conj(vh_ref[:k]).T * idl, axis=0)),
+    )
+    ramp = np.arange(1.0, sig.shape[0] + 1.0)
+    phase = np.abs(np.angle(ramp @ sig))
+    return float(residual.max()), float(1.0 - overlap.min()), float(phase.max())

@@ -33,6 +33,7 @@ from _oracles import (
     mehler_kernel,
     mehler_rho,
     sinc_gaussian_K,
+    svd_mode_errors,
 )
 
 
@@ -386,7 +387,7 @@ def test_invariant_exchange_symmetry(fiber, xenon):
 def test_invariant_mode_orthonormality(truth512):
     *_, grid = truth512
     res = schmidt.schmidt_decompose(grid, flat_phase=False)
-    eye = np.eye(res.n_modes)
+    eye = np.eye(res.signal_modes.shape[1])
     worst = 0.0
     for modes in (res.signal_modes, res.idler_modes):
         gram = modes.conj().T @ modes
@@ -395,6 +396,25 @@ def test_invariant_mode_orthonormality(truth512):
     _report(
         "invariant: mode orthonormality", ok,
         f"sup|Gram - I| = {worst:.2e} over both mode sets (target <= 1e-8)",
+    )
+    assert ok
+
+
+def test_invariant_written_modes_match_the_full_svd(truth512):
+    """The 8 modes that modes.csv writes, against a full SVD of the grid."""
+    *_, grid = truth512
+    res = schmidt.schmidt_decompose(grid, flat_phase=False)
+    residual, overlap, phase = svd_mode_errors(grid.values, res)
+    ok = (
+        res.signal_modes.shape == res.idler_modes.shape == (512, 8)
+        and residual <= 1e-10 and overlap <= 1e-12 and phase <= 1e-12
+    )
+    _report(
+        "invariant: written modes", ok,
+        f"{res.signal_modes.shape[1]} modes; max ||M v - s u|| / s = "
+        f"{residual:.1e} (target <= 1e-10), min overlap with the full SVD "
+        f"1 - {overlap:.1e} (target 1 - 1e-12), max |arg <r, S_n>| = "
+        f"{phase:.1e} (target <= 1e-12)",
     )
     assert ok
 

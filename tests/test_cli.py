@@ -1199,14 +1199,15 @@ def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     )
 
 
-def _run_at_blas_threads(tmp_path, subcommand, threads):
+def _run_at_blas_threads(tmp_path, subcommand, threads, config="length_series"):
     """Exit code, stdout, stderr and {name: bytes} of a run of `subcommand`
-    on length_series at OPENBLAS_NUM_THREADS=`threads`."""
-    cwd = tmp_path / f"{subcommand}_threads_{threads}"
+    on `config` (a recipe name or a config path) at
+    OPENBLAS_NUM_THREADS=`threads`."""
+    cwd = tmp_path / f"{subcommand}_{os.path.basename(config)}_threads_{threads}"
     cwd.mkdir()
     proc = subprocess.run(
         [sys.executable, "-m", "hcfwm.cli", subcommand, "--config",
-         "length_series", "--out", "o", "--label", "run"],
+         config, "--out", "o", "--label", "run"],
         cwd=cwd, capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=_PKG_ROOT, OPENBLAS_NUM_THREADS=threads),
     )
@@ -1217,27 +1218,34 @@ def _run_at_blas_threads(tmp_path, subcommand, threads):
 
 def test_schmidt_bytes_across_blas_thread_counts(tmp_path):
     """The byte-identical rerun holds at one BLAS thread count.  LAPACK's
-    complex SVD (zgesdd) splits its work among the OpenBLAS threads, so the
-    last digits of schmidt_complex.json, and on some recipes the last ulp
-    of K_complex in manifest.json, depend on OPENBLAS_NUM_THREADS; every
-    other artifact of the run does not.  So those two files are compared
+    values-only complex SVD (zgesdd) splits its work among the OpenBLAS
+    threads, so the last digits of schmidt_complex.json, and on some
+    recipes the last ulp of K_complex in manifest.json, depend on
+    OPENBLAS_NUM_THREADS; every other artifact of the run does not,
+    modes.csv included, on the linearized and on the full-mode grid.  So those two files are compared
     through K_complex, to 1e-12, and the rest byte for byte.  A length
     sweep, whose K comes from one zgemm per block of rows, is byte-identical
     in every file."""
-    runs = [_run_at_blas_threads(tmp_path, "schmidt", t) for t in ("1", "2")]
-    (rc1, out1, err1, files1), (rc2, out2, err2, files2) = runs
-    assert rc1 == rc2 == 0, err1 + err2
-    assert (out1, err1) == (out2, err2)
-    assert sorted(files1) == sorted(files2)
-    for name in set(files1) - {"schmidt_complex.json", "manifest.json"}:
-        assert files1[name] == files2[name], name
-    k1, k2 = (
-        json.loads(files["manifest.json"])["results"]["K_complex"]
-        for files in (files1, files2)
+    raw = yaml.safe_load(
+        resource_files("hcfwm").joinpath("recipes", "length_series.yaml").read_text()
     )
-    assert k2 == pytest.approx(k1, rel=1e-12)
-    for files, k in ((files1, k1), (files2, k2)):
-        assert json.loads(files["schmidt_complex.json"])["K"] == k
+    raw.setdefault("grid", {})["mode"] = "full"
+    for config in ("length_series", write_cfg(tmp_path, raw, "full.yaml")):
+        runs = [_run_at_blas_threads(tmp_path, "schmidt", t, config) for t in ("1", "2")]
+        (rc1, out1, err1, files1), (rc2, out2, err2, files2) = runs
+        assert rc1 == rc2 == 0, err1 + err2
+        assert (out1, err1) == (out2, err2)
+        assert sorted(files1) == sorted(files2)
+        assert "modes.csv" in files1
+        for name in set(files1) - {"schmidt_complex.json", "manifest.json"}:
+            assert files1[name] == files2[name], (config, name)
+        k1, k2 = (
+            json.loads(files["manifest.json"])["results"]["K_complex"]
+            for files in (files1, files2)
+        )
+        assert k2 == pytest.approx(k1, rel=1e-12)
+        for files, k in ((files1, k1), (files2, k2)):
+            assert json.loads(files["schmidt_complex.json"])["K"] == k
 
     one, two = (_run_at_blas_threads(tmp_path, "sweep-length", t) for t in ("1", "2"))
     assert one[0] == 0, one[2]

@@ -18,6 +18,7 @@ from _oracles import (
     mehler_kernel,
     mehler_rho,
     sinc_gaussian_K,
+    svd_mode_errors,
 )
 
 
@@ -48,6 +49,7 @@ def test_factorable_product_is_single_mode():
     g = np.exp(-(x**2) / 1.5 - 0.7j * x**2)
     res = schmidt.schmidt_decompose(np.outer(f, g))
     assert res.n_modes == 1
+    assert res.signal_modes.shape == res.idler_modes.shape == (64, 1)
     assert abs(res.K - 1.0) < 1e-9
     assert not res.flat_phase
 
@@ -128,11 +130,113 @@ def test_flat_and_complex_variants_differ(grid128):
 
 def test_modes_are_orthonormal(grid128):
     res = schmidt.schmidt_decompose(grid128)
-    n = res.n_modes
+    n = res.signal_modes.shape[1]
     gram_s = res.signal_modes.conj().T @ res.signal_modes
     gram_i = res.idler_modes.conj().T @ res.idler_modes
     assert np.max(np.abs(gram_s - np.eye(n))) < 1e-8
     assert np.max(np.abs(gram_i - np.eye(n))) < 1e-8
+
+
+@pytest.fixture
+def mode_paths(monkeypatch):
+    """The paths that the complex decompositions of the test took, in
+    order: "iteration" for each subspace iteration, and "full SVD" for
+    each SVD with singular vectors made outside one."""
+    paths, inside = [], []
+    svd, iterate = np.linalg.svd, schmidt._subspace_modes
+
+    def spy_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True) and not inside:
+            paths.append("full SVD")
+        return svd(a, *args, **kwargs)
+
+    def spy_iterate(*args):
+        paths.append("iteration")
+        inside.append(True)
+        try:
+            return iterate(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    monkeypatch.setattr(schmidt, "_subspace_modes", spy_iterate)
+    return paths
+
+
+def test_written_modes_match_the_full_svd(grid128, mode_paths):
+    """The 8 written modes come from the subspace iteration, with no full
+    SVD of the grid, and match a full SVD: residual within 1e-10 s_n,
+    overlap within 1e-12 of 1, and <r, S_n> real and positive."""
+    res = schmidt.schmidt_decompose(grid128)
+    assert res.n_modes > 8
+    assert res.signal_modes.shape == res.idler_modes.shape == (128, 8)
+    assert mode_paths == ["iteration"]
+    residual, overlap, phase = svd_mode_errors(grid128.values, res)
+    assert residual <= 1e-10
+    assert overlap <= 1e-12
+    assert phase <= 1e-12
+
+
+def _with_spectrum(s, n=64, leading=None):
+    """An n x n complex matrix with singular values s between random
+    unitaries; `leading`, if given, is projected out of its leading right
+    singular vector."""
+    rng = np.random.default_rng(3)
+    draw = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    if leading is not None:
+        basis = np.linalg.qr(leading)[0]
+        draw[1][:, 0] -= basis @ (basis.conj().T @ draw[1][:, 0])
+    u, v = (np.linalg.qr(d)[0] for d in draw)
+    return (u[:, :len(s)] * s) @ v[:, :len(s)].conj().T
+
+
+@pytest.mark.parametrize("case", ["degenerate", "slow", "blind-start"])
+def test_hard_spectra_take_the_full_svd(case, mode_paths):
+    """A leading spectrum that is degenerate across the iteration block,
+    or decays too slowly for the pass cap, goes straight to the full SVD,
+    with no iteration; a leading mode that the fixed start block cannot
+    see fails the residual check after the iteration and goes there too.
+    The modes then meet the same residual and phase checks, and are the
+    full SVD's own up to phase."""
+    if case == "degenerate":
+        matrix = _with_spectrum(np.ones(20))
+    elif case == "slow":
+        matrix = _with_spectrum(0.97 ** np.arange(64))
+    else:
+        start = schmidt._start_block(64, 16)
+        matrix = _with_spectrum([1.0, *(0.5 ** np.arange(1, 9))], leading=start)
+    res = schmidt.schmidt_decompose(matrix)
+    assert res.signal_modes.shape == res.idler_modes.shape == (64, 8)
+    if case == "blind-start":
+        assert mode_paths == ["iteration", "full SVD"]
+    else:
+        assert mode_paths == ["full SVD"]
+    residual, overlap, phase = svd_mode_errors(matrix, res)
+    assert residual <= 1e-10
+    assert overlap <= 1e-12
+    assert phase <= 1e-12
+
+
+@pytest.mark.parametrize("cut", ["2x2", "tall", "wide"])
+def test_modes_of_small_and_non_square_grids(grid128, cut, mode_paths):
+    """A 2 x 2 grid, whose block spans its whole side, and the tall and
+    wide cuts of grid128 give (rows, k) and (cols, k) modes from the
+    subspace iteration that meet the residual and phase checks."""
+    amplitude = np.asarray(grid128.values)
+    matrix = {
+        "2x2": np.array([[1.0, 0.5j], [0.25, -0.75]]),
+        "tall": amplitude[:, :100],
+        "wide": amplitude[:100, :],
+    }[cut]
+    res = schmidt.schmidt_decompose(matrix)
+    k = min(8, res.n_modes)
+    assert res.signal_modes.shape == (matrix.shape[0], k)
+    assert res.idler_modes.shape == (matrix.shape[1], k)
+    assert mode_paths == ["iteration"]
+    residual, overlap, phase = svd_mode_errors(matrix, res)
+    assert residual <= 1e-10
+    assert overlap <= 1e-12
+    assert phase <= 1e-12
 
 
 def test_flat_result_carries_empty_modes(grid128):
@@ -221,13 +325,15 @@ def _traced_peak(call, *args):
 
 
 def test_complex_schmidt_holds_no_copy_of_the_grid(fiber, xenon, pump, branch):
-    """At N = 512 a complex decomposition holds the SVD factors but no copy
-    of the grid: its traced peak stays under 2.5 grids.  The Gram K holds
-    a block of rows of the grid's conjugate and of conj(G), but neither G
-    nor a conjugate copy of the grid: its peak stays under half a grid."""
+    """At N = 512 a complex decomposition holds the singular values and
+    the N x 16 blocks of its subspace iteration, but neither singular-vector
+    matrix nor any copy of the grid: its traced peak stays under a quarter
+    of a grid.  The Gram K holds a block of rows of the grid's conjugate
+    and of conj(G), but neither G nor a conjugate copy of the grid: its
+    peak stays under half a grid."""
     grid = jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=512)
     size = grid.values.nbytes
-    for call, bound in ((schmidt.schmidt_number, 0.5), (schmidt.schmidt_decompose, 2.5)):
+    for call, bound in ((schmidt.schmidt_number, 0.5), (schmidt.schmidt_decompose, 0.25)):
         peak = _traced_peak(call, grid)
         assert peak <= bound * size, (call.__name__, peak / size)
 

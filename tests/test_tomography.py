@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.constants import hbar
@@ -215,6 +217,20 @@ def test_reconstruction_refuses_what_it_cannot_normalize(grid128):
     tiny = SetScan(**{**good, "seed_power_W": np.full(4, 5e-324)}, duty_cycle=0.5)
     with pytest.raises(ValidationError, match="seed photon numbers must be > 0"):
         tomography.reconstruct_jsi(tiny)
+
+
+def test_photon_energy_underflow_is_refused():
+    """hbar * omega_ref underflows to 0 on a 1e-300 rad/s seed axis, so the
+    seed photon numbers would be infinite: the reconstruction refuses the
+    scan with a ValidationError, not a divide-by-zero warning."""
+    scan = SetScan(
+        omega_i=[1e-300, 2e-300], omega_s=[1.0, 2.0],
+        slices=np.ones((2, 2)), seed_power_W=[1e-3, 1e-3],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="seed photon numbers must be finite"):
+            tomography.reconstruct_jsi(scan)
 
 
 def test_reconstruction_needs_two_slices(grid128):
