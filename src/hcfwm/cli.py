@@ -318,9 +318,11 @@ def cmd_phasematch(run: _Run) -> None:
 def cmd_jsa(run: _Run) -> None:
     cfg = run.cfg
     grid = _point_grid(cfg)
+    # jsa.json holds the grid's magnitude and phase while it is written;
+    # the intensity comes after, so the two are never held at once
+    run.write("jsa.json", "complex JSA grid with metadata", jsa.jsa_to_json, grid)
     intensity = jsa.jsi(grid)
     marg = jsa.marginals(intensity, grid.omega_s, grid.omega_i)
-    run.write("jsa.json", "complex JSA grid with metadata", jsa.jsa_to_json, grid)
     run.write("jsi.csv", "joint spectral intensity grid", jsa.grid_to_csv,
               grid.lambda_s_nm, grid.lambda_i_nm, intensity)
     run.write(

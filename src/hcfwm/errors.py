@@ -53,6 +53,18 @@ class ClippedGridError(RangeError):
     """Joint spectral grid lost too large a fraction to band-edge clipping."""
 
 
+class GridAxisError(RangeError):
+    """A JSA grid whose axes cannot be laid out in float64.
+
+    Carries the name of the input at fault, "L_m" or "kappa_span", so a
+    caller can name it in its own terms.
+    """
+
+    def __init__(self, message: str, param: str):
+        super().__init__(message)
+        self.param = param
+
+
 class NumericalError(HcfwmError):
     """A numerical procedure failed to converge or produced no usable result."""
 

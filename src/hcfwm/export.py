@@ -6,12 +6,12 @@ The rows come in one of two forms, with the same text from either:
 - an iterable of rows, each an iterable of cells, formatted cell by
   cell: the form for tables that hold text;
 - a 2-D float64 ndarray, or a tuple of them with equal row counts laid
-  side by side, one table row per array row: numpy encodes it, about 32k
-  cells at a time, into the bytes that "%.9g" gives.
+  side by side, one table row per array row: numpy encodes it, a chunk
+  of whole rows at a time, into the bytes that "%.9g" gives.
 JSON: keys sorted; compact for grids and decompositions, indent=1 plus a
 trailing newline for summaries and manifests.  Compact JSON takes a
 mapping with string keys and writes it key by key: a value that is a 1-D
-or 2-D float64 ndarray is encoded by numpy, 8,192 cells at a time, into
+or 2-D float64 ndarray is encoded by numpy, a chunk at a time, into
 exactly the bytes json.dumps gives for its .tolist(), every number as its
 shortest round-trip repr; any other value, and all of an indented
 object, goes through json.
@@ -19,10 +19,13 @@ object, goes through json.
 Both writers hand ``save`` their text as a stream of encoded pieces, and
 ``save`` writes each piece as it comes: an array is never held as text
 whole, so a grid artifact costs one chunk of working memory, not one
-file.  Given no path, ``save`` joins the pieces and every exporter
-returns the text; given a path, it writes the file, closes it and
-returns None; given ``CHECK_ONLY``, it drops the pieces unread, so an
-exporter runs its checks and encodes nothing.
+file.  A chunk is 8,192 cells (``_CHUNK_CELLS``) for both encoders,
+and each keeps about 17 chunk-sized arrays alive, so writing any table
+or array holds about 2 MiB of working memory.  Given no path, ``save``
+joins the pieces and every exporter returns the text; given a path, it
+writes the file, closes it and returns None; given ``CHECK_ONLY``, it
+drops the pieces unread, so an exporter runs its checks and encodes
+nothing.
 
 A non-finite number never reaches an artifact: both writers raise
 NumericalError (CLI exit 2) before the file is opened.  They check
@@ -64,9 +67,10 @@ def _line(cells, number: int, path: str | None) -> str:
     return ",".join(text)
 
 
-# An array table is encoded this many cells at a time (rounded to whole
-# rows), so the working arrays stay near 1 MB whatever the table's size.
-_CHUNK_CELLS = 32768
+# Both encoders take an array this many cells at a time (a CSV table
+# rounded to whole rows), so their working arrays stay near 2 MiB whatever
+# the array's size.
+_CHUNK_CELLS = 8192
 
 # The scaled mantissa has a relative error below 5e-16 (two correctly
 # rounded powers of ten, two products), so below 5e-7 under 1e9.  A cell
@@ -189,7 +193,9 @@ def _encode(values: np.ndarray, seps: np.ndarray) -> bytes:
 
 
 def _refuse_non_finite_table(blocks: tuple, path: str | None) -> None:
-    finite = np.logical_and.reduce([np.isfinite(b).all(axis=1) for b in blocks])
+    finite = np.isfinite(blocks[0]).all(axis=1)
+    for b in blocks[1:]:
+        finite &= np.isfinite(b).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
         raise NumericalError(f"non-finite number on line {row + 2} of {_where(path)}")
@@ -217,9 +223,6 @@ def _table_pieces(blocks: tuple) -> Iterator[bytes]:
 # scaled ulp, h, of v (Ryu: Adams, PLDI 2018).  The interval always holds
 # an integer, and v is formed exactly enough as a double-double (Dekker,
 # Numer. Math. 18 (1971)) to decide the rest.
-
-# an array is encoded this many cells at a time
-_REPR_CHUNK = 8192
 
 # v and h are good to about 1e-14; a cell whose interval bound or rounding
 # lies within this distance of the decision goes through Python's repr
@@ -400,8 +403,8 @@ def _array_pieces(arr: np.ndarray) -> Iterator[bytes]:
     flat = arr.ravel()
     n_cols = arr.shape[-1]
     yield b"[[" if arr.ndim == 2 else b"["
-    for start in range(0, flat.size, _REPR_CHUNK):
-        cells = flat[start : start + _REPR_CHUNK]
+    for start in range(0, flat.size, _CHUNK_CELLS):
+        cells = flat[start : start + _CHUNK_CELLS]
         # ", " after a cell, "\x01" (for "], [") after a row, none at the end
         seps = np.full(cells.size, 0x202C << 48, dtype=np.uint64)
         seps[(n_cols - 1 - start) % n_cols :: n_cols] = 1 << 48

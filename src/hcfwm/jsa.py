@@ -30,6 +30,11 @@ omega_bar leaves its band are zeroed, and the clipped fraction is
 reported, warning above zero and failing above 20%.  After construction
 sum |F|^2 domega_s domega_i = 1 (the overall FWM gain constant is absorbed
 into this normalization).
+
+The grid is the one N x N array build_jsa keeps: alpha, phi and the
+full-mode omega_bar band mask are evaluated a block of whole rows (about
+8k cells) at a time, and the |F|^2 of the normalization is one half-grid
+pass, so building a grid peaks near 1.5 grids of memory.
 """
 
 from __future__ import annotations
@@ -41,7 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import export, fibermodel
-from .errors import ClippedGridError, NumericalError, ValidationError, check_number
+from .errors import (
+    ClippedGridError,
+    GridAxisError,
+    NumericalError,
+    ValidationError,
+    check_number,
+)
 from .fibermodel import FiberModel, lambda_nm_from_omega
 from .gasmedia import GasState
 from .phasematch import PhaseMatchBranch, delta_k
@@ -55,8 +66,9 @@ CLIP_FATAL_FRACTION = 0.20
 # alpha squares sigma, which overflows above about 1.3e154 rad/s; a pump
 # this wide is flat over any grid already
 MAX_PUMP_SIGMA = 1e150
-# build_jsa evaluates the grid this many cells at a time, rounded to whole rows
-_BLOCK_CELLS = 32768
+# build_jsa evaluates the grid this many cells at a time, rounded to whole
+# rows; a block holds about ten complex temporaries of this size
+_BLOCK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -247,27 +259,52 @@ def build_jsa(
     kappa_span: float = DEFAULT_KAPPA_SPAN,
     mode: str = "linearized",
 ) -> JsaGrid:
-    """JSA grid centered on a solved branch, normalized to unit L2 norm."""
+    """JSA grid centered on a solved branch, normalized to unit L2 norm.
+
+    Axes that float64 cannot lay out, a half-width that overflows or one
+    too small to separate two frequencies, raise GridAxisError, as does a
+    length whose phase-matching width does (``dphi_width``)."""
     check_number("fiber length L_m", L_m, lo=0, lo_open=True)
     n = check_number("grid size n", n, lo=8, hi=MAX_GRID_N, integer=True)
     check_number("kappa_span", kappa_span, lo=0, lo_open=True)
     if not isinstance(pump, GaussianPump):
         raise ValidationError(f"unknown pump spectrum type {type(pump).__name__}")
 
-    half = kappa_span * max(
-        np.sqrt(2.0) * pump.sizing_sigma, np.sqrt(branch.dphi_width(L_m))
-    )
-    offsets = np.linspace(-half, half, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        half = kappa_span * max(
+            np.sqrt(2.0) * pump.sizing_sigma, np.sqrt(branch.dphi_width(L_m))
+        )
+        offsets = np.linspace(-half, half, n)
+    if not np.isfinite(offsets).all():
+        raise GridAxisError(
+            f"the JSA grid half-width leaves the float range: kappa_span = "
+            f"{kappa_span:g} times the wider of the pump and phase-matching "
+            "widths",
+            "kappa_span",
+        )
     omega_s = branch.omega_s + offsets
     omega_i = branch.omega_i + offsets
+    if not (omega_s[1] > omega_s[0] and omega_i[1] > omega_i[0]):
+        raise GridAxisError(
+            f"the JSA axes collapse to one frequency (cell area 0): "
+            f"kappa_span = {kappa_span:g} gives a half-width of {half:.3g} "
+            "rad/s, below the float spacing of the axes",
+            "kappa_span",
+        )
 
+    # every N x N array below is built a block of whole rows at a time:
+    # each cell gets the same bits as in one pass over the grid, and the
+    # temporaries stay a few hundred kB whatever N is
+    step = max(1, _BLOCK_CELLS // n)
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
     structure = fibermodel.band_structure(fiber, gas)
     ok_s = structure.in_band_mask(lambda_nm_from_omega(omega_s))
     ok_i = structure.in_band_mask(lambda_nm_from_omega(omega_i))
     mask = np.outer(ok_s, ok_i)
     if mode == "full":
-        om_bar = 0.5 * (omega_s[:, None] + omega_i[None, :])
-        mask &= structure.in_band_mask(lambda_nm_from_omega(om_bar))
+        for rows in blocks:
+            om_bar = 0.5 * (omega_s[rows, None] + omega_i[None, :])
+            mask[rows] &= structure.in_band_mask(lambda_nm_from_omega(om_bar))
 
     clipped = 1.0 - float(np.count_nonzero(mask)) / mask.size
     if clipped > CLIP_FATAL_FRACTION:
@@ -282,20 +319,17 @@ def build_jsa(
             stacklevel=2,
         )
 
-    # alpha * phi a block of whole rows at a time: each cell gets the same
-    # bits as in one pass over the grid, and the temporaries stay small
     in_s = np.where(ok_s, omega_s, np.nan)[:, None]
     in_i = np.where(ok_i, omega_i, np.nan)[None, :]
     values = np.empty((n, n), dtype=complex)
-    step = max(1, _BLOCK_CELLS // n)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
+    for rows in blocks:
         phi = phi_function(
             fiber, gas, branch, in_s[rows], in_i, L_m, mode=mode, check=False
         )
         alpha = pump.alpha(omega_s[rows, None] + omega_i[None, :])
         np.multiply(alpha, phi, out=values[rows])
     values[~mask] = 0.0
+    del mask
 
     if not np.all(np.isfinite(values)):
         raise NumericalError("JSA grid contains non-finite values")

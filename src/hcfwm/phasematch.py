@@ -55,6 +55,7 @@ import numpy as np
 from . import export, fibermodel
 from .errors import (
     GAP_ERRORS,
+    GridAxisError,
     HcfwmError,
     NumericalError,
     RangeError,
@@ -149,12 +150,24 @@ class PhaseMatchBranch:
         return float(np.degrees(-np.arctan(num / den)))
 
     def dphi_width(self, L_m: float = 1.0) -> float:
-        """Phase-matching width |1 / (2 L^2 (b1p-b1s)(b1p-b1i))| in (rad/s)^2."""
+        """Phase-matching width |1 / (2 L^2 (b1p-b1s)(b1p-b1i))| in (rad/s)^2;
+        inf where a group delay is matched.  A length whose width is 0 or
+        infinite in float64 raises GridAxisError."""
         check_number("L_m", L_m, lo=0, lo_open=True)
         num = (self.beta1_p - self.beta1_s) * (self.beta1_p - self.beta1_i)
         if num == 0.0:
             return np.inf
-        return abs(1.0 / (2.0 * L_m**2 * num))
+        try:
+            width = abs(1.0 / (2.0 * L_m**2 * num))
+        except ArithmeticError:  # L^2 overflows, or underflows to 0
+            width = 0.0
+        if not 0.0 < width < np.inf:
+            raise GridAxisError(
+                f"fiber length L_m = {L_m:g} m puts the phase-matching width "
+                "1/(2 L^2 (b1p-b1s)(b1p-b1i)) outside the float range",
+                "L_m",
+            )
+        return width
 
 
 def kerr_gamma(fiber: FiberModel, gas: GasState, omega_p):

@@ -37,10 +37,13 @@ import numpy as np
 
 from . import export
 from .errors import ValidationError
-from .jsa import _BLOCK_CELLS, JsaGrid
+from .jsa import JsaGrid
 
 TRUNCATION_RELATIVE = 1e-12
 MODES_CSV_COUNT = 8
+# schmidt_number sums ||G||_F^2 over row blocks of about this many cells;
+# the grouping sets the last bits of K, so it stays where it was measured
+_GRAM_BLOCK_CELLS = 32768
 # columns the subspace iteration carries beyond the modes it returns
 _OVERSAMPLE = 8
 # ||M v_n - s_n u_n|| / s_n that every returned mode must meet
@@ -113,7 +116,7 @@ def schmidt_number(grid, flat_phase: bool = False) -> float:
     the eigenvalues of G / tr G, so K = 1 / Tr rho_s^2 = (tr G)^2 / ||G||_F^2
     (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).  tr G is the squared
     norm of M.  ||G||_F^2 is summed over blocks of whole rows of M, about
-    _BLOCK_CELLS cells each, M oriented so that its rows run along the
+    _GRAM_BLOCK_CELLS cells each, M oriented so that its rows run along the
     shorter grid axis: a block is conj(G[rows, start:]) =
     conj(M[rows]) M[start:]^T, and as |G_jk| = |G_kj| its cells right of
     the diagonal count twice.  So neither G nor a conjugate copy of M is
@@ -124,7 +127,7 @@ def schmidt_number(grid, flat_phase: bool = False) -> float:
     trace = np.vdot(m, m).real
     if m.shape[0] > m.shape[1]:
         m = m.T
-    step = max(1, _BLOCK_CELLS // m.shape[1])
+    step = max(1, _GRAM_BLOCK_CELLS // m.shape[1])
     frobenius = 0.0
     for start in range(0, m.shape[0], step):
         block = np.conj(m[start:start + step]) @ m[start:].T

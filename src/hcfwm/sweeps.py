@@ -31,7 +31,13 @@ import numpy as np
 
 from . import export
 from .config import RunConfig, required_section
-from .errors import GAP_ERRORS, NumericalError, check_number, check_pair
+from .errors import (
+    GAP_ERRORS,
+    GridAxisError,
+    NumericalError,
+    check_number,
+    check_pair,
+)
 from .fibermodel import FiberModel, omega_from_lambda_nm
 from .gasmedia import GasState, make_gas
 from .jsa import (
@@ -171,12 +177,21 @@ def solve_branch(cfg: RunConfig, fiber, gas, pump, prev=None) -> PhaseMatchBranc
     )
 
 
-def build_grid(cfg: RunConfig, fiber, gas, pump, branch, L_m: float) -> JsaGrid:
-    """The JSA of ``branch`` over a length ``L_m``, on ``cfg.grid``."""
+def build_grid(
+    cfg: RunConfig, fiber, gas, pump, branch, L_m: float,
+    length_key: str = "fiber_length_m",
+) -> JsaGrid:
+    """The JSA of ``branch`` over a length ``L_m``, on ``cfg.grid``.  Axes
+    that cannot be laid out raise GridAxisError naming the config key at
+    fault: ``length_key``, where ``L_m`` comes from, or ``grid.span``."""
     g = cfg.grid
-    return build_jsa(
-        fiber, gas, pump, branch, L_m, n=g.N, kappa_span=g.span, mode=g.mode
-    )
+    try:
+        return build_jsa(
+            fiber, gas, pump, branch, L_m, n=g.N, kappa_span=g.span, mode=g.mode
+        )
+    except GridAxisError as exc:
+        key = length_key if exc.param == "L_m" else "grid.span"
+        raise GridAxisError(f"config key '{key}': {exc}", exc.param) from None
 
 
 def density_records(cfg: RunConfig, fiber, gas) -> list[PhaseMatchBranch]:
@@ -202,19 +217,22 @@ def _sweep_point(
 ) -> SweepPoint | SweepGap:
     """The SweepPoint at ``value``, whose branch and grid ``at(value)``
     gives, with its JSI handed to ``write``; a SweepGap if its physics
-    raises one of GAP_ERRORS.  The grid is freed before the next is built."""
+    raises one of GAP_ERRORS.  The grid is freed before its JSI is
+    written, so the writer holds the JSI and one chunk, not the grid too."""
     try:
         branch, grid = at(value)
         k_flat = schmidt_number(grid, flat_phase=True)
         k_complex = schmidt_number(grid, flat_phase=False)
         intensity = jsi(grid)
         marg = marginals(intensity, grid.omega_s, grid.omega_i)
+        lambda_s, lambda_i = grid.lambda_s_nm, grid.lambda_i_nm
+        del grid
     except GAP_ERRORS as exc:
         return SweepGap(value=value, reason=str(exc))
     if write is not None:
         text = value_text(value)
         write(stem.format(text), f"JSI grid at {param}={text}", grid_to_csv,
-              grid.lambda_s_nm, grid.lambda_i_nm, intensity)
+              lambda_s, lambda_i, intensity)
     return SweepPoint(
         value=value, branch=branch, K_flat=k_flat, K_complex=k_complex,
         theta_deg=branch.theta_deg,
@@ -244,7 +262,9 @@ def sweep_length(cfg: RunConfig, write=None) -> SweepResult:
     branch = solve_branch(cfg, fiber, gas, pump)
 
     def at(L: float):
-        return branch, build_grid(cfg, fiber, gas, pump, branch, L)
+        return branch, build_grid(
+            cfg, fiber, gas, pump, branch, L, "sweep_length.lengths_m"
+        )
 
     points, gaps = _split([
         _sweep_point(L, at, write, "jsi_L_{}m.csv", "length_m") for L in lengths

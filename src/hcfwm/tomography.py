@@ -174,8 +174,10 @@ def simulate_set_scan(
         noise = NoiseModel()
 
     intensity = jsi(truth)
-    n_seed = _seed_photon_number(powers, duty_cycle, seed_omega_i)
-    prefactor = pump_power_W**2
+    try:
+        prefactor = pump_power_W**2
+    except OverflowError:
+        prefactor = np.inf
 
     # linear interpolation of the JSI columns at every seed; a seed on an
     # axis point (w = 0, or w = 1 at the last point) gives its column exactly
@@ -183,7 +185,15 @@ def simulate_set_scan(
     k = np.clip(np.searchsorted(axis, seed_omega_i), 1, axis.size - 1)
     w = ((seed_omega_i - axis[k - 1]) / (axis[k] - axis[k - 1]))[:, None]
     columns = (1.0 - w) * intensity[:, k - 1].T + w * intensity[:, k].T
-    slices = (prefactor * n_seed)[:, None] * columns
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        n_seed = _seed_photon_number(powers, duty_cycle, seed_omega_i)
+        slices = (prefactor * n_seed)[:, None] * columns
+    # a seed power that is not finite is SetScan's to refuse, by its name
+    if np.isfinite(powers).all() and not np.isfinite(slices).all():
+        raise RangeError(
+            f"pump_power_W = {pump_power_W:g} W and seed_power_W up to "
+            f"{powers.max():g} W give scan counts beyond the float range"
+        )
     if noise.rel_sigma > 0.0:
         draws = np.vstack([
             noise.rng_for_slice(i).standard_normal(slices.shape[1])
@@ -323,13 +333,16 @@ def power_scaling_check(
 def set_scan_to_csv(scan: SetScan, path: str | None = None) -> str | None:
     """Long-format CSV, one row per (seed step, signal sample)."""
     n_steps, n_signal = scan.slices.shape
-    table = np.column_stack((
+    columns = (
         np.repeat(scan.lambda_i_nm, n_signal),
         np.tile(scan.lambda_s_nm, n_steps),
         scan.slices.ravel(),
         np.repeat(scan.seed_power_W, n_signal),
-    ))
-    return export.to_csv(SET_CSV_HEADER.split(","), table, path)
+    )
+    # laid side by side a chunk at a time, never stacked into one table
+    return export.to_csv(
+        SET_CSV_HEADER.split(","), tuple(c[:, None] for c in columns), path
+    )
 
 
 def reconstruction_to_csv(rec: Reconstruction, path: str | None = None) -> str | None:

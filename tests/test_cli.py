@@ -769,6 +769,52 @@ def test_left_out_formats_are_checked_not_encoded(tmp_path, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "subcommand, path, value, message",
+    [
+        ("schmidt", "fiber_length_m", 1e-300,
+         "config key 'fiber_length_m': fiber length L_m = 1e-300 m puts the "
+         "phase-matching width"),
+        ("schmidt", "fiber_length_m", 1e300,
+         "config key 'fiber_length_m': fiber length L_m = 1e+300 m puts the "
+         "phase-matching width"),
+        ("schmidt", "grid.span", 1e-300,
+         "config key 'grid.span': the JSA axes collapse to one frequency "
+         "(cell area 0)"),
+        ("set-sim", "set_sim.pump_power_W", 1e300,
+         "pump_power_W = 1e+300 W and seed_power_W up to 1e-06 W give scan "
+         "counts beyond the float range"),
+    ],
+    ids=["short", "long", "span", "pump-power"],
+)
+def test_extreme_length_span_or_power_names_its_key(
+    subcommand, path, value, message, tmp_path, capsys
+):
+    """A value whose square or grid leaves the float range exits 1 with
+    one line that names it, not a bare ZeroDivisionError or OverflowError,
+    and writes nothing."""
+    raw = copy.deepcopy(BASE)
+    raw.update(copy.deepcopy(EXTRAS[subcommand]))
+    *head, key = path.split(".")
+    (raw[head[0]] if head else raw)[key] = value
+    assert _run_cli(tmp_path, subcommand, raw) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not [p for p in (tmp_path / "o").rglob("*") if p.is_file()]
+
+
+def test_length_beyond_the_float_range_is_one_gap_of_a_sweep(tmp_path, capsys):
+    raw = copy.deepcopy(BASE)
+    raw["sweep_length"] = {"lengths_m": [1e-300, 1.0]}
+    assert _run_cli(tmp_path, "sweep-length", raw) == 0
+    out = capsys.readouterr().out
+    assert ("length_m=1e-300m: gap (config key 'sweep_length.lengths_m': "
+            "fiber length L_m = 1e-300 m puts the phase-matching width") in out
+    run_dir = tmp_path / "o" / "sweep-length" / "t"
+    assert [p.name for p in run_dir.glob("jsi_*")] == ["jsi_L_1m.csv"]
+
+
+
 # ------------------------------------------- random configs: no escapes
 
 _MAP_T300 = yaml.safe_load(

@@ -103,9 +103,15 @@ def test_record_and_compare(tmp_path, capsys):
     assert identity.rss_moves(rec, heavier) == [
         "note: dispersion/map_t300/bundled: peak RSS 20.0 -> 40.0 MiB (+100%)"
     ]
+    assert identity.subcommand_peaks(rec, heavier) == [
+        "peak: dispersion: 20.0 -> 40.0 MiB (+100.0%)",
+        f"peak: set-sim: {refused['peak_rss_kb'] / 1024:.1f} -> "
+        f"{int(refused['peak_rss_kb'] * 1.04) / 1024:.1f} MiB (+4.0%)",
+    ]
     assert identity.main(["compare", str(old), str(new)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("note: dispersion/map_t300/bundled: peak RSS")
+    assert "\npeak: dispersion: 20.0 -> 40.0 MiB (+100.0%)\npeak: set-sim: " in out
     assert out.endswith("identical\n")
 
 

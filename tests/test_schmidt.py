@@ -398,7 +398,7 @@ def test_gram_schmidt_number_sums_every_row_block(shape):
     axis; here that axis is no whole number of blocks, so a dropped or
     doubled last block would move K."""
     rows, cols = sorted(shape)
-    step = jsa._BLOCK_CELLS // cols
+    step = schmidt._GRAM_BLOCK_CELLS // cols
     assert rows > step and rows % step != 0
     rng = np.random.default_rng(5)
     x = np.linspace(-3.0, 3.0, max(shape))

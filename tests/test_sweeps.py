@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,22 @@ def test_length_artifacts_written(tmp_path):
     assert sorted(os.listdir(tmp_path)) == write.names
 
 
+def test_length_sweep_working_memory(tmp_path):
+    """A point frees its grid before its JSI is written, so at N = 512 a
+    sweep with a writing callback holds at most the grid and one |F| pass,
+    never the grid, its JSI and the writer's chunk at once."""
+    cfg = make_cfg(grid={"N": 512}, sweep_length={"lengths_m": [0.6, 1.0]})
+    write = Recorder(tmp_path)
+    tracemalloc.start()
+    try:
+        result = sweeps.sweep_length(cfg, write=write)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.points) == 2 and len(write.names) == 2
+    assert peak < 2.0 * 16 * 512**2
+
+
 def test_length_sweep_runs_no_svd(monkeypatch):
     """Sweep points take K from the Gram identity; an SVD on that path
     would make every point cost two decompositions again."""
@@ -146,10 +163,10 @@ def test_gap_rule(monkeypatch, error, gap):
     sweep goes on; any other error fails the sweep."""
     build_grid = sweeps.build_grid
 
-    def failing(cfg, fiber, gas, pump, branch, L_m):
+    def failing(cfg, fiber, gas, pump, branch, L_m, *length_key):
         if L_m == 0.6:
             raise error
-        return build_grid(cfg, fiber, gas, pump, branch, L_m)
+        return build_grid(cfg, fiber, gas, pump, branch, L_m, *length_key)
 
     monkeypatch.setattr(sweeps, "build_grid", failing)
     cfg = make_cfg(grid={"N": 32}, sweep_length={"lengths_m": [0.4, 0.6, 0.8]})

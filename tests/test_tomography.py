@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -439,6 +440,34 @@ def test_scan_csv_layout(grid128):
     # second block switches to the second seed step and power
     second = lines[1 + grid128.omega_s.size].split(",")
     assert float(second[3]) == pytest.approx(2e-3, rel=1e-8)
+
+
+def test_scan_csv_holds_no_copy_of_the_table(grid128, tmp_path):
+    """The four columns go to the writer as blocks laid side by side a
+    chunk at a time: beyond its three derived columns (seed and signal
+    wavelengths, seed power), writing holds one chunk's working set, under
+    the 2.5 MiB of a grid CSV, where a stacked table would add 4 MiB."""
+    seeds = np.linspace(grid128.omega_i[0], grid128.omega_i[-1], 1024)
+    scan = tomography.simulate_set_scan(grid128, seeds, 1.0, 1e-3)
+    path = tmp_path / "scan.csv"
+    tracemalloc.start()
+    try:
+        tomography.set_scan_to_csv(scan, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 3 * scan.slices.nbytes < 2.5 * 2**20
+    assert path.read_text() == tomography.set_scan_to_csv(scan)
+
+
+def test_scan_counts_beyond_the_float_range_are_refused(grid128):
+    """A pump power whose square overflows is a RangeError that names it,
+    not an OverflowError."""
+    seeds = grid128.omega_i[:2]
+    with pytest.raises(RangeError, match="pump_power_W = 1e[+]300 W"):
+        tomography.simulate_set_scan(grid128, seeds, 1e300, 1e-3)
+    with pytest.raises(RangeError, match="beyond the float range"):
+        tomography.simulate_set_scan(grid128, seeds, 1e150, 1e300)
 
 
 def test_reconstruction_csv_layout(grid128):

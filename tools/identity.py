@@ -15,8 +15,9 @@ prints every difference between two records and exits 1 if there is any;
 where a manifest lists the same files in another order, it says
 "artifact order differs", which accounts for the manifest and stdout
 lines that differ with it.  It also lists, as notes, the runs whose peak
-RSS moved by more than 5%; memory is not part of byte identity and never
-fails the comparison::
+RSS moved by more than 5%, and then each subcommand's largest peak RSS in
+both records; memory is not part of byte identity and never fails the
+comparison::
 
     python tools/identity.py record new.json
     python tools/identity.py record old.json --src old-checkout/src
@@ -248,6 +249,25 @@ def rss_moves(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def subcommand_peaks(old: dict, new: dict) -> list[str]:
+    """One line per subcommand: the largest peak RSS of its runs in each
+    record, so a memory change can cite every op's peak at once; a
+    subcommand without peak RSS on either side gives none."""
+    lines = []
+    for sub in SUBCOMMANDS:
+        a, b = (
+            max((r.get("peak_rss_kb") or 0 for key, r in rec["runs"].items()
+                 if key.split("/")[0] == sub), default=0)
+            for rec in (old, new)
+        )
+        if a and b:
+            lines.append(
+                f"peak: {sub}: {a / 1024:.1f} -> {b / 1024:.1f} MiB "
+                f"({b / a - 1:+.1%})"
+            )
+    return lines
+
+
 def summary(rec: dict) -> str:
     runs = rec["runs"].values()
     exits = sorted({r["exit"] for r in runs})
@@ -307,7 +327,7 @@ def main(argv=None) -> int:
             print(f"note: {field} {old.get(field)} -> {new.get(field)}; "
                   "SVD bits may differ")
     lines = differences(old, new)
-    for line in lines + rss_moves(old, new):
+    for line in lines + rss_moves(old, new) + subcommand_peaks(old, new):
         print(line)
     print(f"old: {summary(old)}\nnew: {summary(new)}")
     print(f"{len(lines)} difference(s)" if lines else "identical")
