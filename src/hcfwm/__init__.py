@@ -14,24 +14,20 @@ units of 1e12 rad/s.  Wavelengths are vacuum wavelengths in nm.
 """
 
 from .errors import (
-    ClippedGridError,
-    ConvergenceError,
     DivergenceZoneError,
+    GridAxisError,
     HcfwmError,
     NumericalError,
     RangeError,
-    StencilError,
     ValidationError,
 )
 
 __all__ = [
-    "ClippedGridError",
-    "ConvergenceError",
     "DivergenceZoneError",
+    "GridAxisError",
     "HcfwmError",
     "NumericalError",
     "RangeError",
-    "StencilError",
     "ValidationError",
 ]
 

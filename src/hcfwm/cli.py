@@ -29,9 +29,10 @@ the HCFWM_GAS_DATA environment variable at an alternative table.
 `main` also sets the C allocator's policy for the process it runs in
 (glibc only; see `_keep_freed_memory`): freed heap pages stay mapped, so
 the numpy temporaries of each grid and each encoder chunk reuse them
-instead of faulting in fresh zero pages.  Inside `main`, a
-`sweep-pressure` run of 23 points at N = 256 took 77k minor page faults
-without it, 41k of them in the CSV encoder, and takes 2.7k with it.
+instead of faulting in fresh zero pages.  In a fresh process, a
+`sweep-pressure` run of 23 points at N = 256 takes 7.0k minor page faults
+with it and 8.7k without, and a 4-point `sweep-length` at N = 512 takes
+7.6k with it and 11.9k without, at a peak RSS 1.4 MiB lower.
 `import hcfwm` and the library functions leave the allocator alone.
 Every warning of a run is printed once to stderr as one line,
 `warning: <Category>: <message>`.
@@ -85,8 +86,9 @@ def _keep_freed_memory() -> None:
     fresh zero pages, one minor fault per 4 KiB.  Raising both thresholds
     (256 MiB to trim, 32 MiB to mmap) keeps those pages mapped for reuse.
     Both must be set: setting either one alone also switches off glibc's
-    dynamic thresholds and faults more than the default (265k instead of
-    77k for a fresh 23-point `sweep-pressure` process).  Where the C
+    dynamic thresholds and faults more than the default (42k with only
+    the trim threshold and 55k with only the mmap one, against 8.7k, for
+    a fresh 23-point `sweep-pressure` process).  Where the C
     library has no mallopt, nothing changes.
     """
     try:
@@ -274,7 +276,8 @@ def cmd_phasematch(run: _Run) -> None:
     gas = sweeps_mod.gas_from_config(cfg)
     pump = sweeps_mod.pump_from_config(cfg)
     branches = sweeps_mod.solve_branches(cfg, fiber, gas, pump)
-    L = cfg.fiber_length_m
+    with sweeps_mod.grid_keys():
+        widths = [b.dphi_width(cfg.fiber_length_m) / 1e24 for b in branches]
     run.write(
         "branches.csv", "phase-matched branches at the pump", _write_rows,
         (
@@ -299,10 +302,10 @@ def cmd_phasematch(run: _Run) -> None:
                 b.band_s,
                 b.band_i,
                 b.theta_deg,
-                b.dphi_width(L) / 1e24,
+                width,
                 b.residual_rad_m,
             )
-            for b in branches
+            for b, width in zip(branches, widths)
         ],
     )
     run.results["n_branches"] = len(branches)

@@ -9,8 +9,11 @@ Two top-level families, matching the two CLI exit codes:
   failed (root bracketing, fixed-point iteration, derivative stencils, a
   JSA grid that came out non-finite or zero).
 
-A scan point (a density-map pump, a sweep point) whose physics raises one
-of ``GAP_ERRORS`` is a gap; any other error fails the whole run.
+A subclass exists only where some caller tells it apart: RangeError for
+the gap rule, DivergenceZoneError for the resonance it carries, and
+GridAxisError for the input it names.  A scan point (a density-map pump,
+a sweep point) whose physics raises one of ``GAP_ERRORS`` is a gap; any
+other error fails the whole run.
 
 Every scalar numeric argument of the library passes ``check_number``, the
 one input boundary, and every (first, second) pair ``check_pair``; only
@@ -49,12 +52,9 @@ class DivergenceZoneError(RangeError):
         self.lambda_j_nm = lambda_j_nm
 
 
-class ClippedGridError(RangeError):
-    """Joint spectral grid lost too large a fraction to band-edge clipping."""
-
-
 class GridAxisError(RangeError):
-    """A JSA grid whose axes cannot be laid out in float64.
+    """A JSA grid that cannot be laid out: axes that float64 cannot hold,
+    or a grid that band-edge clipping leaves too little of.
 
     Carries the name of the input at fault, "L_m" or "kappa_span", so a
     caller can name it in its own terms.
@@ -67,14 +67,6 @@ class GridAxisError(RangeError):
 
 class NumericalError(HcfwmError):
     """A numerical procedure failed to converge or produced no usable result."""
-
-
-class ConvergenceError(NumericalError):
-    """Iteration exceeded its step limit before reaching tolerance."""
-
-
-class StencilError(NumericalError):
-    """Finite-difference stencil could not be placed inside a valid band."""
 
 
 GAP_ERRORS = (RangeError, NumericalError)

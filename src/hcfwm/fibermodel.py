@@ -44,11 +44,9 @@ import numpy as np
 
 from . import gasmedia
 from .errors import (
-    ConvergenceError,
     DivergenceZoneError,
     NumericalError,
     RangeError,
-    StencilError,
     ValidationError,
     check_number,
 )
@@ -194,10 +192,6 @@ class BandStructure:
     bands: tuple[Band, ...]
     first_j: int = 1
 
-    @cached_property
-    def bands_by_label(self) -> dict[str, Band]:
-        return {b.label: b for b in self.bands}
-
     def band_index(self, lambda_nm) -> np.ndarray:
         """Band index j for each wavelength of the window (band I is j = 1):
         first_j plus the number of solved resonances above it."""
@@ -213,12 +207,6 @@ class BandStructure:
         for b in self.bands:
             ok |= (lam > b.usable_lo_nm) & (lam < b.usable_hi_nm)
         return ok
-
-    def require_band(self, lambda_nm: float) -> Band:
-        """The band containing the wavelength, or require_bands' error."""
-        check_number("lambda_nm", lambda_nm, lo=0, lo_open=True)
-        self.require_bands(lambda_nm)
-        return self.bands_by_label[roman(int(self.band_index(lambda_nm)[0]))]
 
     def require_bands(self, lambda_nm) -> None:
         """Check a whole array at once; the first wavelength outside every
@@ -277,7 +265,7 @@ def _solve_resonance(fiber: FiberModel, gas: GasState, j: int) -> float:
         if abs(nxt - lam_um) < 1e-12:  # 1e-9 nm in um
             return float(nxt * 1e3)
         lam_um = nxt
-    raise ConvergenceError(
+    raise NumericalError(
         f"resonance j={j} did not converge to 1e-9 nm within 100 iterations "
         f"(t = {fiber.t_nm:g} nm, {gas.species} at {gas.pressure_bar:g} bar)"
     )
@@ -401,7 +389,7 @@ def dispersion_derivatives(
     fits = np.all(structure.in_band_mask(lambda_nm_from_omega(pts)), axis=0)
     room = fits.any(axis=0)
     if not room.all():
-        raise StencilError(
+        raise NumericalError(
             f"no room for a dispersion stencil at {lam[np.argmin(room)]:.6g} nm; "
             f"a band edge or resonance exclusion zone is closer than "
             f"{MIN_STENCIL_REACH:.1e} (relative) in omega"
@@ -483,7 +471,7 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=1e-13, maxiter=100) -> float:
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
-    raise ConvergenceError(
+    raise NumericalError(
         f"Brent root solve did not converge within {maxiter} iterations "
         f"on [{xa!r}, {xb!r}]"
     )

@@ -47,7 +47,6 @@ import numpy as np
 
 from . import export, fibermodel
 from .errors import (
-    ClippedGridError,
     GridAxisError,
     NumericalError,
     ValidationError,
@@ -262,8 +261,9 @@ def build_jsa(
     """JSA grid centered on a solved branch, normalized to unit L2 norm.
 
     Axes that float64 cannot lay out, a half-width that overflows or one
-    too small to separate two frequencies, raise GridAxisError, as does a
-    length whose phase-matching width does (``dphi_width``)."""
+    too small to separate two frequencies, raise GridAxisError, as do a
+    length whose phase-matching width does (``dphi_width``) and a grid
+    that band edges clip by more than CLIP_FATAL_FRACTION."""
     check_number("fiber length L_m", L_m, lo=0, lo_open=True)
     n = check_number("grid size n", n, lo=8, hi=MAX_GRID_N, integer=True)
     check_number("kappa_span", kappa_span, lo=0, lo_open=True)
@@ -308,10 +308,11 @@ def build_jsa(
 
     clipped = 1.0 - float(np.count_nonzero(mask)) / mask.size
     if clipped > CLIP_FATAL_FRACTION:
-        raise ClippedGridError(
+        raise GridAxisError(
             f"{clipped:.1%} of the JSA grid falls outside the transmission "
             f"bands (limit {CLIP_FATAL_FRACTION:.0%}); shrink kappa_span or "
-            f"move the branch away from band edges"
+            f"move the branch away from band edges",
+            "kappa_span",
         )
     if clipped > 0.0:
         warnings.warn(

@@ -233,7 +233,8 @@ def _scan_pump(fiber, gas, structure, omega_p, window, pump_peak_power_W, grid_p
     that hold a root, as rows (left end, right end, mismatch at the left
     end): a mismatch of 0 there is the root itself."""
     lambda_p = float(lambda_nm_from_omega(omega_p))
-    band_p = structure.require_band(lambda_p)
+    structure.require_bands(lambda_p)
+    band_p = roman(int(structure.band_index(lambda_p)[0]))
     if window is None:
         win_lo, win_hi = structure.window_nm
         dw_lo = DEFAULT_DETUNING_MIN
@@ -263,7 +264,7 @@ def _scan_pump(fiber, gas, structure, omega_p, window, pump_peak_power_W, grid_p
     fa, fb = dk[:-1], dk[1:]
     cell_ok = ok[:-1] & ok[1:]
     cells = np.flatnonzero(cell_ok & ((fa == 0.0) | ~(fa * fb >= 0.0)))
-    return band_p.label, float(dw[1] - dw[0]), np.array(
+    return band_p, float(dw[1] - dw[0]), np.array(
         [dw[cells], dw[cells + 1], fa[cells]]
     )
 

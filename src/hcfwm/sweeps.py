@@ -2,7 +2,8 @@
 
 It is also the one place where a RunConfig reaches the physics, for the
 command line and the drivers alike: the ``*_from_config`` functions,
-``solve_settings``, ``solve_branches``/``solve_branch``, ``build_grid`` and
+``solve_settings``, ``solve_branches``/``solve_branch``, ``build_grid``
+(under ``grid_keys``, which names the config key of a grid failure) and
 ``density_records``.
 
 Each driver re-solves the phase-matching branch where the parameter
@@ -25,6 +26,7 @@ named by ``value_text``, which gives distinct values distinct names.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -177,21 +179,29 @@ def solve_branch(cfg: RunConfig, fiber, gas, pump, prev=None) -> PhaseMatchBranc
     )
 
 
+@contextlib.contextmanager
+def grid_keys(length_key: str = "fiber_length_m"):
+    """Re-raise a GridAxisError from inside with the config key of the
+    input at fault in front: ``length_key``, where ``L_m`` comes from, or
+    ``grid.span`` for ``kappa_span``."""
+    try:
+        yield
+    except GridAxisError as exc:
+        key = length_key if exc.param == "L_m" else "grid.span"
+        raise GridAxisError(f"config key '{key}': {exc}", exc.param) from None
+
+
 def build_grid(
     cfg: RunConfig, fiber, gas, pump, branch, L_m: float,
     length_key: str = "fiber_length_m",
 ) -> JsaGrid:
-    """The JSA of ``branch`` over a length ``L_m``, on ``cfg.grid``.  Axes
-    that cannot be laid out raise GridAxisError naming the config key at
-    fault: ``length_key``, where ``L_m`` comes from, or ``grid.span``."""
+    """The JSA of ``branch`` over a length ``L_m``, on ``cfg.grid``; a grid
+    that cannot be laid out names its config key (``grid_keys``)."""
     g = cfg.grid
-    try:
+    with grid_keys(length_key):
         return build_jsa(
             fiber, gas, pump, branch, L_m, n=g.N, kappa_span=g.span, mode=g.mode
         )
-    except GridAxisError as exc:
-        key = length_key if exc.param == "L_m" else "grid.span"
-        raise GridAxisError(f"config key '{key}': {exc}", exc.param) from None
 
 
 def density_records(cfg: RunConfig, fiber, gas) -> list[PhaseMatchBranch]:

@@ -436,7 +436,7 @@ def test_invariant_grid_refinement(truth512, series_cfg):
     assert ok
 
 
-def test_invariant_thread_independence(tuning_cfg, truth512):
+def test_invariant_same_seed_rerun(tuning_cfg, truth512):
     """hcfwm starts no threads of its own, so the invariant is a same-seed
     rerun giving the same bytes and the same noisy slices.  OpenBLAS's
     threads are another matter: test_cli's

@@ -447,11 +447,12 @@ def test_sweep_gap_is_printed_and_listed(tmp_path, capsys):
     raw["sweep_length"] = {"lengths_m": [0.0001, 1.0]}
     assert _run_cli(tmp_path, "sweep-length", raw) == 0
     out = capsys.readouterr().out
-    assert "length_m=0.0001m: gap (99.9% of the JSA grid" in out
+    assert ("length_m=0.0001m: gap (config key 'grid.span': 99.9% of the "
+            "JSA grid") in out
     run_dir = tmp_path / "o" / "sweep-length" / "t"
     gaps = json.loads((run_dir / "sweep.json").read_text())["gaps"]
     assert [g["value"] for g in gaps] == [0.0001]
-    assert gaps[0]["reason"].startswith("99.9% of the JSA grid")
+    assert gaps[0]["reason"].startswith("config key 'grid.span': 99.9% of the")
     assert sorted(p.name for p in run_dir.glob("jsi_*")) == ["jsi_L_1m.csv"]
     # artifacts carry relative names only
     assert str(tmp_path) not in (run_dir / "sweep.json").read_text()
@@ -812,6 +813,49 @@ def test_length_beyond_the_float_range_is_one_gap_of_a_sweep(tmp_path, capsys):
             "fiber length L_m = 1e-300 m puts the phase-matching width") in out
     run_dir = tmp_path / "o" / "sweep-length" / "t"
     assert [p.name for p in run_dir.glob("jsi_*")] == ["jsi_L_1m.csv"]
+
+
+_LENGTH_SERIES = yaml.safe_load(
+    resource_files("hcfwm").joinpath("recipes/length_series.yaml").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "subcommand, changes, code, line",
+    [
+        ("phasematch", {"fiber_length_m": 1.0e-300}, 1,
+         "error: config key 'fiber_length_m': fiber length L_m = 1e-300 m "
+         "puts the phase-matching width"),
+        ("jsa", {"grid": {"span": 400}}, 1,
+         "error: config key 'grid.span': 56.1% of the JSA grid falls outside "
+         "the transmission bands"),
+        ("sweep-length",
+         {"grid": {"span": 100, "N": 64}, "sweep_length": {"lengths_m": [0.01, 1.0]}},
+         0,
+         "length_m=0.01m: gap (config key 'grid.span': 98.0% of the JSA grid "
+         "falls outside the transmission bands"),
+    ],
+    ids=["phasematch-length", "jsa-clipped", "sweep-clipped-gap"],
+)
+def test_grid_failure_names_its_config_key(
+    subcommand, changes, code, line, tmp_path, capsys
+):
+    """A grid failure on length_series, from a phase-matching width beyond
+    the float range or a grid that band edges over-clip, names its config
+    key the one way: an error line that ends the run, or a sweep gap."""
+    raw = copy.deepcopy(_LENGTH_SERIES)
+    for key, value in changes.items():
+        if isinstance(value, dict):
+            raw[key].update(value)
+        else:
+            raw[key] = value
+    assert _run_cli(tmp_path, subcommand, raw) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith(line) and err.count("\n") == 1
+    else:
+        assert f"\n{line}" in out
+        assert "jsi_L_1m.csv" in out
 
 
 
@@ -1432,8 +1476,8 @@ def _has_glibc_mallopt():
 def test_cli_keeps_freed_heap_pages(tmp_path):
     """main raises glibc's trim and mmap thresholds together, so repeated
     encodes of one grid reuse the freed pages of the last one instead of
-    faulting in fresh zero pages (about 5k faults with glibc's defaults,
-    33k with only the trim threshold raised)."""
+    faulting in fresh zero pages (1.8k faults with glibc's defaults, 5.6k
+    with only the trim threshold raised, 2.5k with only the mmap one)."""
     out = str(tmp_path / "out")
     proc = _fresh_python(
         "import resource, numpy\n"

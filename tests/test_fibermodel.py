@@ -15,11 +15,9 @@ from scipy.special import jn_zeros
 
 from hcfwm import fibermodel, gasmedia, tomography
 from hcfwm.errors import (
-    ConvergenceError,
     DivergenceZoneError,
     NumericalError,
     RangeError,
-    StencilError,
     ValidationError,
 )
 
@@ -67,10 +65,11 @@ def test_band_labels_and_edges(fiber, vacuum):
     structure = fibermodel.band_structure(fiber, vacuum)
     labels = [b.label for b in structure.bands]
     assert labels[:4] == ["I", "II", "III", "IV"]
-    band_i = structure.bands_by_label["I"]
+    bands = {b.label: b for b in structure.bands}
+    band_i = bands["I"]
     assert band_i.lo_nm == pytest.approx(VACUUM_RESONANCES_NM[0], rel=1e-9)
     assert band_i.hi_nm == structure.window_nm[1]
-    band_ii = structure.bands_by_label["II"]
+    band_ii = bands["II"]
     assert band_ii.lo_nm == pytest.approx(VACUUM_RESONANCES_NM[1], rel=1e-9)
     assert band_ii.hi_nm == pytest.approx(VACUUM_RESONANCES_NM[0], rel=1e-9)
 
@@ -78,9 +77,9 @@ def test_band_labels_and_edges(fiber, vacuum):
 def test_band_index_and_band_of(fiber, xenon):
     structure = fibermodel.band_structure(fiber, xenon)
     assert structure.band_index([1500.0, 1030.0, 500.0]).tolist() == [1, 2, 3]
-    assert structure.require_band(1030.0).label == "II"
+    structure.require_bands(1030.0)
     with pytest.raises(DivergenceZoneError):
-        structure.require_band(XENON_34_RESONANCES_NM[0])
+        structure.require_bands(XENON_34_RESONANCES_NM[0])
 
 
 def test_exclusion_zone_half_percent(fiber, xenon):
@@ -91,10 +90,10 @@ def test_exclusion_zone_half_percent(fiber, xenon):
     assert not bool(structure.in_band_mask(inside)[0])
     assert bool(structure.in_band_mask(outside)[0])
     with pytest.raises(DivergenceZoneError) as err:
-        structure.require_band(inside)
+        structure.require_bands(inside)
     assert err.value.lambda_j_nm == pytest.approx(lam1, rel=1e-12)
     with pytest.raises(RangeError, match="outside the model window"):
-        structure.require_band(5000.0)
+        structure.require_bands(5000.0)
 
 
 def test_capillary_index_deficit(vacuum):
@@ -180,7 +179,7 @@ def test_beta2_sign_structure(fiber, xenon):
 
 
 def test_find_zdw_goldens_and_residual(fiber, xenon):
-    bands = fibermodel.band_structure(fiber, xenon).bands_by_label
+    bands = {b.label: b for b in fibermodel.band_structure(fiber, xenon).bands}
     zdw_i = fibermodel.find_zdw(fiber, xenon, bands["I"])
     assert zdw_i == pytest.approx([ZDW_XENON_34_BAND_I_NM], rel=1e-9)
     zdw_ii = fibermodel.find_zdw(fiber, xenon, bands["II"])
@@ -195,9 +194,34 @@ def test_stencil_error_against_exclusion_zone(fiber, xenon):
     # legal wavelength, but the finite-difference stencil cannot fit
     # between it and the exclusion-zone edge
     lam = lam1 * 0.995 * (1.0 - 1e-6)
-    assert structure.require_band(lam).label == "II"
-    with pytest.raises(StencilError, match="stencil"):
+    structure.require_bands(lam)
+    assert structure.band_index(lam).tolist() == [2]
+    with pytest.raises(NumericalError, match="no room for a dispersion stencil"):
         fibermodel.dispersion_derivatives(fiber, xenon, lam)
+
+
+def test_failed_procedures_raise_numerical_error(fiber, xenon, monkeypatch):
+    """A stencil with no room and a resonance that does not converge are
+    NumericalError itself (exit 2, a sweep gap), with these texts."""
+    lam = fibermodel.band_structure(fiber, xenon).resonances_nm[0] * 0.995 * (
+        1.0 - 1e-6
+    )
+    with pytest.raises(NumericalError) as got:
+        fibermodel.dispersion_derivatives(fiber, xenon, lam)
+    assert type(got.value) is NumericalError
+    assert str(got.value) == (
+        f"no room for a dispersion stencil at {lam:.6g} nm; a band edge or "
+        "resonance exclusion zone is closer than 1.3e-05 (relative) in omega"
+    )
+    flip = iter([1.0, 1.1] * 60)
+    monkeypatch.setattr(fibermodel, "_wall_index", lambda gas, lam_nm: next(flip))
+    with pytest.raises(NumericalError) as got:
+        fibermodel._solve_resonance(fiber, xenon, 1)
+    assert type(got.value) is NumericalError
+    assert str(got.value) == (
+        "resonance j=1 did not converge to 1e-9 nm within 100 iterations "
+        "(t = 630 nm, xenon at 3.4 bar)"
+    )
 
 
 def test_derivatives_refuse_divergence_zone(fiber, xenon):
@@ -254,7 +278,7 @@ def test_dispersion_derivatives_array_names_the_first_bad(fiber, xenon):
     structure = fibermodel.band_structure(fiber, xenon)
     lam1, lam2 = structure.resonances_nm[:2]
     no_room = (lam1 * 0.995 * (1.0 - 1e-6), lam1 * 0.995 * (1.0 - 2e-6))
-    with pytest.raises(StencilError) as got:
+    with pytest.raises(NumericalError, match="no room for a dispersion stencil") as got:
         fibermodel.dispersion_derivatives(
             fiber, xenon, np.array([1030.0, no_room[0], 900.0, no_room[1]])
         )
@@ -266,14 +290,15 @@ def test_dispersion_derivatives_array_names_the_first_bad(fiber, xenon):
         )
     assert got.value.lambda_j_nm == lam2
     with pytest.raises(DivergenceZoneError) as expected:
-        structure.require_band(in_zone[0])
+        structure.require_bands(in_zone[0])
     assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("first_bad", ["window", "resonance"])
 def test_delta_eff_reports_the_first_bad_wavelength(fiber, xenon, first_bad):
     """The whole array is checked at once; the error is the one
-    require_band gives for the first bad element, not for a later one."""
+    require_bands gives for the first bad element alone, not for a later
+    one."""
     structure = fibermodel.band_structure(fiber, xenon)
     outside = 5000.0
     in_zone = structure.resonances_nm[0] * 1.004
@@ -282,7 +307,7 @@ def test_delta_eff_reports_the_first_bad_wavelength(fiber, xenon, first_bad):
     with pytest.raises(RangeError) as got:
         fibermodel.delta_eff(fiber, xenon, lam)
     with pytest.raises(RangeError) as expected:
-        structure.require_band(bad)
+        structure.require_bands(bad)
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
     expected_type = RangeError if first_bad == "window" else DivergenceZoneError
@@ -326,7 +351,7 @@ def test_every_allowed_wavelength_has_its_band(
     ok = structure.in_band_mask(lam)
     assert ok.any()
     for j in np.unique(structure.band_index(lam[ok])).tolist():
-        assert fibermodel.roman(j) in structure.bands_by_label
+        assert fibermodel.roman(j) in {b.label for b in structure.bands}
     structure.require_bands(lam[ok])
 
 
@@ -572,7 +597,7 @@ def test_brentq_port_is_step_exact():
             try:
                 want = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
             except RuntimeError:
-                with pytest.raises(ConvergenceError):
+                with pytest.raises(NumericalError, match="did not converge"):
                     fibermodel._brentq(f, a, b, xtol, rtol, maxiter)
             else:
                 assert fibermodel._brentq(f, a, b, xtol, rtol, maxiter) == want

@@ -115,6 +115,38 @@ def test_record_and_compare(tmp_path, capsys):
     assert out.endswith("identical\n")
 
 
+def test_line_counts(tmp_path, capsys):
+    """A record holds the line count of every module of the package, and
+    compare prints both totals, or nothing where a record has none."""
+    identity = _identity()
+    rec = identity.record(str(ROOT / "src"), [])
+    modules = sorted((ROOT / "src" / "hcfwm").glob("*.py"))
+    assert list(rec["lines"]) == [p.name for p in modules]
+    for path in modules:
+        assert rec["lines"][path.name] == len(path.read_text().splitlines())
+    total = sum(rec["lines"].values())
+    longer = copy.deepcopy(rec)
+    longer["lines"]["errors.py"] += 3
+    assert identity.line_totals(rec, longer) == [
+        f"lines: src/hcfwm {total} -> {total + 3} (+3)"
+    ]
+    older = copy.deepcopy(rec)
+    del older["lines"]
+    assert identity.line_totals(older, rec) == identity.line_totals(rec, older) == []
+
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(longer))
+    new.write_text(json.dumps(rec))
+    assert identity.main(["compare", str(old), str(new)]) == 0
+    assert capsys.readouterr().out == (
+        f"lines: src/hcfwm {total + 3} -> {total} (-3)\n"
+        "old: 0 runs (), 0 files\nnew: 0 runs (), 0 files\nidentical\n"
+    )
+    old.write_text(json.dumps(older))
+    assert identity.main(["compare", str(old), str(new)]) == 0
+    assert "lines:" not in capsys.readouterr().out
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc")
 def test_peak_rss_is_the_runs_own():
     """A run's peak RSS does not grow with the recorder's: Linux carries

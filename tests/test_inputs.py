@@ -75,9 +75,6 @@ CALLS = {
     "fibermodel.FiberModel": lambda fx: (
         fibermodel.FiberModel, dict(R_eff_um=22.0, t_nm=630.0, mode_m=1, mode_n=1)
     ),
-    "fibermodel.BandStructure.require_band": lambda fx: (
-        fx.structure.require_band, dict(lambda_nm=1030.0)
-    ),
     "gasmedia.SellmeierModel": lambda fx: (gasmedia.SellmeierModel, _SELLMEIER),
     "gasmedia.GasState": lambda fx: (
         gasmedia.GasState, dict(model=fx.xenon.model, pressure_bar=3.4)

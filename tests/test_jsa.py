@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcfwm import config, fibermodel, jsa, phasematch, schmidt, sweeps
-from hcfwm.errors import ClippedGridError, NumericalError, ValidationError
+from hcfwm.errors import GridAxisError, NumericalError, ValidationError
 from hcfwm.fibermodel import omega_from_lambda_nm
 from hcfwm.jsa import GaussianPump
 from hcfwm.phasematch import PhaseMatchBranch
@@ -543,9 +543,10 @@ def test_clipping_warns_then_fails(fiber, xenon, pump, branch):
         grid = jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=32,
                              kappa_span=30.0)
     assert 0.0 < grid.clipped_fraction <= jsa.CLIP_FATAL_FRACTION
-    with pytest.raises(ClippedGridError, match="outside the transmission"):
+    with pytest.raises(GridAxisError, match="outside the transmission") as got:
         jsa.build_jsa(fiber, xenon, pump, branch, L_m=1.0, n=32,
                       kappa_span=150.0)
+    assert got.value.param == "kappa_span"
 
 
 @pytest.mark.parametrize(

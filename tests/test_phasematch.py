@@ -16,7 +16,6 @@ from hcfwm.errors import (
     DivergenceZoneError,
     NumericalError,
     RangeError,
-    StencilError,
     ValidationError,
 )
 from hcfwm.fibermodel import lambda_nm_from_omega, omega_from_lambda_nm
@@ -314,7 +313,7 @@ def test_branch_ordering_validation():
         )
 
 
-def test_density_map_thread_invariance(fiber, xenon):
+def test_density_map_rerun_gives_the_same_records(fiber, xenon):
     """A rerun of the same map gives the same records."""
     kwargs = dict(
         pump_range_nm=(1020.0, 1040.0), steps=5, grid_points=1200
@@ -410,7 +409,7 @@ def test_density_map_failing_pump_is_a_gap(fiber, xenon, monkeypatch, fault):
 
         def no_room(fiber, gas, lambda_nm):
             if lam_bad in np.asarray(lambda_nm):
-                raise StencilError(f"no room for a dispersion stencil at {lam_bad}")
+                raise NumericalError(f"no room for a dispersion stencil at {lam_bad}")
             return derivatives(fiber, gas, lambda_nm)
 
         monkeypatch.setattr(fibermodel, "dispersion_derivatives", no_room)

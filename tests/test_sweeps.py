@@ -13,12 +13,10 @@ import pytest
 
 from hcfwm import cli, config, gasmedia, jsa, phasematch, schmidt, sweeps
 from hcfwm.errors import (
-    ClippedGridError,
-    ConvergenceError,
     DivergenceZoneError,
+    GridAxisError,
     NumericalError,
     RangeError,
-    StencilError,
     ValidationError,
 )
 from hcfwm.fibermodel import omega_from_lambda_nm
@@ -152,9 +150,8 @@ def test_length_sweep_runs_no_svd(monkeypatch):
         pytest.param(RangeError("boom"), True, id="RangeError"),
         pytest.param(DivergenceZoneError("boom", 1252.9), True,
                      id="DivergenceZoneError"),
-        pytest.param(ClippedGridError("boom"), True, id="ClippedGridError"),
-        pytest.param(ConvergenceError("boom"), True, id="ConvergenceError"),
-        pytest.param(StencilError("boom"), True, id="StencilError"),
+        pytest.param(GridAxisError("boom", "kappa_span"), True, id="GridAxisError"),
+        pytest.param(NumericalError("boom"), True, id="NumericalError"),
         pytest.param(ValidationError("boom"), False, id="ValidationError"),
     ],
 )
@@ -254,7 +251,7 @@ def test_pressure_sweep_needs_two_points():
         sweeps.sweep_pressure(cfg)
 
 
-def test_sweep_determinism_across_threads():
+def test_sweep_rerun_gives_the_same_summary_bytes():
     """A rerun of the same sweep gives the same summary bytes."""
     cfg = make_cfg(sweep_pressure={"pressures_bar": [3.2, 3.4, 3.5]})
     first = sweeps.summary_csv(sweeps.sweep_pressure(cfg))

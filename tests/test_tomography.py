@@ -270,7 +270,7 @@ def test_non_finite_noise_and_scan_inputs_are_refused(grid128):
         tomography.simulate_set_scan(grid128, [float("nan")], 1.0, 1e-3)
 
 
-def test_noise_is_reproducible_and_thread_invariant(grid128):
+def test_noise_is_reproducible_and_follows_its_seed(grid128):
     noise = NoiseModel(rel_sigma=0.01, dark_floor=2e-9, seed=(42,))
     kwargs = dict(
         truth=grid128, seed_omega_i=grid128.omega_i[::8],

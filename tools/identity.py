@@ -15,9 +15,10 @@ prints every difference between two records and exits 1 if there is any;
 where a manifest lists the same files in another order, it says
 "artifact order differs", which accounts for the manifest and stdout
 lines that differ with it.  It also lists, as notes, the runs whose peak
-RSS moved by more than 5%, and then each subcommand's largest peak RSS in
-both records; memory is not part of byte identity and never fails the
-comparison::
+RSS moved by more than 5%, then each subcommand's largest peak RSS in
+both records, then the line count of ``src/hcfwm/*.py`` in both records
+(a record stores it per file); neither memory nor size is part of byte
+identity, and neither fails the comparison::
 
     python tools/identity.py record new.json
     python tools/identity.py record old.json --src old-checkout/src
@@ -192,6 +193,18 @@ def _blas_threads() -> int | None:
     return None
 
 
+def line_counts(src: str) -> dict[str, int]:
+    """The number of lines of each ``*.py`` file of the package in
+    ``src``, by file name."""
+    package = os.path.join(src, "hcfwm")
+    counts = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                counts[name] = fh.read().count(b"\n")
+    return counts
+
+
 def record(src: str, runs=None) -> dict:
     """Run ``runs`` (default ``all_runs(src)``) against the package in
     ``src`` and return the record."""
@@ -202,6 +215,7 @@ def record(src: str, runs=None) -> dict:
         "numpy": np.__version__,
         "blas": _blas_name(),
         "blas_threads": _blas_threads(),
+        "lines": line_counts(src),
         "runs": {
             "/".join(run): _run_one(src, *run)
             for run in (all_runs(src) if runs is None else runs)
@@ -268,6 +282,15 @@ def subcommand_peaks(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def line_totals(old: dict, new: dict) -> list[str]:
+    """The package's total line count in each record and the change, as
+    one line; none if either record lacks line counts."""
+    if "lines" not in old or "lines" not in new:
+        return []
+    a, b = sum(old["lines"].values()), sum(new["lines"].values())
+    return [f"lines: src/hcfwm {a} -> {b} ({b - a:+d})"]
+
+
 def summary(rec: dict) -> str:
     runs = rec["runs"].values()
     exits = sorted({r["exit"] for r in runs})
@@ -327,7 +350,8 @@ def main(argv=None) -> int:
             print(f"note: {field} {old.get(field)} -> {new.get(field)}; "
                   "SVD bits may differ")
     lines = differences(old, new)
-    for line in lines + rss_moves(old, new) + subcommand_peaks(old, new):
+    notes = rss_moves(old, new) + subcommand_peaks(old, new)
+    for line in lines + notes + line_totals(old, new):
         print(line)
     print(f"old: {summary(old)}\nnew: {summary(new)}")
     print(f"{len(lines)} difference(s)" if lines else "identical")
